@@ -11,12 +11,14 @@ Conventions, all exact:
 Serre duality takes the form chi(E, F) = chi(F, E(-3)).  Twisting by
 O(k) leaves Delta unchanged; the dual (r, -c1, c2) negates the slope and
 leaves Delta unchanged.  Both chi forms are integers on integral data,
-which is asserted at runtime rather than trusted.
+which is asserted at runtime rather than trusted.  ``euler_pairing``,
+``twist`` and ``normalize`` work on the integers (r, c1, c2) directly;
+the slope/discriminant form above and ``character_pairing`` are the
+references they are tested against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,13 +100,23 @@ def euler_char(cd: ChernData) -> int:
 
 
 def euler_pairing(a: ChernData, b: ChernData) -> int:
-    """chi(a, b) = r_a * r_b * (P(mu_b - mu_a) - Delta_a - Delta_b)."""
-    value = a.rank * b.rank * (
-        hirzebruch_p(b.slope() - a.slope()) - a.discriminant() - b.discriminant()
+    """chi(a, b) = r_a * r_b * (P(mu_b - mu_a) - Delta_a - Delta_b), in integers:
+
+    2*chi = 2 r_a r_b + 3 (r_a c1_b - c1_a r_b) + r_a (c1_b^2 - 2 c2_b)
+            + r_b (c1_a^2 - 2 c2_a) - 2 c1_a c1_b
+    """
+    ra, c1a, c2a = a.rank, a.c1, a.c2
+    rb, c1b, c2b = b.rank, b.c1, b.c2
+    twice = (
+        2 * ra * rb
+        + 3 * (ra * c1b - c1a * rb)
+        + ra * (c1b * c1b - 2 * c2b)
+        + rb * (c1a * c1a - 2 * c2a)
+        - 2 * c1a * c1b
     )
-    if value.denominator != 1:
-        raise InternalInconsistencyError(f"non-integral chi({a}, {b}) = {value}")
-    return int(value)
+    if twice & 1:
+        raise InternalInconsistencyError(f"non-integral chi({a}, {b}) = {twice}/2")
+    return twice >> 1
 
 
 def character_pairing(x: ChernCharacter, y: ChernCharacter) -> Fraction:
@@ -126,8 +138,12 @@ def character_pairing(x: ChernCharacter, y: ChernCharacter) -> Fraction:
 
 
 def twist(cd: ChernData, k: int) -> ChernData:
-    """Invariants of E(k); Delta is unchanged."""
-    return cd.character().twist(k).to_data()
+    """Invariants of E(k); Delta is unchanged.
+
+    c2(E(k)) = c2 + (r-1)*c1*k + r(r-1)/2 * k^2.
+    """
+    r, c1 = cd.rank, cd.c1
+    return ChernData(r, c1 + r * k, cd.c2 + (r - 1) * c1 * k + r * (r - 1) // 2 * k * k)
 
 
 def dual(cd: ChernData) -> ChernData:
@@ -137,5 +153,5 @@ def dual(cd: ChernData) -> ChernData:
 
 def normalize(cd: ChernData) -> tuple[ChernData, int]:
     """Twist into the band -1 < mu <= 0; returns (twisted data, k used)."""
-    k = -math.ceil(cd.slope())
+    k = (-cd.c1) // cd.rank
     return twist(cd, k), k

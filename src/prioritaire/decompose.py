@@ -112,7 +112,7 @@ class Decomposition:
         return total
 
 
-def _det3(u: tuple, v: tuple, w: tuple) -> Fraction:
+def _det3(u: tuple, v: tuple, w: tuple) -> int:
     return (
         u[0] * (v[1] * w[2] - v[2] * w[1])
         - v[0] * (u[1] * w[2] - u[2] * w[1])
@@ -120,26 +120,28 @@ def _det3(u: tuple, v: tuple, w: tuple) -> Fraction:
     )
 
 
-def _solve_multiplicities(
-    t: helix.Triad, target: ChernCharacter
-) -> tuple[int, int, int]:
-    """Unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) = target."""
+def _solve_multiplicities(t: helix.Triad, target: ChernData) -> tuple[int, int, int]:
+    """Unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) = ch(target).
 
-    def vec(ch: ChernCharacter) -> tuple:
-        return (Fraction(ch.rank), Fraction(ch.c1), ch.ch2)
+    Cramer's rule on the integer vectors (r, c1, 2*ch2) = (r, c1, c1^2 - 2*c2).
+    """
 
-    a, b, c = vec(t.e.character()), vec(t.f.character()), vec(t.g.character())
+    def vec(cd: ChernData) -> tuple[int, int, int]:
+        return (cd.rank, cd.c1, cd.c1 * cd.c1 - 2 * cd.c2)
+
+    a, b, c = vec(t.e.chern), vec(t.f.chern), vec(t.g.chern)
     d = vec(target)
     det = _det3(a, b, c)
     if det == 0:
         raise InternalInconsistencyError(f"degenerate character basis in {t.label()}")
     out = []
-    for value in (_det3(d, b, c) / det, _det3(a, d, c) / det, _det3(a, b, d) / det):
-        if value.denominator != 1 or value < 0:
+    for num in (_det3(d, b, c), _det3(a, d, c), _det3(a, b, d)):
+        value, rem = divmod(num, det)
+        if rem != 0 or value < 0:
             raise InternalInconsistencyError(
-                f"multiplicity {value} not a nonnegative integer in {t.label()}"
+                f"multiplicity {Fraction(num, det)} not a nonnegative integer in {t.label()}"
             )
-        out.append(int(value))
+        out.append(value)
     return out[0], out[1], out[2]
 
 
@@ -232,7 +234,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
 
     else:  # BELOW_DELTA_PRIME
         t = helix.locate_triangle(mu, disc, max_depth)
-        m, n, p = _solve_multiplicities(t, norm.character())
+        m, n, p = _solve_multiplicities(t, norm)
         cross = {
             "m": euler_pairing(norm, t.e.chern),
             "n": -euler_pairing(norm, t.h.chern),
@@ -310,7 +312,7 @@ def stable_presentation(
     mu = cd.slope()
     if mu > f.slope:
         raise ValueError(f"slope {mu} right of mu(f) = {f.slope}")
-    if not f.half_width().compare(f.slope - mu) > 0:
+    if not f.contains_slope(mu):
         raise ValueError(f"slope {mu} outside the interval of {f}")
     disc = cd.discriminant()
     on_frontier = disc == frontier.delta(mu, max_depth)

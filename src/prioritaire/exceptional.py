@@ -23,7 +23,9 @@ the smaller root of X^2 - 3X + 1/r^2.  The intervals attached to
 distinct exceptional slopes are pairwise disjoint and every rational in
 [-1, 0] falls in exactly one of them (or is itself an exceptional
 slope); ``locate_exceptional`` finds the owner by bisecting the dyadic
-tree with exact surd comparisons.
+tree.  Membership needs no surd: for 0 <= d < 3/2 the quadratic is
+positive exactly below x_F, so d = n/m lies inside exactly when
+n(n - 3m) r^2 + m^2 > 0, an integer test.
 """
 
 from __future__ import annotations
@@ -146,8 +148,16 @@ class ExceptionalBundle:
         return QuadSurd(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
 
     def contains_slope(self, mu: Fraction) -> bool:
-        """Whether mu lies in the open interval around this slope."""
-        return self.half_width().compare(abs(mu - self.slope)) > 0
+        """Whether mu lies in the open interval around this slope.
+
+        With d = |mu - mu(F)| = n/m, d < x_F iff 2n < 3m and
+        n(n - 3m) r^2 + m^2 > 0 (module docstring); n/m need not be in
+        lowest terms, the test being homogeneous.
+        """
+        r, c1 = self.rank, self.c1
+        n = abs(mu.numerator * r - c1 * mu.denominator)
+        m = mu.denominator * r
+        return 2 * n < 3 * m and n * (n - 3 * m) * r * r + m * m > 0
 
     def label(self) -> str:
         if self.rank == 1:
@@ -210,12 +220,22 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
     """The dyadic-to-exceptional bijection.
 
     Integers give line bundles; a dyadic of positive level maps to the
-    composition of the images of its bracketing pair.
+    composition of the images of its bracketing pair.  The pair is
+    reached by bisection from the integer bracket of d, one level at a
+    time, so the cost is one ``compose`` per level and no recursion.
     """
+    base = d.p >> d.q  # floor(d)
+    lo, hi = from_slope(Fraction(base)), from_slope(Fraction(base + 1))
     if d.q == 0:
-        return from_slope(Fraction(d.p))
-    lo, hi = d.neighbors()
-    return compose(from_dyadic(lo), from_dyadic(hi))
+        return lo
+    offset = d.p - (base << d.q)  # d = base + offset/2^q, offset odd
+    for level in range(d.q - 1, 0, -1):
+        mid = compose(lo, hi)
+        if (offset >> level) & 1:
+            lo = mid
+        else:
+            hi = mid
+    return compose(lo, hi)
 
 
 def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic:
@@ -235,23 +255,23 @@ def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic
     while mu < -1:
         mu += 1
         shift -= 1
-    lo, hi = Fraction(-1), Fraction(0)
-    if mu == lo:
+    lo, hi = from_slope(Fraction(-1)), from_slope(Fraction(0))
+    if mu == lo.slope:
         return Dyadic(-1 + shift, 0)
-    if mu == hi:
+    if mu == hi.slope:
         return Dyadic(shift, 0)
     lo_d, hi_d = Dyadic(-1, 0), Dyadic(0, 0)
     for _ in range(cap):
         # Midpoint of the dyadic bracket, one level deeper.
         mid_value = (lo_d.value() + hi_d.value()) / 2
         mid_d = Dyadic.from_fraction(mid_value)
-        mid_slope = from_dyadic(mid_d).slope
-        if mid_slope == mu:
+        mid = compose(lo, hi)
+        if mid.slope == mu:
             return Dyadic.from_fraction(mid_value + shift)
-        if mu < mid_slope:
-            hi_d = mid_d
+        if mu < mid.slope:
+            hi_d, hi = mid_d, mid
         else:
-            lo_d = mid_d
+            lo_d, lo = mid_d, mid
     raise DepthExhaustedError(
         f"slope {bundle.slope} not reached in {cap} levels", bracket=(lo_d, hi_d)
     )
@@ -262,7 +282,10 @@ def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> Exceptiona
 
     Returns the unique exceptional bundle F with mu == mu(F) or
     |mu - mu(F)| < x_F, descending the dyadic tree; every interval
-    membership test is an exact surd comparison.
+    membership test is the exact integer test of ``contains_slope``.
+    Each bundle is tested once: after the two ends of [-1, 0], only the
+    new midpoint of each level, since the end kept from the level above
+    has already failed.
     """
     mu = Fraction(mu)
     if mu < -1 or mu > 0:
@@ -270,8 +293,9 @@ def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> Exceptiona
     cap = max_depth if max_depth is not None else max_depth_default()
     lo = from_dyadic(Dyadic(-1, 0))
     hi = from_dyadic(Dyadic(0, 0))
+    untested: tuple[ExceptionalBundle, ...] = (lo, hi)
     for _ in range(cap):
-        for end in (lo, hi):
+        for end in untested:
             if mu == end.slope or end.contains_slope(mu):
                 return end
         mid = compose(lo, hi)
@@ -281,6 +305,7 @@ def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> Exceptiona
             hi = mid
         else:
             lo = mid
+        untested = (mid,)
     raise DepthExhaustedError(
         f"slope {mu} not resolved within depth {cap}", bracket=(lo, hi)
     )

@@ -20,6 +20,11 @@ lies in F's interval or equals its slope):
 
 ``classify`` reduces arbitrary integral invariants to exactly one region
 tag after normalizing the slope into (-1, 0].
+
+Every answer at a slope derives from its owner F, found by one
+``locate_exceptional`` descent: ``delta``, ``delta_prime`` and
+``classify`` each descend once and evaluate the formulas above at
+(mu, F).
 """
 
 from __future__ import annotations
@@ -64,12 +69,25 @@ def _normalize_slope(mu: Fraction) -> Fraction:
     return Fraction(mu) - math.ceil(Fraction(mu))
 
 
+def _delta_at(mu0: Fraction, f: ExceptionalBundle) -> Fraction:
+    """delta at the normalized slope mu0 owned by f."""
+    return hirzebruch_p(-abs(mu0 - f.slope)) - f.delta
+
+
+def _delta_prime_at(mu0: Fraction, f: ExceptionalBundle) -> QuadSurd:
+    """delta_prime at the normalized slope mu0 owned by f."""
+    r = f.rank
+    dist = abs(f.slope - mu0)
+    base = _delta_at(mu0, f) - Fraction(1, r * r)
+    # (dist/r^2) / x_F expanded via 1/x_F = r*(3r + sqrt(9r^2-4))/2.
+    return QuadSurd(base + Fraction(3, 2) * dist, dist / (2 * r), 9 * r * r - 4)
+
+
 def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
     """Semistability frontier at the rational slope mu (any rational;
     extended by integer periodicity)."""
     mu0 = _normalize_slope(mu)
-    f = exceptional.locate_exceptional(mu0, max_depth)
-    return hirzebruch_p(-abs(mu0 - f.slope)) - f.delta
+    return _delta_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
 
 
 def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
@@ -79,12 +97,7 @@ def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
     bundle; normalizes to a plain rational exactly when mu = mu(F).
     """
     mu0 = _normalize_slope(mu)
-    f = exceptional.locate_exceptional(mu0, max_depth)
-    r = f.rank
-    dist = abs(f.slope - mu0)
-    base = delta(mu0, max_depth) - Fraction(1, r * r)
-    # (dist/r^2) / x_F expanded via 1/x_F = r*(3r + sqrt(9r^2-4))/2.
-    return QuadSurd(base + Fraction(3, 2) * dist, dist / (2 * r), 9 * r * r - 4)
+    return _delta_prime_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
 
 
 def prioritary_exists(cd: ChernData) -> bool:
@@ -94,27 +107,26 @@ def prioritary_exists(cd: ChernData) -> bool:
     return norm.discriminant() >= -mu * (mu + 1) / 2
 
 
-def _semistable(norm: ChernData, max_depth: int | None = None) -> tuple[SemistableKind, ExceptionalBundle | None]:
+def _semistable(norm: ChernData, f: ExceptionalBundle) -> SemistableKind:
+    """Semistable case of normalized invariants whose slope f owns."""
     mu = norm.slope()
     disc = norm.discriminant()
-    f = exceptional.locate_exceptional(mu, max_depth)
-    if disc >= delta(mu, max_depth):
-        return SemistableKind.POSITIVE_DIM, f
+    if disc >= _delta_at(mu, f):
+        return SemistableKind.POSITIVE_DIM
     if mu == f.slope and disc == f.delta:
         # Rank is then forced to be a multiple of rank(F).
         if norm.rank % f.rank != 0:
             raise InternalInconsistencyError(
                 f"rank {norm.rank} not a multiple of {f.rank} at the point of {f}"
             )
-        return SemistableKind.EXCEPTIONAL_POINT, f
-    return SemistableKind.NONE, f
+        return SemistableKind.EXCEPTIONAL_POINT
+    return SemistableKind.NONE
 
 
 def semistable_exists(cd: ChernData, max_depth: int | None = None) -> SemistableKind:
     """Whether semistable sheaves with these invariants exist, and how."""
     norm, _ = chern.normalize(cd)
-    kind, _ = _semistable(norm, max_depth)
-    return kind
+    return _semistable(norm, exceptional.locate_exceptional(norm.slope(), max_depth))
 
 
 def classify(cd: ChernData, max_depth: int | None = None) -> Region:
@@ -130,14 +142,15 @@ def classify(cd: ChernData, max_depth: int | None = None) -> Region:
     disc = norm.discriminant()
     if disc < -mu * (mu + 1) / 2:
         return Region(RegionTag.NO_PRIORITARY)
-    kind, f = _semistable(norm, max_depth)
+    f = exceptional.locate_exceptional(mu, max_depth)
+    kind = _semistable(norm, f)
     if kind is SemistableKind.POSITIVE_DIM:
         return Region(RegionTag.SEMISTABLE_POSITIVE_DIM, f)
     if kind is SemistableKind.EXCEPTIONAL_POINT:
         return Region(RegionTag.SEMISTABLE_EXCEPTIONAL, f)
     if norm.c1 == 0 and norm.c2 == 1:
         return Region(RegionTag.SPECIAL_C0_C21, f)
-    side = delta_prime(mu, max_depth).compare(disc)
+    side = _delta_prime_at(mu, f).compare(disc)
     if side < 0:
         return Region(RegionTag.ABOVE_DELTA_PRIME, f)
     if side > 0:

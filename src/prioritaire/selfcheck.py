@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import decompose, exceptional, frontier, helix
 from .chern import ChernData, character_pairing, euler_pairing, hirzebruch_p, twist
-from .errors import NoPrioritarySheafError
+from .errors import InternalInconsistencyError, NoPrioritarySheafError
 from .surd import (
     QuadSurd,
     compare_sqrt_sum,
@@ -24,6 +24,13 @@ from .surd import (
     parse_rational,
     parse_surd,
 )
+
+
+def _require(ok: bool, what: str) -> None:
+    """Raise InternalInconsistencyError unless ok.  Unlike ``assert``,
+    this check is not stripped by ``python -O``."""
+    if not ok:
+        raise InternalInconsistencyError(what)
 
 
 @dataclass(frozen=True)
@@ -57,16 +64,16 @@ def _check_surds() -> str:
         d = rng.choice([0, 2, 3, 5, 77, 9 * 25 - 4, 9 * 169 - 4])
         samples.append(QuadSurd(a, b, d))
     for s in samples:
-        assert s.sign() == _decimal_sign(s), f"sign mismatch for {s}"
+        _require(s.sign() == _decimal_sign(s), f"sign mismatch for {s}")
     for x in samples[:60]:
         for y in samples[:60]:
             if x.d and y.d and x.d != y.d:
                 continue
-            assert (x + y) - y == x
-            assert x * y == y * x
-    assert compare_sqrt_sum(Fraction(2), Fraction(8), Fraction(5)) < 0
-    assert compare_sqrt_sum(Fraction(4), Fraction(9), Fraction(5)) == 0
-    assert compare_sqrt_sum(Fraction(4), Fraction(9), Fraction(4)) > 0
+            _require((x + y) - y == x, f"({x} + {y}) - {y} != {x}")
+            _require(x * y == y * x, f"{x} * {y} not commutative")
+    _require(compare_sqrt_sum(Fraction(2), Fraction(8), Fraction(5)) < 0, "sqrt 2 + sqrt 8 < 5")
+    _require(compare_sqrt_sum(Fraction(4), Fraction(9), Fraction(5)) == 0, "sqrt 4 + sqrt 9 = 5")
+    _require(compare_sqrt_sum(Fraction(4), Fraction(9), Fraction(4)) > 0, "sqrt 4 + sqrt 9 > 4")
     return f"{len(samples)} surds against 60-digit decimal evaluation"
 
 
@@ -76,18 +83,20 @@ def _check_pairings() -> str:
     for _ in range(300):
         a = ChernData(rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9))
         b = ChernData(rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-        assert euler_pairing(a, b) == character_pairing(a.character(), b.character())
-        assert euler_pairing(a, b) == euler_pairing(b, twist(a, -3))
+        chi = euler_pairing(a, b)
+        by_character = character_pairing(a.character(), b.character())
+        _require(chi == by_character, f"chi({a}, {b}) forms differ")
+        _require(chi == euler_pairing(b, twist(a, -3)), f"chi({a}, {b}) breaks duality")
         count += 1
-    return f"{count} pairs: closed form vs slope form, and the duality relation"
+    return f"{count} pairs: integer form vs character form, and the duality relation"
 
 
 def _check_lattice(depth: int) -> str:
     bundles = exceptional.enumerate_to_level(depth)
     for f in bundles:
-        assert euler_pairing(f.chern, f.chern) == 1, f.label()
+        _require(euler_pairing(f.chern, f.chern) == 1, f"chi({f.label()}, itself) != 1")
         c2 = Fraction((f.rank - 1) * (f.rank + 1 + f.c1 * f.c1), 2 * f.rank)
-        assert c2.denominator == 1 and c2 == f.c2, f.label()
+        _require(c2.denominator == 1 and c2 == f.c2, f"c2 of {f.label()}")
     for left, right in zip(bundles, bundles[1:]):
         # Intervals (slope - x, slope + x) of consecutive bundles must not
         # overlap: distance of slopes >= sum of half-widths.
@@ -97,21 +106,25 @@ def _check_lattice(depth: int) -> str:
         # half_width = 3/2 - sqrt(u2) with u2 = (9r^2-4)/(4r^2); the sum of
         # widths is 3 - sqrt(u2) - sqrt(v2), so disjointness reads
         # sqrt(u2) + sqrt(v2) >= 3 - gap.
-        assert compare_sqrt_sum(u2, v2, Fraction(3) - gap) >= 0, (
-            left.label(),
-            right.label(),
+        _require(
+            compare_sqrt_sum(u2, v2, Fraction(3) - gap) >= 0,
+            f"intervals of {left.label()} and {right.label()} overlap",
         )
     return f"{len(bundles)} bundles to level {depth}: integrality, rigidity, disjoint intervals"
 
 
 def _check_frontier(depth: int) -> str:
     for f in exceptional.enumerate_to_level(depth):
-        assert frontier.delta(f.slope) - f.delta == Fraction(1, f.rank**2), f.label()
+        _require(
+            frontier.delta(f.slope) - f.delta == Fraction(1, f.rank**2),
+            f"peak height at {f.label()}",
+        )
     for mu in (Fraction(-1, 3), Fraction(-2, 5), Fraction(0), Fraction(-17, 24)):
-        assert frontier.delta(mu) == frontier.delta(mu + 1)
-        assert frontier.delta(mu) == frontier.delta(mu - 3)
+        d = frontier.delta(mu)
+        _require(d == frontier.delta(mu + 1), f"delta not 1-periodic at {mu}")
+        _require(d == frontier.delta(mu - 3), f"delta not 1-periodic at {mu}")
         dp = frontier.delta_prime(mu)
-        assert (dp - QuadSurd.from_rational(frontier.delta(mu))).sign() <= 0
+        _require((dp - QuadSurd.from_rational(d)).sign() <= 0, f"delta' > delta at {mu}")
     return "peak heights 1/r^2, period one, delta' <= delta"
 
 
@@ -119,23 +132,24 @@ def _check_triads(depth: int) -> str:
     count = 0
     for t in helix.iterate_triads(depth):
         tri = t.triangle()
-        assert tri.side_ef(t.e.slope) == t.e.delta
-        assert tri.side_ef(t.f.slope) == t.f.delta
-        assert tri.side_fg(t.f.slope) == t.f.delta
-        assert tri.side_fg(t.g.slope) == t.g.delta
-        assert tri.side_eg(t.e.slope) == t.e.delta
-        assert tri.side_eg(t.g.slope) == t.g.delta
+        for side, ends in (
+            (tri.side_ef, (t.e, t.f)),
+            (tri.side_fg, (t.f, t.g)),
+            (tri.side_eg, (t.e, t.g)),
+        ):
+            for v in ends:
+                _require(side(v.slope) == v.delta, f"vertex {v.label()} off a side of {t.label()}")
         if t.level < depth:
             left, right = helix.children(t)
             lt, rt = left.triangle(), right.triangle()
             for i in range(1, 4):
                 mu = t.e.slope + (t.f.slope - t.e.slope) * Fraction(i, 4)
-                assert lt.side_eg(mu) == tri.side_ef(mu)
+                _require(lt.side_eg(mu) == tri.side_ef(mu), f"left child of {t.label()}")
                 mu = t.f.slope + (t.g.slope - t.f.slope) * Fraction(i, 4)
-                assert rt.side_eg(mu) == tri.side_fg(mu)
+                _require(rt.side_eg(mu) == tri.side_fg(mu), f"right child of {t.label()}")
         count += 1
     expected = (1 << (depth + 1)) - 1
-    assert count == expected, (count, expected)
+    _require(count == expected, f"{count} tiles, expected {expected}")
     return f"{count} tiles to level {depth}: vertices on sides, children share sides"
 
 
@@ -148,11 +162,11 @@ def _check_series(depth: int) -> str:
     ):
         members = helix.left_series(f, -3, depth + 4)
         for g in members:
-            assert euler_pairing(f.chern, g.chern) == 0, (f.label(), g.label())
+            _require(euler_pairing(f.chern, g.chern) == 0, f"chi({f.label()}, {g.label()}) != 0")
             checked += 1
         mirrored = helix.right_series(f, -3, depth + 4)
         for g, h in zip(members, mirrored):
-            assert h.slope == g.slope + 3
+            _require(h.slope == g.slope + 3, f"series of {f.label()} not mirrored")
     return f"{checked} series members orthogonal to their source"
 
 
@@ -189,14 +203,14 @@ def _check_decompose(depth: int) -> str:
 def _check_roundtrip() -> str:
     values = [Fraction(0), Fraction(-3, 8), Fraction(22, 7), Fraction(5)]
     for v in values:
-        assert parse_rational(format_rational(v)) == v
+        _require(parse_rational(format_rational(v)) == v, f"rational {v}")
     surds = [
         QuadSurd(Fraction(1, 2), Fraction(-1, 10), 221),
         QuadSurd(Fraction(-3), Fraction(0), 0),
         QuadSurd(Fraction(0), Fraction(7, 3), 5),
     ]
     for s in surds:
-        assert parse_surd(format_surd(s)) == s
+        _require(parse_surd(format_surd(s)) == s, f"surd {s}")
     return "rational and surd strings round-trip"
 
 

@@ -1,10 +1,13 @@
 """Chern data, characters, and the Euler pairing.
 
-The pairing is computed two ways (slope/discriminant form and the
-bilinear closed form on characters); they must agree everywhere, and
-the duality relation chi(A,B) = chi(B, A(-3)) must hold exactly.
+The pairing is computed in integers by the library and checked here
+against two Fraction references (the slope/discriminant form and the
+bilinear form on characters); they must agree everywhere, and the
+duality relation chi(A,B) = chi(B, A(-3)) must hold exactly.  Twists
+and normalization are checked against the route through characters.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -124,3 +127,41 @@ def test_pairing_biadditive_in_characters():
     c = ChernData(4, 1, 3).character()
     assert character_pairing(a + b, c) == character_pairing(a, c) + character_pairing(b, c)
     assert character_pairing(c, a + b) == character_pairing(c, a) + character_pairing(c, b)
+
+
+# -- the integer kernel against the Fraction formulas it replaced ----------
+
+
+def _slope_form_pairing(a: ChernData, b: ChernData) -> Fraction:
+    """Reference: r_a * r_b * (P(mu_b - mu_a) - Delta_a - Delta_b) in Fractions."""
+    return a.rank * b.rank * (
+        hirzebruch_p(b.slope() - a.slope()) - a.discriminant() - b.discriminant()
+    )
+
+
+def _random_data(rng: random.Random, bound: int) -> ChernData:
+    c = 3 * bound
+    return ChernData(rng.randint(1, bound), rng.randint(-c, c), rng.randint(-c, c))
+
+
+def test_integer_pairing_matches_fraction_references():
+    rng = random.Random(20261018)
+    for bound in (3, 30, 10**6):
+        for _ in range(700):
+            a, b = _random_data(rng, bound), _random_data(rng, bound)
+            chi = euler_pairing(a, b)
+            assert type(chi) is int
+            assert chi == _slope_form_pairing(a, b)
+            assert chi == character_pairing(a.character(), b.character())
+
+
+def test_integer_twist_and_normalize_match_character_route():
+    rng = random.Random(31)
+    for bound in (4, 50, 10**5):
+        for _ in range(60):
+            cd = _random_data(rng, bound)
+            for k in range(-5, 6):
+                shifted = twist(cd, k)
+                assert shifted == cd.character().twist(k).to_data()
+                k_ref = -math.ceil(shifted.slope())
+                assert normalize(shifted) == (shifted.character().twist(k_ref).to_data(), k_ref)

@@ -5,11 +5,17 @@ capture stdout precisely and parse the machine output back.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import prioritaire
 from prioritaire.cli import main
+from prioritaire.exceptional import Dyadic, parse_dyadic
 from prioritaire.surd import parse_rational, parse_surd
 
 
@@ -174,3 +180,44 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--depth", "3")
     assert code == 0
     assert all(line.startswith("ok") for line in out.splitlines())
+
+
+def test_slope_of_a_deep_dyadic(capsys):
+    # A level-1500 dyadic is reached by an iterative bisection walk, not
+    # 1500 nested calls; its rank has 627 digits.
+    code, out, err = run(capsys, "slope", "--json", "--", "-1/2^1500")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert parse_dyadic(payload["dyadic"]) == Dyadic(-1, 1500)
+    assert len(str(payload["rank"])) == 627
+    mu = parse_rational(payload["slope"])
+    assert -1 < mu < 0 and mu.denominator == payload["rank"]
+
+
+_BROKEN_SELFCHECK = """
+import sys
+from prioritaire import cli, selfcheck
+
+assert False, "asserts must be stripped in this interpreter"
+selfcheck.character_pairing = lambda x, y: 0  # breaks the pairing check only
+sys.exit(cli.main(["selfcheck", "--depth", "1"]))
+"""
+
+
+def test_selfcheck_fails_under_python_O():
+    # python -O strips assert statements; the checks must still run.
+    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_SELFCHECK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stdout.splitlines()
+    fails = [line for line in lines if not line.startswith("ok ")]
+    assert len(lines) == 8 and len(fails) == 1
+    assert fails[0].startswith("FAIL euler pairing forms: InternalInconsistencyError")

@@ -6,6 +6,8 @@ then confirmed by the orthogonality conditions chi(gamma, alpha) =
 chi(beta, gamma) = 0.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,3 +188,81 @@ def test_max_depth_env(monkeypatch):
     monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "zero")
     with pytest.raises(ParseError):
         max_depth_default()
+
+
+def _surd_contains(f, mu: Fraction) -> bool:
+    """Reference membership test: the exact surd comparison x_F > |mu - mu(F)|."""
+    return f.half_width().compare(abs(mu - f.slope)) > 0
+
+
+def _root_approx(r: int, digits: int, smaller: bool) -> Fraction:
+    """A rational within about 10^-digits of a root (3r -+ sqrt(9r^2 - 4))/(2r)."""
+    scale = 10 ** (digits + 2)
+    s = Fraction(math.isqrt((9 * r * r - 4) * scale * scale), scale)
+    return (3 * r - s) / (2 * r) if smaller else (3 * r + s) / (2 * r)
+
+
+def test_contains_slope_matches_surd_reference_at_endpoints():
+    bundles = enumerate_to_level(5) + [from_slope(Fraction(-2, 5)).twist(2)]
+    bundles.append(from_dyadic(Dyadic(-1, 30)))  # a rank far beyond the others
+    outcomes = set()
+    for f in bundles:
+        for k in range(1, 41):
+            eps = Fraction(1, 10**k)
+            for smaller in (True, False):  # x_F, and the other root 3 - x_F
+                root = _root_approx(f.rank, k, smaller)
+                for d in (root - 2 * eps, root - eps, root, root + eps, root + 2 * eps):
+                    for mu in (f.slope - d, f.slope + d):
+                        inside = f.contains_slope(mu)
+                        assert inside == _surd_contains(f, mu), (f.label(), mu)
+                        outcomes.add(inside)
+    assert outcomes == {True, False}
+
+
+def test_contains_slope_matches_surd_reference_far_out():
+    # d >= 3/2: beyond the larger root the quadratic is positive again, but
+    # the point is outside the interval.
+    rng = random.Random(9709014)
+    for f in enumerate_to_level(4):
+        for _ in range(40):
+            d = Fraction(3, 2) + Fraction(rng.randint(0, 10**6), rng.randint(1, 10**4))
+            for mu in (f.slope - d, f.slope + d):
+                assert not f.contains_slope(mu)
+                assert not _surd_contains(f, mu)
+    for f in enumerate_to_level(4):
+        for _ in range(40):
+            mu = Fraction(rng.randint(-3 * 10**5, 10**5), rng.randint(1, 10**5))
+            assert f.contains_slope(mu) == _surd_contains(f, mu)
+
+
+def _reference_locate(mu: Fraction, cap: int):
+    """The descent re-testing both ends of every bracket with surds; returns
+    the owner, or the bracket at which the cap runs out."""
+    lo, hi = from_slope(Fraction(-1)), from_slope(Fraction(0))
+    for _ in range(cap):
+        for end in (lo, hi):
+            if mu == end.slope or _surd_contains(end, mu):
+                return end
+        mid = compose(lo, hi)
+        if mu == mid.slope:
+            return mid
+        if mu < mid.slope:
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi)
+
+
+def test_locate_matches_reference_at_every_depth():
+    rng = random.Random(1997)
+    slopes = [Fraction(0), Fraction(-1), Fraction(-9, 20), Fraction(-2, 5), Fraction(-12, 29)]
+    slopes += [Fraction(-rng.randint(0, 10**4), 10**4) for _ in range(60)]
+    for mu in slopes:
+        for cap in range(0, 9):
+            expected = _reference_locate(mu, cap)
+            if isinstance(expected, tuple):
+                with pytest.raises(DepthExhaustedError) as err:
+                    locate_exceptional(mu, max_depth=cap)
+                assert err.value.bracket == expected
+            else:
+                assert locate_exceptional(mu, max_depth=cap) == expected

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from prioritaire import exceptional
 from prioritaire.chern import ChernData, dual, twist
 from prioritaire.errors import InternalInconsistencyError
 from prioritaire.frontier import (
@@ -114,3 +115,30 @@ def test_classify_partition_small_sweep():
     assert sum(count.values()) == cases == 297
     for tag in RegionTag:
         assert count[tag] > 0, tag
+
+
+def test_one_owner_descent_per_query(monkeypatch):
+    # classify, delta and delta_prime each find the owner once; classify
+    # stops before the descent below the prioritary bound.
+    calls = []
+    original = exceptional.locate_exceptional
+
+    def counted(mu, max_depth=None):
+        calls.append(mu)
+        return original(mu, max_depth)
+
+    monkeypatch.setattr(exceptional, "locate_exceptional", counted)
+    seen = set()
+    for r in range(1, 9):
+        for c1 in range(-r, r + 1):
+            for c2 in range(-3, 9):
+                calls.clear()
+                tag = classify(ChernData(r, c1, c2)).tag
+                seen.add(tag)
+                assert len(calls) == (0 if tag is RegionTag.NO_PRIORITARY else 1)
+    assert seen == set(RegionTag)
+    for mu in (Fraction(-1, 3), Fraction(-9, 20), Fraction(7, 5), Fraction(0)):
+        for fn in (delta, delta_prime):
+            calls.clear()
+            fn(mu)
+            assert len(calls) == 1
