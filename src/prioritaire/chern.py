@@ -19,9 +19,9 @@ references they are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InternalInconsistencyError
 
 
@@ -31,18 +31,18 @@ def hirzebruch_p(x: Fraction | int) -> Fraction:
     return (x + 1) * (x + 2) / 2
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
+class ChernCharacter(Record):
     """Additive character (r, c1, ch2) with ch2 = (c1^2 - 2*c2)/2."""
 
-    rank: int
-    c1: int
-    ch2: Fraction
+    __slots__ = ("rank", "c1", "ch2")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ch2", Fraction(self.ch2))
-        if (2 * self.ch2).denominator != 1:
-            raise ValueError(f"ch2 must be a half-integer, got {self.ch2}")
+    def __init__(self, rank: int, c1: int, ch2: Fraction | int) -> None:
+        ch2 = Fraction(ch2)
+        if (2 * ch2).denominator != 1:
+            raise ValueError(f"ch2 must be a half-integer, got {ch2}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "ch2", ch2)
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         return ChernCharacter(self.rank + other.rank, self.c1 + other.c1, self.ch2 + other.ch2)
@@ -68,17 +68,17 @@ class ChernCharacter:
         return ChernData(self.rank, self.c1, int(c2))
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Integral invariants (rank, c1, c2) of a sheaf of positive rank."""
 
-    rank: int
-    c1: int
-    c2: int
+    __slots__ = ("rank", "c1", "c2")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+    def __init__(self, rank: int, c1: int, c2: int) -> None:
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     def slope(self) -> Fraction:
         return Fraction(self.c1, self.rank)

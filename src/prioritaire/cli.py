@@ -8,7 +8,14 @@ display-only and sized by ``--digits``.
 
 Exit codes: 0 when the question was answered (including "no prioritary
 sheaf exists"), 1 for usage errors, 2 when an internal consistency
-check failed or a depth cap was exhausted.
+check failed or a depth cap was exhausted.  When the reader of stdout
+goes away early (``prioritaire series -- 0 3000 | head -1``) the
+command stops quietly with exit code 1.
+
+Answers print integers of any length: once its arguments are parsed, a
+command lifts Python's limit on int-to-str digits (3.10.7 and later),
+and ``main`` puts the limit back.  Parsing keeps the limit, which bounds
+the work of converting a huge argument string.
 
 Negative arguments start with a dash, so insert ``--`` before the
 positionals: ``prioritaire frontier -- -1/2``.
@@ -17,8 +24,8 @@ positionals: ``prioritaire frontier -- -1/2``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -74,7 +81,15 @@ def _bundle_record(f: exceptional.ExceptionalBundle) -> dict:
 
 
 def _emit_json(payload: dict) -> None:
+    import json  # here, not at the top: most commands print text
+
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _lift_digit_limit() -> None:
+    """Let answers print integers of any length; ``main`` restores the limit."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 def _output_args(p: argparse.ArgumentParser) -> None:
@@ -185,6 +200,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     else:
         d = exceptional.parse_dyadic(args.value)
         f = exceptional.from_dyadic(d)
+    _lift_digit_limit()
     hw = f.half_width()
     left = QuadSurd.from_rational(f.slope) - hw
     right = QuadSurd.from_rational(f.slope) + hw
@@ -209,6 +225,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
     mu = parse_rational(args.mu)
+    _lift_digit_limit()
     d = frontier.delta(mu, args.depth)
     dp = frontier.delta_prime(mu, args.depth)
     owner = exceptional.locate_exceptional(mu - math.ceil(mu), args.depth)
@@ -248,6 +265,7 @@ def _classify_payload(cd: ChernData, region: frontier.Region, digits: int) -> di
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     cd = _chern_data(args)
+    _lift_digit_limit()
     region = frontier.classify(cd, args.depth)
     if args.json:
         _emit_json(_classify_payload(cd, region, args.digits))
@@ -278,6 +296,7 @@ def _summand_record(s: decompose_mod.Summand) -> dict:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     cd = _chern_data(args)
+    _lift_digit_limit()
     try:
         result = decompose_mod.generic_prioritary(cd, args.depth)
     except NoPrioritarySheafError as exc:
@@ -325,6 +344,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     f = exceptional.from_dyadic(d)
     if args.n_min > args.n_max:
         raise ParseError(f"--from {args.n_min} exceeds n_max {args.n_max}")
+    _lift_digit_limit()
     fn = helix.right_series if args.right else helix.left_series
     members = fn(f, args.n_min, args.n_max)
     records = []
@@ -389,6 +409,7 @@ def _chern_data(args: argparse.Namespace) -> ChernData:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         return args.handler(args)
     except (ParseError, ValueError) as exc:
@@ -397,10 +418,22 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalInconsistencyError, NotCoveredError, DepthExhaustedError) as exc:
         print(f"prioritaire: inconsistency: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush
+        # at exit does not fail again, and exit 1 without a traceback, as
+        # the Python documentation of SIGPIPE recommends.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

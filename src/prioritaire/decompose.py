@@ -32,10 +32,10 @@ off Euler pairings against the series of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import chern, frontier, helix
+from ._record import Record
 from .chern import ChernCharacter, ChernData, euler_pairing
 from .errors import InternalInconsistencyError, NoPrioritarySheafError
 from .exceptional import ExceptionalBundle, from_slope
@@ -48,8 +48,7 @@ KIND_GENERIC = "generic_semistable"
 KIND_POINT_EXT = "point_ideal_extension"
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record):
     """One direct summand of the generic sheaf.
 
     Exactly one payload is set: ``bundle`` for an exceptional summand,
@@ -57,17 +56,25 @@ class Summand:
     carries only its twist.
     """
 
-    kind: str
-    multiplicity: int
-    bundle: ExceptionalBundle | None = None
-    data: ChernData | None = None
-    twist: int = 0
+    __slots__ = ("kind", "multiplicity", "bundle", "data", "twist")
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if self.kind not in (KIND_EXCEPTIONAL, KIND_GENERIC, KIND_POINT_EXT):
-            raise ValueError(f"unknown summand kind {self.kind!r}")
+    def __init__(
+        self,
+        kind: str,
+        multiplicity: int,
+        bundle: ExceptionalBundle | None = None,
+        data: ChernData | None = None,
+        twist: int = 0,
+    ) -> None:
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+        if kind not in (KIND_EXCEPTIONAL, KIND_GENERIC, KIND_POINT_EXT):
+            raise ValueError(f"unknown summand kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "twist", twist)
 
     def character(self) -> ChernCharacter:
         if self.kind == KIND_EXCEPTIONAL:
@@ -92,16 +99,28 @@ class Summand:
         return f"V({self.twist})" if self.twist else "V"
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(Record):
     """Result record: region, summands (None when no splitting applies)
-    and the verification trail of the checks performed."""
+    and the verification trail of the checks performed.  Compares by
+    identity, not by value."""
 
-    input: ChernData
-    twist: int
-    region: Region
-    summands: tuple[Summand, ...] | None
-    verification: dict = field(default_factory=dict)
+    __slots__ = ("input", "twist", "region", "summands", "verification")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        input: ChernData,
+        twist: int,
+        region: Region,
+        summands: tuple[Summand, ...] | None,
+        verification: dict | None = None,
+    ) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "verification", {} if verification is None else verification)
 
     def total_character(self) -> ChernCharacter | None:
         if self.summands is None:
@@ -165,7 +184,7 @@ def _untwist(summands: list[Summand], k: int) -> tuple[Summand, ...]:
 def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposition:
     """Region and explicit splitting of the generic prioritary sheaf."""
     norm, k = chern.normalize(cd)
-    region = frontier.classify(norm, max_depth)
+    region = frontier._classify_normalized(norm, max_depth)
     mu = norm.slope()
     disc = norm.discriminant()
     verification: dict = {"normalization_twist": k, "region": region.tag.value}
@@ -277,17 +296,28 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     return Decomposition(cd, k, region, final, verification)
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(Record):
     """Resolution data 0 -> E -> f^k + g0(3)^m2 -> g1(3)^m1 -> 0."""
 
-    input: ChernData
-    f: ExceptionalBundle
-    k: int
-    m1: int
-    m2: int
-    g0_3: ExceptionalBundle
-    g1_3: ExceptionalBundle
+    __slots__ = ("input", "f", "k", "m1", "m2", "g0_3", "g1_3")
+
+    def __init__(
+        self,
+        input: ChernData,
+        f: ExceptionalBundle,
+        k: int,
+        m1: int,
+        m2: int,
+        g0_3: ExceptionalBundle,
+        g1_3: ExceptionalBundle,
+    ) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "g0_3", g0_3)
+        object.__setattr__(self, "g1_3", g1_3)
 
     def describe(self) -> str:
         return (

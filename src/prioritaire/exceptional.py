@@ -31,11 +31,11 @@ n(n - 3m) r^2 + m^2 > 0, an integer test.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import chern
+from ._record import Record
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from .surd import QuadSurd
@@ -58,17 +58,14 @@ def max_depth_default() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(Record):
     """Rational p / 2^q in normal form (q == 0, or p odd)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ValueError(f"negative level {self.q}")
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int) -> None:
+        if q < 0:
+            raise ValueError(f"negative level {q}")
         while q > 0 and p % 2 == 0:
             p //= 2
             q -= 1
@@ -119,19 +116,23 @@ def parse_dyadic(text: str) -> Dyadic:
     return Dyadic.from_fraction(value)
 
 
-@dataclass(frozen=True)
-class ExceptionalBundle:
-    """Exceptional bundle, determined by its slope."""
+class ExceptionalBundle(Record):
+    """Exceptional bundle, determined by its slope.
 
-    slope: Fraction
-    rank: int
-    c1: int
-    c2: int
-    delta: Fraction
+    ``chern`` holds its invariants as ``ChernData``, built once; the
+    record's fields, for equality, hashing and repr, are the other five.
+    """
 
-    @property
-    def chern(self) -> ChernData:
-        return ChernData(self.rank, self.c1, self.c2)
+    __slots__ = ("slope", "rank", "c1", "c2", "delta", "chern")
+    _fields = __slots__[:5]
+
+    def __init__(self, slope: Fraction, rank: int, c1: int, c2: int, delta: Fraction) -> None:
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "chern", ChernData(rank, c1, c2))
 
     def character(self) -> ChernCharacter:
         return self.chern.character()

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chern, exceptional
+from ._record import Record
 from .chern import ChernData, hirzebruch_p
 from .errors import InternalInconsistencyError
 from .exceptional import ExceptionalBundle
@@ -56,12 +56,14 @@ class SemistableKind(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Classification of a point: tag plus the owning bundle when relevant."""
 
-    tag: RegionTag
-    witness: ExceptionalBundle | None = None
+    __slots__ = ("tag", "witness")
+
+    def __init__(self, tag: RegionTag, witness: ExceptionalBundle | None = None) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "witness", witness)
 
 
 def _normalize_slope(mu: Fraction) -> Fraction:
@@ -137,7 +139,11 @@ def classify(cd: ChernData, max_depth: int | None = None) -> Region:
     delta_prime.  Equality with an irrational delta_prime is impossible
     for rational input and treated as an internal inconsistency.
     """
-    norm, _ = chern.normalize(cd)
+    return _classify_normalized(chern.normalize(cd)[0], max_depth)
+
+
+def _classify_normalized(norm: ChernData, max_depth: int | None) -> Region:
+    """``classify`` of invariants already twisted into -1 < mu <= 0."""
     mu = norm.slope()
     disc = norm.discriminant()
     if disc < -mu * (mu + 1) / 2:

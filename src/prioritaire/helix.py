@@ -36,11 +36,11 @@ and (mu(g_n), Delta(g_n)) converges to (mu(f) - x_f, 1/2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from . import exceptional
+from ._record import Record
 from .chern import euler_pairing, hirzebruch_p
 from .errors import (
     DepthExhaustedError,
@@ -69,8 +69,7 @@ def _kernel_bundle(e: ExceptionalBundle, f: ExceptionalBundle) -> ExceptionalBun
     return _derived_bundle(e.rank * chi - f.rank, chi * e.c1 - f.c1, "kernel bundle")
 
 
-@dataclass(frozen=True)
-class Triad:
+class Triad(Record):
     """Slope-ordered orthogonal triple with its tree position.
 
     ``h`` is the kernel bundle of e x Hom(e,f) -> f, which carries the
@@ -79,15 +78,23 @@ class Triad:
     dyadic interval [(index)/2^level - 1, (index+1)/2^level - 1].
     """
 
-    e: ExceptionalBundle
-    f: ExceptionalBundle
-    g: ExceptionalBundle
-    h: ExceptionalBundle
-    level: int
-    index: int
+    __slots__ = ("e", "f", "g", "h", "level", "index")
 
-    def __post_init__(self) -> None:
-        e, f, g = self.e, self.f, self.g
+    def __init__(
+        self,
+        e: ExceptionalBundle,
+        f: ExceptionalBundle,
+        g: ExceptionalBundle,
+        h: ExceptionalBundle,
+        level: int,
+        index: int,
+    ) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "index", index)
         if not e.slope < f.slope < g.slope:
             raise InternalInconsistencyError(f"triad slopes out of order: {e}, {f}, {g}")
         for left, right in ((f, e), (g, f), (g, e)):
@@ -111,11 +118,13 @@ class Triad:
         return Triangle(self)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """The closed curvilinear tile attached to a triad."""
 
-    triad: Triad
+    __slots__ = ("triad",)
+
+    def __init__(self, triad: Triad) -> None:
+        object.__setattr__(self, "triad", triad)
 
     def side_ef(self, mu: Fraction) -> Fraction:
         t = self.triad
@@ -285,13 +294,15 @@ def right_series(
 # -- Ext dimensions between (twists of) exceptional bundles -------------
 
 
-@dataclass(frozen=True)
-class ExtDims:
+class ExtDims(Record):
     """dim Hom, Ext^1, Ext^2; None marks a dimension the rules leave open."""
 
-    hom: int | None
-    ext1: int | None
-    ext2: int | None
+    __slots__ = ("hom", "ext1", "ext2")
+
+    def __init__(self, hom: int | None, ext1: int | None, ext2: int | None) -> None:
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "ext1", ext1)
+        object.__setattr__(self, "ext2", ext2)
 
 
 def _h0_line(k: int) -> int:

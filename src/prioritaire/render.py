@@ -10,8 +10,8 @@ exact rational coordinates, one row per tile, RFC 4180 line endings.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import frontier, helix
 from .surd import QuadSurd, format_rational

@@ -8,12 +8,11 @@ checks so the suite stays fast at the default.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import decompose, exceptional, frontier, helix
+from ._record import Record
 from .chern import ChernData, character_pairing, euler_pairing, hirzebruch_p, twist
 from .errors import InternalInconsistencyError, NoPrioritarySheafError
 from .surd import (
@@ -33,11 +32,13 @@ def _require(ok: bool, what: str) -> None:
         raise InternalInconsistencyError(what)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
 def _decimal_sign(s: QuadSurd) -> int:
@@ -56,7 +57,9 @@ def _decimal_sign(s: QuadSurd) -> int:
 
 
 def _check_surds() -> str:
-    rng = random.Random(20260823)
+    from random import Random  # here, not at the top: other commands should not import it
+
+    rng = Random(20260823)
     samples = []
     for _ in range(200):
         a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
@@ -78,7 +81,9 @@ def _check_surds() -> str:
 
 
 def _check_pairings() -> str:
-    rng = random.Random(97)
+    from random import Random
+
+    rng = Random(97)
     count = 0
     for _ in range(300):
         a = ChernData(rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9))

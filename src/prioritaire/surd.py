@@ -23,9 +23,9 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ParseError
 
 Rational = Fraction
@@ -44,8 +44,7 @@ def _sgn(x: Fraction) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class QuadSurd:
+class QuadSurd(Record):
     """Exact value a + b*sqrt(d), normalized on construction.
 
     Normal form: d == 0 whenever the value is rational (b == 0, or d a
@@ -54,12 +53,10 @@ class QuadSurd:
     even when built from different radicand presentations.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        a, b, d = Fraction(self.a), Fraction(self.b), int(self.d)
+    def __init__(self, a: Fraction | int, b: Fraction | int, d: int) -> None:
+        a, b, d = Fraction(a), Fraction(b), int(d)
         if d < 0:
             raise ValueError(f"negative radicand {d}")
         if b == 0:

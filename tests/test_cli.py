@@ -221,3 +221,46 @@ def test_selfcheck_fails_under_python_O():
     fails = [line for line in lines if not line.startswith("ok ")]
     assert len(lines) == 8 and len(fails) == 1
     assert fails[0].startswith("FAIL euler pairing forms: InternalInconsistencyError")
+
+
+def test_slope_past_the_int_digit_limit(capsys):
+    # The bundle of -349525/2^20 has a 4 256-digit rank; its c2 and the
+    # denominator of its delta pass Python's 4 300-digit limit on
+    # int-to-str conversion.  The answer prints in full and exits 0, and
+    # the limit is back in force afterwards.
+    from decimal import Decimal
+
+    from prioritaire.exceptional import from_dyadic
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    f = from_dyadic(Dyadic(-349525, 20))
+    code, out, err = run(capsys, "slope", "--", "-349525/2^20")
+    assert code == 0 and err == ""
+    rank_line = out.splitlines()[3].split()
+    assert rank_line[:2] == ["rank", str(Decimal(f.rank))]
+    assert rank_line[3:6:2] == [str(Decimal(f.c1)), str(Decimal(f.c2))]
+    code, out, err = run(capsys, "slope", "--json", "--", "-349525/2^20")
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_int=Decimal)
+    assert (payload["rank"], payload["c2"]) == (Decimal(f.rank), Decimal(f.c2))
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_closed_output_pipe_is_quiet():
+    # The reader takes one line and closes the pipe; the writer must stop
+    # without a traceback.  The series is far longer than a pipe buffer.
+    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prioritaire", "series", "--", "0", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b"source O(0)")
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -157,6 +157,32 @@ def test_no_prioritary_raises():
     assert err.value.region.tag is RegionTag.NO_PRIORITARY
 
 
+def test_normalizes_once_per_query(monkeypatch):
+    # generic_prioritary normalizes its input and hands the normalized
+    # data on; classify does not normalize it a second time.
+    from prioritaire import chern
+
+    calls = []
+    original = chern.normalize
+
+    def counted(cd):
+        calls.append(cd)
+        return original(cd)
+
+    monkeypatch.setattr(chern, "normalize", counted)
+    seen = set()
+    for r in range(1, 8):
+        for c1 in range(-2 * r, r + 1):
+            for c2 in range(-3, 9):
+                calls.clear()
+                try:
+                    seen.add(generic_prioritary(ChernData(r, c1, c2)).region.tag)
+                except NoPrioritarySheafError:
+                    seen.add(RegionTag.NO_PRIORITARY)
+                assert len(calls) == 1
+    assert seen == set(RegionTag)
+
+
 def test_twist_equivariance():
     rng = random.Random(5)
     cases = 0

@@ -1,0 +1,190 @@
+"""The package's value records and the cost of importing the package.
+
+Every record is immutable, compares and hashes by value (except
+``Decomposition``, which compares by identity), prints the same repr a
+frozen dataclass printed, and survives pickling.  Importing the package
+or its command line must not pull in ``dataclasses``, ``typing``,
+``inspect`` or ``json``.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import prioritaire
+from prioritaire.chern import ChernCharacter, ChernData
+from prioritaire.decompose import (
+    KIND_EXCEPTIONAL,
+    KIND_POINT_EXT,
+    Decomposition,
+    PresentationReport,
+    Summand,
+    generic_prioritary,
+)
+from prioritaire.exceptional import Dyadic, ExceptionalBundle, from_slope
+from prioritaire.frontier import Region, RegionTag
+from prioritaire.helix import ExtDims, Triangle, ext_dims, root
+from prioritaire.selfcheck import CheckResult
+from prioritaire.surd import QuadSurd
+
+
+def _records():
+    """One instance of each record, built twice so each pair is equal
+    by value and distinct in identity."""
+
+    def build():
+        f = from_slope(Fraction(-2, 5))
+        t = root()
+        return [
+            ChernCharacter(2, 0, Fraction(-1)),
+            ChernData(8, -4, 11),
+            QuadSurd(Fraction(3, 2), Fraction(-1, 10), 221),
+            Dyadic(-1, 2),
+            ExceptionalBundle(f.slope, f.rank, f.c1, f.c2, f.delta),
+            Region(RegionTag.ABOVE_DELTA_PRIME, f),
+            t,
+            Triangle(t),
+            ExtDims(1, 0, None),
+            Summand(KIND_EXCEPTIONAL, 2, bundle=f),
+            Decomposition(ChernData(5, -2, 4), 0, Region(RegionTag.SEMISTABLE_EXCEPTIONAL, f), None),
+            PresentationReport(ChernData(5, -2, 4), f, 1, 0, 0, f, f),
+            CheckResult("name", True, "detail"),
+        ]
+
+    return list(zip(build(), build()))
+
+
+_PAIRS = _records()
+_IDS = [type(a).__name__ for a, _ in _PAIRS]
+
+
+def test_every_record_is_covered():
+    assert len(set(_IDS)) == len(_IDS) == 13
+
+
+@pytest.mark.parametrize("a, b", _PAIRS, ids=_IDS)
+def test_fields_cannot_be_assigned_or_deleted(a, b):
+    field = a._fields[0]
+    before = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, before)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert getattr(a, field) is before
+
+
+@pytest.mark.parametrize("a, b", _PAIRS, ids=_IDS)
+def test_equality_and_hash(a, b):
+    assert a is not b
+    if isinstance(a, Decomposition):
+        assert a != b and a == a
+        assert len({a, b}) == 2
+    else:
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert a != object()
+
+
+@pytest.mark.parametrize("a, b", _PAIRS, ids=_IDS)
+def test_pickle_round_trip(a, b):
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is type(a) and repr(copy) == repr(a)
+    if not isinstance(a, Decomposition):
+        assert copy == a
+
+
+def test_records_differ_by_any_field():
+    assert ChernData(8, -4, 11) != ChernData(8, -4, 12)
+    assert Dyadic(-1, 2) != Dyadic(1, 2)
+    assert ExtDims(1, 0, None) != ExtDims(1, 0, 0)
+    # Equal field values in different record types are not equal.
+    assert ChernData(2, 0, 1) != ChernCharacter(2, 0, 1)
+
+
+def test_repr_matches_the_dataclass_text():
+    assert repr(ChernData(8, -4, 11)) == "ChernData(rank=8, c1=-4, c2=11)"
+    assert repr(Dyadic(-2, 3)) == "Dyadic(p=-1, q=2)"
+    assert repr(from_slope(Fraction(-2, 5))) == (
+        "ExceptionalBundle(slope=Fraction(-2, 5), rank=5, c1=-2, c2=4, delta=Fraction(12, 25))"
+    )
+    assert repr(Region(RegionTag.NO_PRIORITARY)) == (
+        "Region(tag=<RegionTag.NO_PRIORITARY: 'no_prioritary'>, witness=None)"
+    )
+    assert repr(ExtDims(1, 0, None)) == "ExtDims(hom=1, ext1=0, ext2=None)"
+
+
+def test_defaults():
+    region = Region(RegionTag.NO_PRIORITARY)
+    assert region.witness is None
+    point = Summand(KIND_POINT_EXT, 1, twist=-2)
+    assert (point.bundle, point.data, point.twist) == (None, None, -2)
+    assert Summand(KIND_POINT_EXT, 1).twist == 0
+    d1 = Decomposition(ChernData(1, 0, 0), 0, region, None)
+    d2 = Decomposition(ChernData(1, 0, 0), 0, region, None)
+    assert d1.verification == {} and d1.verification is not d2.verification
+
+
+def test_validation_in_init():
+    with pytest.raises(ValueError):
+        ChernData(0, 0, 1)
+    with pytest.raises(ValueError):
+        ChernCharacter(1, 0, Fraction(1, 3))
+    with pytest.raises(ValueError):
+        Dyadic(1, -1)
+    with pytest.raises(ValueError):
+        QuadSurd(1, 1, -2)
+    with pytest.raises(ValueError):
+        Summand(KIND_EXCEPTIONAL, 0)
+    with pytest.raises(ValueError):
+        Summand("no such kind", 1)
+    # Normal forms are applied on construction.
+    assert (Dyadic(12, 4).p, Dyadic(12, 4).q) == (3, 2)
+    s = QuadSurd(1, 2, 9)
+    assert (s.a, s.b, s.d) == (7, 0, 0)
+    assert ChernCharacter(1, 0, 1).ch2 == Fraction(1)
+
+
+def test_quad_surd_keeps_its_canonical_equality():
+    # Different radicand presentations of the same value are equal.
+    assert QuadSurd(0, 2, 2) == QuadSurd(0, 1, 8)
+    assert hash(QuadSurd(0, 2, 2)) == hash(QuadSurd(0, 1, 8))
+    assert QuadSurd(Fraction(1, 2), 0, 5) == Fraction(1, 2)
+    assert QuadSurd(3, 0, 0) == 3
+
+
+def test_bundle_chern_is_built_once():
+    f = from_slope(Fraction(-2, 5))
+    assert f.chern is f.chern
+    assert f.chern == ChernData(5, -2, 4)
+    assert "chern" not in f._fields and "chern" not in repr(f)
+
+
+def test_decomposition_compares_by_identity():
+    a = generic_prioritary(ChernData(8, -4, 11))
+    b = generic_prioritary(ChernData(8, -4, 11))
+    assert a != b and a == a
+    assert a.summands == b.summands and a.region == b.region
+
+
+def test_import_leaves_heavy_modules_out():
+    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    heavy = ("dataclasses", "typing", "inspect", "json")
+    probe = f"import sys, prioritaire.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
