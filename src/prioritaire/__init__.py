@@ -51,6 +51,7 @@ from .exceptional import (
     from_dyadic,
     from_slope,
     locate_exceptional,
+    locate_many,
     max_depth_default,
     parse_dyadic,
 )
@@ -60,6 +61,7 @@ from .frontier import (
     SemistableKind,
     classify,
     delta,
+    delta_many,
     delta_prime,
     prioritary_exists,
     semistable_exists,
@@ -115,6 +117,7 @@ __all__ = [
     "compose",
     "decimal_str",
     "delta",
+    "delta_many",
     "delta_prime",
     "dual",
     "dyadic_of",
@@ -130,6 +133,7 @@ __all__ = [
     "iterate_triads",
     "left_series",
     "locate_exceptional",
+    "locate_many",
     "locate_triangle",
     "max_depth_default",
     "normalize",

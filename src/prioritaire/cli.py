@@ -24,7 +24,6 @@ positionals: ``prioritaire frontier -- -1/2``.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
@@ -43,6 +42,7 @@ from .errors import (
 from .surd import QuadSurd, decimal_str, format_rational, format_surd, parse_rational
 
 MAX_TILE_DEPTH = 10
+MAX_TILE_SAMPLES = 256
 
 _EPILOG = (
     "negative values start with a dash; insert -- before the positional "
@@ -181,7 +181,13 @@ def build_parser() -> _Parser:
         help=f"deepest tile level, at most {MAX_TILE_DEPTH}",
     )
     p.add_argument("--format", choices=("svg", "csv"), default="svg")
-    p.add_argument("--samples", type=int, default=64, metavar="K", help="points per curved side (svg)")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=64,
+        metavar="K",
+        help=f"points per curved side (svg), at most {MAX_TILE_SAMPLES}",
+    )
     p.add_argument("--out", default="-", metavar="PATH", help="output file, - for stdout")
     p.set_defaults(handler=_cmd_tile)
 
@@ -226,9 +232,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 def _cmd_frontier(args: argparse.Namespace) -> int:
     mu = parse_rational(args.mu)
     _lift_digit_limit()
-    d = frontier.delta(mu, args.depth)
-    dp = frontier.delta_prime(mu, args.depth)
-    owner = exceptional.locate_exceptional(mu - math.ceil(mu), args.depth)
+    owner, d, dp = frontier.delta_many([mu], args.depth)[0]
     bound = -mu * (mu + 1) / 2
     if args.json:
         _emit_json(
@@ -249,8 +253,9 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     return 0
 
 
-def _classify_payload(cd: ChernData, region: frontier.Region, digits: int) -> dict:
-    norm, k = chern.normalize(cd)
+def _classify_payload(
+    cd: ChernData, norm: ChernData, k: int, region: frontier.Region, digits: int
+) -> dict:
     payload = {
         "input": {"rank": cd.rank, "c1": cd.c1, "c2": cd.c2},
         "normalized": {"rank": norm.rank, "c1": norm.c1, "c2": norm.c2, "twist": k},
@@ -266,11 +271,11 @@ def _classify_payload(cd: ChernData, region: frontier.Region, digits: int) -> di
 def _cmd_classify(args: argparse.Namespace) -> int:
     cd = _chern_data(args)
     _lift_digit_limit()
-    region = frontier.classify(cd, args.depth)
+    norm, k = chern.normalize(cd)
+    region = frontier._classify_normalized(norm, args.depth)
     if args.json:
-        _emit_json(_classify_payload(cd, region, args.digits))
+        _emit_json(_classify_payload(cd, norm, k, region, args.digits))
     else:
-        norm, k = chern.normalize(cd)
         print(f"region     {region.tag.value}")
         if region.witness is not None:
             print(f"witness    {region.witness.label()}")
@@ -378,6 +383,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_tile(args: argparse.Namespace) -> int:
     if args.depth > MAX_TILE_DEPTH:
         raise ParseError(f"tile depth {args.depth} exceeds the maximum {MAX_TILE_DEPTH}")
+    if args.samples > MAX_TILE_SAMPLES:
+        raise ParseError(f"tile samples {args.samples} exceeds the maximum {MAX_TILE_SAMPLES}")
     if args.format == "svg":
         text = render.tile_svg(args.depth, args.samples)
     else:

@@ -22,15 +22,17 @@ Around each exceptional slope sits the open interval of radius
 the smaller root of X^2 - 3X + 1/r^2.  The intervals attached to
 distinct exceptional slopes are pairwise disjoint and every rational in
 [-1, 0] falls in exactly one of them (or is itself an exceptional
-slope); ``locate_exceptional`` finds the owner by bisecting the dyadic
-tree.  Membership needs no surd: for 0 <= d < 3/2 the quadratic is
-positive exactly below x_F, so d = n/m lies inside exactly when
-n(n - 3m) r^2 + m^2 > 0, an integer test.
+slope); ``locate_many`` finds the owners of a list of slopes by one
+bisection walk of the dyadic tree, and ``locate_exceptional`` is its
+one-slope case.  Membership needs no surd: for 0 <= d < 3/2 the
+quadratic is positive exactly below x_F, so d = n/m lies inside exactly
+when n(n - 3m) r^2 + m^2 > 0, an integer test.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -279,37 +281,74 @@ def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic
 
 
 def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> ExceptionalBundle:
-    """Owner of the rational slope mu in [-1, 0].
+    """Owner of the rational slope mu in [-1, 0]: the unique exceptional
+    bundle F with mu == mu(F) or |mu - mu(F)| < x_F (``locate_many``)."""
+    return locate_many([mu], max_depth)[0]
 
-    Returns the unique exceptional bundle F with mu == mu(F) or
-    |mu - mu(F)| < x_F, descending the dyadic tree; every interval
+
+def locate_many(
+    slopes: Iterable[Fraction], max_depth: int | None = None
+) -> list[ExceptionalBundle]:
+    """Owners of rational slopes in [-1, 0], by one walk of the dyadic tree.
+
+    Each slope descends from the bracket [O(-1), O]; every interval
     membership test is the exact integer test of ``contains_slope``.
-    Each bundle is tested once: after the two ends of [-1, 0], only the
-    new midpoint of each level, since the end kept from the level above
-    has already failed.
+    Each bundle is tested once per slope: after the two ends of [-1, 0],
+    only the new midpoint of each level, since the end kept from the
+    level above has already failed.  The slopes still open under a
+    bracket share its midpoint, so each bundle is composed once per call.
+
+    A slope not resolved within ``max_depth`` levels raises
+    DepthExhaustedError with its last bracket; when several are, the
+    error names the first of them in the list.
     """
-    mu = Fraction(mu)
-    if mu < -1 or mu > 0:
-        raise ValueError(f"slope {mu} outside [-1, 0]")
+    slopes = [Fraction(mu) for mu in slopes]
+    for mu in slopes:
+        if mu < -1 or mu > 0:
+            raise ValueError(f"slope {mu} outside [-1, 0]")
     cap = max_depth if max_depth is not None else max_depth_default()
+    if not slopes:
+        return []
+    owners: list[ExceptionalBundle | None] = [None] * len(slopes)
     lo = from_dyadic(Dyadic(-1, 0))
     hi = from_dyadic(Dyadic(0, 0))
-    untested: tuple[ExceptionalBundle, ...] = (lo, hi)
-    for _ in range(cap):
-        for end in untested:
-            if mu == end.slope or end.contains_slope(mu):
-                return end
-        mid = compose(lo, hi)
-        if mu == mid.slope:
-            return mid
-        if mu < mid.slope:
-            hi = mid
-        else:
-            lo = mid
-        untested = (mid,)
-    raise DepthExhaustedError(
-        f"slope {mu} not resolved within depth {cap}", bracket=(lo, hi)
-    )
+    # (bracket ends, ends not yet tested, open slope indices, levels left)
+    stack = [(lo, hi, (lo, hi), list(range(len(slopes))), cap)]
+    exhausted: tuple[int, ExceptionalBundle, ExceptionalBundle] | None = None
+    while stack:
+        lo, hi, untested, group, left = stack.pop()
+        if left <= 0:
+            if exhausted is None or group[0] < exhausted[0]:
+                exhausted = (group[0], lo, hi)
+            continue
+        below: list[int] = []
+        above: list[int] = []
+        mid = None
+        for i in group:
+            mu = slopes[i]
+            for end in untested:
+                if mu == end.slope or end.contains_slope(mu):
+                    owners[i] = end
+                    break
+            else:
+                if mid is None:
+                    mid = compose(lo, hi)
+                if mu == mid.slope:
+                    owners[i] = mid
+                elif mu < mid.slope:
+                    below.append(i)
+                else:
+                    above.append(i)
+        if above:
+            stack.append((mid, hi, (mid,), above, left - 1))
+        if below:
+            stack.append((lo, mid, (mid,), below, left - 1))
+    if exhausted is not None:
+        i, lo, hi = exhausted
+        raise DepthExhaustedError(
+            f"slope {slopes[i]} not resolved within depth {cap}", bracket=(lo, hi)
+        )
+    return owners  # type: ignore[return-value]
 
 
 def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:

@@ -24,18 +24,20 @@ tag after normalizing the slope into (-1, 0].
 Every answer at a slope derives from its owner F, found by one
 ``locate_exceptional`` descent: ``delta``, ``delta_prime`` and
 ``classify`` each descend once and evaluate the formulas above at
-(mu, F).
+(mu, F), in closed-form integers.  ``delta_many`` answers a list of
+slopes from one walk of the lattice.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import chern, exceptional
 from ._record import Record
-from .chern import ChernData, hirzebruch_p
+from .chern import ChernData
 from .errors import InternalInconsistencyError
 from .exceptional import ExceptionalBundle
 from .surd import QuadSurd
@@ -71,18 +73,37 @@ def _normalize_slope(mu: Fraction) -> Fraction:
     return Fraction(mu) - math.ceil(Fraction(mu))
 
 
+def _distance(mu0: Fraction, f: ExceptionalBundle) -> tuple[int, int]:
+    """|mu0 - mu(f)| = n/m with m = b r, for mu0 = a/b."""
+    m = mu0.denominator * f.rank
+    return abs(mu0.numerator * f.rank - f.c1 * mu0.denominator), m
+
+
 def _delta_at(mu0: Fraction, f: ExceptionalBundle) -> Fraction:
-    """delta at the normalized slope mu0 owned by f."""
-    return hirzebruch_p(-abs(mu0 - f.slope)) - f.delta
+    """delta at the normalized slope mu0 = a/b owned by f.
+
+    With |mu0 - mu(F)| = n/m, m = b r:
+    P(-n/m) - (r^2 - 1)/(2 r^2) = ((m - n)(2m - n) - (r^2 - 1) b^2) / (2 m^2).
+    """
+    n, m = _distance(mu0, f)
+    r, b = f.rank, mu0.denominator
+    return Fraction((m - n) * (2 * m - n) - (r * r - 1) * b * b, 2 * m * m)
 
 
 def _delta_prime_at(mu0: Fraction, f: ExceptionalBundle) -> QuadSurd:
-    """delta_prime at the normalized slope mu0 owned by f."""
-    r = f.rank
-    dist = abs(f.slope - mu0)
-    base = _delta_at(mu0, f) - Fraction(1, r * r)
-    # (dist/r^2) / x_F expanded via 1/x_F = r*(3r + sqrt(9r^2-4))/2.
-    return QuadSurd(base + Fraction(3, 2) * dist, dist / (2 * r), 9 * r * r - 4)
+    """delta_prime at the normalized slope mu0 = a/b owned by f.
+
+    With 1/x_F = r (3r + sqrt(9r^2 - 4))/2 and |mu0 - mu(F)| = n/m as in
+    ``_delta_at``, delta - (1/r^2)(1 - (n/m)/x_F) is
+    (2m^2 + n^2 - (r^2 + 1) b^2) / (2m^2) + n/(2mr) * sqrt(9r^2 - 4).
+    """
+    n, m = _distance(mu0, f)
+    r, b = f.rank, mu0.denominator
+    return QuadSurd(
+        Fraction(2 * m * m + n * n - (r * r + 1) * b * b, 2 * m * m),
+        Fraction(n, 2 * m * r),
+        9 * r * r - 4,
+    )
 
 
 def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
@@ -100,6 +121,19 @@ def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
     """
     mu0 = _normalize_slope(mu)
     return _delta_prime_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
+
+
+def delta_many(
+    slopes: Iterable[Fraction], max_depth: int | None = None
+) -> list[tuple[ExceptionalBundle, Fraction, QuadSurd]]:
+    """(owner, delta, delta_prime) at each rational slope.
+
+    The owner is that of the slope normalized into (-1, 0]; all owners
+    come from one ``exceptional.locate_many`` walk of the lattice.
+    """
+    mus = [_normalize_slope(mu) for mu in slopes]
+    owners = exceptional.locate_many(mus, max_depth)
+    return [(f, _delta_at(mu0, f), _delta_prime_at(mu0, f)) for mu0, f in zip(mus, owners)]
 
 
 def prioritary_exists(cd: ChernData) -> bool:

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from . import exceptional
 from ._record import Record
-from .chern import euler_pairing, hirzebruch_p
+from .chern import euler_pairing
 from .errors import (
     DepthExhaustedError,
     InternalInconsistencyError,
@@ -63,10 +63,26 @@ def _derived_bundle(rank: int, c1: int, context: str) -> ExceptionalBundle:
     return bundle
 
 
-def _kernel_bundle(e: ExceptionalBundle, f: ExceptionalBundle) -> ExceptionalBundle:
-    """Kernel bundle of the evaluation e x Hom(e, f) -> f."""
-    chi = euler_pairing(e.chern, f.chern)
-    return _derived_bundle(e.rank * chi - f.rank, chi * e.c1 - f.c1, "kernel bundle")
+def _mutation(
+    a: ExceptionalBundle, b: ExceptionalBundle, chi: int, context: str
+) -> ExceptionalBundle:
+    """The bundle of rank rank(a)*chi - rank(b) and c1 chi*c1(a) - c1(b),
+    where chi is the Euler pairing of the mutated pair (three times a rank,
+    by the triad identities)."""
+    return _derived_bundle(a.rank * chi - b.rank, chi * a.c1 - b.c1, context)
+
+
+def _conic_side(x: ExceptionalBundle, sign: int, n: int, d: int) -> tuple[int, int]:
+    """P(sign * (mu - mu(x))) - Delta(x) at mu = n/d, d > 0, as (num, den).
+
+    With t = sign * (n r - c1 d) and w = d r the argument of P is t/w,
+    and P(t/w) - (r^2 - 1)/(2 r^2) = (t^2 + 3 t w + (r^2 + 1) d^2) / (2 w^2).
+    The pair need not be in lowest terms; den is positive.
+    """
+    r = x.rank
+    w = d * r
+    t = sign * (n * r - x.c1 * d)
+    return t * t + 3 * t * w + (r * r + 1) * d * d, 2 * w * w
 
 
 class Triad(Record):
@@ -127,30 +143,30 @@ class Triangle(Record):
         object.__setattr__(self, "triad", triad)
 
     def side_ef(self, mu: Fraction) -> Fraction:
-        t = self.triad
-        return hirzebruch_p(mu - t.g.slope) - t.g.delta
+        return Fraction(*_conic_side(self.triad.g, 1, mu.numerator, mu.denominator))
 
     def side_fg(self, mu: Fraction) -> Fraction:
-        t = self.triad
-        return hirzebruch_p(t.e.slope - mu) - t.e.delta
+        return Fraction(*_conic_side(self.triad.e, -1, mu.numerator, mu.denominator))
 
     def side_eg(self, mu: Fraction) -> Fraction:
-        t = self.triad
-        return hirzebruch_p(t.h.slope - mu) - t.h.delta
+        return Fraction(*_conic_side(self.triad.h, -1, mu.numerator, mu.denominator))
 
     def contains(self, mu: Fraction, disc: Fraction, strict: bool = False) -> bool:
+        """Whether (mu, disc) lies in the closed tile (its interior if strict).
+
+        disc = a/b is compared with each side num/den by the sign of
+        a*den - num*b, oriented towards the inside of the tile.
+        """
         mu, disc = Fraction(mu), Fraction(disc)
-        if strict:
-            return (
-                disc < self.side_ef(mu)
-                and disc < self.side_fg(mu)
-                and disc > self.side_eg(mu)
-            )
-        return (
-            disc <= self.side_ef(mu)
-            and disc <= self.side_fg(mu)
-            and disc >= self.side_eg(mu)
-        )
+        n, d = mu.numerator, mu.denominator
+        a, b = disc.numerator, disc.denominator
+        t = self.triad
+        for x, sign, inward in ((t.g, 1, -1), (t.e, -1, -1), (t.h, -1, 1)):
+            num, den = _conic_side(x, sign, n, d)
+            gap = (a * den - num * b) * inward
+            if gap < 0 or (strict and gap == 0):
+                return False
+        return True
 
 
 def triangle_contains(t: Triad, mu: Fraction, disc: Fraction, strict: bool = False) -> bool:
@@ -160,7 +176,9 @@ def triangle_contains(t: Triad, mu: Fraction, disc: Fraction, strict: bool = Fal
 def _make_triad(
     e: ExceptionalBundle, f: ExceptionalBundle, g: ExceptionalBundle, level: int, index: int
 ) -> Triad:
-    t = Triad(e, f, g, _kernel_bundle(e, f), level, index)
+    # h is the kernel of e x Hom(e, f) -> f, and chi(e, f) = 3 rank(g)
+    # in a triad; Triad.__init__ verifies that identity.
+    t = Triad(e, f, g, _mutation(e, f, 3 * g.rank, "kernel bundle"), level, index)
     # The middle must match the dyadic lattice at the midpoint slope.
     lattice_mid = from_dyadic(t.mid_dyadic())
     if lattice_mid.slope != f.slope:
@@ -181,15 +199,13 @@ def root() -> Triad:
 
 
 def children(t: Triad) -> tuple[Triad, Triad]:
-    """Left and right mutation children, middles double-checked."""
-    chi_fg = euler_pairing(t.f.chern, t.g.chern)
-    left_mid = _derived_bundle(
-        t.f.rank * chi_fg - t.g.rank, chi_fg * t.f.c1 - t.g.c1, "left middle"
-    )
-    chi_ef = euler_pairing(t.e.chern, t.f.chern)
-    right_mid = _derived_bundle(
-        t.f.rank * chi_ef - t.e.rank, chi_ef * t.f.c1 - t.e.c1, "right middle"
-    )
+    """Left and right mutation children, middles double-checked.
+
+    chi(f, g) = 3 rank(e) and chi(e, f) = 3 rank(g) hold in every triad
+    (Triad.__init__ verifies both), and each child re-verifies its own.
+    """
+    left_mid = _mutation(t.f, t.g, 3 * t.e.rank, "left middle")
+    right_mid = _mutation(t.f, t.e, 3 * t.g.rank, "right middle")
     left = _make_triad(t.e, left_mid, t.f, t.level + 1, 2 * t.index)
     right = _make_triad(t.f, right_mid, t.g, t.level + 1, 2 * t.index + 1)
     return left, right

@@ -10,17 +10,18 @@ exact rational coordinates, one row per tile, RFC 4180 line endings.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from fractions import Fraction
 
 from . import frontier, helix
+from .exceptional import ExceptionalBundle
 from .surd import QuadSurd, format_rational
 
+# The view spans the slopes [-1, 0] across its width and the
+# discriminants [0, DELTA_MAX] up its height.
 VIEW_W = 1000
 VIEW_H = 700
-MU_MIN = Fraction(-1)
-MU_MAX = Fraction(0)
 DELTA_MAX = Fraction(7, 10)
+_DELTA_MAX_FLOAT = float(DELTA_MAX)
 
 _PALETTE = (
     "#4e79a7",
@@ -34,50 +35,55 @@ _PALETTE = (
 )
 
 
-def _px(mu: Fraction) -> float:
-    return float((mu - MU_MIN) / (MU_MAX - MU_MIN)) * VIEW_W
-
-
-def _py(delta: Fraction | float) -> float:
-    return VIEW_H - float(delta) / float(DELTA_MAX) * VIEW_H
+def _py(delta: float) -> float:
+    return VIEW_H - delta / _DELTA_MAX_FLOAT * VIEW_H
 
 
 def _surd_float(s: QuadSurd) -> float:
     return float(s.a) + float(s.b) * math.sqrt(s.d)
 
 
-def _sample(
-    mu_a: Fraction,
-    mu_b: Fraction,
-    curve: Callable[[Fraction], Fraction],
-    samples: int,
-) -> list[tuple[Fraction, Fraction]]:
-    pts = []
+def _side_coords(
+    mu_a: Fraction, mu_b: Fraction, x: ExceptionalBundle, sign: int, samples: int
+) -> list[str]:
+    """Pixel text of the conic side P(sign*(mu - mu(x))) - Delta(x) at the
+    samples + 1 evenly spaced slopes from mu_a to mu_b.
+
+    The slopes share the denominator q_a q_b samples, and each coordinate
+    is one int/int true division of exact integers.  That division is
+    correctly rounded, like ``float()`` of the same value as a Fraction,
+    so the text is what the Fraction computation would print.
+    """
+    pa, qa, pb, qb = mu_a.numerator, mu_a.denominator, mu_b.numerator, mu_b.denominator
+    d = qa * qb * samples
+    start, step = pa * qb * samples, pb * qa - pa * qb
+    coords = []
     for i in range(samples + 1):
-        mu = mu_a + (mu_b - mu_a) * Fraction(i, samples)
-        pts.append((mu, curve(mu)))
-    return pts
+        n = start + step * i
+        num, den = helix._conic_side(x, sign, n, d)
+        # n/d + 1 is the fraction of the width, num/den the discriminant.
+        coords.append(f"{(n + d) / d * VIEW_W:.3f},{_py(num / den):.3f}")
+    return coords
 
 
 def _tile_path(t: helix.Triad, samples: int) -> str:
-    tri = t.triangle()
-    mu_e, mu_f, mu_g = t.e.slope, t.f.slope, t.g.slope
-    pts = _sample(mu_e, mu_f, tri.side_ef, samples)
-    pts += _sample(mu_f, mu_g, tri.side_fg, samples)[1:]
-    pts += _sample(mu_g, mu_e, tri.side_eg, samples)[1:-1]
-    coords = [f"{_px(mu):.3f},{_py(d):.3f}" for mu, d in pts]
+    e, f, g = t.e.slope, t.f.slope, t.g.slope
+    coords = _side_coords(e, f, t.g, 1, samples)  # side_ef
+    coords += _side_coords(f, g, t.e, -1, samples)[1:]  # side_fg
+    coords += _side_coords(g, e, t.h, -1, samples)[1:-1]  # side_eg, back to e
     return "M " + " L ".join(coords) + " Z"
 
 
 def _frontier_polylines(samples: int) -> tuple[str, str]:
     """Point lists for the semistability and rigidity frontier curves."""
     n = 8 * samples
+    values = frontier.delta_many(Fraction(i - n, n) for i in range(n + 1))
     upper = []
     lower = []
-    for i in range(n + 1):
-        mu = MU_MIN + (MU_MAX - MU_MIN) * Fraction(i, n)
-        upper.append(f"{_px(mu):.3f},{_py(frontier.delta(mu)):.3f}")
-        lower.append(f"{_px(mu):.3f},{_py(_surd_float(frontier.delta_prime(mu))):.3f}")
+    for i, (_, d, dp) in enumerate(values):
+        x = f"{i / n * VIEW_W:.3f}"
+        upper.append(f"{x},{_py(float(d)):.3f}")
+        lower.append(f"{x},{_py(_surd_float(dp)):.3f}")
     return " ".join(upper), " ".join(lower)
 
 

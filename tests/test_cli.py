@@ -264,3 +264,105 @@ def test_closed_output_pipe_is_quiet():
     assert proc.wait(timeout=120) == 1
     assert first.startswith(b"source O(0)")
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+FRONTIER_TEXT = """\
+mu               11/20
+delta            441/800 (~ 0.55125)
+delta_prime      301/800 + 1/80*sqrt(32) (~ 0.446960678119)
+owner            E(-1/2)
+prioritary_bound -341/800 (~ -0.42625)
+"""
+
+FRONTIER_JSON = {
+    "delta": {"approx": "0.55125", "exact": "441/800"},
+    "delta_prime": {"approx": "0.446960678119", "exact": "301/800 + 1/80*sqrt(32)"},
+    "mu": "11/20",
+    "owner": {
+        "c1": -1,
+        "c2": 1,
+        "delta": "3/8",
+        "label": "E(-1/2)",
+        "rank": 2,
+        "slope": "-1/2",
+    },
+    "prioritary_bound": {"approx": "-0.42625", "exact": "-341/800"},
+}
+
+CLASSIFY_TEXT = """\
+region     above_delta_prime
+witness    E(-1/2)
+normalized (8,-4,11) twist -1
+mu         -1/2 (~ -0.5)
+delta      1/2 (~ 0.5)
+"""
+
+CLASSIFY_JSON = {
+    "delta": {"approx": "0.5", "exact": "1/2"},
+    "input": {"c1": 4, "c2": 11, "rank": 8},
+    "mu": {"approx": "-0.5", "exact": "-1/2"},
+    "normalized": {"c1": -4, "c2": 11, "rank": 8, "twist": -1},
+    "region": "above_delta_prime",
+    "witness": {
+        "c1": -1,
+        "c2": 1,
+        "delta": "3/8",
+        "label": "E(-1/2)",
+        "rank": 2,
+        "slope": "-1/2",
+    },
+}
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_frontier_walks_the_lattice_once(capsys, monkeypatch):
+    from prioritaire import exceptional
+
+    walks = _counting(monkeypatch, exceptional, "locate_many")
+    code, out, err = run(capsys, "frontier", "--", "11/20")
+    assert (code, out, err) == (0, FRONTIER_TEXT, "")
+    assert len(walks) == 1
+    code, out, err = run(capsys, "frontier", "--json", "--", "11/20")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(FRONTIER_JSON, sort_keys=True, indent=2) + "\n"
+    assert len(walks) == 2
+
+
+def test_classify_normalizes_once(capsys, monkeypatch):
+    from prioritaire import chern
+
+    normalizations = _counting(monkeypatch, chern, "normalize")
+    code, out, err = run(capsys, "classify", "--", "8", "4", "11")
+    assert (code, out, err) == (0, CLASSIFY_TEXT, "")
+    assert len(normalizations) == 1
+    code, out, err = run(capsys, "classify", "--json", "--", "8", "4", "11")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(CLASSIFY_JSON, sort_keys=True, indent=2) + "\n"
+    assert len(normalizations) == 2
+
+
+def test_tile_samples_cap(capsys, tmp_path):
+    from prioritaire.cli import MAX_TILE_SAMPLES
+
+    assert MAX_TILE_SAMPLES == 256
+    target = tmp_path / "tiles.svg"
+    for fmt in ("svg", "csv"):
+        code, out, err = run(
+            capsys, "tile", "--depth", "0", "--format", fmt, "--samples", "257", "--out", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert err == "prioritaire: error: tile samples 257 exceeds the maximum 256\n"
+        assert not target.exists()
+    code, out, _ = run(capsys, "tile", "--depth", "0", "--samples", "256")
+    assert code == 0 and out.count("<path ") == 1

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prioritaire.chern import euler_pairing
 from prioritaire.errors import DepthExhaustedError, ParseError
@@ -22,6 +24,7 @@ from prioritaire.exceptional import (
     from_dyadic,
     from_slope,
     locate_exceptional,
+    locate_many,
     max_depth_default,
     parse_dyadic,
 )
@@ -266,3 +269,66 @@ def test_locate_matches_reference_at_every_depth():
                 assert err.value.bracket == expected
             else:
                 assert locate_exceptional(mu, max_depth=cap) == expected
+
+
+_SLOPES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(-1, 2), Fraction(-2, 5), Fraction(-12, 29)]),
+    st.fractions(min_value=-1, max_value=0, max_denominator=10**4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slopes=st.lists(_SLOPES, max_size=12),
+    repeats=st.lists(st.integers(0, 11), max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_locate_many_matches_one_slope_descents(slopes, repeats, seed):
+    # Shuffled, with duplicates: each owner (or the first failure's
+    # bracket) is what the one-slope descent gives.
+    slopes = slopes + [slopes[i % len(slopes)] for i in repeats if slopes]
+    random.Random(seed).shuffle(slopes)
+    for cap in range(1, 10):
+        expected = [_reference_locate(mu, cap) for mu in slopes]
+        failed = [e for e in expected if isinstance(e, tuple)]
+        if failed:
+            with pytest.raises(DepthExhaustedError) as err:
+                locate_many(slopes, max_depth=cap)
+            first = next(i for i, e in enumerate(expected) if isinstance(e, tuple))
+            assert err.value.bracket == failed[0]
+            with pytest.raises(DepthExhaustedError) as single:
+                locate_exceptional(slopes[first], max_depth=cap)
+            assert str(err.value) == str(single.value)
+        else:
+            assert locate_many(slopes, max_depth=cap) == expected
+            assert [locate_exceptional(mu, max_depth=cap) for mu in slopes] == expected
+
+
+def test_locate_many_edges():
+    assert locate_many([]) == []
+    assert locate_many(iter([Fraction(-1, 3), Fraction(-1, 3)])) == [from_slope(Fraction(0))] * 2
+    for bad in (Fraction(1, 7), Fraction(-8, 7)):
+        with pytest.raises(ValueError, match="outside"):
+            locate_many([Fraction(-1, 2), bad])
+
+
+def test_locate_many_composes_each_bracket_once(monkeypatch):
+    # 65 sorted slopes share their descents: far fewer compositions than
+    # 65 separate walks would make.
+    import prioritaire.exceptional as ex
+
+    slopes = [Fraction(i - 64, 64) for i in range(65)]
+    calls = []
+    original = ex.compose
+
+    def counted(a, b):
+        calls.append((a.slope, b.slope))
+        return original(a, b)
+
+    monkeypatch.setattr(ex, "compose", counted)
+    owners = locate_many(slopes)
+    assert len(calls) == len(set(calls))
+    walked = len(calls)
+    calls.clear()
+    assert [locate_exceptional(mu) for mu in slopes] == owners
+    assert walked < len(calls) / 3

@@ -7,13 +7,14 @@ value there is 1/18 + sqrt(5)/6, confirmed against a 50-digit decimal
 evaluation (0.42823355...).
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from prioritaire import exceptional
-from prioritaire.chern import ChernData, dual, twist
+from prioritaire import exceptional, frontier
+from prioritaire.chern import ChernData, dual, hirzebruch_p, twist
 from prioritaire.errors import InternalInconsistencyError
 from prioritaire.frontier import (
     RegionTag,
@@ -142,3 +143,63 @@ def test_one_owner_descent_per_query(monkeypatch):
             calls.clear()
             fn(mu)
             assert len(calls) == 1
+
+
+def _reference_delta(mu0, f):
+    return hirzebruch_p(-abs(mu0 - f.slope)) - f.delta
+
+
+def _reference_delta_prime(mu0, f):
+    # delta - (1/r^2)(1 - dist/x_F), with 1/x_F = r(3r + sqrt(9r^2 - 4))/2.
+    r = f.rank
+    dist = abs(f.slope - mu0)
+    base = _reference_delta(mu0, f) - Fraction(1, r * r)
+    return QuadSurd(base + Fraction(3, 2) * dist, dist / (2 * r), 9 * r * r - 4)
+
+
+def _endpoint_neighbours(f, digits):
+    """Rationals within about 10^-digits of both ends of f's interval."""
+    scale = 10 ** (digits + 2)
+    root = Fraction(math.isqrt((9 * f.rank**2 - 4) * scale * scale), scale)
+    x_f = (3 * f.rank - root) / (2 * f.rank)
+    eps = Fraction(1, 10**digits)
+    for d in (x_f - eps, x_f, x_f + eps):
+        yield f.slope - d
+        yield f.slope + d
+
+
+def test_closed_forms_match_the_reference_formulas():
+    rng = random.Random(2024)
+    slopes = [f.slope for f in exceptional.enumerate_to_level(5)]  # mu = mu(F)
+    for f in exceptional.enumerate_to_level(4):
+        for digits in (1, 3, 8, 20):
+            slopes += [mu for mu in _endpoint_neighbours(f, digits) if -1 <= mu <= 0]
+    slopes += [Fraction(-rng.randint(0, 10**6), rng.randint(1, 10**6)) for _ in range(300)]
+    slopes = [mu for mu in slopes if -1 <= mu <= 0]
+    peaks = 0
+    for mu0, f in zip(slopes, exceptional.locate_many(slopes)):
+        assert frontier._delta_at(mu0, f) == _reference_delta(mu0, f), mu0
+        dp = frontier._delta_prime_at(mu0, f)
+        ref = _reference_delta_prime(mu0, f)
+        # Same presentation, not only the same value: the renderer's
+        # floats are read from (a, b, d).
+        assert (dp.a, dp.b, dp.d) == (ref.a, ref.b, ref.d), mu0
+        if mu0 == f.slope:
+            peaks += 1
+            assert dp.is_rational and dp.a == f.delta
+    assert peaks == len(exceptional.enumerate_to_level(5))
+
+
+def test_delta_many_matches_one_slope_queries():
+    rng = random.Random(1997)
+    slopes = [Fraction(rng.randint(-4000, 4000), rng.randint(1, 900)) for _ in range(200)]
+    slopes += [Fraction(7, 5), Fraction(-12, 29) + 3, Fraction(2), Fraction(-5)]
+    slopes += slopes[:20]  # duplicates
+    got = frontier.delta_many(slopes)
+    assert len(got) == len(slopes)
+    for mu, (owner, d, dp) in zip(slopes, got):
+        mu0 = mu - math.ceil(mu)
+        assert owner == exceptional.locate_exceptional(mu0)
+        assert d == delta(mu)
+        assert dp == delta_prime(mu)
+    assert frontier.delta_many([]) == []

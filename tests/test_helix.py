@@ -7,11 +7,13 @@ checked against the recurrence inside the library, so the tests here
 pin the externally visible numbers.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from prioritaire.chern import ChernData, euler_pairing
+from prioritaire import helix
+from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
 from prioritaire.errors import NotCoveredError
 from prioritaire.exceptional import from_slope
 from prioritaire.helix import (
@@ -184,3 +186,53 @@ def test_prioritary_sum_with_multiplicities():
     qstar = from_slope(Fraction(-1, 2))
     assert is_prioritary_sum([(qstar, 2), (o, 1)]) is TriState.YES
     assert is_prioritary_sum([qstar, o]) is TriState.YES
+
+
+def _reference_contains(t, mu, disc, strict):
+    """Triangle membership through Fraction values of the three conics."""
+    ef = hirzebruch_p(mu - t.g.slope) - t.g.delta
+    fg = hirzebruch_p(t.e.slope - mu) - t.e.delta
+    eg = hirzebruch_p(t.h.slope - mu) - t.h.delta
+    if strict:
+        return disc < ef and disc < fg and disc > eg
+    return disc <= ef and disc <= fg and disc >= eg
+
+
+def test_contains_matches_fraction_form():
+    rng = random.Random(1709)
+    outcomes = set()
+    for t in iterate_triads(4):
+        tri = t.triangle()
+        lo, hi = t.e.slope, t.g.slope
+        points = []
+        for _ in range(30):
+            mu = lo + (hi - lo) * Fraction(rng.randint(0, 1000), 1000)
+            points.append((mu, Fraction(rng.randint(-200, 700), rng.randint(1, 999))))
+        for i in range(9):
+            mu = lo + (hi - lo) * Fraction(i, 8)
+            for side in (tri.side_ef, tri.side_fg, tri.side_eg):
+                points.append((mu, side(mu)))  # on a side, or off it elsewhere
+        for v in (t.e, t.f, t.g):
+            points.append((v.slope, v.delta))
+        for mu, disc in points:
+            for strict in (False, True):
+                got = tri.contains(mu, disc, strict)
+                assert got == _reference_contains(t, mu, disc, strict), (t.label(), mu, disc)
+                outcomes.add((strict, got))
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_five_euler_pairings_per_triad(monkeypatch):
+    # Triad.__init__ computes five pairings; children and the kernel
+    # bundle take chi(e,f) = 3 rank(g) and chi(f,g) = 3 rank(e) from it.
+    calls = []
+    original = helix.euler_pairing
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(helix, "euler_pairing", counted)
+    triads = list(iterate_triads(4))
+    assert len(triads) == 31
+    assert len(calls) == 5 * len(triads)

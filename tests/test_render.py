@@ -1,0 +1,119 @@
+"""Renderings of the tiling: pinned bytes, and the integer sampling
+against the Fraction computation it replaces.
+
+The digests were taken from the renderer that sampled every side with
+``Fraction`` arithmetic and printed ``float()`` of each value.  The
+integer renderer prints the same text because int/int true division is
+correctly rounded, as ``Fraction.__float__`` is.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from prioritaire import helix, render
+from prioritaire.chern import hirzebruch_p
+
+SVG_SHA256 = {
+    (0, 1): "50dbef84ea3b45d3a3768c4d6b5b6a3d8a8ef1d46e3415db6adcf9916be9b557",
+    (0, 2): "3897fe765f268cc0aa4001ddfee713c3fcce7c1a4c323613d97204f40bdf8cfe",
+    (0, 7): "aa0c2547bf4af3cf2df7def587876c794928ecc0449acaf77d1b6ccba46f2895",
+    (0, 64): "a478a18cff442a90adbe6f3d3118afa4d67d9181c91253b65452509ed72fdf91",
+    (1, 1): "39de5b2983064ee0a1c064ee96126ec352238596019f63bd81a807d3567b5f44",
+    (1, 2): "8fa203483db1110833922f535355ad881e578e18b276ab50a5bf24982055cf4e",
+    (1, 7): "4372d8bebf128516a3e6bf5fd70de595a4c80f235ef33d0560bbb6c55e05578c",
+    (1, 64): "f797ebbf4bfe4a9e917fa7c65e57a5698d1c19036cbd562c1374f90d1872f0de",
+    (2, 1): "99b84b0e22f1963545b26fd3dab5d1501047912c41a4d6db1015d4544b80039e",
+    (2, 2): "91aca0540ded0136a7cdfb5a9cd8586b0feab3a956bf829e46547ff65fdb4f36",
+    (2, 7): "9cd2082d2d99142ff2aec7419e1c33848ebe2a9d652178f2bfcfe04189986a4f",
+    (2, 64): "d78bf4e257fda8ba1ce2b3e59eee08c8d454af80c13a655ad29d7d1d05bac1b1",
+    (3, 1): "f126e3848496bd8000db47bc0b8d38812df6c52e02de3bbd065d9eb7abd7dc39",
+    (3, 2): "88f05d3fd1140e2dff663e9be17a8ef4adeba8db482ce58f9e37efa3f9ecf463",
+    (3, 7): "ae0db5872e6c419dd461d1ee538505e438d75743efa2c5cc35199095da80ef43",
+    (3, 64): "8adec92c602104bd0553bd4ae55cdc4dc1fdb89023ffffae228107396937628d",
+    (4, 1): "8791ef350df9b6561769d3e45969c5b870780d70f3ced0691335b25f0df96697",
+    (4, 2): "d32302f7459585e5ad52834e79a322d1b32da8a2c7e58dab0ef54d5d2693f52e",
+    (4, 7): "232536c62a909637e33a63b444e9d401ea650f1c470f007bb71be140b847fd83",
+    (4, 64): "ee4d2198882194bb617e590da94b33d4a9c429bde58a7102462d548387ec80f8",
+    (5, 1): "353b297ed3895a6742dd687fc198e84987ddc9064b6b1770c3361e37dd65c1ca",
+    (5, 2): "74067633e70ab1c697d6d1325f9e043d530c8dbcafbb5f021fb4c9fb1d18a798",
+    (5, 7): "abf067d25c2d71cb11d50a459a3e18fd283ae8968759d7f100575c69a67f6889",
+    (5, 64): "cb8de4b5460ea3aedaab87ba7a90f22a5754414b00439aafd3cf9dd8c5ec891c",
+}
+
+CSV_SHA256 = {
+    0: "c5536965d50768ea6d0c1089e003a508a7961c4dd1a7cb20458dfe34d875533e",
+    1: "924492c90cd9f882cb7b1d32a8c986bcb55b24d6554315e03044cd6a69ea8d95",
+    2: "40eb2a498ae28156e3c3d405f273a3c642d41d515b660ae35c6eb177d81145d4",
+    3: "57aa0fd9b09931e5c21a314aa9f2fdfd578849efdabd4d83c1cf94ed4c397408",
+    4: "26d992ac77b3f224c7fffaaeac1442296062f20014d70b3133f55c277f4c6e65",
+    5: "22d61c3c3614d022d9dba5b9132ee293f3626bfbcc98b8bb55479fe013949895",
+    6: "0ee7125696cc3380f7a0da86c0d2bfac4ce550a06a3063304c0fb3d8cbd8b0fe",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("level, samples", sorted(SVG_SHA256))
+def test_tile_svg_bytes_pinned(level, samples):
+    assert _sha256(render.tile_svg(level, samples)) == SVG_SHA256[level, samples]
+
+
+def test_tile_csv_bytes_pinned():
+    assert {level: _sha256(render.tile_csv(level)) for level in CSV_SHA256} == CSV_SHA256
+
+
+def _reference_side(x, sign):
+    """P(sign * (mu - mu(x))) - Delta(x) through Fraction arithmetic."""
+    return lambda mu: hirzebruch_p(sign * (mu - x.slope)) - x.delta
+
+
+def _reference_path(t: helix.Triad, samples: int) -> str:
+    """The tile outline as the Fraction renderer printed it."""
+    sides = (
+        (t.e.slope, t.f.slope, _reference_side(t.g, 1)),
+        (t.f.slope, t.g.slope, _reference_side(t.e, -1)),
+        (t.g.slope, t.e.slope, _reference_side(t.h, -1)),
+    )
+    pts = []
+    for k, (a, b, side) in enumerate(sides):
+        run = [a + (b - a) * Fraction(i, samples) for i in range(samples + 1)]
+        run = run if k == 0 else run[1:] if k == 1 else run[1:-1]
+        pts += [(mu, side(mu)) for mu in run]
+    coords = [
+        f"{float(mu + 1) * 1000:.3f},{700 - float(d) / float(Fraction(7, 10)) * 700:.3f}"
+        for mu, d in pts
+    ]
+    return "M " + " L ".join(coords) + " Z"
+
+
+def test_sampled_side_points_match_the_fraction_sides():
+    for t in helix.iterate_triads(4):
+        tri = t.triangle()
+        sides = (
+            (t.e.slope, t.f.slope, tri.side_ef, _reference_side(t.g, 1)),
+            (t.f.slope, t.g.slope, tri.side_fg, _reference_side(t.e, -1)),
+            (t.g.slope, t.e.slope, tri.side_eg, _reference_side(t.h, -1)),
+        )
+        for samples in (1, 2, 3, 7, 10):
+            for a, b, side, reference in sides:
+                for i in range(samples + 1):
+                    mu = a + (b - a) * Fraction(i, samples)
+                    assert side(mu) == reference(mu), (t.label(), mu)
+            assert render._tile_path(t, samples) == _reference_path(t, samples)
+
+
+def test_frontier_polylines_match_the_fraction_frontiers():
+    for samples in (1, 3):
+        n = 8 * samples
+        upper, lower = render._frontier_polylines(samples)
+        for i, (up, low) in enumerate(zip(upper.split(), lower.split())):
+            mu = Fraction(i - n, n)
+            d = render.frontier.delta(mu)
+            dp = render.frontier.delta_prime(mu)
+            x = f"{float(mu + 1) * 1000:.3f}"
+            assert up == f"{x},{700 - float(d) / 0.7 * 700:.3f}"
+            assert low == f"{x},{700 - render._surd_float(dp) / 0.7 * 700:.3f}"
