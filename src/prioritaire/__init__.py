@@ -58,7 +58,6 @@ from .exceptional import (
 from .frontier import (
     Region,
     RegionTag,
-    SemistableKind,
     classify,
     delta,
     delta_many,
@@ -79,11 +78,10 @@ from .helix import (
     locate_triangle,
     right_series,
     root,
-    triangle_contains,
 )
 from .render import tile_csv, tile_svg
 from .selfcheck import CheckResult, run_selfcheck
-from .surd import QuadSurd, compare_sqrt_sum, decimal_str, surd_cmp, surd_sign
+from .surd import QuadSurd, compare_sqrt_sum, decimal_str
 
 __version__ = "0.1.0"
 
@@ -105,7 +103,6 @@ __all__ = [
     "QuadSurd",
     "Region",
     "RegionTag",
-    "SemistableKind",
     "Summand",
     "TriState",
     "Triad",
@@ -144,11 +141,8 @@ __all__ = [
     "run_selfcheck",
     "semistable_exists",
     "stable_presentation",
-    "surd_cmp",
-    "surd_sign",
     "tile_csv",
     "tile_svg",
-    "triangle_contains",
     "twist",
     "__version__",
 ]

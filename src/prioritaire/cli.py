@@ -233,7 +233,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     mu = parse_rational(args.mu)
     _lift_digit_limit()
     owner, d, dp = frontier.delta_many([mu], args.depth)[0]
-    bound = -mu * (mu + 1) / 2
+    bound = frontier._prioritary_bound(mu)
     if args.json:
         _emit_json(
             {
@@ -422,7 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"prioritaire: error: {exc}", file=sys.stderr)
         return 1
-    except (InternalInconsistencyError, NotCoveredError, DepthExhaustedError) as exc:
+    except DepthExhaustedError as exc:
+        where = "" if exc.bracket is None else " (bracket {} .. {})".format(*exc.bracket)
+        print(f"prioritaire: depth exhausted: {exc}{where}", file=sys.stderr)
+        return 2
+    except (InternalInconsistencyError, NotCoveredError) as exc:
         print(f"prioritaire: inconsistency: {exc}", file=sys.stderr)
         return 2
     finally:

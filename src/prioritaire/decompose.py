@@ -192,7 +192,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     if region.tag is RegionTag.NO_PRIORITARY:
         exc = NoPrioritarySheafError(
             f"no prioritary sheaf with invariants {cd}: "
-            f"discriminant {disc} below the existence bound {-mu * (mu + 1) / 2}"
+            f"discriminant {disc} below the existence bound {frontier._prioritary_bound(mu)}"
         )
         exc.region = region  # type: ignore[attr-defined]
         raise exc
@@ -280,9 +280,8 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         ]
 
     final = _untwist(summands, k)
-    total = ChernCharacter(0, 0, Fraction(0))
-    for s in final:
-        total = total + s.character().scale(s.multiplicity)
+    result = Decomposition(cd, k, region, final, verification)
+    total = result.total_character()
     if total != cd.character():
         raise InternalInconsistencyError(
             f"summand characters {total} do not add up to ch{cd}"
@@ -293,7 +292,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         if verdict is helix.TriState.NO:
             raise InternalInconsistencyError("exceptional direct sum is not prioritary")
         verification["prioritary_sum"] = verdict.value
-    return Decomposition(cd, k, region, final, verification)
+    return result
 
 
 class PresentationReport(Record):

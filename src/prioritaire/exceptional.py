@@ -31,6 +31,7 @@ when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 from fractions import Fraction
@@ -241,26 +242,24 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
     return compose(lo, hi)
 
 
+def _normalize_slope(mu: Fraction) -> Fraction:
+    """Translate by an integer into (-1, 0]."""
+    mu = Fraction(mu)
+    return mu - math.ceil(mu)
+
+
 def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic:
     """Invert ``from_dyadic`` by monotone descent.
 
-    The slope is first translated into [-1, 0]; the returned dyadic is
+    The slope is first translated into (-1, 0]; the returned dyadic is
     translated back.  Raises DepthExhaustedError if the slope is not
     reached within the cap (it then is not a lattice slope, or lies too
     deep).
     """
     cap = max_depth if max_depth is not None else max_depth_default()
-    shift = 0
-    mu = bundle.slope
-    while mu > 0:
-        mu -= 1
-        shift += 1
-    while mu < -1:
-        mu += 1
-        shift -= 1
+    mu = _normalize_slope(bundle.slope)
+    shift = int(bundle.slope - mu)
     lo, hi = from_slope(Fraction(-1)), from_slope(Fraction(0))
-    if mu == lo.slope:
-        return Dyadic(-1 + shift, 0)
     if mu == hi.slope:
         return Dyadic(shift, 0)
     lo_d, hi_d = Dyadic(-1, 0), Dyadic(0, 0)

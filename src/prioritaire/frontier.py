@@ -31,7 +31,6 @@ slopes from one walk of the lattice.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -52,12 +51,6 @@ class RegionTag(enum.Enum):
     BELOW_DELTA_PRIME = "below_delta_prime"
 
 
-class SemistableKind(enum.Enum):
-    POSITIVE_DIM = "positive_dim"
-    EXCEPTIONAL_POINT = "exceptional_point"
-    NONE = "none"
-
-
 class Region(Record):
     """Classification of a point: tag plus the owning bundle when relevant."""
 
@@ -68,9 +61,10 @@ class Region(Record):
         object.__setattr__(self, "witness", witness)
 
 
-def _normalize_slope(mu: Fraction) -> Fraction:
-    """Translate by an integer into (-1, 0]."""
-    return Fraction(mu) - math.ceil(Fraction(mu))
+def _prioritary_bound(mu: Fraction) -> Fraction:
+    """-mu(mu+1)/2: prioritary sheaves of normalized slope mu exist iff
+    their discriminant is at least this."""
+    return -mu * (mu + 1) / 2
 
 
 def _distance(mu0: Fraction, f: ExceptionalBundle) -> tuple[int, int]:
@@ -109,7 +103,7 @@ def _delta_prime_at(mu0: Fraction, f: ExceptionalBundle) -> QuadSurd:
 def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
     """Semistability frontier at the rational slope mu (any rational;
     extended by integer periodicity)."""
-    mu0 = _normalize_slope(mu)
+    mu0 = exceptional._normalize_slope(mu)
     return _delta_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
 
 
@@ -119,7 +113,7 @@ def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
     Returned as an exact surd over the radicand 9r^2 - 4 of the owning
     bundle; normalizes to a plain rational exactly when mu = mu(F).
     """
-    mu0 = _normalize_slope(mu)
+    mu0 = exceptional._normalize_slope(mu)
     return _delta_prime_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
 
 
@@ -131,7 +125,7 @@ def delta_many(
     The owner is that of the slope normalized into (-1, 0]; all owners
     come from one ``exceptional.locate_many`` walk of the lattice.
     """
-    mus = [_normalize_slope(mu) for mu in slopes]
+    mus = [exceptional._normalize_slope(mu) for mu in slopes]
     owners = exceptional.locate_many(mus, max_depth)
     return [(f, _delta_at(mu0, f), _delta_prime_at(mu0, f)) for mu0, f in zip(mus, owners)]
 
@@ -139,28 +133,29 @@ def delta_many(
 def prioritary_exists(cd: ChernData) -> bool:
     """Existence test for prioritary sheaves with the given invariants."""
     norm, _ = chern.normalize(cd)
-    mu = norm.slope()
-    return norm.discriminant() >= -mu * (mu + 1) / 2
+    return norm.discriminant() >= _prioritary_bound(norm.slope())
 
 
-def _semistable(norm: ChernData, f: ExceptionalBundle) -> SemistableKind:
-    """Semistable case of normalized invariants whose slope f owns."""
+def _semistable(norm: ChernData, f: ExceptionalBundle) -> RegionTag | None:
+    """Semistable tag of normalized invariants whose slope f owns, or None."""
     mu = norm.slope()
     disc = norm.discriminant()
     if disc >= _delta_at(mu, f):
-        return SemistableKind.POSITIVE_DIM
+        return RegionTag.SEMISTABLE_POSITIVE_DIM
     if mu == f.slope and disc == f.delta:
         # Rank is then forced to be a multiple of rank(F).
         if norm.rank % f.rank != 0:
             raise InternalInconsistencyError(
                 f"rank {norm.rank} not a multiple of {f.rank} at the point of {f}"
             )
-        return SemistableKind.EXCEPTIONAL_POINT
-    return SemistableKind.NONE
+        return RegionTag.SEMISTABLE_EXCEPTIONAL
+    return None
 
 
-def semistable_exists(cd: ChernData, max_depth: int | None = None) -> SemistableKind:
-    """Whether semistable sheaves with these invariants exist, and how."""
+def semistable_exists(cd: ChernData, max_depth: int | None = None) -> RegionTag | None:
+    """Whether semistable sheaves with these invariants exist, and how:
+    RegionTag.SEMISTABLE_POSITIVE_DIM, RegionTag.SEMISTABLE_EXCEPTIONAL,
+    or None when there are none."""
     norm, _ = chern.normalize(cd)
     return _semistable(norm, exceptional.locate_exceptional(norm.slope(), max_depth))
 
@@ -180,14 +175,12 @@ def _classify_normalized(norm: ChernData, max_depth: int | None) -> Region:
     """``classify`` of invariants already twisted into -1 < mu <= 0."""
     mu = norm.slope()
     disc = norm.discriminant()
-    if disc < -mu * (mu + 1) / 2:
+    if disc < _prioritary_bound(mu):
         return Region(RegionTag.NO_PRIORITARY)
     f = exceptional.locate_exceptional(mu, max_depth)
-    kind = _semistable(norm, f)
-    if kind is SemistableKind.POSITIVE_DIM:
-        return Region(RegionTag.SEMISTABLE_POSITIVE_DIM, f)
-    if kind is SemistableKind.EXCEPTIONAL_POINT:
-        return Region(RegionTag.SEMISTABLE_EXCEPTIONAL, f)
+    tag = _semistable(norm, f)
+    if tag is not None:
+        return Region(tag, f)
     if norm.c1 == 0 and norm.c2 == 1:
         return Region(RegionTag.SPECIAL_C0_C21, f)
     side = _delta_prime_at(mu, f).compare(disc)

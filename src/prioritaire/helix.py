@@ -169,10 +169,6 @@ class Triangle(Record):
         return True
 
 
-def triangle_contains(t: Triad, mu: Fraction, disc: Fraction, strict: bool = False) -> bool:
-    return t.triangle().contains(mu, disc, strict)
-
-
 def _make_triad(
     e: ExceptionalBundle, f: ExceptionalBundle, g: ExceptionalBundle, level: int, index: int
 ) -> Triad:

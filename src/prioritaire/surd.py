@@ -5,9 +5,10 @@ guarantees lowest terms and a positive denominator, which is exactly the
 normal form required here.  This module supplies what sits on top:
 
 * ``QuadSurd`` -- numbers of the form a + b*sqrt(d) with rational a, b
-  and integer d >= 0, with sign and comparison decided exactly by case
-  analysis on the signs of a and b plus one integer comparison of
-  a^2 against b^2*d.  No floating point is consulted anywhere.
+  and integer d >= 0, closed under addition, subtraction and negation,
+  with sign and comparison decided exactly by case analysis on the
+  signs of a and b plus one integer comparison of a^2 against b^2*d.
+  No floating point is consulted anywhere.
 * exact string round-tripping ("p/q" and "a/b + c/d*sqrt(D)"), and
 * decimal rendering (round-half-even, configurable digit count) used
   only for display, never for decisions.
@@ -27,8 +28,6 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import ParseError
-
-Rational = Fraction
 
 _SURD_RE = re.compile(
     r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
@@ -79,11 +78,6 @@ class QuadSurd(Record):
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     # -- arithmetic (same radicand only) --------------------------------
 
     def _coerce(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
@@ -121,16 +115,6 @@ class QuadSurd(Record):
     def __rsub__(self, other: "Fraction | int") -> "QuadSurd":
         return (-self) + other
 
-    def __mul__(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._join_radicand(o)
-        # (a + b sqrt(d))(a' + b' sqrt(d)) with a shared radicand.
-        return QuadSurd(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
-
-    __rmul__ = __mul__
-
     # -- exact sign and order -------------------------------------------
 
     def sign(self) -> int:
@@ -154,18 +138,6 @@ class QuadSurd(Record):
             raise TypeError(f"cannot compare QuadSurd with {type(other).__name__}")
         return (self - o).sign()
 
-    def __lt__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self.compare(other) >= 0
-
     def _key(self) -> tuple:
         return (self.a, _sgn(self.b), self.b * self.b * self.d)
 
@@ -181,17 +153,6 @@ class QuadSurd(Record):
 
     def __str__(self) -> str:
         return format_surd(self)
-
-    def to_decimal(self, digits: int = 12) -> str:
-        return decimal_str(self, digits)
-
-
-def surd_sign(s: QuadSurd) -> int:
-    return s.sign()
-
-
-def surd_cmp(s: QuadSurd, other: QuadSurd | Fraction | int) -> int:
-    return s.compare(other)
 
 
 def compare_sqrt_sum(u2: Fraction, v2: Fraction, w: Fraction) -> int:
@@ -215,8 +176,7 @@ def compare_sqrt_sum(u2: Fraction, v2: Fraction, w: Fraction) -> int:
 # -- parsing and formatting ---------------------------------------------
 
 
-def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
+def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

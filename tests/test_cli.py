@@ -47,14 +47,50 @@ def test_slope_json_reparses(capsys):
     hw = parse_surd(payload["x_f"]["exact"])
     left = parse_surd(payload["interval"]["left"]["exact"])
     assert (left + hw).compare(Fraction(-2, 5)) == 0
-    # x_f solves x^2 - 3x + 1/r^2 = 0.
-    assert (hw * hw - hw * 3 + Fraction(1, 25)).compare(0) == 0
+    # x_f = a + b sqrt(d) solves x^2 - 3x + 1/r^2 = 0: both parts of
+    # (a^2 + b^2 d - 3a + 1/r^2) + (2a - 3) b sqrt(d) vanish.
+    a, b, d = hw.a, hw.b, hw.d
+    assert a * a + b * b * d - 3 * a + Fraction(1, 25) == 0
+    assert (2 * a - 3) * b == 0
 
 
 def test_slope_invert(capsys):
     code, out, _ = run(capsys, "slope", "--invert", "--json", "--", "-2/5")
     assert code == 0
     assert json.loads(out)["dyadic"] == "-1/4"
+
+
+def test_slope_invert_far_from_the_band():
+    # In a child process, so that a slope translated one unit at a time
+    # fails on the timeout instead of stalling the suite.
+    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "prioritaire", "slope", "--invert", "--", "10000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1] == "dyadic   10000000"
+
+
+def test_depth_exhausted_names_its_bracket(capsys, monkeypatch):
+    monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "2")
+    code, out, err = run(capsys, "frontier", "--", "-5/13")
+    assert (code, out) == (2, "")
+    assert err == (
+        "prioritaire: depth exhausted: slope -5/13 not resolved within depth 2"
+        " (bracket E(-2/5) .. O(0))\n"
+    )
+    monkeypatch.delenv("PRIORITAIRE_MAX_DEPTH")
+    code, out, err = run(capsys, "slope", "--invert", "--depth", "1", "--", "-12/29")
+    assert (code, out) == (2, "")
+    assert err == (
+        "prioritaire: depth exhausted: slope -12/29 not reached in 1 levels"
+        " (bracket -1/2 .. 0)\n"
+    )
 
 
 def test_frontier_values(capsys):

@@ -28,7 +28,6 @@ from prioritaire.exceptional import (
     max_depth_default,
     parse_dyadic,
 )
-from prioritaire.surd import QuadSurd
 
 
 def test_dyadic_normalization():
@@ -114,15 +113,19 @@ def test_half_width_satisfies_quadratic():
     # x_F is the smaller root of x^2 - 3x + 1/r^2 = 0.
     for slope in (Fraction(0), Fraction(-1, 2), Fraction(-2, 5), Fraction(-12, 29)):
         f = from_slope(slope)
-        x = f.half_width()
-        residue = x * x - x * QuadSurd.from_rational(Fraction(3)) + QuadSurd.from_rational(
-            Fraction(1, f.rank * f.rank)
-        )
-        assert residue.sign() == 0
-        # 1/x_F = r(3r + sqrt(9r^2-4))/2 exactly.
         r = f.rank
-        inverse = QuadSurd(Fraction(3 * r * r, 2), Fraction(r, 2), 9 * r * r - 4)
-        assert (x * inverse - QuadSurd.from_rational(Fraction(1))).sign() == 0
+        x = f.half_width()
+        a, b, d = x.a, x.b, x.d
+        assert d == 9 * r * r - 4
+        # With x = a + b sqrt(d): x^2 - 3x + 1/r^2 =
+        # (a^2 + b^2 d - 3a + 1/r^2) + (2a - 3) b sqrt(d).
+        assert a * a + b * b * d - 3 * a + Fraction(1, r * r) == 0
+        assert (2 * a - 3) * b == 0
+        # 1/x_F = r(3r + sqrt(9r^2-4))/2 exactly: x * (a' + b' sqrt(d)) =
+        # (a a' + b b' d) + (a b' + a' b) sqrt(d) must be 1.
+        a_inv, b_inv = Fraction(3 * r * r, 2), Fraction(r, 2)
+        assert a * a_inv + b * b_inv * d == 1
+        assert a * b_inv + a_inv * b == 0
 
 
 def test_interval_membership():
@@ -148,6 +151,13 @@ def test_dyadic_of_translates():
     # The inverse map shifts back into the original twist: -1/4 + 3.
     assert dyadic_of(f) == Dyadic(11, 2)
     assert from_dyadic(Dyadic(11, 2)).slope == Fraction(13, 5)
+
+
+def test_dyadic_of_far_translates():
+    # One integer step, not one pass per unit of the slope.
+    assert dyadic_of(from_slope(Fraction(10**7))) == Dyadic(10**7, 0)
+    assert dyadic_of(from_slope(Fraction(-(10**7)))) == Dyadic(-(10**7), 0)
+    assert dyadic_of(from_slope(Fraction(-2, 5) + 10**7)) == Dyadic(4 * 10**7 - 1, 2)
 
 
 def test_locate_exceptional():

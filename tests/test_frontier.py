@@ -18,7 +18,6 @@ from prioritaire.chern import ChernData, dual, hirzebruch_p, twist
 from prioritaire.errors import InternalInconsistencyError
 from prioritaire.frontier import (
     RegionTag,
-    SemistableKind,
     classify,
     delta,
     delta_prime,
@@ -72,10 +71,10 @@ def test_prioritary_exists():
 
 
 def test_semistable_exists():
-    assert semistable_exists(ChernData(1, 0, 1)) is SemistableKind.POSITIVE_DIM
-    assert semistable_exists(ChernData(2, -1, 1)) is SemistableKind.EXCEPTIONAL_POINT
-    assert semistable_exists(ChernData(4, -2, 2)) is SemistableKind.NONE
-    assert semistable_exists(ChernData(4, -2, 3)) is SemistableKind.EXCEPTIONAL_POINT
+    assert semistable_exists(ChernData(1, 0, 1)) is RegionTag.SEMISTABLE_POSITIVE_DIM
+    assert semistable_exists(ChernData(2, -1, 1)) is RegionTag.SEMISTABLE_EXCEPTIONAL
+    assert semistable_exists(ChernData(4, -2, 2)) is None
+    assert semistable_exists(ChernData(4, -2, 3)) is RegionTag.SEMISTABLE_EXCEPTIONAL
 
 
 def test_classify_examples():

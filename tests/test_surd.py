@@ -20,8 +20,6 @@ from prioritaire.surd import (
     format_surd,
     parse_rational,
     parse_surd,
-    surd_cmp,
-    surd_sign,
 )
 
 
@@ -38,14 +36,15 @@ def test_construction_normalizes():
     assert QuadSurd(Fraction(1), Fraction(1), 4) == QuadSurd.from_rational(Fraction(3))
     assert QuadSurd(Fraction(1), Fraction(0), 7).d == 0
     assert QuadSurd(Fraction(-6), Fraction(3), 4).is_rational
-    assert QuadSurd(Fraction(-6), Fraction(3), 4).as_rational() == 0
+    s = QuadSurd(Fraction(-6), Fraction(3), 4)
+    assert (s.a, s.b, s.d) == (0, 0, 0)
     with pytest.raises(ValueError):
         QuadSurd(Fraction(0), Fraction(1), -5)
 
 
 def test_rational_embedding():
     x = QuadSurd.from_rational(Fraction(-3, 8))
-    assert x.is_rational and x.as_rational() == Fraction(-3, 8)
+    assert x.is_rational and x.a == Fraction(-3, 8)
     assert x.sign() == -1
     assert QuadSurd.from_rational(Fraction(0)).sign() == 0
 
@@ -54,10 +53,6 @@ def test_arithmetic_same_radicand():
     x = QuadSurd(Fraction(1, 2), Fraction(1, 3), 5)
     y = QuadSurd(Fraction(-2), Fraction(1, 6), 5)
     assert (x + y) - y == x
-    assert x * y == y * x
-    prod = x * x
-    # (1/2 + sqrt(5)/3)^2 = 1/4 + 5/9 + sqrt(5)/3
-    assert prod == QuadSurd(Fraction(29, 36), Fraction(1, 3), 5)
     assert (-x) + x == QuadSurd.from_rational(Fraction(0))
 
 
@@ -74,16 +69,9 @@ def test_sign_close_calls():
     assert QuadSurd(Fraction(-7), Fraction(2), 13).sign() == 1
     # 3/2 - sqrt(2) versus 1/10 and 1/12: the width of the rank-2 interval.
     x = QuadSurd(Fraction(3, 2), Fraction(-1, 4), 32)
-    assert surd_cmp(x, Fraction(1, 10)) < 0
-    assert surd_cmp(x, Fraction(1, 12)) > 0
-    assert surd_sign(x) == 1
-
-
-def test_ordering_dunders():
-    a = QuadSurd(Fraction(1, 18), Fraction(1, 6), 5)
-    b = QuadSurd.from_rational(Fraction(1, 2))
-    assert a < b and b > a and a <= a and a >= a and a != b
-    assert sorted([b, a]) == [a, b]
+    assert x.compare(Fraction(1, 10)) < 0
+    assert x.compare(Fraction(1, 12)) > 0
+    assert x.sign() == 1
 
 
 def test_equality_and_hash():
@@ -146,5 +134,3 @@ def test_field_identities(a1, b1, a2, b2, d):
     x = QuadSurd(a1, b1, d)
     y = QuadSurd(a2, b2, d)
     assert (x + y) - y == x
-    assert x * y == y * x
-    assert (x + y) * (x - y) == x * x - y * y
