@@ -1,19 +1,22 @@
 """Exceptional bundles on the plane and the dyadic slope lattice.
 
-An exceptional bundle is determined by its slope alpha = c1/r in lowest
-terms: rank r, first Chern class c1, discriminant (1 - 1/r^2)/2 and
-c2 = ((r-1)/(2r)) * (r + 1 + c1^2), which must come out an integer.
+An exceptional bundle is determined by its rank r and first Chern class
+c1: discriminant (1 - 1/r^2)/2 and c2 = ((r-1)/(2r)) * (r + 1 + c1^2),
+which must come out an integer.  One private constructor builds every
+bundle from (r, c1) and holds the package's only cache.
 
-New slopes are produced from old by the composition law
+Composition produces the bundle gamma between alpha and beta with
+chi(E_gamma, E_alpha) = chi(E_beta, E_gamma) = 0, whose slope is
 
-    gamma = (alpha + beta)/2 - (Delta_alpha - Delta_beta)/(3 + alpha - beta)
+    gamma = (alpha + beta)/2 - (Delta_alpha - Delta_beta)/(3 + alpha - beta).
 
-whose defining property is the vanishing chi(E_gamma, E_alpha) =
-chi(E_beta, E_gamma) = 0; both vanishings are asserted on every call.
-Iterating it from the integer slopes realizes a bijection from dyadic
-numbers to exceptional slopes: integers map to line bundles, the map
-commutes with integer translation, and the midpoint of two adjacent
-dyadics maps to the composition of their images.
+Both vanishings are linear in x = (r, c1, c1^2 - 2 c2), so ``compose``
+takes the cross product of the two forms in integers: -2 x of gamma, a
+factor checked on every call with both vanishings.  Iterating it from
+the integer slopes realizes a bijection from dyadic numbers to
+exceptional slopes: integers map to line bundles, the map commutes with
+integer translation, and the midpoint of two adjacent dyadics maps to
+the composition of their images.
 
 Around each exceptional slope sits the open interval of radius
 
@@ -31,7 +34,6 @@ when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Iterable
 from fractions import Fraction
@@ -141,10 +143,10 @@ class ExceptionalBundle(Record):
         return self.chern.character()
 
     def twist(self, k: int) -> "ExceptionalBundle":
-        return from_slope(self.slope + k)
+        return _bundle(self.rank, self.c1 + k * self.rank)
 
     def dual(self) -> "ExceptionalBundle":
-        return from_slope(-self.slope)
+        return _bundle(self.rank, -self.c1)
 
     def half_width(self) -> QuadSurd:
         """x_F = (3r - sqrt(9r^2 - 4))/(2r), radius of the slope interval."""
@@ -174,44 +176,57 @@ class ExceptionalBundle(Record):
         return self.label()
 
 
-@lru_cache(maxsize=None)
-def from_slope(slope: Fraction) -> ExceptionalBundle:
-    """Build the exceptional bundle of the given slope.
+@lru_cache(maxsize=4096)
+def _bundle(rank: int, c1: int) -> ExceptionalBundle:
+    """The exceptional bundle (r, c1).  c2 must be integral, which proves
+    gcd(r, c1) = 1 (mod a common prime p the numerator is -1), and
+    chi(F,F) = 1; failures are InternalInconsistencyError."""
+    if rank < 1:
+        raise InternalInconsistencyError(f"rank {rank} of ({rank}, {c1}) is not positive")
+    c2, rem = divmod((rank - 1) * (rank + 1 + c1 * c1), 2 * rank)
+    if rem:
+        raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
+    if rank * rank + rank * (c1 * c1 - 2 * c2) - c1 * c1 != 1:
+        raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
+    return ExceptionalBundle(
+        Fraction(c1, rank), rank, c1, c2, Fraction(rank * rank - 1, 2 * rank * rank)
+    )
 
-    Rejects slopes whose forced c2 is not an integer; that rules out
-    many non-exceptional rationals but is not a complete membership
-    test, so callers should only pass slopes produced by the lattice
-    (or integer translates of them).
+
+def from_slope(slope: Fraction) -> ExceptionalBundle:
+    """The exceptional bundle of a slope from outside the package.
+
+    Raises ValueError when the forced c2 is not an integer; that is not a
+    complete membership test, so pass lattice slopes or their translates.
     """
     slope = Fraction(slope)
     r, c1 = slope.denominator, slope.numerator
-    delta = Fraction(1, 2) * (1 - Fraction(1, r * r))
-    c2_num = (r - 1) * (r + 1 + c1 * c1)
-    if c2_num % (2 * r) != 0:
+    if (r - 1) * (r + 1 + c1 * c1) % (2 * r):
         raise ValueError(f"{slope} is not an exceptional slope (c2 not integral)")
-    bundle = ExceptionalBundle(slope, r, c1, c2_num // (2 * r), delta)
-    if chern.euler_pairing(bundle.chern, bundle.chern) != 1:
-        raise InternalInconsistencyError(f"chi(F,F) != 1 for {bundle}")
-    return bundle
-
-
-@lru_cache(maxsize=None)
-def _compose_slope(alpha: Fraction, beta: Fraction) -> Fraction:
-    a = from_slope(alpha)
-    b = from_slope(beta)
-    return (alpha + beta) / 2 - (a.delta - b.delta) / (3 + alpha - beta)
+    return _bundle(r, c1)
 
 
 def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
-    """The bundle orthogonally between a and b (slopes a < b, gap < 3).
+    """The bundle orthogonally between a and b, the images of two adjacent
+    dyadics (slopes a < b, gap < 3).
 
-    Asserts the defining vanishings chi(result, a) = chi(b, result) = 0.
+    2 chi(x, a) = u.x and 2 chi(b, x) = v.x on x = (r, c1, c1^2 - 2 c2);
+    u x v spans their kernel and is -2 x of the result.  On pairs that are
+    not neighbours it can be another multiple, and compose raises.
     """
-    if not a.slope < b.slope:
+    ra, ca, rb, cb = a.rank, a.c1, b.rank, b.c1
+    gap = cb * ra - ca * rb  # (slope(b) - slope(a)) * ra * rb
+    if gap <= 0:
         raise ValueError(f"compose needs slope(a) < slope(b), got {a.slope}, {b.slope}")
-    if b.slope - a.slope >= 3:
+    if gap >= 3 * ra * rb:
         raise ValueError(f"slope gap {b.slope - a.slope} too wide for composition")
-    result = from_slope(_compose_slope(a.slope, b.slope))
+    sa, sb = ca * ca - 2 * a.c2, cb * cb - 2 * b.c2
+    u0, u1, u2 = 2 * ra + 3 * ca + sa, -3 * ra - 2 * ca, ra
+    v0, v1, v2 = 2 * rb - 3 * cb + sb, 3 * rb - 2 * cb, rb
+    k0, k1, k2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    result = _bundle(-k0 >> 1, -k1 >> 1)
+    if (k0 | k1 | k2) & 1 or 2 * result.c2 - result.c1 * result.c1 != k2 >> 1:
+        raise InternalInconsistencyError(f"kernel of {a}, {b} is not -2 x ch({result})")
     if chern.euler_pairing(result.chern, a.chern) != 0:
         raise InternalInconsistencyError(f"chi({result}, {a}) != 0")
     if chern.euler_pairing(b.chern, result.chern) != 0:
@@ -219,7 +234,6 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     return result
 
 
-@lru_cache(maxsize=None)
 def from_dyadic(d: Dyadic) -> ExceptionalBundle:
     """The dyadic-to-exceptional bijection.
 
@@ -229,7 +243,7 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
     time, so the cost is one ``compose`` per level and no recursion.
     """
     base = d.p >> d.q  # floor(d)
-    lo, hi = from_slope(Fraction(base)), from_slope(Fraction(base + 1))
+    lo, hi = _bundle(1, base), _bundle(1, base + 1)
     if d.q == 0:
         return lo
     offset = d.p - (base << d.q)  # d = base + offset/2^q, offset odd
@@ -242,12 +256,6 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
     return compose(lo, hi)
 
 
-def _normalize_slope(mu: Fraction) -> Fraction:
-    """Translate by an integer into (-1, 0]."""
-    mu = Fraction(mu)
-    return mu - math.ceil(mu)
-
-
 def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic:
     """Invert ``from_dyadic`` by monotone descent.
 
@@ -257,25 +265,25 @@ def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic
     deep).
     """
     cap = max_depth if max_depth is not None else max_depth_default()
-    mu = _normalize_slope(bundle.slope)
-    shift = int(bundle.slope - mu)
-    lo, hi = from_slope(Fraction(-1)), from_slope(Fraction(0))
-    if mu == hi.slope:
+    r = bundle.rank
+    shift = -(-bundle.c1 // r)  # ceil(slope)
+    n = bundle.c1 - shift * r  # slope - shift = n/r in (-1, 0]
+    if n == 0:
         return Dyadic(shift, 0)
-    lo_d, hi_d = Dyadic(-1, 0), Dyadic(0, 0)
-    for _ in range(cap):
-        # Midpoint of the dyadic bracket, one level deeper.
-        mid_value = (lo_d.value() + hi_d.value()) / 2
-        mid_d = Dyadic.from_fraction(mid_value)
+    lo, hi = _bundle(1, -1), _bundle(1, 0)
+    # The bracket is [p/2^q, (p+1)/2^q]; each level appends one bit to p.
+    p = -1
+    for q in range(cap):
         mid = compose(lo, hi)
-        if mid.slope == mu:
-            return Dyadic.from_fraction(mid_value + shift)
-        if mu < mid.slope:
-            hi_d, hi = mid_d, mid
+        if mid.rank == r and mid.c1 == n:
+            return Dyadic(2 * p + 1 + (shift << (q + 1)), q + 1)
+        if n * mid.rank < mid.c1 * r:
+            hi, p = mid, 2 * p
         else:
-            lo_d, lo = mid_d, mid
+            lo, p = mid, 2 * p + 1
     raise DepthExhaustedError(
-        f"slope {bundle.slope} not reached in {cap} levels", bracket=(lo_d, hi_d)
+        f"slope {bundle.slope} not reached in {cap} levels",
+        bracket=(Dyadic(p, cap), Dyadic(p + 1, cap)),
     )
 
 
@@ -303,14 +311,13 @@ def locate_many(
     """
     slopes = [Fraction(mu) for mu in slopes]
     for mu in slopes:
-        if mu < -1 or mu > 0:
+        if mu.numerator < -mu.denominator or mu.numerator > 0:
             raise ValueError(f"slope {mu} outside [-1, 0]")
     cap = max_depth if max_depth is not None else max_depth_default()
     if not slopes:
         return []
     owners: list[ExceptionalBundle | None] = [None] * len(slopes)
-    lo = from_dyadic(Dyadic(-1, 0))
-    hi = from_dyadic(Dyadic(0, 0))
+    lo, hi = _bundle(1, -1), _bundle(1, 0)
     # (bracket ends, ends not yet tested, open slope indices, levels left)
     stack = [(lo, hi, (lo, hi), list(range(len(slopes))), cap)]
     exhausted: tuple[int, ExceptionalBundle, ExceptionalBundle] | None = None
@@ -325,16 +332,17 @@ def locate_many(
         mid = None
         for i in group:
             mu = slopes[i]
+            n, m = mu.numerator, mu.denominator
             for end in untested:
-                if mu == end.slope or end.contains_slope(mu):
+                if (n == end.c1 and m == end.rank) or end.contains_slope(mu):
                     owners[i] = end
                     break
             else:
                 if mid is None:
                     mid = compose(lo, hi)
-                if mu == mid.slope:
+                if n == mid.c1 and m == mid.rank:
                     owners[i] = mid
-                elif mu < mid.slope:
+                elif n * mid.rank < mid.c1 * m:
                     below.append(i)
                 else:
                     above.append(i)
@@ -355,8 +363,10 @@ def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
     deduplicated and sorted by slope."""
     if level_max < 0:
         raise ValueError("level_max must be >= 0")
-    seen: dict[Fraction, ExceptionalBundle] = {}
-    for p in range(-(1 << level_max), 1):
-        bundle = from_dyadic(Dyadic(p, level_max))
-        seen.setdefault(bundle.slope, bundle)
-    return [seen[s] for s in sorted(seen)]
+    bundles = [_bundle(1, -1), _bundle(1, 0)]
+    for _ in range(level_max):
+        deeper = bundles[:1]
+        for lo, hi in zip(bundles, bundles[1:]):
+            deeper += (compose(lo, hi), hi)
+        bundles = deeper
+    return bundles

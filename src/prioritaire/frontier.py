@@ -31,6 +31,7 @@ slopes from one walk of the lattice.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -100,10 +101,16 @@ def _delta_prime_at(mu0: Fraction, f: ExceptionalBundle) -> QuadSurd:
     )
 
 
+def _normalize_slope(mu: Fraction) -> Fraction:
+    """Translate by an integer into (-1, 0]."""
+    mu = Fraction(mu)
+    return mu - math.ceil(mu)
+
+
 def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
     """Semistability frontier at the rational slope mu (any rational;
     extended by integer periodicity)."""
-    mu0 = exceptional._normalize_slope(mu)
+    mu0 = _normalize_slope(mu)
     return _delta_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
 
 
@@ -113,7 +120,7 @@ def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
     Returned as an exact surd over the radicand 9r^2 - 4 of the owning
     bundle; normalizes to a plain rational exactly when mu = mu(F).
     """
-    mu0 = exceptional._normalize_slope(mu)
+    mu0 = _normalize_slope(mu)
     return _delta_prime_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
 
 
@@ -125,7 +132,7 @@ def delta_many(
     The owner is that of the slope normalized into (-1, 0]; all owners
     come from one ``exceptional.locate_many`` walk of the lattice.
     """
-    mus = [exceptional._normalize_slope(mu) for mu in slopes]
+    mus = [_normalize_slope(mu) for mu in slopes]
     owners = exceptional.locate_many(mus, max_depth)
     return [(f, _delta_at(mu0, f), _delta_prime_at(mu0, f)) for mu0, f in zip(mus, owners)]
 

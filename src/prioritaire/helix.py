@@ -10,8 +10,8 @@ first Chern classes follow the mutation bookkeeping
 
     rank(h') = rank(f)*chi(f,g) - rank(g),   c1(h') = chi(f,g)*c1(f) - c1(g)
 
-and every produced middle is cross-checked against the dyadic-lattice
-bundle at the midpoint slope; the two computations must agree.
+and every produced middle is cross-checked against ``compose`` of its
+two ends, an independent integer route; the two must agree.
 
 Each triad owns a curvilinear triangle in the (mu, Delta) plane:
 
@@ -42,34 +42,15 @@ from fractions import Fraction
 from . import exceptional
 from ._record import Record
 from .chern import euler_pairing
-from .errors import (
-    DepthExhaustedError,
-    InternalInconsistencyError,
-    NotCoveredError,
-)
-from .exceptional import Dyadic, ExceptionalBundle, from_dyadic, from_slope, max_depth_default
+from .errors import DepthExhaustedError, InternalInconsistencyError, NotCoveredError
+from .exceptional import Dyadic, ExceptionalBundle, from_dyadic, max_depth_default
 
 
-def _derived_bundle(rank: int, c1: int, context: str) -> ExceptionalBundle:
-    """Bundle with the given mutation-derived rank and c1; the slope must
-    be in lowest terms with exactly that rank."""
-    if rank < 1:
-        raise InternalInconsistencyError(f"{context}: non-positive rank {rank}")
-    bundle = from_slope(Fraction(c1, rank))
-    if bundle.rank != rank or bundle.c1 != c1:
-        raise InternalInconsistencyError(
-            f"{context}: ({rank}, {c1}) is not primitive, reduces to {bundle.chern}"
-        )
-    return bundle
-
-
-def _mutation(
-    a: ExceptionalBundle, b: ExceptionalBundle, chi: int, context: str
-) -> ExceptionalBundle:
+def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
     """The bundle of rank rank(a)*chi - rank(b) and c1 chi*c1(a) - c1(b),
     where chi is the Euler pairing of the mutated pair (three times a rank,
     by the triad identities)."""
-    return _derived_bundle(a.rank * chi - b.rank, chi * a.c1 - b.c1, context)
+    return exceptional._bundle(a.rank * chi - b.rank, chi * a.c1 - b.c1)
 
 
 def _conic_side(x: ExceptionalBundle, sign: int, n: int, d: int) -> tuple[int, int]:
@@ -172,26 +153,20 @@ class Triangle(Record):
 def _make_triad(
     e: ExceptionalBundle, f: ExceptionalBundle, g: ExceptionalBundle, level: int, index: int
 ) -> Triad:
+    # The middle must be the composition of the two ends.
+    composed = exceptional.compose(e, g)
+    if composed.rank != f.rank or composed.c1 != f.c1:
+        raise InternalInconsistencyError(
+            f"middle mismatch at level {level}, index {index}: {f} vs {composed}"
+        )
     # h is the kernel of e x Hom(e, f) -> f, and chi(e, f) = 3 rank(g)
     # in a triad; Triad.__init__ verifies that identity.
-    t = Triad(e, f, g, _mutation(e, f, 3 * g.rank, "kernel bundle"), level, index)
-    # The middle must match the dyadic lattice at the midpoint slope.
-    lattice_mid = from_dyadic(t.mid_dyadic())
-    if lattice_mid.slope != f.slope:
-        raise InternalInconsistencyError(
-            f"middle mismatch at level {level}, index {index}: {f} vs {lattice_mid}"
-        )
-    return t
+    return Triad(e, f, g, _mutation(e, f, 3 * g.rank), level, index)
 
 
 def root() -> Triad:
-    return _make_triad(
-        from_dyadic(Dyadic(-1, 0)),
-        from_dyadic(Dyadic(-1, 1)),
-        from_dyadic(Dyadic(0, 0)),
-        0,
-        0,
-    )
+    e, g = exceptional._bundle(1, -1), exceptional._bundle(1, 0)
+    return _make_triad(e, exceptional.compose(e, g), g, 0, 0)
 
 
 def children(t: Triad) -> tuple[Triad, Triad]:
@@ -200,8 +175,8 @@ def children(t: Triad) -> tuple[Triad, Triad]:
     chi(f, g) = 3 rank(e) and chi(e, f) = 3 rank(g) hold in every triad
     (Triad.__init__ verifies both), and each child re-verifies its own.
     """
-    left_mid = _mutation(t.f, t.g, 3 * t.e.rank, "left middle")
-    right_mid = _mutation(t.f, t.e, 3 * t.g.rank, "right middle")
+    left_mid = _mutation(t.f, t.g, 3 * t.e.rank)
+    right_mid = _mutation(t.f, t.e, 3 * t.g.rank)
     left = _make_triad(t.e, left_mid, t.f, t.level + 1, 2 * t.index)
     right = _make_triad(t.f, right_mid, t.g, t.level + 1, 2 * t.index + 1)
     return left, right
@@ -224,23 +199,26 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 
     Descends toward the child whose slope bracket contains mu; a point
     straight above a tile's top vertex is in no tile at all and raises
-    NotCoveredError.
+    NotCoveredError.  Past ``max_depth`` levels it raises
+    DepthExhaustedError with the ends (e, g) of the last triad tested.
     """
     mu, disc = Fraction(mu), Fraction(disc)
     if mu < -1 or mu > 0:
         raise ValueError(f"slope {mu} outside [-1, 0]")
     cap = max_depth if max_depth is not None else max_depth_default()
     t = root()
-    for _ in range(cap + 1):
-        if t.triangle().contains(mu, disc):
-            return t
+    while not t.triangle().contains(mu, disc):
         if mu == t.f.slope:
             raise NotCoveredError(
                 f"({mu}, {disc}) sits above the vertex of {t.label()} and is not covered"
             )
+        if t.level >= cap:
+            raise DepthExhaustedError(
+                f"no tile found for ({mu}, {disc}) within depth {cap}", bracket=(t.e, t.g)
+            )
         left, right = children(t)
         t = left if mu < t.f.slope else right
-    raise DepthExhaustedError(f"no tile found for ({mu}, {disc}) within depth {cap}")
+    return t
 
 
 # -- series attached to an exceptional bundle ---------------------------
@@ -248,12 +226,9 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 
 def _initial_pair(f: ExceptionalBundle) -> tuple[ExceptionalBundle, ExceptionalBundle]:
     if f.rank == 1:
-        return from_slope(Fraction(f.c1 - 2)), from_slope(Fraction(f.c1 - 1))
-    d = exceptional.dyadic_of(f)
-    lo, hi = d.neighbors()
-    e = from_dyadic(lo)
-    g = from_dyadic(hi)
-    return g.twist(-3), e
+        return exceptional._bundle(1, f.c1 - 2), exceptional._bundle(1, f.c1 - 1)
+    lo, hi = exceptional.dyadic_of(f).neighbors()
+    return from_dyadic(hi).twist(-3), from_dyadic(lo)
 
 
 def left_series(
@@ -262,7 +237,7 @@ def left_series(
     """Members g_{n_min} .. g_{n_max} of the series attached to f.
 
     Recurrence on Chern characters with constant c = chi(g_0, g_1);
-    every member is rebuilt from its slope and must reproduce the
+    every member is rebuilt from its rank and c1 and must reproduce the
     recurrence character exactly, and must pair to zero against f.
     """
     if n_min > n_max:
@@ -285,7 +260,7 @@ def left_series(
     out: list[ExceptionalBundle] = []
     for n in range(n_min, n_max + 1):
         ch = chars[n]
-        bundle = _derived_bundle(ch.rank, ch.c1, f"series member {n}")
+        bundle = exceptional._bundle(ch.rank, ch.c1)
         if bundle.character() != ch:
             raise InternalInconsistencyError(
                 f"series member {n} of {f}: character {ch} is not exceptional"

@@ -135,6 +135,8 @@ def _check_frontier(depth: int) -> str:
 def _check_triads(depth: int) -> str:
     count = 0
     for t in helix.iterate_triads(depth):
+        d = t.mid_dyadic()  # the (level, index) bookkeeping
+        _require(exceptional.from_dyadic(d) == t.f, f"middle of {t.label()} is not at {d}")
         tri = t.triangle()
         for side, ends in (
             (tri.side_ef, (t.e, t.f)),
@@ -231,8 +233,8 @@ CHECKS = (
 
 
 def run_selfcheck(depth: int = 4) -> list[CheckResult]:
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     results = []
     for name, fn in CHECKS:
         try:

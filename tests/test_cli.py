@@ -92,6 +92,27 @@ def test_depth_exhausted_names_its_bracket(capsys, monkeypatch):
         " (bracket -1/2 .. 0)\n"
     )
 
+    monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "1")
+    code, out, err = run(capsys, "decompose", "--", "14", "-5", "18")
+    assert (code, out) == (2, "")
+    assert err == (
+        "prioritaire: depth exhausted: no tile found for (-5/14, 179/392) within depth 1"
+        " (bracket E(-1/2) .. O(0))\n"
+    )
+
+
+def test_constructor_failure_exits_two(capsys, monkeypatch):
+    # A bad mutation (the second term dropped) gives a non-primitive
+    # (rank, c1), whose c2 is not integral: an inconsistency, not a usage error.
+    from prioritaire import exceptional, helix
+
+    monkeypatch.setattr(
+        helix, "_mutation", lambda a, b, chi: exceptional._bundle(a.rank * chi, chi * a.c1)
+    )
+    code, out, err = run(capsys, "tile", "--depth", "1", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "prioritaire: inconsistency: (3, -3) is not exceptional: c2 not integral\n"
+
 
 def test_frontier_values(capsys):
     code, out, _ = run(capsys, "frontier", "--json", "--", "-1/3")
@@ -216,6 +237,16 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--depth", "3")
     assert code == 0
     assert all(line.startswith("ok") for line in out.splitlines())
+
+
+def test_selfcheck_depth_zero_passes_and_negative_is_refused(capsys):
+    code, out, err = run(capsys, "selfcheck", "--depth", "0")
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert len(lines) == 8 and all(line.startswith("ok ") for line in lines)
+    code, out, err = run(capsys, "selfcheck", "--depth", "-1")
+    assert (code, out) == (1, "")
+    assert err == "prioritaire: error: depth must be >= 0, got -1\n"
 
 
 def test_slope_of_a_deep_dyadic(capsys):

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prioritaire.exceptional as ex
+from prioritaire import helix
 from prioritaire.chern import euler_pairing
-from prioritaire.errors import DepthExhaustedError, ParseError
+from prioritaire.errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from prioritaire.exceptional import (
     Dyadic,
     compose,
@@ -107,6 +109,59 @@ def test_compose_orthogonality_spot():
     assert euler_pairing(b.chern, c.chern) == 0
     with pytest.raises(ValueError):
         compose(b, a)
+
+
+def _paper_compose(a, b):
+    """The paper's composition law in Fractions, the reference for compose."""
+    alpha, beta = a.slope, b.slope
+    return (alpha + beta) / 2 - (a.delta - b.delta) / (3 + alpha - beta)
+
+
+def test_integer_compose_matches_the_paper_formula():
+    # Every neighbour pair to level 10.  Each level is built from the
+    # formula, so compose never supplies its own reference.
+    level = [from_slope(Fraction(-1)), from_slope(Fraction(0))]
+    for _ in range(10):
+        deeper = level[:1]
+        for a, b in zip(level, level[1:]):
+            expected = from_slope(_paper_compose(a, b))
+            assert compose(a, b) == expected
+            deeper += (expected, b)
+        level = deeper
+    assert len(level) == 2**10 + 1
+    assert level == enumerate_to_level(10)
+
+
+def test_compose_guards():
+    o_minus, o = from_slope(Fraction(-1)), from_slope(Fraction(0))
+    with pytest.raises(ValueError, match="slope\\(a\\) < slope\\(b\\)"):
+        compose(o, o)
+    with pytest.raises(ValueError, match="too wide"):
+        compose(o.twist(-3), o)
+    assert compose(o_minus.twist(-1), o_minus.twist(1)) == from_slope(Fraction(-1))
+    # O(-1) is orthogonal between E(-3/2) and O, but the two are not
+    # neighbours: the kernel is another multiple of x, so compose raises.
+    with pytest.raises(InternalInconsistencyError, match="is not exceptional"):
+        compose(from_slope(Fraction(-3, 2)), o)
+
+
+def test_constructor_raises_inconsistency():
+    for rank, c1 in ((0, 1), (-2, 1), (2, 0), (6, -3), (3, -1)):
+        with pytest.raises(InternalInconsistencyError):
+            ex._bundle(rank, c1)
+    # from_slope is the boundary for user slopes and keeps ValueError.
+    with pytest.raises(ValueError, match="not an exceptional slope"):
+        from_slope(Fraction(-1, 3))
+
+
+def test_every_cache_is_bounded():
+    cached = [
+        (module.__name__, name, obj.cache_info().maxsize)
+        for module in (ex, helix)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    ]
+    assert cached == [("prioritaire.exceptional", "_bundle", 4096)]
 
 
 def test_half_width_satisfies_quadratic():
@@ -325,8 +380,6 @@ def test_locate_many_edges():
 def test_locate_many_composes_each_bracket_once(monkeypatch):
     # 65 sorted slopes share their descents: far fewer compositions than
     # 65 separate walks would make.
-    import prioritaire.exceptional as ex
-
     slopes = [Fraction(i - 64, 64) for i in range(65)]
     calls = []
     original = ex.compose

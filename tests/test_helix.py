@@ -2,9 +2,9 @@
 
 Series values frozen below follow the two-term recurrence
 ch(G_{n+1}) = c*ch(G_n) - ch(G_{n-1}) with c = 3*rank(F), started from
-the initial pair; each member is independently rebuilt from its slope and
-checked against the recurrence inside the library, so the tests here
-pin the externally visible numbers.
+the initial pair; each member is independently rebuilt from its rank and
+c1 and checked against the recurrence inside the library, so the tests
+here pin the externally visible numbers.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 
 from prioritaire import helix
 from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
-from prioritaire.errors import NotCoveredError
+from prioritaire.errors import InternalInconsistencyError, NotCoveredError
 from prioritaire.exceptional import from_slope
 from prioritaire.helix import (
     ExtDims,
@@ -28,6 +28,14 @@ from prioritaire.helix import (
     right_series,
     root,
 )
+
+
+def test_make_triad_checks_the_middle_against_compose(monkeypatch):
+    t = root()
+    qstar = from_slope(Fraction(-1, 2))
+    monkeypatch.setattr(helix, "_mutation", lambda a, b, chi: qstar)
+    with pytest.raises(InternalInconsistencyError, match="middle mismatch at level 1, index 0"):
+        children(t)
 
 
 def test_root_triad():

@@ -7,6 +7,9 @@ the depth and carries its own error.
 
 import pytest
 
+from prioritaire import helix
+from prioritaire.errors import InternalInconsistencyError
+from prioritaire.exceptional import Dyadic
 from prioritaire.selfcheck import CHECKS
 
 
@@ -14,3 +17,10 @@ from prioritaire.selfcheck import CHECKS
 @pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
 def test_check(name, check, depth):
     assert check(depth)
+
+
+def test_triad_check_reads_the_middle_at_its_dyadic(monkeypatch):
+    # A wrong (level, index) -> dyadic bookkeeping fails the tiling check.
+    monkeypatch.setattr(helix.Triad, "mid_dyadic", lambda t: Dyadic(-1, t.level + 1))
+    with pytest.raises(InternalInconsistencyError, match="is not at -1/4"):
+        dict(CHECKS)["triangle tiling"](2)
