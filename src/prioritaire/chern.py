@@ -11,10 +11,10 @@ Conventions, all exact:
 Serre duality takes the form chi(E, F) = chi(F, E(-3)).  Twisting by
 O(k) leaves Delta unchanged; the dual (r, -c1, c2) negates the slope and
 leaves Delta unchanged.  Both chi forms are integers on integral data,
-which is asserted at runtime rather than trusted.  ``euler_pairing``,
-``twist`` and ``normalize`` work on the integers (r, c1, c2) directly;
-the slope/discriminant form above and ``character_pairing`` are the
-references they are tested against.
+which is asserted at runtime rather than trusted.  ``euler_char``,
+``euler_pairing``, ``twist`` and ``normalize`` work on the integers
+(r, c1, c2) directly; the slope/discriminant form above and
+``character_pairing`` are the references they are tested against.
 """
 
 from __future__ import annotations
@@ -84,19 +84,21 @@ class ChernData(Record):
         return Fraction(self.c1, self.rank)
 
     def discriminant(self) -> Fraction:
-        r = self.rank
-        return (Fraction(self.c2) - Fraction(r - 1, 2 * r) * self.c1 * self.c1) / r
+        """Delta = (2r c2 - (r-1) c1^2) / (2r^2)."""
+        r, c1 = self.rank, self.c1
+        return Fraction(2 * r * self.c2 - (r - 1) * c1 * c1, 2 * r * r)
 
     def character(self) -> ChernCharacter:
         return ChernCharacter(self.rank, self.c1, Fraction(self.c1 * self.c1, 2) - self.c2)
 
 
 def euler_char(cd: ChernData) -> int:
-    """chi(E) = r*(P(mu) - Delta); an integer for integral data."""
-    value = cd.rank * (hirzebruch_p(cd.slope()) - cd.discriminant())
-    if value.denominator != 1:
-        raise InternalInconsistencyError(f"non-integral chi({cd}) = {value}")
-    return int(value)
+    """chi(E) = r*(P(mu) - Delta) = r + (3 c1 + c1^2 - 2 c2)/2, which is
+    chi(O, E); an integer for integral data."""
+    twice = 2 * cd.rank + 3 * cd.c1 + cd.c1 * cd.c1 - 2 * cd.c2
+    if twice & 1:
+        raise InternalInconsistencyError(f"non-integral chi({cd}) = {twice}/2")
+    return twice >> 1
 
 
 def euler_pairing(a: ChernData, b: ChernData) -> int:

@@ -41,8 +41,6 @@ from .errors import InternalInconsistencyError, NoPrioritarySheafError
 from .exceptional import ExceptionalBundle, from_slope
 from .frontier import Region, RegionTag
 
-_POINT_EXT_CHARACTER = ChernCharacter(2, 0, Fraction(-1))  # rank 2, c1 0, c2 1
-
 KIND_EXCEPTIONAL = "exceptional"
 KIND_GENERIC = "generic_semistable"
 KIND_POINT_EXT = "point_ideal_extension"
@@ -77,16 +75,18 @@ class Summand(Record):
         object.__setattr__(self, "twist", twist)
 
     def character(self) -> ChernCharacter:
-        if self.kind == KIND_EXCEPTIONAL:
-            assert self.bundle is not None
-            return self.bundle.character()
-        if self.kind == KIND_GENERIC:
-            assert self.data is not None
-            return self.data.character()
-        return _POINT_EXT_CHARACTER.twist(self.twist)
+        return self.chern_data().character()
 
     def chern_data(self) -> ChernData:
-        return self.character().to_data()
+        if self.kind == KIND_EXCEPTIONAL:
+            assert self.bundle is not None
+            return self.bundle.chern
+        if self.kind == KIND_GENERIC:
+            assert self.data is not None
+            return self.data
+        # The extension of the ideal of a point by O, (2, 0, 1), twisted.
+        t = self.twist
+        return ChernData(2, 2 * t, t * t + 1)
 
     def label(self) -> str:
         if self.kind == KIND_EXCEPTIONAL:
@@ -131,6 +131,11 @@ class Decomposition(Record):
         return total
 
 
+def _vec(cd: ChernData) -> tuple[int, int, int]:
+    """The character as the integer vector (r, c1, 2 ch2) = (r, c1, c1^2 - 2 c2)."""
+    return (cd.rank, cd.c1, cd.c1 * cd.c1 - 2 * cd.c2)
+
+
 def _det3(u: tuple, v: tuple, w: tuple) -> int:
     return (
         u[0] * (v[1] * w[2] - v[2] * w[1])
@@ -142,14 +147,10 @@ def _det3(u: tuple, v: tuple, w: tuple) -> int:
 def _solve_multiplicities(t: helix.Triad, target: ChernData) -> tuple[int, int, int]:
     """Unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) = ch(target).
 
-    Cramer's rule on the integer vectors (r, c1, 2*ch2) = (r, c1, c1^2 - 2*c2).
+    Cramer's rule on the integer vectors ``_vec``.
     """
-
-    def vec(cd: ChernData) -> tuple[int, int, int]:
-        return (cd.rank, cd.c1, cd.c1 * cd.c1 - 2 * cd.c2)
-
-    a, b, c = vec(t.e.chern), vec(t.f.chern), vec(t.g.chern)
-    d = vec(target)
+    a, b, c = _vec(t.e.chern), _vec(t.f.chern), _vec(t.g.chern)
+    d = _vec(target)
     det = _det3(a, b, c)
     if det == 0:
         raise InternalInconsistencyError(f"degenerate character basis in {t.label()}")
@@ -185,14 +186,13 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     """Region and explicit splitting of the generic prioritary sheaf."""
     norm, k = chern.normalize(cd)
     region = frontier._classify_normalized(norm, max_depth)
-    mu = norm.slope()
-    disc = norm.discriminant()
     verification: dict = {"normalization_twist": k, "region": region.tag.value}
 
     if region.tag is RegionTag.NO_PRIORITARY:
         exc = NoPrioritarySheafError(
             f"no prioritary sheaf with invariants {cd}: "
-            f"discriminant {disc} below the existence bound {frontier._prioritary_bound(mu)}"
+            f"discriminant {norm.discriminant()} below the existence bound "
+            f"{frontier._prioritary_bound(norm.slope())}"
         )
         exc.region = region  # type: ignore[attr-defined]
         raise exc
@@ -224,7 +224,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     elif region.tag is RegionTag.ABOVE_DELTA_PRIME:
         f = region.witness
         assert f is not None
-        left_side = mu <= f.slope
+        left_side = norm.c1 * f.rank <= f.c1 * norm.rank  # mu <= mu(F)
         p = euler_pairing(f.chern, norm) if left_side else euler_pairing(norm, f.chern)
         if p <= 0:
             raise InternalInconsistencyError(f"exceptional multiplicity p = {p} <= 0")
@@ -232,8 +232,16 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
             raise InternalInconsistencyError(
                 f"exceptional part F^{p} has rank {p * f.rank} >= {norm.rank}"
             )
-        residual = (norm.character() - f.character().scale(p)).to_data()
-        if residual.discriminant() != frontier.delta(residual.slope(), max_depth):
+        rr, rc1, rs = (x - p * y for x, y in zip(_vec(norm), _vec(f.chern)))
+        rc2, odd = divmod(rc1 * rc1 - rs, 2)
+        if odd:
+            raise InternalInconsistencyError(
+                f"residual ({rr}, {rc1}) of {norm} - {f}^{p} has non-integral c2"
+            )
+        residual = ChernData(rr, rc1, rc2)
+        # f owns the residual's slope (the intervals are disjoint, so no
+        # other bundle's frontier applies there), and it sits on delta.
+        if not (f._contains(rc1, rr) and frontier._frontier_gaps(rr, rc1, rc2, f)[0] == 0):
             raise InternalInconsistencyError(
                 f"residual {residual} is not on the semistability frontier"
             )
@@ -252,6 +260,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         ]
 
     else:  # BELOW_DELTA_PRIME
+        mu, disc = norm.slope(), norm.discriminant()
         t = helix.locate_triangle(mu, disc, max_depth)
         m, n, p = _solve_multiplicities(t, norm)
         cross = {
@@ -281,10 +290,15 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
 
     final = _untwist(summands, k)
     result = Decomposition(cd, k, region, final, verification)
-    total = result.total_character()
-    if total != cd.character():
+    tr = tc1 = ts = 0
+    for s in final:
+        r, c1, x = _vec(s.chern_data())
+        tr += s.multiplicity * r
+        tc1 += s.multiplicity * c1
+        ts += s.multiplicity * x
+    if (tr, tc1, ts) != _vec(cd):
         raise InternalInconsistencyError(
-            f"summand characters {total} do not add up to ch{cd}"
+            f"summand characters {result.total_character()} do not add up to ch{cd}"
         )
     verification["character_balance"] = True
     if all(s.kind == KIND_EXCEPTIONAL for s in final):
@@ -334,21 +348,20 @@ def stable_presentation(
     exactly on the semistability frontier; the degenerate case of the
     invariants of f itself is also accepted.  Multiplicities come from
     Euler pairings against the series of f and must balance the Chern
-    character of the input exactly.
+    character of the input exactly.  f owning the slope, the frontier test
+    needs no descent, so ``max_depth`` bounds nothing here.
     """
-    if cd.rank < 2:
-        raise ValueError(f"rank {cd.rank} < 2")
-    mu = cd.slope()
-    if mu > f.slope:
-        raise ValueError(f"slope {mu} right of mu(f) = {f.slope}")
-    if not f.contains_slope(mu):
-        raise ValueError(f"slope {mu} outside the interval of {f}")
-    disc = cd.discriminant()
-    on_frontier = disc == frontier.delta(mu, max_depth)
-    degenerate = (mu, disc) == (f.slope, f.delta)
-    if not (on_frontier or degenerate):
+    r, c1, c2 = cd.rank, cd.c1, cd.c2
+    if r < 2:
+        raise ValueError(f"rank {r} < 2")
+    if c1 * f.rank > f.c1 * r:
+        raise ValueError(f"slope {cd.slope()} right of mu(f) = {f.slope}")
+    if not f._contains(c1, r):
+        raise ValueError(f"slope {cd.slope()} outside the interval of {f}")
+    on_frontier = frontier._frontier_gaps(r, c1, c2, f)[0] == 0
+    if not (on_frontier or frontier._at_exceptional_point(r, c1, c2, f)):
         raise ValueError(
-            f"discriminant {disc} not on the semistability frontier at {mu}"
+            f"discriminant {cd.discriminant()} not on the semistability frontier at {cd.slope()}"
         )
     g0, g1, g2 = helix.left_series(f, 0, 2)
     k = euler_pairing(cd, f.chern)

@@ -157,12 +157,16 @@ class ExceptionalBundle(Record):
         """Whether mu lies in the open interval around this slope.
 
         With d = |mu - mu(F)| = n/m, d < x_F iff 2n < 3m and
-        n(n - 3m) r^2 + m^2 > 0 (module docstring); n/m need not be in
-        lowest terms, the test being homogeneous.
+        n(n - 3m) r^2 + m^2 > 0 (module docstring).
         """
+        return self._contains(mu.numerator, mu.denominator)
+
+    def _contains(self, num: int, den: int) -> bool:
+        """``contains_slope`` of num/den, den > 0; the fraction need not be
+        in lowest terms, the test being homogeneous."""
         r, c1 = self.rank, self.c1
-        n = abs(mu.numerator * r - c1 * mu.denominator)
-        m = mu.denominator * r
+        n = abs(num * r - c1 * den)
+        m = den * r
         return 2 * n < 3 * m and n * (n - 3 * m) * r * r + m * m > 0
 
     def label(self) -> str:
@@ -211,8 +215,9 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     dyadics (slopes a < b, gap < 3).
 
     2 chi(x, a) = u.x and 2 chi(b, x) = v.x on x = (r, c1, c1^2 - 2 c2);
-    u x v spans their kernel and is -2 x of the result.  On pairs that are
-    not neighbours it can be another multiple, and compose raises.
+    u x v spans their kernel and is -2 x of the result.  Neighbours are
+    exactly the pairs with chi(b, a) = 0; on any other pair the kernel can
+    be another multiple of x, so compose refuses it with ValueError first.
     """
     ra, ca, rb, cb = a.rank, a.c1, b.rank, b.c1
     gap = cb * ra - ca * rb  # (slope(b) - slope(a)) * ra * rb
@@ -223,6 +228,8 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     sa, sb = ca * ca - 2 * a.c2, cb * cb - 2 * b.c2
     u0, u1, u2 = 2 * ra + 3 * ca + sa, -3 * ra - 2 * ca, ra
     v0, v1, v2 = 2 * rb - 3 * cb + sb, 3 * rb - 2 * cb, rb
+    if v0 * ra + v1 * ca + v2 * sa != 0:  # 2 chi(b, a)
+        raise ValueError(f"{a} and {b} are not neighbours: chi({b}, {a}) != 0")
     k0, k1, k2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
     result = _bundle(-k0 >> 1, -k1 >> 1)
     if (k0 | k1 | k2) & 1 or 2 * result.c2 - result.c1 * result.c1 != k2 >> 1:

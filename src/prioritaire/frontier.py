@@ -26,6 +26,13 @@ Every answer at a slope derives from its owner F, found by one
 ``classify`` each descend once and evaluate the formulas above at
 (mu, F), in closed-form integers.  ``delta_many`` answers a list of
 slopes from one walk of the lattice.
+
+The region tests are integer signs on (r, c1, c2) and the owner's
+(r_F, c1_F): the prioritary bound, the side of delta and the exceptional
+point are cross-multiplied inequalities, and the side of delta_prime is
+the sign of A - B sqrt(9 r_F^2 - 4) with integers A and B >= 0
+(``_frontier_gaps``).  ``Fraction`` and ``QuadSurd`` values are built
+only where they are returned or printed.
 """
 
 from __future__ import annotations
@@ -137,19 +144,69 @@ def delta_many(
     return [(f, _delta_at(mu0, f), _delta_prime_at(mu0, f)) for mu0, f in zip(mus, owners)]
 
 
+def _disc_num(r: int, c1: int, c2: int) -> int:
+    """D = 2r c2 - (r-1) c1^2, so that Delta = D/(2r^2)."""
+    return 2 * r * c2 - (r - 1) * c1 * c1
+
+
+def _prioritary(r: int, c1: int, c2: int) -> bool:
+    """Delta >= -mu(mu+1)/2 at normalized (r, c1, c2): D + c1(c1 + r) >= 0."""
+    return _disc_num(r, c1, c2) + c1 * (c1 + r) >= 0
+
+
+def _frontier_gaps(r: int, c1: int, c2: int, f: ExceptionalBundle) -> tuple[int, int, int]:
+    """Where (r, c1, c2) sits against the frontiers of f, which owns its slope.
+
+    With D = ``_disc_num`` and |mu - mu(F)| = n/m, n = |c1 r_F - c1_F r|,
+    m = r r_F (not reduced; the tests are homogeneous), the closed forms
+    of ``_delta_at`` and ``_delta_prime_at`` give, with
+    A = D r_F^2 - (2m^2 + n^2 - (r_F^2 + 1) r^2),
+
+        Delta - delta       = (D r_F^2 - ((m-n)(2m-n) - (r_F^2 - 1) r^2)) / (2m^2)
+        Delta - delta_prime = (A - n r sqrt(9 r_F^2 - 4)) / (2m^2).
+
+    Returns the first numerator, A and n r.
+    """
+    rf = f.rank
+    n = abs(c1 * rf - f.c1 * r)
+    m = r * rf
+    rr, ff = r * r, rf * rf
+    x = _disc_num(r, c1, c2) * ff
+    return (
+        x - ((m - n) * (2 * m - n) - (ff - 1) * rr),
+        x - (2 * m * m + n * n - (ff + 1) * rr),
+        n * r,
+    )
+
+
+def _surd_sign(a: int, b: int, rf: int) -> int:
+    """Sign of a - b sqrt(9 r_F^2 - 4) for b >= 0: -1 when a <= 0 (0 when
+    b = 0 too), else the sign of a^2 - b^2 (9 r_F^2 - 4)."""
+    if a <= 0:
+        return -1 if a < 0 or b else 0
+    s = a * a - b * b * (9 * rf * rf - 4)
+    return (s > 0) - (s < 0)
+
+
+def _at_exceptional_point(r: int, c1: int, c2: int, f: ExceptionalBundle) -> bool:
+    """(mu, Delta) == (mu(F), Delta(F)): c1 r_F = c1_F r and
+    D r_F^2 = (r_F^2 - 1) r^2."""
+    rf = f.rank
+    return c1 * rf == f.c1 * r and _disc_num(r, c1, c2) * rf * rf == (rf * rf - 1) * r * r
+
+
 def prioritary_exists(cd: ChernData) -> bool:
     """Existence test for prioritary sheaves with the given invariants."""
     norm, _ = chern.normalize(cd)
-    return norm.discriminant() >= _prioritary_bound(norm.slope())
+    return _prioritary(norm.rank, norm.c1, norm.c2)
 
 
-def _semistable(norm: ChernData, f: ExceptionalBundle) -> RegionTag | None:
-    """Semistable tag of normalized invariants whose slope f owns, or None."""
-    mu = norm.slope()
-    disc = norm.discriminant()
-    if disc >= _delta_at(mu, f):
+def _semistable(norm: ChernData, f: ExceptionalBundle, delta_gap: int) -> RegionTag | None:
+    """Semistable tag of normalized invariants whose slope f owns, or None;
+    ``delta_gap`` is the first value of ``_frontier_gaps``."""
+    if delta_gap >= 0:
         return RegionTag.SEMISTABLE_POSITIVE_DIM
-    if mu == f.slope and disc == f.delta:
+    if _at_exceptional_point(norm.rank, norm.c1, norm.c2, f):
         # Rank is then forced to be a multiple of rank(F).
         if norm.rank % f.rank != 0:
             raise InternalInconsistencyError(
@@ -164,7 +221,8 @@ def semistable_exists(cd: ChernData, max_depth: int | None = None) -> RegionTag 
     RegionTag.SEMISTABLE_POSITIVE_DIM, RegionTag.SEMISTABLE_EXCEPTIONAL,
     or None when there are none."""
     norm, _ = chern.normalize(cd)
-    return _semistable(norm, exceptional.locate_exceptional(norm.slope(), max_depth))
+    f = exceptional.locate_exceptional(norm.slope(), max_depth)
+    return _semistable(norm, f, _frontier_gaps(norm.rank, norm.c1, norm.c2, f)[0])
 
 
 def classify(cd: ChernData, max_depth: int | None = None) -> Region:
@@ -180,21 +238,22 @@ def classify(cd: ChernData, max_depth: int | None = None) -> Region:
 
 def _classify_normalized(norm: ChernData, max_depth: int | None) -> Region:
     """``classify`` of invariants already twisted into -1 < mu <= 0."""
-    mu = norm.slope()
-    disc = norm.discriminant()
-    if disc < _prioritary_bound(mu):
+    r, c1, c2 = norm.rank, norm.c1, norm.c2
+    if not _prioritary(r, c1, c2):
         return Region(RegionTag.NO_PRIORITARY)
-    f = exceptional.locate_exceptional(mu, max_depth)
-    tag = _semistable(norm, f)
+    f = exceptional.locate_exceptional(norm.slope(), max_depth)
+    delta_gap, a, nr = _frontier_gaps(r, c1, c2, f)
+    tag = _semistable(norm, f, delta_gap)
     if tag is not None:
         return Region(tag, f)
-    if norm.c1 == 0 and norm.c2 == 1:
+    if c1 == 0 and c2 == 1:
         return Region(RegionTag.SPECIAL_C0_C21, f)
-    side = _delta_prime_at(mu, f).compare(disc)
-    if side < 0:
-        return Region(RegionTag.ABOVE_DELTA_PRIME, f)
+    side = _surd_sign(a, nr, f.rank)
     if side > 0:
+        return Region(RegionTag.ABOVE_DELTA_PRIME, f)
+    if side < 0:
         return Region(RegionTag.BELOW_DELTA_PRIME, f)
     raise InternalInconsistencyError(
-        f"rational discriminant {disc} equals delta_prime({mu}) off an exceptional point"
+        f"rational discriminant {norm.discriminant()} equals "
+        f"delta_prime({norm.slope()}) off an exceptional point"
     )

@@ -305,9 +305,11 @@ def ext_dims(a: ExceptionalBundle, b: ExceptionalBundle) -> ExtDims:
     Ext^2(a, b) is Hom(b, a(-3)) by duality; line-bundle pairs get exact
     cohomology.  A single missing dimension is recovered from
     chi = hom - ext1 + ext2 when the result is nonnegative; anything
-    else stays None.
+    else stays None.  Slopes are compared by the sign of
+    gap = c1_b r_a - c1_a r_b, that of mu(b) - mu(a).
     """
-    if a.slope == b.slope:
+    gap = b.c1 * a.rank - a.c1 * b.rank
+    if gap == 0:
         return ExtDims(1, 0, 0)
     if a.rank == 1 and b.rank == 1:
         k = b.c1 - a.c1
@@ -315,15 +317,17 @@ def ext_dims(a: ExceptionalBundle, b: ExceptionalBundle) -> ExtDims:
     hom: int | None = None
     ext1: int | None = None
     ext2: int | None = None
-    if a.slope > b.slope:
+    if gap < 0:
         hom = 0
-    if a.slope <= b.slope:
+    else:
         ext1 = 0
-    # Serre duality: Ext^2(a, b) = Hom(b, a(-3))*.
-    if b.slope > a.slope - 3:
+    # Serre duality: Ext^2(a, b) = Hom(b, a(-3))*; mu(b) - mu(a) + 3 has
+    # the sign of gap + 3 r_a r_b.
+    beyond = gap + 3 * a.rank * b.rank
+    if beyond > 0:
         ext2 = 0
-    elif b.slope == a.slope - 3:
-        ext2 = 1 if b == a.twist(-3) else 0
+    elif beyond == 0:
+        ext2 = 1 if (b.rank, b.c1) == (a.rank, a.c1 - 3 * a.rank) else 0
     chi = euler_pairing(a.chern, b.chern)
     dims = [hom, ext1, ext2]
     missing = [i for i, v in enumerate(dims) if v is None]

@@ -54,6 +54,21 @@ def test_euler_characteristic_line_bundles():
     assert euler_char(ChernData(2, -1, 1)) == 0
 
 
+def test_euler_char_and_discriminant_match_the_fraction_forms():
+    # Both are integer closed forms; the references are the Riemann-Roch
+    # form r*(P(mu) - Delta) and Delta = (c2 - ((r-1)/(2r)) c1^2)/r.
+    o = ChernData(1, 0, 0)
+    for r in range(1, 13):
+        for c1 in range(-12, 13):
+            for c2 in range(-20, 41):
+                cd = ChernData(r, c1, c2)
+                disc = (Fraction(c2) - Fraction(r - 1, 2 * r) * c1 * c1) / r
+                assert cd.discriminant() == disc
+                chi = r * (hirzebruch_p(Fraction(c1, r)) - disc)
+                assert chi.denominator == 1
+                assert euler_char(cd) == chi == euler_pairing(o, cd)
+
+
 def test_euler_pairing_spot_values():
     o = ChernData(1, 0, 0)
     qstar = ChernData(2, -1, 1)

@@ -20,9 +20,10 @@ from prioritaire.decompose import (
     generic_prioritary,
     stable_presentation,
 )
-from prioritaire.errors import NoPrioritarySheafError
+from prioritaire.errors import InternalInconsistencyError, NoPrioritarySheafError
 from prioritaire.exceptional import from_slope
-from prioritaire.frontier import RegionTag, delta
+from prioritaire.frontier import RegionTag, classify, delta
+from prioritaire.surd import QuadSurd
 
 
 def summand_map(result):
@@ -157,6 +158,21 @@ def test_no_prioritary_raises():
     assert err.value.region.tag is RegionTag.NO_PRIORITARY
 
 
+def _band():
+    """Every region: -2r <= c1 <= r, c2 from -3 to 8, r < 8."""
+    for r in range(1, 8):
+        for c1 in range(-2 * r, r + 1):
+            for c2 in range(-3, 9):
+                yield ChernData(r, c1, c2)
+
+
+def _tag(cd):
+    try:
+        return generic_prioritary(cd).region.tag
+    except NoPrioritarySheafError:
+        return RegionTag.NO_PRIORITARY
+
+
 def test_normalizes_once_per_query(monkeypatch):
     # generic_prioritary normalizes its input and hands the normalized
     # data on; classify does not normalize it a second time.
@@ -171,16 +187,104 @@ def test_normalizes_once_per_query(monkeypatch):
 
     monkeypatch.setattr(chern, "normalize", counted)
     seen = set()
-    for r in range(1, 8):
-        for c1 in range(-2 * r, r + 1):
-            for c2 in range(-3, 9):
-                calls.clear()
-                try:
-                    seen.add(generic_prioritary(ChernData(r, c1, c2)).region.tag)
-                except NoPrioritarySheafError:
-                    seen.add(RegionTag.NO_PRIORITARY)
-                assert len(calls) == 1
+    for cd in _band():
+        calls.clear()
+        seen.add(_tag(cd))
+        assert len(calls) == 1
     assert seen == set(RegionTag)
+
+
+def test_no_quadsurd_on_any_region(monkeypatch):
+    # Every region decision is an integer sign; delta_prime is never built.
+    built = []
+    original = QuadSurd.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(QuadSurd, "__init__", counted)
+    seen = {_tag(cd) for cd in _band()}
+    assert seen == set(RegionTag)
+    assert built == []
+
+
+def test_no_fraction_comparison_decides_a_region(monkeypatch):
+    # Only the triangle descent of the region below delta_prime compares
+    # slopes and discriminants as Fractions.
+    compared = []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        original = getattr(Fraction, name)
+
+        def counted(a, b, _original=original):
+            compared.append((a, b))
+            return _original(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    seen = set()
+    for cd in _band():
+        tag = classify(cd).tag
+        assert compared == [], cd
+        if tag is not RegionTag.BELOW_DELTA_PRIME:
+            assert _tag(cd) is tag
+            assert compared == [], cd
+        seen.add(tag)
+    assert seen == set(RegionTag)
+
+
+def test_above_delta_prime_finds_its_owner_once(monkeypatch):
+    # The residual is checked at the owner already found: no second descent.
+    import prioritaire.exceptional as ex
+
+    calls = []
+    original = ex.locate_many
+
+    def counted(slopes, max_depth=None):
+        calls.append(slopes)
+        return original(slopes, max_depth)
+
+    monkeypatch.setattr(ex, "locate_many", counted)
+    above = 0
+    for cd in _band():
+        calls.clear()
+        if _tag(cd) is RegionTag.ABOVE_DELTA_PRIME:
+            assert len(calls) == 1, cd
+            above += 1
+    assert above > 20
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_residual_off_the_frontier_is_an_inconsistency(monkeypatch, shift):
+    # (8, -4, 11) leaves the residual (4, -2, 4); pretend it is off delta.
+    from prioritaire import frontier
+
+    original = frontier._frontier_gaps
+
+    def shifted(r, c1, c2, f):
+        gaps = original(r, c1, c2, f)
+        return ((gaps[0] + shift,) + gaps[1:]) if (r, c1, c2) == (4, -2, 4) else gaps
+
+    monkeypatch.setattr(frontier, "_frontier_gaps", shifted)
+    with pytest.raises(InternalInconsistencyError, match="not on the semistability frontier"):
+        generic_prioritary(ChernData(8, -4, 11))
+
+
+def test_unbalanced_summands_are_an_inconsistency(monkeypatch):
+    # The first summand keeps its rank and c1 but gains one in c2.
+    import prioritaire.decompose as dec
+
+    original = dec._untwist
+
+    def off_by_one_c2(summands, k):
+        first, *rest = original(summands, k)
+        d = first.chern_data()
+        return (Summand(KIND_GENERIC, first.multiplicity, data=ChernData(d.rank, d.c1, d.c2 + 1)),
+                *rest)
+
+    monkeypatch.setattr(dec, "_untwist", off_by_one_c2)
+    for cd in (ChernData(4, -2, 2), ChernData(8, -4, 11), ChernData(3, 0, 1), ChernData(4, -2, 3)):
+        with pytest.raises(InternalInconsistencyError, match="do not add up"):
+            generic_prioritary(cd)
 
 
 def test_twist_equivariance():

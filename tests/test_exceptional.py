@@ -140,9 +140,30 @@ def test_compose_guards():
         compose(o.twist(-3), o)
     assert compose(o_minus.twist(-1), o_minus.twist(1)) == from_slope(Fraction(-1))
     # O(-1) is orthogonal between E(-3/2) and O, but the two are not
-    # neighbours: the kernel is another multiple of x, so compose raises.
-    with pytest.raises(InternalInconsistencyError, match="is not exceptional"):
+    # neighbours (chi(O, E(-3/2)) != 0): a caller's error, not a fault.
+    with pytest.raises(ValueError, match="not neighbours"):
         compose(from_slope(Fraction(-3, 2)), o)
+
+
+def test_compose_refuses_every_non_neighbour_pair():
+    # Every ordered pair with 0 < gap < 3 among the level-4 slopes and
+    # their translates -2..1: compose answers the paper's formula exactly
+    # on the pairs with chi(b, a) = 0 and raises ValueError on the rest.
+    keys = {(b.rank, b.c1 + k * b.rank) for b in enumerate_to_level(4) for k in range(-2, 2)}
+    bundles = sorted((ex._bundle(r, c1) for r, c1 in keys), key=lambda b: b.slope)
+    answered = refused = 0
+    for a in bundles:
+        for b in bundles:
+            if not 0 < b.slope - a.slope < 3:
+                continue
+            if euler_pairing(b.chern, a.chern) == 0:
+                assert compose(a, b) == from_slope(_paper_compose(a, b))
+                answered += 1
+            else:
+                with pytest.raises(ValueError, match="not neighbours"):
+                    compose(a, b)
+                refused += 1
+    assert (len(bundles), answered, refused) == (65, 165, 1762)
 
 
 def test_constructor_raises_inconsistency():

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from prioritaire import exceptional, frontier
-from prioritaire.chern import ChernData, dual, hirzebruch_p, twist
+from prioritaire.chern import ChernData, dual, hirzebruch_p, normalize, twist
 from prioritaire.errors import InternalInconsistencyError
 from prioritaire.frontier import (
     RegionTag,
@@ -202,3 +202,113 @@ def test_delta_many_matches_one_slope_queries():
         assert d == delta(mu)
         assert dp == delta_prime(mu)
     assert frontier.delta_many([]) == []
+
+
+def test_surd_sign_matches_quadsurd():
+    for rf in (1, 2, 5, 13):
+        for a in range(-60, 61):
+            for b in range(8):
+                expected = QuadSurd(a, -b, 9 * rf * rf - 4).sign()
+                assert frontier._surd_sign(a, b, rf) == expected, (a, b, rf)
+
+
+def _reference_region(cd, f):
+    """The classification in Fraction and QuadSurd values, at the owner f of
+    the normalized slope: the reference for the integer signs."""
+    norm = normalize(cd)[0]
+    mu, disc = norm.slope(), norm.discriminant()
+    if disc < -mu * (mu + 1) / 2:
+        return RegionTag.NO_PRIORITARY
+    if disc >= frontier._delta_at(mu, f):
+        return RegionTag.SEMISTABLE_POSITIVE_DIM
+    if (mu, disc) == (f.slope, f.delta):
+        return RegionTag.SEMISTABLE_EXCEPTIONAL
+    if (norm.c1, norm.c2) == (0, 1):
+        return RegionTag.SPECIAL_C0_C21
+    side = frontier._delta_prime_at(mu, f).compare(disc)
+    assert side != 0
+    return RegionTag.ABOVE_DELTA_PRIME if side < 0 else RegionTag.BELOW_DELTA_PRIME
+
+
+def _c2_at(r, c1, value):
+    """c2 of (r, c1) with Delta = value, or None when it is not an integer."""
+    num = 2 * r * r * value + (r - 1) * c1 * c1  # = 2 r c2
+    if num.denominator != 1 or num.numerator % (2 * r):
+        return None
+    return num.numerator // (2 * r)
+
+
+def _assert_integer_tags_match(points):
+    cds = [ChernData(*p) for p in points]
+    norms = [normalize(cd)[0] for cd in cds]
+    owners = exceptional.locate_many([n.slope() for n in norms])
+    tags = {tag: 0 for tag in RegionTag}
+    for cd, f in zip(cds, owners):
+        expected = _reference_region(cd, f)
+        region = classify(cd)
+        assert region.tag is expected, cd
+        if expected is not RegionTag.NO_PRIORITARY:
+            assert region.witness == f, cd
+            assert semistable_exists(cd) is (
+                expected if expected.name.startswith("SEMISTABLE") else None
+            ), cd
+        assert prioritary_exists(cd) is (expected is not RegionTag.NO_PRIORITARY), cd
+        tags[expected] += 1
+    return tags
+
+
+def test_integer_tags_match_the_surd_reference_on_the_band():
+    # Every (r, c1) with r <= 40 and -r < c1 <= 0; c2 from two below the
+    # prioritary bound to 13 above it, so every region is crossed.
+    points = []
+    for r in range(1, 41):
+        for c1 in range(-r + 1, 1):
+            floor = ((r - 2) * c1 * c1 - r * c1) // (2 * r)
+            points += [(r, c1, c2) for c2 in range(floor - 2, floor + 14)]
+    tags = _assert_integer_tags_match(points)
+    assert all(tags.values()), tags
+
+
+def test_integer_tags_match_on_the_bound_and_on_delta():
+    # Every point with r <= 60 exactly on the prioritary bound or exactly
+    # on delta, with its neighbours one c2 above and below.
+    pairs = [(r, c1) for r in range(1, 61) for c1 in range(-r + 1, 1)]
+    slopes = [Fraction(c1, r) for r, c1 in pairs]
+    points = []
+    found = [0, 0]
+    for (r, c1), mu, f in zip(pairs, slopes, exceptional.locate_many(slopes)):
+        for i, value in enumerate((-mu * (mu + 1) / 2, frontier._delta_at(mu, f))):
+            c2 = _c2_at(r, c1, value)
+            if c2 is not None:
+                found[i] += 1
+                points += [(r, c1, c2 + j) for j in (-1, 0, 1)]
+    assert min(found) >= 100, found
+    _assert_integer_tags_match(points)
+
+
+def test_integer_tags_match_at_every_exceptional_point():
+    # (mu(F), Delta(F)) for every F to level 5 and its multiples, each also
+    # one c2 above and below, and twisted off the band.
+    points = []
+    for f in exceptional.enumerate_to_level(5):
+        for k in (1, 2, 3):
+            c2 = _c2_at(k * f.rank, k * f.c1, f.delta)
+            assert c2 is not None
+            for j in (-1, 0, 1):
+                moved = twist(ChernData(k * f.rank, k * f.c1, c2 + j), 2)
+                points += [(k * f.rank, k * f.c1, c2 + j), (moved.rank, moved.c1, moved.c2)]
+    tags = _assert_integer_tags_match(points)
+    assert tags[RegionTag.SEMISTABLE_EXCEPTIONAL] == 2 * 3 * len(exceptional.enumerate_to_level(5))
+
+
+def test_integer_tags_match_on_random_invariants():
+    rng = random.Random(8808)
+    points = []
+    for _ in range(2000):
+        r = rng.randint(1, 400)
+        c1 = rng.randint(-5 * r, 5 * r)
+        # Delta = (2r c2 - (r-1) c1^2)/(2r^2) then lies in about [-1, 2],
+        # which every region meets.
+        points.append((r, c1, (r - 1) * c1 * c1 // (2 * r) + rng.randint(-r, 2 * r)))
+    tags = _assert_integer_tags_match(points)
+    assert sum(1 for t in tags.values() if t >= 100) == 4, tags

@@ -15,7 +15,7 @@ import pytest
 from prioritaire import helix
 from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
 from prioritaire.errors import InternalInconsistencyError, NotCoveredError
-from prioritaire.exceptional import from_slope
+from prioritaire.exceptional import enumerate_to_level, from_slope
 from prioritaire.helix import (
     ExtDims,
     TriState,
@@ -161,6 +161,46 @@ def test_ext_dims_mixed():
     ]:
         d = ext_dims(a, b)
         assert d.hom - d.ext1 + d.ext2 == euler_pairing(a.chern, b.chern)
+
+
+def _reference_vanishing(a, b):
+    """(hom, ext1, ext2) from the vanishing rules, comparing slopes as
+    Fractions; None where no rule applies."""
+    hom = 0 if a.slope > b.slope else None
+    ext1 = 0 if a.slope <= b.slope else None
+    if b.slope > a.slope - 3:
+        ext2 = 0
+    elif b.slope == a.slope - 3:
+        ext2 = 1 if b == a.twist(-3) else 0
+    else:
+        ext2 = None
+    return hom, ext1, ext2
+
+
+def test_ext_dims_matches_the_fraction_slope_rules():
+    # Every ordered pair of level-3 bundles and their translates -4..3,
+    # which meets slope gaps below, at and above -3.
+    bundles = [b.twist(k) for b in enumerate_to_level(3) for k in range(-4, 4)]
+    at_minus_three = 0
+    for a in bundles:
+        for b in bundles:
+            d = ext_dims(a, b)
+            if a.slope == b.slope:
+                assert d == ExtDims(1, 0, 0)
+                continue
+            if a.rank == 1 and b.rank == 1:
+                continue
+            got = (d.hom, d.ext1, d.ext2)
+            for value, rule in zip(got, _reference_vanishing(a, b)):
+                assert rule is None or value == rule, (a, b)
+            if None not in got:
+                assert d.hom - d.ext1 + d.ext2 == euler_pairing(a.chern, b.chern)
+            if b.slope == a.slope - 3:
+                at_minus_three += 1
+                assert d.ext2 == 1
+    assert at_minus_three > 0
+    qstar = from_slope(Fraction(-1, 2))
+    assert ext_dims(qstar, qstar.twist(-3)) == ExtDims(0, 0, 1)
 
 
 def test_prioritary_sum_pattern():
