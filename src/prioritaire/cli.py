@@ -92,15 +92,17 @@ def _lift_digit_limit() -> None:
         sys.set_int_max_str_digits(0)
 
 
-def _output_args(p: argparse.ArgumentParser) -> None:
+def _output_args(p: argparse.ArgumentParser, digits: bool = True) -> None:
+    """--json, and --digits where the command prints decimals."""
     p.add_argument("--json", action="store_true", help="emit a JSON document")
-    p.add_argument(
-        "--digits",
-        type=int,
-        default=12,
-        metavar="N",
-        help="significant digits of decimal approximations (default 12)",
-    )
+    if digits:
+        p.add_argument(
+            "--digits",
+            type=int,
+            default=12,
+            metavar="N",
+            help="significant digits of decimal approximations (default 12)",
+        )
 
 
 def _depth_arg(p: argparse.ArgumentParser, what: str) -> None:
@@ -157,7 +159,7 @@ def build_parser() -> _Parser:
     )
     _invariant_args(p)
     _depth_arg(p, "descent cap")
-    _output_args(p)
+    _output_args(p, digits=False)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser(
@@ -169,7 +171,7 @@ def build_parser() -> _Parser:
     p.add_argument("n_max", type=int, help="largest index n; members run from --from to n")
     p.add_argument("--from", dest="n_min", type=int, default=0, metavar="N")
     p.add_argument("--right", action="store_true", help="the twisted-by-3 mirror series")
-    _output_args(p)
+    _output_args(p, digits=False)
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("tile", help="render the triangle tiling", epilog=_EPILOG)

@@ -260,8 +260,8 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         ]
 
     else:  # BELOW_DELTA_PRIME
-        mu, disc = norm.slope(), norm.discriminant()
-        t = helix.locate_triangle(mu, disc, max_depth)
+        r, c1 = norm.rank, norm.c1
+        t = helix._locate(c1, r, frontier._disc_num(r, c1, norm.c2), 2 * r * r, max_depth)
         m, n, p = _solve_multiplicities(t, norm)
         cross = {
             "m": euler_pairing(norm, t.e.chern),
@@ -275,7 +275,8 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         zeros = sum(1 for v in (m, n, p) if v == 0)
         if zeros > 1:
             raise InternalInconsistencyError(
-                f"more than one vanishing multiplicity in {(m, n, p)} at ({mu}, {disc})"
+                f"more than one vanishing multiplicity in {(m, n, p)} "
+                f"at ({norm.slope()}, {norm.discriminant()})"
             )
         verification["triangle"] = {"level": t.level, "index": t.index}
         verification["multiplicities"] = [m, n, p]
@@ -339,9 +340,7 @@ class PresentationReport(Record):
         )
 
 
-def stable_presentation(
-    cd: ChernData, f: ExceptionalBundle, max_depth: int | None = None
-) -> PresentationReport:
+def stable_presentation(cd: ChernData, f: ExceptionalBundle) -> PresentationReport:
     """Presentation of the generic semistable sheaf on the frontier.
 
     Requires rank >= 2, mu(f) - x_f < mu <= mu(f), and the discriminant
@@ -349,7 +348,7 @@ def stable_presentation(
     invariants of f itself is also accepted.  Multiplicities come from
     Euler pairings against the series of f and must balance the Chern
     character of the input exactly.  f owning the slope, the frontier test
-    needs no descent, so ``max_depth`` bounds nothing here.
+    needs no descent.
     """
     r, c1, c2 = cd.rank, cd.c1, cd.c2
     if r < 2:

@@ -180,6 +180,20 @@ class ExceptionalBundle(Record):
         return self.label()
 
 
+def _conic_side(x: ExceptionalBundle, sign: int, n: int, d: int) -> tuple[int, int]:
+    """P(sign * (mu - mu(x))) - Delta(x) at mu = n/d, d > 0, as (num, den):
+    each side of a triangle tile, and delta, is this conic.
+
+    With t = sign * (n r - c1 d) and w = d r the argument of P is t/w,
+    and P(t/w) - (r^2 - 1)/(2 r^2) = (t^2 + 3 t w + (r^2 + 1) d^2) / (2 w^2).
+    The pair need not be in lowest terms; den is positive.
+    """
+    r = x.rank
+    w = d * r
+    t = sign * (n * r - x.c1 * d)
+    return t * t + 3 * t * w + (r * r + 1) * d * d, 2 * w * w
+
+
 @lru_cache(maxsize=4096)
 def _bundle(rank: int, c1: int) -> ExceptionalBundle:
     """The exceptional bundle (r, c1).  c2 must be integral, which proves
@@ -271,19 +285,25 @@ def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic
     reached within the cap (it then is not a lattice slope, or lies too
     deep).
     """
+    return _descend(bundle, max_depth)[0]
+
+
+def _descend(bundle: ExceptionalBundle, max_depth: int | None) -> tuple:
+    """``dyadic_of`` and the images of the dyadic's neighbours, both translated
+    back by the same shift (None, None for a line bundle)."""
     cap = max_depth if max_depth is not None else max_depth_default()
     r = bundle.rank
     shift = -(-bundle.c1 // r)  # ceil(slope)
     n = bundle.c1 - shift * r  # slope - shift = n/r in (-1, 0]
     if n == 0:
-        return Dyadic(shift, 0)
+        return Dyadic(shift, 0), None, None
     lo, hi = _bundle(1, -1), _bundle(1, 0)
     # The bracket is [p/2^q, (p+1)/2^q]; each level appends one bit to p.
     p = -1
     for q in range(cap):
         mid = compose(lo, hi)
         if mid.rank == r and mid.c1 == n:
-            return Dyadic(2 * p + 1 + (shift << (q + 1)), q + 1)
+            return Dyadic(2 * p + 1 + (shift << (q + 1)), q + 1), lo.twist(shift), hi.twist(shift)
         if n * mid.rank < mid.c1 * r:
             hi, p = mid, 2 * p
         else:

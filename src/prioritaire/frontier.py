@@ -75,37 +75,30 @@ def _prioritary_bound(mu: Fraction) -> Fraction:
     return -mu * (mu + 1) / 2
 
 
-def _distance(mu0: Fraction, f: ExceptionalBundle) -> tuple[int, int]:
-    """|mu0 - mu(f)| = n/m with m = b r, for mu0 = a/b."""
-    m = mu0.denominator * f.rank
-    return abs(mu0.numerator * f.rank - f.c1 * mu0.denominator), m
+def _conic_terms(num: int, den: int, f: ExceptionalBundle) -> tuple[int, int, int, int]:
+    """(N, N + 3nm - 2 den^2, n, m) at the slope num/den (den > 0, any
+    terms) owned by f, with |mu - mu(F)| = n/m, m = den r.
+
+    delta = N/(2m^2), N the numerator of ``exceptional._conic_side`` at
+    argument -|mu - mu(F)|; with 1/x_F = r (3r + sqrt(9r^2 - 4))/2, delta_prime =
+    delta - (1/r^2)(1 - (n/m)/x_F) = (N + 3nm - 2 den^2)/(2m^2) + n/(2mr) sqrt(9r^2 - 4).
+    """
+    gap = num * f.rank - f.c1 * den
+    n, m = abs(gap), den * f.rank
+    big_n = exceptional._conic_side(f, -1 if gap > 0 else 1, num, den)[0]
+    return big_n, big_n + 3 * n * m - 2 * den * den, n, m
 
 
 def _delta_at(mu0: Fraction, f: ExceptionalBundle) -> Fraction:
-    """delta at the normalized slope mu0 = a/b owned by f.
-
-    With |mu0 - mu(F)| = n/m, m = b r:
-    P(-n/m) - (r^2 - 1)/(2 r^2) = ((m - n)(2m - n) - (r^2 - 1) b^2) / (2 m^2).
-    """
-    n, m = _distance(mu0, f)
-    r, b = f.rank, mu0.denominator
-    return Fraction((m - n) * (2 * m - n) - (r * r - 1) * b * b, 2 * m * m)
+    """delta at the normalized slope mu0 owned by f (``_conic_terms``)."""
+    big_n, _, _, m = _conic_terms(mu0.numerator, mu0.denominator, f)
+    return Fraction(big_n, 2 * m * m)
 
 
 def _delta_prime_at(mu0: Fraction, f: ExceptionalBundle) -> QuadSurd:
-    """delta_prime at the normalized slope mu0 = a/b owned by f.
-
-    With 1/x_F = r (3r + sqrt(9r^2 - 4))/2 and |mu0 - mu(F)| = n/m as in
-    ``_delta_at``, delta - (1/r^2)(1 - (n/m)/x_F) is
-    (2m^2 + n^2 - (r^2 + 1) b^2) / (2m^2) + n/(2mr) * sqrt(9r^2 - 4).
-    """
-    n, m = _distance(mu0, f)
-    r, b = f.rank, mu0.denominator
-    return QuadSurd(
-        Fraction(2 * m * m + n * n - (r * r + 1) * b * b, 2 * m * m),
-        Fraction(n, 2 * m * r),
-        9 * r * r - 4,
-    )
+    """delta_prime at the normalized slope mu0 owned by f (``_conic_terms``)."""
+    _, rational, n, m = _conic_terms(mu0.numerator, mu0.denominator, f)
+    return QuadSurd(Fraction(rational, 2 * m * m), Fraction(n, 2 * m * f.rank), 9 * f.rank**2 - 4)
 
 
 def _normalize_slope(mu: Fraction) -> Fraction:
@@ -157,26 +150,14 @@ def _prioritary(r: int, c1: int, c2: int) -> bool:
 def _frontier_gaps(r: int, c1: int, c2: int, f: ExceptionalBundle) -> tuple[int, int, int]:
     """Where (r, c1, c2) sits against the frontiers of f, which owns its slope.
 
-    With D = ``_disc_num`` and |mu - mu(F)| = n/m, n = |c1 r_F - c1_F r|,
-    m = r r_F (not reduced; the tests are homogeneous), the closed forms
-    of ``_delta_at`` and ``_delta_prime_at`` give, with
-    A = D r_F^2 - (2m^2 + n^2 - (r_F^2 + 1) r^2),
-
-        Delta - delta       = (D r_F^2 - ((m-n)(2m-n) - (r_F^2 - 1) r^2)) / (2m^2)
-        Delta - delta_prime = (A - n r sqrt(9 r_F^2 - 4)) / (2m^2).
-
-    Returns the first numerator, A and n r.
+    ``_conic_terms`` at c1/r gives N, A0, n and m = r r_F (not reduced; the
+    tests are homogeneous), and Delta = D r_F^2/(2m^2) with D = ``_disc_num``:
+    Delta - delta = (D r_F^2 - N)/(2m^2) and Delta - delta_prime =
+    (A - n r sqrt(9 r_F^2 - 4))/(2m^2), A = D r_F^2 - A0.  Returns D r_F^2 - N, A, n r.
     """
-    rf = f.rank
-    n = abs(c1 * rf - f.c1 * r)
-    m = r * rf
-    rr, ff = r * r, rf * rf
-    x = _disc_num(r, c1, c2) * ff
-    return (
-        x - ((m - n) * (2 * m - n) - (ff - 1) * rr),
-        x - (2 * m * m + n * n - (ff + 1) * rr),
-        n * r,
-    )
+    big_n, rational, n, _ = _conic_terms(c1, r, f)
+    x = _disc_num(r, c1, c2) * f.rank * f.rank
+    return x - big_n, x - rational, n * r
 
 
 def _surd_sign(a: int, b: int, rf: int) -> int:

@@ -43,7 +43,7 @@ from . import exceptional
 from ._record import Record
 from .chern import euler_pairing
 from .errors import DepthExhaustedError, InternalInconsistencyError, NotCoveredError
-from .exceptional import Dyadic, ExceptionalBundle, from_dyadic, max_depth_default
+from .exceptional import Dyadic, ExceptionalBundle, max_depth_default
 
 
 def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
@@ -51,19 +51,6 @@ def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> Exception
     where chi is the Euler pairing of the mutated pair (three times a rank,
     by the triad identities)."""
     return exceptional._bundle(a.rank * chi - b.rank, chi * a.c1 - b.c1)
-
-
-def _conic_side(x: ExceptionalBundle, sign: int, n: int, d: int) -> tuple[int, int]:
-    """P(sign * (mu - mu(x))) - Delta(x) at mu = n/d, d > 0, as (num, den).
-
-    With t = sign * (n r - c1 d) and w = d r the argument of P is t/w,
-    and P(t/w) - (r^2 - 1)/(2 r^2) = (t^2 + 3 t w + (r^2 + 1) d^2) / (2 w^2).
-    The pair need not be in lowest terms; den is positive.
-    """
-    r = x.rank
-    w = d * r
-    t = sign * (n * r - x.c1 * d)
-    return t * t + 3 * t * w + (r * r + 1) * d * d, 2 * w * w
 
 
 class Triad(Record):
@@ -92,7 +79,7 @@ class Triad(Record):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "index", index)
-        if not e.slope < f.slope < g.slope:
+        if not (e.c1 * f.rank < f.c1 * e.rank and f.c1 * g.rank < g.c1 * f.rank):
             raise InternalInconsistencyError(f"triad slopes out of order: {e}, {f}, {g}")
         for left, right in ((f, e), (g, f), (g, e)):
             if euler_pairing(left.chern, right.chern) != 0:
@@ -124,30 +111,31 @@ class Triangle(Record):
         object.__setattr__(self, "triad", triad)
 
     def side_ef(self, mu: Fraction) -> Fraction:
-        return Fraction(*_conic_side(self.triad.g, 1, mu.numerator, mu.denominator))
+        return Fraction(*exceptional._conic_side(self.triad.g, 1, mu.numerator, mu.denominator))
 
     def side_fg(self, mu: Fraction) -> Fraction:
-        return Fraction(*_conic_side(self.triad.e, -1, mu.numerator, mu.denominator))
+        return Fraction(*exceptional._conic_side(self.triad.e, -1, mu.numerator, mu.denominator))
 
     def side_eg(self, mu: Fraction) -> Fraction:
-        return Fraction(*_conic_side(self.triad.h, -1, mu.numerator, mu.denominator))
+        return Fraction(*exceptional._conic_side(self.triad.h, -1, mu.numerator, mu.denominator))
 
     def contains(self, mu: Fraction, disc: Fraction, strict: bool = False) -> bool:
-        """Whether (mu, disc) lies in the closed tile (its interior if strict).
-
-        disc = a/b is compared with each side num/den by the sign of
-        a*den - num*b, oriented towards the inside of the tile.
-        """
+        """Whether (mu, disc) lies in the closed tile (its interior if strict)."""
         mu, disc = Fraction(mu), Fraction(disc)
-        n, d = mu.numerator, mu.denominator
-        a, b = disc.numerator, disc.denominator
-        t = self.triad
-        for x, sign, inward in ((t.g, 1, -1), (t.e, -1, -1), (t.h, -1, 1)):
-            num, den = _conic_side(x, sign, n, d)
-            gap = (a * den - num * b) * inward
-            if gap < 0 or (strict and gap == 0):
-                return False
-        return True
+        n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
+        return _inside(self.triad, n, d, a, b, strict)
+
+
+def _inside(t: Triad, n: int, d: int, a: int, b: int, strict: bool) -> bool:
+    """``Triangle.contains`` at mu = n/d, disc = a/b with d, b > 0, in any
+    terms: disc is compared with each side num/den by the sign of
+    a*den - num*b, oriented towards the inside of the tile."""
+    for x, sign, inward in ((t.g, 1, -1), (t.e, -1, -1), (t.h, -1, 1)):
+        num, den = exceptional._conic_side(x, sign, n, d)
+        gap = (a * den - num * b) * inward
+        if gap < 0 or (strict and gap == 0):
+            return False
+    return True
 
 
 def _make_triad(
@@ -169,17 +157,18 @@ def root() -> Triad:
     return _make_triad(e, exceptional.compose(e, g), g, 0, 0)
 
 
-def children(t: Triad) -> tuple[Triad, Triad]:
-    """Left and right mutation children, middles double-checked.
+def _child(t: Triad, right: bool) -> Triad:
+    """The right or left mutation child, its middle double-checked; chi(f, g) =
+    3 rank(e) and chi(e, f) = 3 rank(g) are verified in t and again in the child."""
+    level, index = t.level + 1, 2 * t.index
+    if right:
+        return _make_triad(t.f, _mutation(t.f, t.e, 3 * t.g.rank), t.g, level, index + 1)
+    return _make_triad(t.e, _mutation(t.f, t.g, 3 * t.e.rank), t.f, level, index)
 
-    chi(f, g) = 3 rank(e) and chi(e, f) = 3 rank(g) hold in every triad
-    (Triad.__init__ verifies both), and each child re-verifies its own.
-    """
-    left_mid = _mutation(t.f, t.g, 3 * t.e.rank)
-    right_mid = _mutation(t.f, t.e, 3 * t.g.rank)
-    left = _make_triad(t.e, left_mid, t.f, t.level + 1, 2 * t.index)
-    right = _make_triad(t.f, right_mid, t.g, t.level + 1, 2 * t.index + 1)
-    return left, right
+
+def children(t: Triad) -> tuple[Triad, Triad]:
+    """Left and right mutation children (``_child``)."""
+    return _child(t, False), _child(t, True)
 
 
 def iterate_triads(max_level: int) -> Iterator[Triad]:
@@ -203,21 +192,29 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
     DepthExhaustedError with the ends (e, g) of the last triad tested.
     """
     mu, disc = Fraction(mu), Fraction(disc)
-    if mu < -1 or mu > 0:
-        raise ValueError(f"slope {mu} outside [-1, 0]")
+    return _locate(mu.numerator, mu.denominator, disc.numerator, disc.denominator, max_depth)
+
+
+def _locate(n: int, d: int, a: int, b: int, max_depth: int | None) -> Triad:
+    """``locate_triangle`` at mu = n/d, disc = a/b with d, b > 0, in any
+    terms; it builds one triad per level, the child it enters."""
+    if n < -d or n > 0:
+        raise ValueError(f"slope {Fraction(n, d)} outside [-1, 0]")
     cap = max_depth if max_depth is not None else max_depth_default()
     t = root()
-    while not t.triangle().contains(mu, disc):
-        if mu == t.f.slope:
+    while not _inside(t, n, d, a, b, False):
+        side = n * t.f.rank - t.f.c1 * d  # sign of mu - mu(f)
+        if side == 0:
             raise NotCoveredError(
-                f"({mu}, {disc}) sits above the vertex of {t.label()} and is not covered"
+                f"({Fraction(n, d)}, {Fraction(a, b)}) sits above the vertex of {t.label()} "
+                "and is not covered"
             )
         if t.level >= cap:
             raise DepthExhaustedError(
-                f"no tile found for ({mu}, {disc}) within depth {cap}", bracket=(t.e, t.g)
+                f"no tile found for ({Fraction(n, d)}, {Fraction(a, b)}) within depth {cap}",
+                bracket=(t.e, t.g),
             )
-        left, right = children(t)
-        t = left if mu < t.f.slope else right
+        t = _child(t, side > 0)
     return t
 
 
@@ -227,8 +224,8 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 def _initial_pair(f: ExceptionalBundle) -> tuple[ExceptionalBundle, ExceptionalBundle]:
     if f.rank == 1:
         return exceptional._bundle(1, f.c1 - 2), exceptional._bundle(1, f.c1 - 1)
-    lo, hi = exceptional.dyadic_of(f).neighbors()
-    return from_dyadic(hi).twist(-3), from_dyadic(lo)
+    _, lo, hi = exceptional._descend(f, None)
+    return hi.twist(-3), lo
 
 
 def left_series(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import frontier, helix
+from . import exceptional, frontier, helix
 from .exceptional import ExceptionalBundle
 from .surd import QuadSurd, format_rational
 
@@ -60,7 +60,7 @@ def _side_coords(
     coords = []
     for i in range(samples + 1):
         n = start + step * i
-        num, den = helix._conic_side(x, sign, n, d)
+        num, den = exceptional._conic_side(x, sign, n, d)
         # n/d + 1 is the fraction of the width, num/den the discriminant.
         coords.append(f"{(n + d) / d * VIEW_W:.3f},{_py(num / den):.3f}")
     return coords

@@ -177,6 +177,17 @@ def test_argparse_failure_exits_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [("decompose", "--", "8", "-4", "11"), ("series", "0", "2")])
+def test_digits_only_where_decimals_print(capsys, argv):
+    # decompose and series print no decimal, so they take --json only.
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--digits", "3", *argv[1:]])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: prioritaire")
+    assert "error: unrecognized arguments: --digits" in err
+
+
 def test_series_left_of_o(capsys):
     code, out, _ = run(capsys, "series", "--json", "0", "4")
     assert code == 0

@@ -210,8 +210,8 @@ def test_no_quadsurd_on_any_region(monkeypatch):
 
 
 def test_no_fraction_comparison_decides_a_region(monkeypatch):
-    # Only the triangle descent of the region below delta_prime compares
-    # slopes and discriminants as Fractions.
+    # No region compares a Fraction, the triangle descent below
+    # delta_prime included.
     compared = []
     for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
         original = getattr(Fraction, name)
@@ -225,9 +225,8 @@ def test_no_fraction_comparison_decides_a_region(monkeypatch):
     for cd in _band():
         tag = classify(cd).tag
         assert compared == [], cd
-        if tag is not RegionTag.BELOW_DELTA_PRIME:
-            assert _tag(cd) is tag
-            assert compared == [], cd
+        assert _tag(cd) is tag
+        assert compared == [], cd
         seen.add(tag)
     assert seen == set(RegionTag)
 

@@ -94,8 +94,62 @@ def test_locate_triangle():
     # A vertex belongs to the shallowest tile that touches it.
     t = locate_triangle(Fraction(-1, 2), Fraction(3, 8))
     assert (t.level, t.index) == (0, 0)
-    with pytest.raises(NotCoveredError):
+    with pytest.raises(NotCoveredError) as info:
         locate_triangle(Fraction(-1, 2), Fraction(2, 5))
+    assert str(info.value) == (
+        "(-1/2, 2/5) sits above the vertex of (O(-1), E(-1/2), O(0)) and is not covered"
+    )
+
+
+def test_locate_triangle_in_any_terms():
+    # The descent decides on integers (n, d, a, b) in any terms; messages
+    # print the reduced fractions.
+    for k in (1, 2, 7):
+        for j in (1, 3, 10):
+            t = helix._locate(-3 * k, 7 * k, 37 * j, 98 * j, None)
+            assert (t.level, t.index) == (1, 1)
+            with pytest.raises(NotCoveredError) as info:
+                helix._locate(-1 * k, 2 * k, 2 * j, 5 * j, None)
+            assert str(info.value).startswith("(-1/2, 2/5) sits above")
+    with pytest.raises(NotCoveredError, match=r"^\(-1/2, 2/5\) sits above"):
+        helix._locate(-2, 4, 4, 10, None)
+    for n, d in ((2, 6), (-14, 12)):
+        slope = Fraction(n, d)
+        with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
+            helix._locate(n, d, 0, 1, None)
+        with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
+            locate_triangle(slope, Fraction(0))
+
+
+def test_triad_refuses_slopes_out_of_order():
+    t = root()
+    for e, f, g in ((t.e, t.g, t.f), (t.f, t.e, t.g)):
+        with pytest.raises(InternalInconsistencyError, match="^triad slopes out of order: "):
+            helix.Triad(e, f, g, t.h, 0, 0)
+
+
+def test_locate_builds_one_triad_per_level(monkeypatch):
+    # Each step of the descent builds the one child it enters.
+    points = []
+    for t in iterate_triads(5):
+        tri = t.triangle()
+        mu = (t.e.slope + 2 * t.f.slope) / 3
+        disc = (tri.side_eg(mu) + tri.side_ef(mu)) / 2
+        assert tri.contains(mu, disc, strict=True)
+        points.append((t, mu, disc))
+    built = []
+    original = helix._make_triad
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(helix, "_make_triad", counted)
+    for t, mu, disc in points:
+        built.clear()
+        found = locate_triangle(mu, disc)
+        assert (found.level, found.index) == (t.level, t.index)
+        assert len(built) == t.level + 1
 
 
 def test_left_series_of_o():
@@ -267,3 +321,26 @@ def test_five_euler_pairings_per_triad(monkeypatch):
     triads = list(iterate_triads(4))
     assert len(triads) == 31
     assert len(calls) == 5 * len(triads)
+
+
+def test_series_takes_its_bracket_from_one_walk(monkeypatch):
+    # The initial pair comes from the walk that finds f's dyadic: one
+    # compose per level, and the same pair as the dyadic's neighbours.
+    from prioritaire import exceptional
+
+    for text, level in (("-5/16", 4), ("-1/2", 1), ("11/4", 2), ("-23/8", 3)):
+        d = exceptional.parse_dyadic(text)
+        f = exceptional.from_dyadic(d)
+        lo, hi = d.neighbors()
+        expected = [exceptional.from_dyadic(hi).twist(-3), exceptional.from_dyadic(lo)]
+        calls = []
+        original = exceptional.compose
+
+        def counted(a, b, _original=original):
+            calls.append((a, b))
+            return _original(a, b)
+
+        monkeypatch.setattr(exceptional, "compose", counted)
+        assert left_series(f, 0, 1) == expected
+        assert len(calls) == level
+        monkeypatch.undo()
