@@ -69,9 +69,12 @@ class ChernCharacter(Record):
 
 
 class ChernData(Record):
-    """Integral invariants (rank, c1, c2) of a sheaf of positive rank."""
+    """Integral invariants (rank, c1, c2) of a sheaf of positive rank.  ``_vec``
+    is its character as the integer vector x = (r, c1, 2 ch2) = (r, c1,
+    c1^2 - 2 c2), built once: x is additive, and chi is bilinear on it."""
 
-    __slots__ = ("rank", "c1", "c2")
+    __slots__ = ("rank", "c1", "c2", "_vec")
+    _fields = __slots__[:3]
 
     def __init__(self, rank: int, c1: int, c2: int) -> None:
         if rank < 1:
@@ -79,6 +82,7 @@ class ChernData(Record):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "_vec", (rank, c1, c1 * c1 - 2 * c2))
 
     def slope(self) -> Fraction:
         return Fraction(self.c1, self.rank)
@@ -95,27 +99,22 @@ class ChernData(Record):
 def euler_char(cd: ChernData) -> int:
     """chi(E) = r*(P(mu) - Delta) = r + (3 c1 + c1^2 - 2 c2)/2, which is
     chi(O, E); an integer for integral data."""
-    twice = 2 * cd.rank + 3 * cd.c1 + cd.c1 * cd.c1 - 2 * cd.c2
+    r, c1, x = cd._vec
+    twice = 2 * r + 3 * c1 + x
     if twice & 1:
         raise InternalInconsistencyError(f"non-integral chi({cd}) = {twice}/2")
     return twice >> 1
 
 
 def euler_pairing(a: ChernData, b: ChernData) -> int:
-    """chi(a, b) = r_a * r_b * (P(mu_b - mu_a) - Delta_a - Delta_b), in integers:
+    """chi(a, b) = r_a * r_b * (P(mu_b - mu_a) - Delta_a - Delta_b), in integers
+    on the vectors x = (r, c1, c1^2 - 2 c2) of ``ChernData._vec``:
 
-    2*chi = 2 r_a r_b + 3 (r_a c1_b - c1_a r_b) + r_a (c1_b^2 - 2 c2_b)
-            + r_b (c1_a^2 - 2 c2_a) - 2 c1_a c1_b
+    2*chi = 2 r_a r_b + 3 (r_a c1_b - c1_a r_b) + r_a x_b + r_b x_a - 2 c1_a c1_b
     """
-    ra, c1a, c2a = a.rank, a.c1, a.c2
-    rb, c1b, c2b = b.rank, b.c1, b.c2
-    twice = (
-        2 * ra * rb
-        + 3 * (ra * c1b - c1a * rb)
-        + ra * (c1b * c1b - 2 * c2b)
-        + rb * (c1a * c1a - 2 * c2a)
-        - 2 * c1a * c1b
-    )
+    ra, c1a, xa = a._vec
+    rb, c1b, xb = b._vec
+    twice = 2 * ra * rb + 3 * (ra * c1b - c1a * rb) + ra * xb + rb * xa - 2 * c1a * c1b
     if twice & 1:
         raise InternalInconsistencyError(f"non-integral chi({a}, {b}) = {twice}/2")
     return twice >> 1

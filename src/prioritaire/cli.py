@@ -348,12 +348,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     d = exceptional.parse_dyadic(args.dyadic)
-    f = exceptional.from_dyadic(d)
+    f, bracket = exceptional._from_dyadic(d)
     if args.n_min > args.n_max:
         raise ParseError(f"--from {args.n_min} exceeds n_max {args.n_max}")
     _lift_digit_limit()
-    fn = helix.right_series if args.right else helix.left_series
-    members = fn(f, args.n_min, args.n_max)
+    # From the bracket the parse composed last: one walk, which no depth cap bounds.
+    members = helix._series(f, bracket, args.n_min, args.n_max)
+    if args.right:
+        members = [g.twist(3) for g in members]
     records = []
     for n, g in zip(range(args.n_min, args.n_max + 1), members):
         # The defining vanishing: left members are right-orthogonal to f,

@@ -32,13 +32,14 @@ off Euler pairings against the series of f.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
-from . import chern, frontier, helix
+from . import chern, exceptional, frontier, helix
 from ._record import Record
 from .chern import ChernCharacter, ChernData, euler_pairing
 from .errors import InternalInconsistencyError, NoPrioritarySheafError
-from .exceptional import ExceptionalBundle, from_slope
+from .exceptional import ExceptionalBundle
 from .frontier import Region, RegionTag
 
 KIND_EXCEPTIONAL = "exceptional"
@@ -125,15 +126,17 @@ class Decomposition(Record):
     def total_character(self) -> ChernCharacter | None:
         if self.summands is None:
             return None
-        total = ChernCharacter(0, 0, Fraction(0))
-        for s in self.summands:
-            total = total + s.character().scale(s.multiplicity)
-        return total
+        r, c1, x = _combine((s.multiplicity, s.chern_data()) for s in self.summands)
+        return ChernCharacter(r, c1, Fraction(x, 2))
 
 
-def _vec(cd: ChernData) -> tuple[int, int, int]:
-    """The character as the integer vector (r, c1, 2 ch2) = (r, c1, c1^2 - 2 c2)."""
-    return (cd.rank, cd.c1, cd.c1 * cd.c1 - 2 * cd.c2)
+def _combine(terms: Iterable[tuple[int, ChernData]]) -> tuple[int, int, int]:
+    """The vector ``ChernData._vec`` of the sum of m * ch(cd) over the terms (m, cd)."""
+    r = c1 = x = 0
+    for m, cd in terms:
+        vr, vc1, vx = cd._vec
+        r, c1, x = r + m * vr, c1 + m * vc1, x + m * vx
+    return r, c1, x
 
 
 def _det3(u: tuple, v: tuple, w: tuple) -> int:
@@ -147,10 +150,10 @@ def _det3(u: tuple, v: tuple, w: tuple) -> int:
 def _solve_multiplicities(t: helix.Triad, target: ChernData) -> tuple[int, int, int]:
     """Unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) = ch(target).
 
-    Cramer's rule on the integer vectors ``_vec``.
+    Cramer's rule on the integer vectors ``ChernData._vec``.
     """
-    a, b, c = _vec(t.e.chern), _vec(t.f.chern), _vec(t.g.chern)
-    d = _vec(target)
+    a, b, c = t.e.chern._vec, t.f.chern._vec, t.g.chern._vec
+    d = target._vec
     det = _det3(a, b, c)
     if det == 0:
         raise InternalInconsistencyError(f"degenerate character basis in {t.label()}")
@@ -215,7 +218,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         summands = []
         if norm.rank > 2:
             summands.append(
-                Summand(KIND_EXCEPTIONAL, norm.rank - 2, bundle=from_slope(Fraction(0)))
+                Summand(KIND_EXCEPTIONAL, norm.rank - 2, bundle=exceptional._bundle(1, 0))
             )
         else:
             verification["dropped_zero_multiplicity"] = "O"
@@ -232,7 +235,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
             raise InternalInconsistencyError(
                 f"exceptional part F^{p} has rank {p * f.rank} >= {norm.rank}"
             )
-        rr, rc1, rs = (x - p * y for x, y in zip(_vec(norm), _vec(f.chern)))
+        rr, rc1, rs = _combine(((1, norm), (-p, f.chern)))
         rc2, odd = divmod(rc1 * rc1 - rs, 2)
         if odd:
             raise InternalInconsistencyError(
@@ -291,13 +294,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
 
     final = _untwist(summands, k)
     result = Decomposition(cd, k, region, final, verification)
-    tr = tc1 = ts = 0
-    for s in final:
-        r, c1, x = _vec(s.chern_data())
-        tr += s.multiplicity * r
-        tc1 += s.multiplicity * c1
-        ts += s.multiplicity * x
-    if (tr, tc1, ts) != _vec(cd):
+    if _combine((s.multiplicity, s.chern_data()) for s in final) != cd._vec:
         raise InternalInconsistencyError(
             f"summand characters {result.total_character()} do not add up to ch{cd}"
         )
@@ -368,13 +365,10 @@ def stable_presentation(cd: ChernData, f: ExceptionalBundle) -> PresentationRepo
     m2 = -euler_pairing(g2.twist(3).chern, cd)
     if k < 0 or m1 < 0 or m2 < 0:
         raise InternalInconsistencyError(f"negative presentation multiplicity ({k}, {m1}, {m2})")
-    balance = (
-        f.character().scale(k)
-        + g0.twist(3).character().scale(m2)
-        - g1.twist(3).character().scale(m1)
-    )
-    if balance != cd.character():
+    g0_3, g1_3 = g0.twist(3), g1.twist(3)
+    balance = _combine(((k, f.chern), (m2, g0_3.chern), (-m1, g1_3.chern)))
+    if balance != cd._vec:
         raise InternalInconsistencyError(
-            f"presentation characters {balance} do not balance ch{cd}"
+            f"presentation characters {balance} do not balance {cd._vec}"
         )
-    return PresentationReport(cd, f, k, m1, m2, g0.twist(3), g1.twist(3))
+    return PresentationReport(cd, f, k, m1, m2, g0_3, g1_3)

@@ -204,11 +204,12 @@ def _bundle(rank: int, c1: int) -> ExceptionalBundle:
     c2, rem = divmod((rank - 1) * (rank + 1 + c1 * c1), 2 * rank)
     if rem:
         raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
-    if rank * rank + rank * (c1 * c1 - 2 * c2) - c1 * c1 != 1:
-        raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
-    return ExceptionalBundle(
+    f = ExceptionalBundle(
         Fraction(c1, rank), rank, c1, c2, Fraction(rank * rank - 1, 2 * rank * rank)
     )
+    if chern.euler_pairing(f.chern, f.chern) != 1:
+        raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
+    return f
 
 
 def from_slope(slope: Fraction) -> ExceptionalBundle:
@@ -233,20 +234,20 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     exactly the pairs with chi(b, a) = 0; on any other pair the kernel can
     be another multiple of x, so compose refuses it with ValueError first.
     """
-    ra, ca, rb, cb = a.rank, a.c1, b.rank, b.c1
+    ra, ca, sa = a.chern._vec
+    rb, cb, sb = b.chern._vec
     gap = cb * ra - ca * rb  # (slope(b) - slope(a)) * ra * rb
     if gap <= 0:
         raise ValueError(f"compose needs slope(a) < slope(b), got {a.slope}, {b.slope}")
     if gap >= 3 * ra * rb:
         raise ValueError(f"slope gap {b.slope - a.slope} too wide for composition")
-    sa, sb = ca * ca - 2 * a.c2, cb * cb - 2 * b.c2
     u0, u1, u2 = 2 * ra + 3 * ca + sa, -3 * ra - 2 * ca, ra
     v0, v1, v2 = 2 * rb - 3 * cb + sb, 3 * rb - 2 * cb, rb
     if v0 * ra + v1 * ca + v2 * sa != 0:  # 2 chi(b, a)
         raise ValueError(f"{a} and {b} are not neighbours: chi({b}, {a}) != 0")
     k0, k1, k2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
     result = _bundle(-k0 >> 1, -k1 >> 1)
-    if (k0 | k1 | k2) & 1 or 2 * result.c2 - result.c1 * result.c1 != k2 >> 1:
+    if (k0 | k1 | k2) & 1 or result.chern._vec[2] != -k2 >> 1:
         raise InternalInconsistencyError(f"kernel of {a}, {b} is not -2 x ch({result})")
     if chern.euler_pairing(result.chern, a.chern) != 0:
         raise InternalInconsistencyError(f"chi({result}, {a}) != 0")
@@ -263,10 +264,15 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
     reached by bisection from the integer bracket of d, one level at a
     time, so the cost is one ``compose`` per level and no recursion.
     """
+    return _from_dyadic(d)[0]
+
+
+def _from_dyadic(d: Dyadic) -> tuple:
+    """``from_dyadic`` and the pair it composed last (None for an integer)."""
     base = d.p >> d.q  # floor(d)
     lo, hi = _bundle(1, base), _bundle(1, base + 1)
     if d.q == 0:
-        return lo
+        return lo, None
     offset = d.p - (base << d.q)  # d = base + offset/2^q, offset odd
     for level in range(d.q - 1, 0, -1):
         mid = compose(lo, hi)
@@ -274,23 +280,26 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
             lo = mid
         else:
             hi = mid
-    return compose(lo, hi)
+    return compose(lo, hi), (lo, hi)
 
 
 def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic:
     """Invert ``from_dyadic`` by monotone descent.
 
     The slope is first translated into (-1, 0]; the returned dyadic is
-    translated back.  Raises DepthExhaustedError if the slope is not
-    reached within the cap (it then is not a lattice slope, or lies too
-    deep).
+    translated back.  Raises ValueError as soon as the descent proves
+    the slope is not on the lattice, and DepthExhaustedError, with the
+    last bracket translated back, if it lies deeper than the cap.
     """
     return _descend(bundle, max_depth)[0]
 
 
 def _descend(bundle: ExceptionalBundle, max_depth: int | None) -> tuple:
     """``dyadic_of`` and the images of the dyadic's neighbours, both translated
-    back by the same shift (None, None for a line bundle)."""
+    back by the same shift (None, None for a line bundle).  Each mid is the
+    largest rank of its Markov triple, so the ranks of the mids increase:
+    a mid of rank >= r that is not the target proves the slope off the lattice.
+    """
     cap = max_depth if max_depth is not None else max_depth_default()
     r = bundle.rank
     shift = -(-bundle.c1 // r)  # ceil(slope)
@@ -304,10 +313,13 @@ def _descend(bundle: ExceptionalBundle, max_depth: int | None) -> tuple:
         mid = compose(lo, hi)
         if mid.rank == r and mid.c1 == n:
             return Dyadic(2 * p + 1 + (shift << (q + 1)), q + 1), lo.twist(shift), hi.twist(shift)
+        if mid.rank >= r:
+            raise ValueError(f"{bundle.slope} is not an exceptional slope")
         if n * mid.rank < mid.c1 * r:
             hi, p = mid, 2 * p
         else:
             lo, p = mid, 2 * p + 1
+    p += shift << cap
     raise DepthExhaustedError(
         f"slope {bundle.slope} not reached in {cap} levels",
         bracket=(Dyadic(p, cap), Dyadic(p + 1, cap)),
@@ -323,30 +335,32 @@ def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> Exceptiona
 def locate_many(
     slopes: Iterable[Fraction], max_depth: int | None = None
 ) -> list[ExceptionalBundle]:
-    """Owners of rational slopes in [-1, 0], by one walk of the dyadic tree.
-
-    Each slope descends from the bracket [O(-1), O]; every interval
-    membership test is the exact integer test of ``contains_slope``.
-    Each bundle is tested once per slope: after the two ends of [-1, 0],
-    only the new midpoint of each level, since the end kept from the
-    level above has already failed.  The slopes still open under a
-    bracket share its midpoint, so each bundle is composed once per call.
-
-    A slope not resolved within ``max_depth`` levels raises
+    """Owners of rational slopes in [-1, 0], by one walk of the dyadic tree
+    (``_owners``).  A slope not resolved within ``max_depth`` levels raises
     DepthExhaustedError with its last bracket; when several are, the
-    error names the first of them in the list.
-    """
+    error names the first of them in the list."""
     slopes = [Fraction(mu) for mu in slopes]
-    for mu in slopes:
-        if mu.numerator < -mu.denominator or mu.numerator > 0:
-            raise ValueError(f"slope {mu} outside [-1, 0]")
+    return _owners([(mu.numerator, mu.denominator) for mu in slopes], max_depth)
+
+
+def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[ExceptionalBundle]:
+    """``locate_many`` of the slopes n/m given as pairs (n, m), m > 0, in any
+    terms: every test is homogeneous.  Each slope descends from [O(-1), O].
+    An end owns it exactly when ``_contains`` holds, as it does at distance
+    0.  Each bundle is tested once per slope: after the two ends of [-1, 0],
+    each level's new midpoint, for equality, then as an end one level down.
+    The slopes still open under a bracket share its midpoint, so each
+    bundle is composed once per call."""
+    for n, m in pairs:
+        if n < -m or n > 0:
+            raise ValueError(f"slope {Fraction(n, m)} outside [-1, 0]")
     cap = max_depth if max_depth is not None else max_depth_default()
-    if not slopes:
+    if not pairs:
         return []
-    owners: list[ExceptionalBundle | None] = [None] * len(slopes)
+    owners: list[ExceptionalBundle | None] = [None] * len(pairs)
     lo, hi = _bundle(1, -1), _bundle(1, 0)
     # (bracket ends, ends not yet tested, open slope indices, levels left)
-    stack = [(lo, hi, (lo, hi), list(range(len(slopes))), cap)]
+    stack = [(lo, hi, (lo, hi), list(range(len(pairs))), cap)]
     exhausted: tuple[int, ExceptionalBundle, ExceptionalBundle] | None = None
     while stack:
         lo, hi, untested, group, left = stack.pop()
@@ -358,18 +372,18 @@ def locate_many(
         above: list[int] = []
         mid = None
         for i in group:
-            mu = slopes[i]
-            n, m = mu.numerator, mu.denominator
+            n, m = pairs[i]
             for end in untested:
-                if (n == end.c1 and m == end.rank) or end.contains_slope(mu):
+                if end._contains(n, m):
                     owners[i] = end
                     break
             else:
                 if mid is None:
                     mid = compose(lo, hi)
-                if n == mid.c1 and m == mid.rank:
+                side = n * mid.rank - mid.c1 * m  # sign of n/m - mu(mid)
+                if side == 0:
                     owners[i] = mid
-                elif n * mid.rank < mid.c1 * m:
+                elif side < 0:
                     below.append(i)
                 else:
                     above.append(i)
@@ -380,7 +394,7 @@ def locate_many(
     if exhausted is not None:
         i, lo, hi = exhausted
         raise DepthExhaustedError(
-            f"slope {slopes[i]} not resolved within depth {cap}", bracket=(lo, hi)
+            f"slope {Fraction(*pairs[i])} not resolved within depth {cap}", bracket=(lo, hi)
         )
     return owners  # type: ignore[return-value]
 

@@ -21,11 +21,10 @@ lies in F's interval or equals its slope):
 ``classify`` reduces arbitrary integral invariants to exactly one region
 tag after normalizing the slope into (-1, 0].
 
-Every answer at a slope derives from its owner F, found by one
-``locate_exceptional`` descent: ``delta``, ``delta_prime`` and
-``classify`` each descend once and evaluate the formulas above at
-(mu, F), in closed-form integers.  ``delta_many`` answers a list of
-slopes from one walk of the lattice.
+Every answer at a slope derives from its owner F, found by one walk of
+the lattice (``classify`` walks it on the integers (c1, r)), and
+evaluates the formulas above at (mu, F) in closed-form integers.
+``delta_many`` answers a list of slopes from one walk.
 
 The region tests are integer signs on (r, c1, c2) and the owner's
 (r_F, c1_F): the prioritary bound, the side of delta and the exceptional
@@ -182,28 +181,14 @@ def prioritary_exists(cd: ChernData) -> bool:
     return _prioritary(norm.rank, norm.c1, norm.c2)
 
 
-def _semistable(norm: ChernData, f: ExceptionalBundle, delta_gap: int) -> RegionTag | None:
-    """Semistable tag of normalized invariants whose slope f owns, or None;
-    ``delta_gap`` is the first value of ``_frontier_gaps``."""
-    if delta_gap >= 0:
-        return RegionTag.SEMISTABLE_POSITIVE_DIM
-    if _at_exceptional_point(norm.rank, norm.c1, norm.c2, f):
-        # Rank is then forced to be a multiple of rank(F).
-        if norm.rank % f.rank != 0:
-            raise InternalInconsistencyError(
-                f"rank {norm.rank} not a multiple of {f.rank} at the point of {f}"
-            )
-        return RegionTag.SEMISTABLE_EXCEPTIONAL
-    return None
-
-
 def semistable_exists(cd: ChernData, max_depth: int | None = None) -> RegionTag | None:
     """Whether semistable sheaves with these invariants exist, and how:
     RegionTag.SEMISTABLE_POSITIVE_DIM, RegionTag.SEMISTABLE_EXCEPTIONAL,
-    or None when there are none."""
-    norm, _ = chern.normalize(cd)
-    f = exceptional.locate_exceptional(norm.slope(), max_depth)
-    return _semistable(norm, f, _frontier_gaps(norm.rank, norm.c1, norm.c2, f)[0])
+    or None when there are none: ``classify``'s tag when it is one of those
+    two (semistable sheaves are prioritary, so none lie below the bound)."""
+    tag = classify(cd, max_depth).tag
+    semistable = (RegionTag.SEMISTABLE_POSITIVE_DIM, RegionTag.SEMISTABLE_EXCEPTIONAL)
+    return tag if tag in semistable else None
 
 
 def classify(cd: ChernData, max_depth: int | None = None) -> Region:
@@ -222,11 +207,15 @@ def _classify_normalized(norm: ChernData, max_depth: int | None) -> Region:
     r, c1, c2 = norm.rank, norm.c1, norm.c2
     if not _prioritary(r, c1, c2):
         return Region(RegionTag.NO_PRIORITARY)
-    f = exceptional.locate_exceptional(norm.slope(), max_depth)
+    f = exceptional._owners([(c1, r)], max_depth)[0]
     delta_gap, a, nr = _frontier_gaps(r, c1, c2, f)
-    tag = _semistable(norm, f, delta_gap)
-    if tag is not None:
-        return Region(tag, f)
+    if delta_gap >= 0:
+        return Region(RegionTag.SEMISTABLE_POSITIVE_DIM, f)
+    if _at_exceptional_point(r, c1, c2, f):
+        # Rank is then forced to be a multiple of rank(F).
+        if r % f.rank != 0:
+            raise InternalInconsistencyError(f"rank {r} not a multiple of {f.rank} at {f}")
+        return Region(RegionTag.SEMISTABLE_EXCEPTIONAL, f)
     if c1 == 0 and c2 == 1:
         return Region(RegionTag.SPECIAL_C0_C21, f)
     side = _surd_sign(a, nr, f.rank)

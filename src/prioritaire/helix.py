@@ -221,46 +221,46 @@ def _locate(n: int, d: int, a: int, b: int, max_depth: int | None) -> Triad:
 # -- series attached to an exceptional bundle ---------------------------
 
 
-def _initial_pair(f: ExceptionalBundle) -> tuple[ExceptionalBundle, ExceptionalBundle]:
-    if f.rank == 1:
-        return exceptional._bundle(1, f.c1 - 2), exceptional._bundle(1, f.c1 - 1)
-    _, lo, hi = exceptional._descend(f, None)
-    return hi.twist(-3), lo
-
-
 def left_series(
     f: ExceptionalBundle, n_min: int = 0, n_max: int = 2
 ) -> list[ExceptionalBundle]:
     """Members g_{n_min} .. g_{n_max} of the series attached to f.
 
-    Recurrence on Chern characters with constant c = chi(g_0, g_1);
-    every member is rebuilt from its rank and c1 and must reproduce the
-    recurrence character exactly, and must pair to zero against f.
+    Recurrence on the integer character vectors ``ChernData._vec`` with
+    constant c = chi(g_0, g_1); every member is rebuilt from its rank and
+    c1 and must reproduce the recurrence vector exactly, and must pair
+    to zero against f.
     """
+    return _series(f, None, n_min, n_max)
+
+
+def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[ExceptionalBundle]:
+    """``left_series`` of f; ``bracket`` is the images of the neighbours of its
+    dyadic (``exceptional._from_dyadic``), or None to descend for them."""
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
-    g0, g1 = _initial_pair(f)
+    if f.rank == 1:
+        g0, g1 = exceptional._bundle(1, f.c1 - 2), exceptional._bundle(1, f.c1 - 1)
+    else:
+        lo, hi = exceptional._descend(f, None)[1:] if bracket is None else bracket
+        g0, g1 = hi.twist(-3), lo
     c = euler_pairing(g0.chern, g1.chern)
     if c != 3 * f.rank:
         raise InternalInconsistencyError(
             f"chi(g0, g1) = {c} != 3*rank({f}) for the series of {f}"
         )
-    chars = {0: g0.character(), 1: g1.character()}
-    n = 1
-    while n < n_max:
-        chars[n + 1] = chars[n].scale(c) - chars[n - 1]
-        n += 1
-    n = 0
-    while n > n_min:
-        chars[n - 1] = chars[n].scale(c) - chars[n + 1]
-        n -= 1
+    vecs = {0: g0.chern._vec, 1: g1.chern._vec}
+    for n in range(1, n_max):
+        vecs[n + 1] = tuple(c * a - b for a, b in zip(vecs[n], vecs[n - 1]))
+    for n in range(0, n_min, -1):
+        vecs[n - 1] = tuple(c * a - b for a, b in zip(vecs[n], vecs[n + 1]))
     out: list[ExceptionalBundle] = []
     for n in range(n_min, n_max + 1):
-        ch = chars[n]
-        bundle = exceptional._bundle(ch.rank, ch.c1)
-        if bundle.character() != ch:
+        x = vecs[n]
+        bundle = exceptional._bundle(x[0], x[1])
+        if bundle.chern._vec != x:
             raise InternalInconsistencyError(
-                f"series member {n} of {f}: character {ch} is not exceptional"
+                f"series member {n} of {f}: character vector {x} is not exceptional"
             )
         if euler_pairing(f.chern, bundle.chern) != 0:
             raise InternalInconsistencyError(f"chi({f}, g_{n}) != 0")

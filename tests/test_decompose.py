@@ -236,13 +236,13 @@ def test_above_delta_prime_finds_its_owner_once(monkeypatch):
     import prioritaire.exceptional as ex
 
     calls = []
-    original = ex.locate_many
+    original = ex._owners
 
-    def counted(slopes, max_depth=None):
-        calls.append(slopes)
-        return original(slopes, max_depth)
+    def counted(pairs, max_depth):
+        calls.append(pairs)
+        return original(pairs, max_depth)
 
-    monkeypatch.setattr(ex, "locate_many", counted)
+    monkeypatch.setattr(ex, "_owners", counted)
     above = 0
     for cd in _band():
         calls.clear()
@@ -354,3 +354,55 @@ def test_presentation_preconditions():
         stable_presentation(ChernData(9, -3, 8), qstar)  # slope right of f
     with pytest.raises(ValueError):
         stable_presentation(ChernData(4, -2, 5), qstar)  # off the frontier
+
+
+def _count_fractions(monkeypatch, fn, items):
+    """Number of ``Fraction`` objects built while fn runs over items, after a
+    first pass that warms the caches."""
+    for item in items:
+        fn(item)
+    built = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", staticmethod(counted))
+        if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+ arithmetic
+            create = Fraction._from_coprime_ints
+
+            def counted_coprime(cls, *args):
+                built[0] += 1
+                return create(*args)
+
+            m.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+        for item in items:
+            fn(item)
+    return built[0]
+
+
+def test_warm_queries_build_no_fraction(monkeypatch):
+    # A warm pass decides in integers: classify and left_series build no
+    # Fraction, and generic_prioritary builds one only for the text of
+    # NoPrioritarySheafError.
+    from prioritaire.helix import left_series
+
+    points = [
+        ChernData(r, c1, c2)
+        for r in range(1, 25)
+        for c1 in range(-r - 2, r + 3)
+        for c2 in range(-3, 15)
+    ]
+    assert len(points) == 12960
+    prioritary, rejected = [], []
+    for cd in points:
+        (rejected if classify(cd).tag is RegionTag.NO_PRIORITARY else prioritary).append(cd)
+    assert prioritary and rejected
+    bundles = [from_slope(Fraction(p, q)) for p, q in ((0, 1), (-1, 2), (-2, 5), (-12, 29))]
+    assert _count_fractions(monkeypatch, lambda f: left_series(f, -2, 4), bundles) == 0
+    assert _count_fractions(monkeypatch, classify, points) == 0
+    assert _count_fractions(monkeypatch, generic_prioritary, prioritary) == 0
+    # The counter does count: the rejected points build their error text.
+    assert _count_fractions(monkeypatch, _tag, rejected[:10]) > 0

@@ -236,6 +236,55 @@ def test_dyadic_of_far_translates():
     assert dyadic_of(from_slope(Fraction(-2, 5) + 10**7)) == Dyadic(4 * 10**7 - 1, 2)
 
 
+def test_dyadic_of_refuses_every_slope_off_the_lattice():
+    # Every slope in (-1, 0] with rank < 400 whose forced c2 is integral:
+    # the lattice ones round-trip, the others are refused by ValueError.
+    # Lattice ranks at level 7 are at least 610, so level 6 lists them all.
+    lattice = {(f.rank, f.c1) for f in enumerate_to_level(6) if f.rank < 400 and f.c1 > -f.rank}
+    refused = 0
+    for r in range(1, 400):
+        for c1 in range(-r + 1, 1):
+            if (r - 1) * (r + 1 + c1 * c1) % (2 * r):
+                continue
+            f = from_slope(Fraction(c1, r))
+            if (r, c1) in lattice:
+                assert from_dyadic(dyadic_of(f)) == f
+            else:
+                with pytest.raises(ValueError, match="is not an exceptional slope"):
+                    dyadic_of(f)
+                refused += 1
+    assert (len(lattice), refused) == (18, 174)
+
+
+def test_dyadic_of_refuses_at_once(monkeypatch):
+    # The descent stops at the first mid of rank >= 10: 2, 5, 13.
+    calls = []
+    original = ex.compose
+    monkeypatch.setattr(ex, "compose", lambda a, b: calls.append(a) or original(a, b))
+    for slope in (Fraction(-3, 10), Fraction(13, 10)):
+        calls.clear()
+        with pytest.raises(ValueError, match=f"{slope} is not an exceptional slope"):
+            dyadic_of(from_slope(slope), max_depth=3000)
+        assert len(calls) == 3
+
+
+def test_dyadic_of_translates_its_bracket():
+    # Out of depth, the bracket is translated back like the answer.
+    with pytest.raises(DepthExhaustedError) as err:
+        dyadic_of(from_slope(Fraction(46, 29)), max_depth=1)
+    assert err.value.bracket == (Dyadic(3, 1), Dyadic(2, 0))
+    for f in enumerate_to_level(4)[1:-1]:
+        for cap in range(1, dyadic_of(f).q):
+            with pytest.raises(DepthExhaustedError) as base:
+                dyadic_of(f, max_depth=cap)
+            for shift in (-3, 2):
+                with pytest.raises(DepthExhaustedError) as moved:
+                    dyadic_of(f.twist(shift), max_depth=cap)
+                assert [d.value() for d in moved.value.bracket] == [
+                    d.value() + shift for d in base.value.bracket
+                ]
+
+
 def test_locate_exceptional():
     assert locate_exceptional(Fraction(-9, 20)).slope == Fraction(-1, 2)
     assert locate_exceptional(Fraction(-1, 4)).slope == Fraction(0)

@@ -118,16 +118,16 @@ def test_classify_partition_small_sweep():
 
 
 def test_one_owner_descent_per_query(monkeypatch):
-    # classify, delta and delta_prime each find the owner once; classify
-    # stops before the descent below the prioritary bound.
+    # classify, delta and delta_prime each walk the lattice once, through
+    # the integer walk; classify stops before it below the prioritary bound.
     calls = []
-    original = exceptional.locate_exceptional
+    original = exceptional._owners
 
-    def counted(mu, max_depth=None):
-        calls.append(mu)
-        return original(mu, max_depth)
+    def counted(pairs, max_depth):
+        calls.append(pairs)
+        return original(pairs, max_depth)
 
-    monkeypatch.setattr(exceptional, "locate_exceptional", counted)
+    monkeypatch.setattr(exceptional, "_owners", counted)
     seen = set()
     for r in range(1, 9):
         for c1 in range(-r, r + 1):
@@ -249,9 +249,10 @@ def _assert_integer_tags_match(points):
         assert region.tag is expected, cd
         if expected is not RegionTag.NO_PRIORITARY:
             assert region.witness == f, cd
-            assert semistable_exists(cd) is (
-                expected if expected.name.startswith("SEMISTABLE") else None
-            ), cd
+        # None below the prioritary bound too: semistable sheaves are prioritary.
+        assert semistable_exists(cd) is (
+            expected if expected.name.startswith("SEMISTABLE") else None
+        ), cd
         assert prioritary_exists(cd) is (expected is not RegionTag.NO_PRIORITARY), cd
         tags[expected] += 1
     return tags
