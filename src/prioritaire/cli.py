@@ -202,9 +202,7 @@ def build_parser() -> _Parser:
 
 def _cmd_slope(args: argparse.Namespace) -> int:
     if args.invert:
-        mu = Fraction(parse_rational(args.value))
-        f = exceptional.from_slope(mu)
-        d = exceptional.dyadic_of(f, args.depth)
+        f, d = exceptional._from_slope(Fraction(parse_rational(args.value)), args.depth)
     else:
         d = exceptional.parse_dyadic(args.value)
         f = exceptional.from_dyadic(d)

@@ -19,8 +19,8 @@ class InternalInconsistencyError(PrioritaireError):
 class DepthExhaustedError(PrioritaireError):
     """A tree descent hit its depth cap before resolving.
 
-    Carries the last bracketing pair so callers can report how far the
-    search got.
+    Carries the pair of bundles the descent would have entered next, so
+    callers can report how far the search got.
     """
 
     def __init__(self, message: str, bracket: tuple | None = None) -> None:

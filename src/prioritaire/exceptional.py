@@ -25,17 +25,19 @@ Around each exceptional slope sits the open interval of radius
 the smaller root of X^2 - 3X + 1/r^2.  The intervals attached to
 distinct exceptional slopes are pairwise disjoint and every rational in
 [-1, 0] falls in exactly one of them (or is itself an exceptional
-slope); ``locate_many`` finds the owners of a list of slopes by one
-bisection walk of the dyadic tree, and ``locate_exceptional`` is its
-one-slope case.  Membership needs no surd: for 0 <= d < 3/2 the
-quadratic is positive exactly below x_F, so d = n/m lies inside exactly
-when n(n - 3m) r^2 + m^2 > 0, an integer test.
+slope); ``locate_many`` finds the owners of a list of slopes, and
+``locate_exceptional`` is its one-slope case.  Membership needs no surd:
+for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
+lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
+
+Every descent of the dyadic tree, here and in ``helix``, runs through
+``_walk``, the one home of the depth cap and its error.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -213,16 +215,21 @@ def _bundle(rank: int, c1: int) -> ExceptionalBundle:
 
 
 def from_slope(slope: Fraction) -> ExceptionalBundle:
-    """The exceptional bundle of a slope from outside the package.
-
-    Raises ValueError when the forced c2 is not an integer; that is not a
-    complete membership test, so pass lattice slopes or their translates.
-    """
+    """The exceptional bundle of a slope from outside the package.  Raises
+    ValueError when the forced c2 is not an integer or when the descent to
+    its dyadic, which ends within O(log r) levels, proves it off the lattice."""
     slope = Fraction(slope)
+    return _from_slope(slope, slope.denominator)[0]
+
+
+def _from_slope(slope: Fraction, max_depth: int | None) -> tuple:
+    """``from_slope`` and its dyadic, from one descent capped at max_depth;
+    the bundle is built only once the descent has found it."""
     r, c1 = slope.denominator, slope.numerator
     if (r - 1) * (r + 1 + c1 * c1) % (2 * r):
         raise ValueError(f"{slope} is not an exceptional slope (c2 not integral)")
-    return _bundle(r, c1)
+    d = _descend(r, c1, max_depth)[0]
+    return _bundle(r, c1), d
 
 
 def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
@@ -256,74 +263,95 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     return result
 
 
-def from_dyadic(d: Dyadic) -> ExceptionalBundle:
-    """The dyadic-to-exceptional bijection.
+def _cap(max_depth: int | None) -> int:
+    """The cap of a walk: max_depth, or ``max_depth_default`` for None; ValueError if < 0."""
+    cap = max_depth_default() if max_depth is None else max_depth
+    if cap < 0:
+        raise ValueError(f"depth must be >= 0, got {cap}")
+    return cap
 
-    Integers give line bundles; a dyadic of positive level maps to the
-    composition of the images of its bracketing pair.  The pair is
-    reached by bisection from the integer bracket of d, one level at a
-    time, so the cost is one ``compose`` per level and no recursion.
+
+def _walk(
+    steer: Callable, what: Callable, max_depth: int | None, start: int, mids: dict | None = None
+) -> tuple:
+    """Bisect the dyadic tree from [O(start), O(start + 1)].
+
+    Each level composes mid = compose(lo, hi) and asks steer(lo, mid, hi):
+    0 stops at mid, returning (lo, mid, hi, p, q) with mid the image of
+    p/2^q; a negative sign enters [lo, mid], a positive one [mid, hi].  Past
+    ``_cap(max_depth)`` mids it raises DepthExhaustedError "<what()> not
+    resolved within depth N" with the pair it would have entered next.
+    ``mids`` keeps the mids by bracket position for walks that share them.
     """
+    cap = _cap(max_depth)
+    lo, hi = _bundle(1, start), _bundle(1, start + 1)
+    p, q = start, 0  # [lo, hi] is the image of [p/2^q, (p+1)/2^q]
+    for _ in range(cap):
+        if mids is None:
+            mid = compose(lo, hi)
+        else:
+            mid = mids.get((p, q))
+            if mid is None:
+                mid = mids[p, q] = compose(lo, hi)
+        side = steer(lo, mid, hi)
+        p, q = 2 * p, q + 1
+        if side == 0:
+            return lo, mid, hi, p + 1, q
+        if side < 0:
+            hi = mid
+        else:
+            lo, p = mid, p + 1
+    raise DepthExhaustedError(f"{what()} not resolved within depth {cap}", bracket=(lo, hi))
+
+
+def from_dyadic(d: Dyadic) -> ExceptionalBundle:
+    """The dyadic-to-exceptional bijection: integers give line bundles, and
+    a dyadic of positive level maps to the composition of the images of its
+    bracketing pair, reached by bisection from the integer bracket of d at
+    one ``compose`` per level."""
     return _from_dyadic(d)[0]
 
 
 def _from_dyadic(d: Dyadic) -> tuple:
-    """``from_dyadic`` and the pair it composed last (None for an integer)."""
+    """``from_dyadic`` and the pair it composed last (None for an integer),
+    by a walk that steers by the bits of d and needs no depth cap."""
     base = d.p >> d.q  # floor(d)
-    lo, hi = _bundle(1, base), _bundle(1, base + 1)
     if d.q == 0:
-        return lo, None
+        return _bundle(1, base), None
     offset = d.p - (base << d.q)  # d = base + offset/2^q, offset odd
-    for level in range(d.q - 1, 0, -1):
-        mid = compose(lo, hi)
-        if (offset >> level) & 1:
-            lo = mid
-        else:
-            hi = mid
-    return compose(lo, hi), (lo, hi)
+    # One sign per bit of offset below the top, then stop at the last bit.
+    signs = iter([*(1 if (offset >> k) & 1 else -1 for k in range(d.q - 1, 0, -1)), 0])
+    lo, mid, hi, _, _ = _walk(lambda lo, mid, hi: next(signs), lambda: f"dyadic {d}", d.q, base)
+    return mid, (lo, hi)
 
 
 def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic:
-    """Invert ``from_dyadic`` by monotone descent.
-
-    The slope is first translated into (-1, 0]; the returned dyadic is
-    translated back.  Raises ValueError as soon as the descent proves
-    the slope is not on the lattice, and DepthExhaustedError, with the
-    last bracket translated back, if it lies deeper than the cap.
+    """Invert ``from_dyadic`` by monotone descent from the integer bracket of
+    the slope.  Raises ValueError as soon as the descent proves the slope is
+    not on the lattice, and DepthExhaustedError if it lies deeper than the cap.
     """
-    return _descend(bundle, max_depth)[0]
+    return _descend(bundle.rank, bundle.c1, max_depth)[0]
 
 
-def _descend(bundle: ExceptionalBundle, max_depth: int | None) -> tuple:
-    """``dyadic_of`` and the images of the dyadic's neighbours, both translated
-    back by the same shift (None, None for a line bundle).  Each mid is the
-    largest rank of its Markov triple, so the ranks of the mids increase:
-    a mid of rank >= r that is not the target proves the slope off the lattice.
-    """
-    cap = max_depth if max_depth is not None else max_depth_default()
-    r = bundle.rank
-    shift = -(-bundle.c1 // r)  # ceil(slope)
-    n = bundle.c1 - shift * r  # slope - shift = n/r in (-1, 0]
-    if n == 0:
+def _descend(r: int, c1: int, max_depth: int | None) -> tuple:
+    """``dyadic_of`` of the slope c1/r and the images of the dyadic's
+    neighbours (None, None for a line bundle).  The ranks of the mids
+    increase (each is the largest of its Markov triple), so a mid of rank
+    >= r that is not the target proves the slope off the lattice."""
+    cap = _cap(max_depth)
+    shift = -(-c1 // r)  # ceil(slope)
+    if c1 == shift * r:
         return Dyadic(shift, 0), None, None
-    lo, hi = _bundle(1, -1), _bundle(1, 0)
-    # The bracket is [p/2^q, (p+1)/2^q]; each level appends one bit to p.
-    p = -1
-    for q in range(cap):
-        mid = compose(lo, hi)
-        if mid.rank == r and mid.c1 == n:
-            return Dyadic(2 * p + 1 + (shift << (q + 1)), q + 1), lo.twist(shift), hi.twist(shift)
+
+    def steer(lo, mid, hi):
+        if mid.rank == r and mid.c1 == c1:
+            return 0
         if mid.rank >= r:
-            raise ValueError(f"{bundle.slope} is not an exceptional slope")
-        if n * mid.rank < mid.c1 * r:
-            hi, p = mid, 2 * p
-        else:
-            lo, p = mid, 2 * p + 1
-    p += shift << cap
-    raise DepthExhaustedError(
-        f"slope {bundle.slope} not reached in {cap} levels",
-        bracket=(Dyadic(p, cap), Dyadic(p + 1, cap)),
-    )
+            raise ValueError(f"{Fraction(c1, r)} is not an exceptional slope")
+        return c1 * mid.rank - mid.c1 * r  # sign of slope - mu(mid)
+
+    lo, _, hi, p, q = _walk(steer, lambda: f"slope {Fraction(c1, r)}", cap, shift - 1)
+    return Dyadic(p, q), lo, hi
 
 
 def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> ExceptionalBundle:
@@ -335,68 +363,37 @@ def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> Exceptiona
 def locate_many(
     slopes: Iterable[Fraction], max_depth: int | None = None
 ) -> list[ExceptionalBundle]:
-    """Owners of rational slopes in [-1, 0], by one walk of the dyadic tree
-    (``_owners``).  A slope not resolved within ``max_depth`` levels raises
-    DepthExhaustedError with its last bracket; when several are, the
-    error names the first of them in the list."""
+    """Owners of rational slopes in [-1, 0] (``_owners``).  A slope owned by
+    none of O(-1), O and the first ``max_depth`` mids of its walk raises
+    DepthExhaustedError; the error names the first such slope in the list."""
     slopes = [Fraction(mu) for mu in slopes]
     return _owners([(mu.numerator, mu.denominator) for mu in slopes], max_depth)
 
 
 def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[ExceptionalBundle]:
     """``locate_many`` of the slopes n/m given as pairs (n, m), m > 0, in any
-    terms: every test is homogeneous.  Each slope descends from [O(-1), O].
-    An end owns it exactly when ``_contains`` holds, as it does at distance
-    0.  Each bundle is tested once per slope: after the two ends of [-1, 0],
-    each level's new midpoint, for equality, then as an end one level down.
-    The slopes still open under a bracket share its midpoint, so each
-    bundle is composed once per call."""
+    terms: every test is homogeneous.  A bundle owns a slope exactly when
+    ``_contains`` holds, as it does at distance 0.  After the two ends, each
+    slope walks to the first mid that owns it; the walks share their mids,
+    so each bundle is composed once per call."""
     for n, m in pairs:
         if n < -m or n > 0:
             raise ValueError(f"slope {Fraction(n, m)} outside [-1, 0]")
-    cap = max_depth if max_depth is not None else max_depth_default()
-    if not pairs:
-        return []
-    owners: list[ExceptionalBundle | None] = [None] * len(pairs)
-    lo, hi = _bundle(1, -1), _bundle(1, 0)
-    # (bracket ends, ends not yet tested, open slope indices, levels left)
-    stack = [(lo, hi, (lo, hi), list(range(len(pairs))), cap)]
-    exhausted: tuple[int, ExceptionalBundle, ExceptionalBundle] | None = None
-    while stack:
-        lo, hi, untested, group, left = stack.pop()
-        if left <= 0:
-            if exhausted is None or group[0] < exhausted[0]:
-                exhausted = (group[0], lo, hi)
-            continue
-        below: list[int] = []
-        above: list[int] = []
-        mid = None
-        for i in group:
-            n, m = pairs[i]
-            for end in untested:
-                if end._contains(n, m):
-                    owners[i] = end
-                    break
-            else:
-                if mid is None:
-                    mid = compose(lo, hi)
-                side = n * mid.rank - mid.c1 * m  # sign of n/m - mu(mid)
-                if side == 0:
-                    owners[i] = mid
-                elif side < 0:
-                    below.append(i)
-                else:
-                    above.append(i)
-        if above:
-            stack.append((mid, hi, (mid,), above, left - 1))
-        if below:
-            stack.append((lo, mid, (mid,), below, left - 1))
-    if exhausted is not None:
-        i, lo, hi = exhausted
-        raise DepthExhaustedError(
-            f"slope {Fraction(*pairs[i])} not resolved within depth {cap}", bracket=(lo, hi)
-        )
-    return owners  # type: ignore[return-value]
+    cap = _cap(max_depth)
+    ends = (_bundle(1, -1), _bundle(1, 0))
+    mids: dict = {}
+
+    def owner(n: int, m: int) -> ExceptionalBundle:
+        for end in ends:
+            if end._contains(n, m):
+                return end
+
+        def steer(lo, mid, hi):
+            return 0 if mid._contains(n, m) else n * mid.rank - mid.c1 * m
+
+        return _walk(steer, lambda: f"slope {Fraction(n, m)}", cap, -1, mids)[1]
+
+    return [owner(n, m) for n, m in pairs]
 
 
 def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:

@@ -10,8 +10,8 @@ first Chern classes follow the mutation bookkeeping
 
     rank(h') = rank(f)*chi(f,g) - rank(g),   c1(h') = chi(f,g)*c1(f) - c1(g)
 
-and every produced middle is cross-checked against ``compose`` of its
-two ends, an independent integer route; the two must agree.
+and every middle, composed from its two ends, is cross-checked against
+this mutation of its parent, an independent integer route.
 
 Each triad owns a curvilinear triangle in the (mu, Delta) plane:
 
@@ -42,8 +42,8 @@ from fractions import Fraction
 from . import exceptional
 from ._record import Record
 from .chern import euler_pairing
-from .errors import DepthExhaustedError, InternalInconsistencyError, NotCoveredError
-from .exceptional import Dyadic, ExceptionalBundle, max_depth_default
+from .errors import InternalInconsistencyError, NotCoveredError
+from .exceptional import Dyadic, ExceptionalBundle
 
 
 def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
@@ -139,14 +139,21 @@ def _inside(t: Triad, n: int, d: int, a: int, b: int, strict: bool) -> bool:
 
 
 def _make_triad(
-    e: ExceptionalBundle, f: ExceptionalBundle, g: ExceptionalBundle, level: int, index: int
+    e: ExceptionalBundle, f: ExceptionalBundle, g: ExceptionalBundle, parent: Triad | None
 ) -> Triad:
-    # The middle must be the composition of the two ends.
-    composed = exceptional.compose(e, g)
-    if composed.rank != f.rank or composed.c1 != f.c1:
-        raise InternalInconsistencyError(
-            f"middle mismatch at level {level}, index {index}: {f} vs {composed}"
-        )
+    """The triad (e, f, g) with f = compose(e, g), one level below parent
+    (None for the root).  f must also be the parent's mutation
+    3 rank(kept end) f - (dropped end), an independent route."""
+    level, index = 0, 0
+    if parent is not None:
+        right = (e.rank, e.c1) == (parent.f.rank, parent.f.c1)
+        level, index = parent.level + 1, 2 * parent.index + right
+        kept, dropped = (parent.g, parent.e) if right else (parent.e, parent.g)
+        mutated = _mutation(parent.f, dropped, 3 * kept.rank)
+        if mutated.rank != f.rank or mutated.c1 != f.c1:
+            raise InternalInconsistencyError(
+                f"middle mismatch at level {level}, index {index}: {mutated} vs {f}"
+            )
     # h is the kernel of e x Hom(e, f) -> f, and chi(e, f) = 3 rank(g)
     # in a triad; Triad.__init__ verifies that identity.
     return Triad(e, f, g, _mutation(e, f, 3 * g.rank), level, index)
@@ -154,21 +161,14 @@ def _make_triad(
 
 def root() -> Triad:
     e, g = exceptional._bundle(1, -1), exceptional._bundle(1, 0)
-    return _make_triad(e, exceptional.compose(e, g), g, 0, 0)
-
-
-def _child(t: Triad, right: bool) -> Triad:
-    """The right or left mutation child, its middle double-checked; chi(f, g) =
-    3 rank(e) and chi(e, f) = 3 rank(g) are verified in t and again in the child."""
-    level, index = t.level + 1, 2 * t.index
-    if right:
-        return _make_triad(t.f, _mutation(t.f, t.e, 3 * t.g.rank), t.g, level, index + 1)
-    return _make_triad(t.e, _mutation(t.f, t.g, 3 * t.e.rank), t.f, level, index)
+    return _make_triad(e, exceptional.compose(e, g), g, None)
 
 
 def children(t: Triad) -> tuple[Triad, Triad]:
-    """Left and right mutation children (``_child``)."""
-    return _child(t, False), _child(t, True)
+    """Left and right mutation children (``_make_triad``)."""
+    return tuple(  # type: ignore[return-value]
+        _make_triad(e, exceptional.compose(e, g), g, t) for e, g in ((t.e, t.f), (t.f, t.g))
+    )
 
 
 def iterate_triads(max_level: int) -> Iterator[Triad]:
@@ -188,8 +188,8 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 
     Descends toward the child whose slope bracket contains mu; a point
     straight above a tile's top vertex is in no tile at all and raises
-    NotCoveredError.  Past ``max_depth`` levels it raises
-    DepthExhaustedError with the ends (e, g) of the last triad tested.
+    NotCoveredError.  After ``max_depth`` triads it raises
+    DepthExhaustedError with the ends (e, g) of the next one.
     """
     mu, disc = Fraction(mu), Fraction(disc)
     return _locate(mu.numerator, mu.denominator, disc.numerator, disc.denominator, max_depth)
@@ -197,25 +197,26 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 
 def _locate(n: int, d: int, a: int, b: int, max_depth: int | None) -> Triad:
     """``locate_triangle`` at mu = n/d, disc = a/b with d, b > 0, in any
-    terms; it builds one triad per level, the child it enters."""
+    terms; each level of its walk builds one triad, from the bracket and mid."""
     if n < -d or n > 0:
         raise ValueError(f"slope {Fraction(n, d)} outside [-1, 0]")
-    cap = max_depth if max_depth is not None else max_depth_default()
-    t = root()
-    while not _inside(t, n, d, a, b, False):
-        side = n * t.f.rank - t.f.c1 * d  # sign of mu - mu(f)
+    t = None
+
+    def steer(lo, mid, hi):
+        nonlocal t
+        t = _make_triad(lo, mid, hi, t)
+        if _inside(t, n, d, a, b, False):
+            return 0
+        side = n * mid.rank - mid.c1 * d  # sign of mu - mu(f)
         if side == 0:
             raise NotCoveredError(
                 f"({Fraction(n, d)}, {Fraction(a, b)}) sits above the vertex of {t.label()} "
                 "and is not covered"
             )
-        if t.level >= cap:
-            raise DepthExhaustedError(
-                f"no tile found for ({Fraction(n, d)}, {Fraction(a, b)}) within depth {cap}",
-                bracket=(t.e, t.g),
-            )
-        t = _child(t, side > 0)
-    return t
+        return side
+
+    exceptional._walk(steer, lambda: f"point ({Fraction(n, d)}, {Fraction(a, b)})", max_depth, -1)
+    return t  # type: ignore[return-value]
 
 
 # -- series attached to an exceptional bundle ---------------------------
@@ -242,7 +243,7 @@ def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[Excep
     if f.rank == 1:
         g0, g1 = exceptional._bundle(1, f.c1 - 2), exceptional._bundle(1, f.c1 - 1)
     else:
-        lo, hi = exceptional._descend(f, None)[1:] if bracket is None else bracket
+        lo, hi = exceptional._descend(f.rank, f.c1, None)[1:] if bracket is None else bracket
         g0, g1 = hi.twist(-3), lo
     c = euler_pairing(g0.chern, g1.chern)
     if c != 3 * f.rank:

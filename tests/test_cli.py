@@ -88,15 +88,15 @@ def test_depth_exhausted_names_its_bracket(capsys, monkeypatch):
     code, out, err = run(capsys, "slope", "--invert", "--depth", "1", "--", "-12/29")
     assert (code, out) == (2, "")
     assert err == (
-        "prioritaire: depth exhausted: slope -12/29 not reached in 1 levels"
-        " (bracket -1/2 .. 0)\n"
+        "prioritaire: depth exhausted: slope -12/29 not resolved within depth 1"
+        " (bracket E(-1/2) .. O(0))\n"
     )
 
     monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "1")
     code, out, err = run(capsys, "decompose", "--", "14", "-5", "18")
     assert (code, out) == (2, "")
     assert err == (
-        "prioritaire: depth exhausted: no tile found for (-5/14, 179/392) within depth 1"
+        "prioritaire: depth exhausted: point (-5/14, 179/392) not resolved within depth 1"
         " (bracket E(-1/2) .. O(0))\n"
     )
 

@@ -8,7 +8,9 @@ chi(beta, gamma) = 0.
 
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -238,7 +240,8 @@ def test_dyadic_of_far_translates():
 
 def test_dyadic_of_refuses_every_slope_off_the_lattice():
     # Every slope in (-1, 0] with rank < 400 whose forced c2 is integral:
-    # the lattice ones round-trip, the others are refused by ValueError.
+    # the lattice ones round-trip, the others are refused by ValueError,
+    # both by from_slope and by dyadic_of of the record _bundle builds.
     # Lattice ranks at level 7 are at least 610, so level 6 lists them all.
     lattice = {(f.rank, f.c1) for f in enumerate_to_level(6) if f.rank < 400 and f.c1 > -f.rank}
     refused = 0
@@ -246,12 +249,14 @@ def test_dyadic_of_refuses_every_slope_off_the_lattice():
         for c1 in range(-r + 1, 1):
             if (r - 1) * (r + 1 + c1 * c1) % (2 * r):
                 continue
-            f = from_slope(Fraction(c1, r))
             if (r, c1) in lattice:
+                f = from_slope(Fraction(c1, r))
                 assert from_dyadic(dyadic_of(f)) == f
             else:
-                with pytest.raises(ValueError, match="is not an exceptional slope"):
-                    dyadic_of(f)
+                with pytest.raises(ValueError, match="is not an exceptional slope$"):
+                    from_slope(Fraction(c1, r))
+                with pytest.raises(ValueError, match="is not an exceptional slope$"):
+                    dyadic_of(ex._bundle(r, c1))
                 refused += 1
     assert (len(lattice), refused) == (18, 174)
 
@@ -264,15 +269,15 @@ def test_dyadic_of_refuses_at_once(monkeypatch):
     for slope in (Fraction(-3, 10), Fraction(13, 10)):
         calls.clear()
         with pytest.raises(ValueError, match=f"{slope} is not an exceptional slope"):
-            dyadic_of(from_slope(slope), max_depth=3000)
+            dyadic_of(ex._bundle(slope.denominator, slope.numerator), max_depth=3000)
         assert len(calls) == 3
 
 
 def test_dyadic_of_translates_its_bracket():
-    # Out of depth, the bracket is translated back like the answer.
+    # Out of depth, the bracket is translated like the answer.
     with pytest.raises(DepthExhaustedError) as err:
         dyadic_of(from_slope(Fraction(46, 29)), max_depth=1)
-    assert err.value.bracket == (Dyadic(3, 1), Dyadic(2, 0))
+    assert err.value.bracket == (from_dyadic(Dyadic(3, 1)), from_dyadic(Dyadic(2, 0)))
     for f in enumerate_to_level(4)[1:-1]:
         for cap in range(1, dyadic_of(f).q):
             with pytest.raises(DepthExhaustedError) as base:
@@ -280,9 +285,7 @@ def test_dyadic_of_translates_its_bracket():
             for shift in (-3, 2):
                 with pytest.raises(DepthExhaustedError) as moved:
                     dyadic_of(f.twist(shift), max_depth=cap)
-                assert [d.value() for d in moved.value.bracket] == [
-                    d.value() + shift for d in base.value.bracket
-                ]
+                assert moved.value.bracket == tuple(b.twist(shift) for b in base.value.bracket)
 
 
 def test_locate_exceptional():
@@ -299,6 +302,53 @@ def test_locate_depth_cap():
     with pytest.raises(DepthExhaustedError) as err:
         locate_exceptional(Fraction(-9, 20), max_depth=0)
     assert err.value.bracket is not None
+
+
+def test_every_descent_exhausts_alike(monkeypatch):
+    # dyadic_of, locate_many and locate_triangle walk the tree alike: a cap
+    # N composes at most N mids, and past them the error names what was
+    # sought and the pair of neighbours the walk would have entered next.
+    rng = random.Random(9709)
+    queries = []
+    for _ in range(12):
+        f = from_dyadic(Dyadic(rng.randrange(1, 1 << 7, 2), 7)).twist(rng.randint(-3, 2))
+        queries.append((f"slope {f.slope}", lambda cap, f=f: dyadic_of(f, cap)))
+        mu = Fraction(-rng.randint(1, 10**4 - 1), 10**4)
+        queries.append((f"slope {mu}", lambda cap, mu=mu: locate_many([mu], cap)))
+        t = helix.root()
+        for _ in range(rng.randint(2, 7)):
+            t = helix.children(t)[rng.random() < 0.5]
+        tri = t.triangle()
+        mu = (t.e.slope + 2 * t.f.slope) / 3
+        disc = (tri.side_eg(mu) + tri.side_ef(mu)) / 2
+        point = lambda cap, mu=mu, disc=disc: helix.locate_triangle(mu, disc, cap)  # noqa: E731
+        queries.append((f"point ({mu}, {disc})", point))
+    calls = []
+    original = ex.compose
+    monkeypatch.setattr(ex, "compose", lambda a, b: calls.append(a) or original(a, b))
+    exhausted = 0
+    for what, query in queries:
+        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+            query(-1)
+        for cap in range(7):
+            calls.clear()
+            try:
+                query(cap)
+            except DepthExhaustedError as err:
+                assert str(err) == f"{what} not resolved within depth {cap}"
+                assert len(calls) == cap
+                original(*err.bracket)  # neighbours, or compose raises ValueError
+                exhausted += 1
+    assert exhausted > 3 * len(queries)
+
+
+def test_one_raise_site_and_one_cap_resolution():
+    # Every descent goes through exceptional._walk, which alone raises
+    # DepthExhaustedError and reads the default cap.
+    package = Path(ex.__file__).parent
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    assert text.count("raise DepthExhaustedError") == 1
+    assert len(re.findall(r"(?<!def )max_depth_default\(\)", text)) == 1
 
 
 def test_enumerate_levels():
@@ -374,15 +424,16 @@ def test_contains_slope_matches_surd_reference_far_out():
 
 
 def _reference_locate(mu: Fraction, cap: int):
-    """The descent re-testing both ends of every bracket with surds; returns
-    the owner, or the bracket at which the cap runs out."""
+    """The descent testing the two ends, then each of at most ``cap`` mids,
+    by equality or surd containment; returns the owner, or the bracket it
+    would have entered next when the cap runs out."""
     lo, hi = from_slope(Fraction(-1)), from_slope(Fraction(0))
+    for end in (lo, hi):
+        if mu == end.slope or _surd_contains(end, mu):
+            return end
     for _ in range(cap):
-        for end in (lo, hi):
-            if mu == end.slope or _surd_contains(end, mu):
-                return end
         mid = compose(lo, hi)
-        if mu == mid.slope:
+        if mu == mid.slope or _surd_contains(mid, mu):
             return mid
         if mu < mid.slope:
             hi = mid
