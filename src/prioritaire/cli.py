@@ -41,7 +41,6 @@ from .errors import (
 )
 from .surd import QuadSurd, decimal_str, format_rational, format_surd, parse_rational
 
-MAX_TILE_DEPTH = 10
 MAX_TILE_SAMPLES = 256
 
 _EPILOG = (
@@ -180,7 +179,7 @@ def build_parser() -> _Parser:
         type=int,
         required=True,
         metavar="N",
-        help=f"deepest tile level, at most {MAX_TILE_DEPTH}",
+        help=f"deepest tile level, at most {helix.MAX_TILE_DEPTH}",
     )
     p.add_argument("--format", choices=("svg", "csv"), default="svg")
     p.add_argument(
@@ -383,8 +382,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_tile(args: argparse.Namespace) -> int:
-    if args.depth > MAX_TILE_DEPTH:
-        raise ParseError(f"tile depth {args.depth} exceeds the maximum {MAX_TILE_DEPTH}")
+    if args.depth > helix.MAX_TILE_DEPTH:
+        raise ParseError(f"tile depth {args.depth} exceeds the maximum {helix.MAX_TILE_DEPTH}")
     if args.samples > MAX_TILE_SAMPLES:
         raise ParseError(f"tile samples {args.samples} exceeds the maximum {MAX_TILE_SAMPLES}")
     if args.format == "svg":

@@ -3,7 +3,8 @@
 An exceptional bundle is determined by its rank r and first Chern class
 c1: discriminant (1 - 1/r^2)/2 and c2 = ((r-1)/(2r)) * (r + 1 + c1^2),
 which must come out an integer.  One private constructor builds every
-bundle from (r, c1) and holds the package's only cache.
+bundle from (r, c1) and holds a cache of 4096 bundles; the package's only
+other store is ``helix``'s kept triad levels, at most MAX_TILE_DEPTH + 1 = 11.
 
 Composition produces the bundle gamma between alpha and beta with
 chi(E_gamma, E_alpha) = chi(E_beta, E_gamma) = 0, whose slope is

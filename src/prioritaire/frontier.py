@@ -205,9 +205,11 @@ def classify(cd: ChernData, max_depth: int | None = None) -> Region:
 def _classify_normalized(norm: ChernData, max_depth: int | None) -> Region:
     """``classify`` of invariants already twisted into -1 < mu <= 0."""
     r, c1, c2 = norm.rank, norm.c1, norm.c2
+    # The cap is resolved before any answer, so a bad one raises below the bound too.
+    cap = exceptional._cap(max_depth)
     if not _prioritary(r, c1, c2):
         return Region(RegionTag.NO_PRIORITARY)
-    f = exceptional._owners([(c1, r)], max_depth)[0]
+    f = exceptional._owners([(c1, r)], cap)[0]
     delta_gap, a, nr = _frontier_gaps(r, c1, c2, f)
     if delta_gap >= 0:
         return Region(RegionTag.SEMISTABLE_POSITIVE_DIM, f)

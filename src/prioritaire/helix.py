@@ -23,7 +23,9 @@ where h is the kernel bundle of e x Hom(e,f) -> f.  The bottom side is
 taken with argument mu(h) - mu so that it passes exactly through the
 vertices e and g; all three sides are vanishing loci of Euler pairings
 against a fixed bundle.  Tiles are closed; point location descends from
-the root and returns the shallowest containing tile.
+the root and returns the shallowest containing tile.  The levels up to
+MAX_TILE_DEPTH are built and checked once per process and then kept
+(``iterate_triads``).
 
 Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
@@ -44,6 +46,15 @@ from ._record import Record
 from .chern import euler_pairing
 from .errors import InternalInconsistencyError, NotCoveredError
 from .exceptional import Dyadic, ExceptionalBundle
+
+
+# The deepest tile level that ``iterate_triads`` keeps (levels 0..10 hold
+# 2047 triads) and the deepest one the CLI renders.
+MAX_TILE_DEPTH = 10
+
+# Fully built levels of the triad tree, level k at index k: at most
+# MAX_TILE_DEPTH + 1 of them, grown on demand and never cleared.
+_levels: list[list[Triad]] = []
 
 
 def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
@@ -172,15 +183,23 @@ def children(t: Triad) -> tuple[Triad, Triad]:
 
 
 def iterate_triads(max_level: int) -> Iterator[Triad]:
-    """All triads with level <= max_level, in breadth-first order."""
-    frontier = [root()]
+    """All triads with level <= max_level, in breadth-first order.
+
+    Levels up to MAX_TILE_DEPTH come from ``_levels``, built once per
+    process; deeper ones are built from the kept level MAX_TILE_DEPTH on
+    each call and dropped.  A level is kept only once it is fully built and
+    only if it is the next one, so an interleaved call or a check that
+    raises halfway leaves no partial or duplicate level.
+    """
+    triads: list[Triad] = []
     for level in range(max_level + 1):
-        next_frontier: list[Triad] = []
-        for t in frontier:
-            yield t
-            if level < max_level:
-                next_frontier.extend(children(t))
-        frontier = next_frontier
+        if level < len(_levels):
+            triads = _levels[level]
+        else:
+            triads = [root()] if level == 0 else [c for t in triads for c in children(t)]
+            if level <= MAX_TILE_DEPTH and len(_levels) == level:
+                _levels.append(triads)
+        yield from triads
 
 
 def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) -> Triad:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import exceptional, frontier, helix
 from .exceptional import ExceptionalBundle
-from .surd import QuadSurd, format_rational
+from .surd import format_rational
 
 # The view spans the slopes [-1, 0] across its width and the
 # discriminants [0, DELTA_MAX] up its height.
@@ -37,10 +37,6 @@ _PALETTE = (
 
 def _py(delta: float) -> float:
     return VIEW_H - delta / _DELTA_MAX_FLOAT * VIEW_H
-
-
-def _surd_float(s: QuadSurd) -> float:
-    return float(s.a) + float(s.b) * math.sqrt(s.d)
 
 
 def _side_coords(
@@ -75,15 +71,27 @@ def _tile_path(t: helix.Triad, samples: int) -> str:
 
 
 def _frontier_polylines(samples: int) -> tuple[str, str]:
-    """Point lists for the semistability and rigidity frontier curves."""
+    """Point lists for the semistability and rigidity frontier curves at
+    the slopes (i - n)/n, i = 0..n, n = 8 samples.
+
+    The owners come from one ``exceptional._owners`` walk, and each point
+    from ``frontier._conic_terms`` (N, N', k, m) of its owner F of rank r:
+    delta = N/(2m^2) and delta_prime = N'/(2m^2) + k/(2mr) sqrt(9r^2 - 4).
+    Each division is one int/int true division, correctly rounded like
+    ``float()`` of the reduced Fraction, and 9r^2 - 4 is never a square,
+    so the text is ``float(a) + float(b) * sqrt(d)`` of the exact values.
+    """
     n = 8 * samples
-    values = frontier.delta_many(Fraction(i - n, n) for i in range(n + 1))
+    pairs = [(i - n, n) for i in range(n + 1)]
     upper = []
     lower = []
-    for i, (_, d, dp) in enumerate(values):
+    for i, f in enumerate(exceptional._owners(pairs, None)):
+        big_n, rational, k, m = frontier._conic_terms(i - n, n, f)
+        r, den = f.rank, 2 * m * m
         x = f"{i / n * VIEW_W:.3f}"
-        upper.append(f"{x},{_py(float(d)):.3f}")
-        lower.append(f"{x},{_py(_surd_float(dp)):.3f}")
+        upper.append(f"{x},{_py(big_n / den):.3f}")
+        dp = rational / den + k / (2 * m * r) * math.sqrt(9 * r * r - 4)
+        lower.append(f"{x},{_py(dp):.3f}")
     return " ".join(upper), " ".join(lower)
 
 

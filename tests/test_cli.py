@@ -109,6 +109,8 @@ def test_constructor_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(
         helix, "_mutation", lambda a, b, chi: exceptional._bundle(a.rank * chi, chi * a.c1)
     )
+    # An empty kept tree, as in a fresh process: the render builds level 1.
+    monkeypatch.setattr(helix, "_levels", [])
     code, out, err = run(capsys, "tile", "--depth", "1", "--format", "csv")
     assert (code, out) == (2, "")
     assert err == "prioritaire: inconsistency: (3, -3) is not exceptional: c2 not integral\n"

@@ -185,6 +185,9 @@ def test_every_cache_is_bounded():
         if hasattr(obj, "cache_info")
     ]
     assert cached == [("prioritaire.exceptional", "_bundle", 4096)]
+    # The kept triad levels stop at MAX_TILE_DEPTH, however deep the call.
+    assert sum(1 for _ in helix.iterate_triads(helix.MAX_TILE_DEPTH + 1)) == (1 << 12) - 1
+    assert len(helix._levels) <= helix.MAX_TILE_DEPTH + 1
 
 
 def test_half_width_satisfies_quadratic():

@@ -310,6 +310,8 @@ def test_contains_matches_fraction_form():
 def test_five_euler_pairings_per_triad(monkeypatch):
     # Triad.__init__ computes five pairings; children and the kernel
     # bundle take chi(e,f) = 3 rank(g) and chi(f,g) = 3 rank(e) from it.
+    # An empty kept tree makes iterate_triads build every triad it yields.
+    monkeypatch.setattr(helix, "_levels", [])
     calls = []
     original = helix.euler_pairing
 
@@ -321,6 +323,61 @@ def test_five_euler_pairings_per_triad(monkeypatch):
     triads = list(iterate_triads(4))
     assert len(triads) == 31
     assert len(calls) == 5 * len(triads)
+
+
+def test_repeated_renders_build_each_triad_once(monkeypatch):
+    from prioritaire import render
+
+    monkeypatch.setattr(helix, "_levels", [])
+    built = []
+    original = helix._make_triad
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(helix, "_make_triad", counted)
+    counts = []
+    for _ in range(2):
+        render.tile_csv(6)
+        counts.append(len(built))
+        built.clear()
+    assert counts == [127, 0]
+
+
+def test_kept_tree_matches_a_fresh_build_and_stays_bounded():
+    fresh, level = [], [root()]
+    for _ in range(13):
+        fresh += level
+        level = [c for t in level for c in children(t)]
+    assert list(iterate_triads(12)) == fresh
+    # Levels 0..MAX_TILE_DEPTH are kept, whole; 11 and 12 are not.
+    levels = range(helix.MAX_TILE_DEPTH + 1)
+    assert [len(kept) for kept in helix._levels] == [1 << k for k in levels]
+
+
+def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch):
+    monkeypatch.setattr(helix, "_levels", [])
+    original = helix._make_triad
+
+    def failing(e, f, g, parent):
+        t = original(e, f, g, parent)
+        if (t.level, t.index) == (3, 5):
+            raise InternalInconsistencyError("check failed halfway through level 3")
+        return t
+
+    monkeypatch.setattr(helix, "_make_triad", failing)
+    with pytest.raises(InternalInconsistencyError, match="halfway"):
+        list(iterate_triads(4))
+    assert [len(kept) for kept in helix._levels] == [1, 2, 4]
+    monkeypatch.setattr(helix, "_make_triad", original)
+    first, second = iterate_triads(5), iterate_triads(5)
+    a, b = [], []
+    for x, y in zip(first, second):
+        a.append(x)
+        b.append(y)
+    assert a == b == list(iterate_triads(5))
+    assert [len(kept) for kept in helix._levels] == [1 << k for k in range(6)]
 
 
 def test_series_takes_its_bracket_from_one_walk(monkeypatch):

@@ -2,12 +2,16 @@
 against the Fraction computation it replaces.
 
 The digests were taken from the renderer that sampled every side with
-``Fraction`` arithmetic and printed ``float()`` of each value.  The
-integer renderer prints the same text because int/int true division is
-correctly rounded, as ``Fraction.__float__`` is.
+``Fraction`` arithmetic and printed ``float()`` of each value; those of
+SVG levels 6-10, of 256 samples and of CSV levels 7-10 from the one that
+rebuilt the triads on every call and printed the frontier curves from
+``Fraction`` and ``QuadSurd`` values.  The integer renderer prints the
+same text because int/int true division is correctly rounded, as
+``Fraction.__float__`` is.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -40,6 +44,12 @@ SVG_SHA256 = {
     (5, 2): "74067633e70ab1c697d6d1325f9e043d530c8dbcafbb5f021fb4c9fb1d18a798",
     (5, 7): "abf067d25c2d71cb11d50a459a3e18fd283ae8968759d7f100575c69a67f6889",
     (5, 64): "cb8de4b5460ea3aedaab87ba7a90f22a5754414b00439aafd3cf9dd8c5ec891c",
+    (6, 1): "a20b2f934d5784d9573372470d0cf3d69b9cf337b8aab5c3990fb48d786e7393",
+    (7, 1): "609e7ae15eb2054483a5c416921e6f3762364ed81af64108f3be681f785426a2",
+    (8, 1): "240fe774a725e39dbe046322b06d07afcad9eee3e54131adae186ad02bd2557a",
+    (9, 1): "a86a2652c597f0213b2e2d3c5d7cd761b5672c9b5bd3b2e18474b1b197051082",
+    (10, 1): "9529a13a6c7dbfb8341c7c367e19d9835511086147751f939111485ad90ffc1c",
+    (2, 256): "55e398c9b04e6b810bd56411ff10584306fd07a538f210b655c45180cdc35a62",
 }
 
 CSV_SHA256 = {
@@ -50,6 +60,10 @@ CSV_SHA256 = {
     4: "26d992ac77b3f224c7fffaaeac1442296062f20014d70b3133f55c277f4c6e65",
     5: "22d61c3c3614d022d9dba5b9132ee293f3626bfbcc98b8bb55479fe013949895",
     6: "0ee7125696cc3380f7a0da86c0d2bfac4ce550a06a3063304c0fb3d8cbd8b0fe",
+    7: "cfdc33c490342da921001f88870a0bfcf3f4220b2782886337a1e9ae929c97c2",
+    8: "f0add2107723eb37b32b24c3d6cfbdc9b4b0b6b897ebff696faa31ed98519529",
+    9: "1ecf3395e22456143dc6f58339d4f9d1f8c82ddb0fc619279d7bab97985dd230",
+    10: "f5be3e6ff73289f919e414df2f4891522d6941b382db38a288b4c4442a3ba011",
 }
 
 
@@ -107,13 +121,15 @@ def test_sampled_side_points_match_the_fraction_sides():
 
 
 def test_frontier_polylines_match_the_fraction_frontiers():
-    for samples in (1, 3):
+    for samples in (1, 3, 16):
         n = 8 * samples
         upper, lower = render._frontier_polylines(samples)
+        assert len(upper.split()) == len(lower.split()) == n + 1
         for i, (up, low) in enumerate(zip(upper.split(), lower.split())):
             mu = Fraction(i - n, n)
             d = render.frontier.delta(mu)
             dp = render.frontier.delta_prime(mu)
             x = f"{float(mu + 1) * 1000:.3f}"
             assert up == f"{x},{700 - float(d) / 0.7 * 700:.3f}"
-            assert low == f"{x},{700 - render._surd_float(dp) / 0.7 * 700:.3f}"
+            dp_float = float(dp.a) + float(dp.b) * math.sqrt(dp.d)
+            assert low == f"{x},{700 - dp_float / 0.7 * 700:.3f}"
