@@ -68,7 +68,6 @@ from .frontier import (
 from .helix import (
     ExtDims,
     Triad,
-    Triangle,
     TriState,
     children,
     ext_dims,
@@ -106,7 +105,6 @@ __all__ = [
     "Summand",
     "TriState",
     "Triad",
-    "Triangle",
     "character_pairing",
     "children",
     "classify",

@@ -110,7 +110,7 @@ def _depth_arg(p: argparse.ArgumentParser, what: str) -> None:
         type=int,
         default=None,
         metavar="N",
-        help=f"{what} (default: PRIORITAIRE_MAX_DEPTH or 64)",
+        help=f"{what} (default: PRIORITAIRE_MAX_DEPTH or {exceptional.DEFAULT_MAX_DEPTH})",
     )
 
 

@@ -69,6 +69,12 @@ class Summand(Record):
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
         if kind not in (KIND_EXCEPTIONAL, KIND_GENERIC, KIND_POINT_EXT):
             raise ValueError(f"unknown summand kind {kind!r}")
+        given = (bundle is not None, data is not None)
+        if given != (kind == KIND_EXCEPTIONAL, kind == KIND_GENERIC):
+            raise ValueError(
+                f"a {kind} summand needs a bundle if exceptional, data if generic_semistable "
+                f"and neither otherwise; got bundle={bundle}, data={data}"
+            )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "bundle", bundle)
@@ -79,22 +85,18 @@ class Summand(Record):
         return self.chern_data().character()
 
     def chern_data(self) -> ChernData:
-        if self.kind == KIND_EXCEPTIONAL:
-            assert self.bundle is not None
+        if self.bundle is not None:
             return self.bundle.chern
-        if self.kind == KIND_GENERIC:
-            assert self.data is not None
+        if self.data is not None:
             return self.data
         # The extension of the ideal of a point by O, (2, 0, 1), twisted.
         t = self.twist
         return ChernData(2, 2 * t, t * t + 1)
 
     def label(self) -> str:
-        if self.kind == KIND_EXCEPTIONAL:
-            assert self.bundle is not None
+        if self.bundle is not None:
             return self.bundle.label()
-        if self.kind == KIND_GENERIC:
-            assert self.data is not None
+        if self.data is not None:
             d = self.data
             return f"generic({d.rank},{d.c1},{d.c2})"
         return f"V({self.twist})" if self.twist else "V"
@@ -174,11 +176,9 @@ def _untwist(summands: list[Summand], k: int) -> tuple[Summand, ...]:
         return tuple(summands)
     out = []
     for s in summands:
-        if s.kind == KIND_EXCEPTIONAL:
-            assert s.bundle is not None
+        if s.bundle is not None:
             out.append(Summand(s.kind, s.multiplicity, bundle=s.bundle.twist(-k)))
-        elif s.kind == KIND_GENERIC:
-            assert s.data is not None
+        elif s.data is not None:
             out.append(Summand(s.kind, s.multiplicity, data=chern.twist(s.data, -k)))
         else:
             out.append(Summand(s.kind, s.multiplicity, twist=s.twist - k))

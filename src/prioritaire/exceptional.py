@@ -2,9 +2,11 @@
 
 An exceptional bundle is determined by its rank r and first Chern class
 c1: discriminant (1 - 1/r^2)/2 and c2 = ((r-1)/(2r)) * (r + 1 + c1^2),
-which must come out an integer.  One private constructor builds every
-bundle from (r, c1) and holds a cache of 4096 bundles; the package's only
-other store is ``helix``'s kept triad levels, at most MAX_TILE_DEPTH + 1 = 11.
+which must come out an integer.  ``ExceptionalBundle(r, c1)`` derives the
+rest and checks chi(F,F) = 1; the package builds every bundle through
+``_bundle``, the same constructor behind a cache of 4096 bundles.  The
+package's only other store is ``helix``'s kept triad levels, at most
+MAX_TILE_DEPTH + 1 = 11.
 
 Composition produces the bundle gamma between alpha and beta with
 chi(E_gamma, E_alpha) = chi(E_beta, E_gamma) = 0, whose slope is
@@ -41,6 +43,7 @@ import os
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from . import chern
 from ._record import Record
@@ -74,9 +77,9 @@ class Dyadic(Record):
     def __init__(self, p: int, q: int) -> None:
         if q < 0:
             raise ValueError(f"negative level {q}")
-        while q > 0 and p % 2 == 0:
-            p //= 2
-            q -= 1
+        # Strip every factor of two at once: the lowest set bit of p.
+        shift = q if p == 0 else min(q, (p & -p).bit_length() - 1)
+        p, q = p >> shift, q - shift
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -124,23 +127,41 @@ def parse_dyadic(text: str) -> Dyadic:
     return Dyadic.from_fraction(value)
 
 
-class ExceptionalBundle(Record):
-    """Exceptional bundle, determined by its slope.
+def _c2(rank: int, c1: int) -> tuple[int, int]:
+    """c2 = ((r-1)/(2r)) * (r + 1 + c1^2) of the exceptional bundle (r, c1),
+    as (quotient, remainder): the bundle exists only if the remainder is 0."""
+    return divmod((rank - 1) * (rank + 1 + c1 * c1), 2 * rank)
 
-    ``chern`` holds its invariants as ``ChernData``, built once; the
-    record's fields, for equality, hashing and repr, are the other five.
+
+class ExceptionalBundle(Record):
+    """The exceptional bundle of rank r and first Chern class c1.
+
+    c2 must be integral, which proves gcd(r, c1) = 1 (mod a common prime p
+    the numerator is -1), and chi(F,F) = 1; failures are
+    InternalInconsistencyError.  These are necessary conditions only:
+    ``from_slope`` also descends the lattice to the slope.  The record's
+    fields, for equality, hashing, repr and pickling, are (rank, c1);
+    ``slope``, ``c2``, ``delta`` and ``chern`` (the invariants as
+    ``ChernData``) are derived once.
     """
 
-    __slots__ = ("slope", "rank", "c1", "c2", "delta", "chern")
-    _fields = __slots__[:5]
+    __slots__ = ("rank", "c1", "slope", "c2", "delta", "chern")
+    _fields = __slots__[:2]
 
-    def __init__(self, slope: Fraction, rank: int, c1: int, c2: int, delta: Fraction) -> None:
-        object.__setattr__(self, "slope", slope)
+    def __init__(self, rank: int, c1: int) -> None:
+        if rank < 1:
+            raise InternalInconsistencyError(f"rank {rank} of ({rank}, {c1}) is not positive")
+        c2, rem = _c2(rank, c1)
+        if rem:
+            raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "slope", Fraction(c1, rank))
         object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", Fraction(rank * rank - 1, 2 * rank * rank))
         object.__setattr__(self, "chern", ChernData(rank, c1, c2))
+        if chern.euler_pairing(self.chern, self.chern) != 1:
+            raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
 
     def character(self) -> ChernCharacter:
         return self.chern.character()
@@ -197,22 +218,9 @@ def _conic_side(x: ExceptionalBundle, sign: int, n: int, d: int) -> tuple[int, i
     return t * t + 3 * t * w + (r * r + 1) * d * d, 2 * w * w
 
 
-@lru_cache(maxsize=4096)
-def _bundle(rank: int, c1: int) -> ExceptionalBundle:
-    """The exceptional bundle (r, c1).  c2 must be integral, which proves
-    gcd(r, c1) = 1 (mod a common prime p the numerator is -1), and
-    chi(F,F) = 1; failures are InternalInconsistencyError."""
-    if rank < 1:
-        raise InternalInconsistencyError(f"rank {rank} of ({rank}, {c1}) is not positive")
-    c2, rem = divmod((rank - 1) * (rank + 1 + c1 * c1), 2 * rank)
-    if rem:
-        raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
-    f = ExceptionalBundle(
-        Fraction(c1, rank), rank, c1, c2, Fraction(rank * rank - 1, 2 * rank * rank)
-    )
-    if chern.euler_pairing(f.chern, f.chern) != 1:
-        raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
-    return f
+# Every bundle of the package is built here: the constructor and its
+# checks behind the package's only cache.
+_bundle = lru_cache(maxsize=4096)(ExceptionalBundle)
 
 
 def from_slope(slope: Fraction) -> ExceptionalBundle:
@@ -227,7 +235,7 @@ def _from_slope(slope: Fraction, max_depth: int | None) -> tuple:
     """``from_slope`` and its dyadic, from one descent capped at max_depth;
     the bundle is built only once the descent has found it."""
     r, c1 = slope.denominator, slope.numerator
-    if (r - 1) * (r + 1 + c1 * c1) % (2 * r):
+    if _c2(r, c1)[1]:
         raise ValueError(f"{slope} is not an exceptional slope (c2 not integral)")
     d = _descend(r, c1, max_depth)[0]
     return _bundle(r, c1), d
@@ -320,8 +328,9 @@ def _from_dyadic(d: Dyadic) -> tuple:
     if d.q == 0:
         return _bundle(1, base), None
     offset = d.p - (base << d.q)  # d = base + offset/2^q, offset odd
-    # One sign per bit of offset below the top, then stop at the last bit.
-    signs = iter([*(1 if (offset >> k) & 1 else -1 for k in range(d.q - 1, 0, -1)), 0])
+    # One sign per bit of offset below the top, then stop at the last bit;
+    # drawn as the walk goes, so memory stays flat however deep d lies.
+    signs = chain((1 if (offset >> k) & 1 else -1 for k in range(d.q - 1, 0, -1)), (0,))
     lo, mid, hi, _, _ = _walk(lambda lo, mid, hi: next(signs), lambda: f"dyadic {d}", d.q, base)
     return mid, (lo, hi)
 

@@ -13,13 +13,15 @@ first Chern classes follow the mutation bookkeeping
 and every middle, composed from its two ends, is cross-checked against
 this mutation of its parent, an independent integer route.
 
-Each triad owns a curvilinear triangle in the (mu, Delta) plane:
+Each triad is also its tile, a curvilinear triangle in the (mu, Delta)
+plane (``Triad.side_ef``, ``side_fg``, ``side_eg`` and ``contains``):
 
     Delta <= P(mu - mu(g)) - Delta(g)     side through vertices e and f
     Delta <= P(mu(e) - mu) - Delta(e)     side through vertices f and g
     Delta >= P(mu(h) - mu) - Delta(h)     side through vertices e and g
 
-where h is the kernel bundle of e x Hom(e,f) -> f.  The bottom side is
+where h is the kernel bundle of e x Hom(e,f) -> f, which the triad
+derives from (e, f, g) when it is built.  The bottom side is
 taken with argument mu(h) - mu so that it passes exactly through the
 vertices e and g; all three sides are vanishing loci of Euler pairings
 against a fixed bundle.  Tiles are closed; point location descends from
@@ -65,29 +67,29 @@ def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> Exception
 
 
 class Triad(Record):
-    """Slope-ordered orthogonal triple with its tree position.
+    """Slope-ordered orthogonal triple with its tree position, and its tile.
 
-    ``h`` is the kernel bundle of e x Hom(e,f) -> f, which carries the
-    bottom side of the triangle.  ``level``/``index`` place the triad in
-    the binary tree over [-1, 0]: its slope bracket is the image of the
-    dyadic interval [(index)/2^level - 1, (index+1)/2^level - 1].
+    ``level``/``index`` place the triad in the binary tree over [-1, 0]:
+    its slope bracket is the image of the dyadic interval
+    [(index)/2^level - 1, (index+1)/2^level - 1].  ``h``, the kernel bundle
+    of e x Hom(e,f) -> f that carries the bottom side of the tile, is
+    derived from (e, f, g) once the triad identities hold.
     """
 
-    __slots__ = ("e", "f", "g", "h", "level", "index")
+    __slots__ = ("e", "f", "g", "level", "index", "h")
+    _fields = __slots__[:5]
 
     def __init__(
         self,
         e: ExceptionalBundle,
         f: ExceptionalBundle,
         g: ExceptionalBundle,
-        h: ExceptionalBundle,
         level: int,
         index: int,
     ) -> None:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "index", index)
         if not (e.c1 * f.rank < f.c1 * e.rank and f.c1 * g.rank < g.c1 * f.rank):
@@ -102,6 +104,7 @@ class Triad(Record):
             raise InternalInconsistencyError(f"chi(e,f) != 3*rank(g) in {self.label()}")
         if euler_pairing(f.chern, g.chern) != 3 * re_:
             raise InternalInconsistencyError(f"chi(f,g) != 3*rank(e) in {self.label()}")
+        object.__setattr__(self, "h", _mutation(e, f, 3 * rg))
 
     def label(self) -> str:
         return f"({self.e}, {self.f}, {self.g})"
@@ -109,44 +112,31 @@ class Triad(Record):
     def mid_dyadic(self) -> Dyadic:
         return Dyadic(2 * self.index + 1 - (1 << (self.level + 1)), self.level + 1)
 
-    def triangle(self) -> "Triangle":
-        return Triangle(self)
-
-
-class Triangle(Record):
-    """The closed curvilinear tile attached to a triad."""
-
-    __slots__ = ("triad",)
-
-    def __init__(self, triad: Triad) -> None:
-        object.__setattr__(self, "triad", triad)
-
     def side_ef(self, mu: Fraction) -> Fraction:
-        return Fraction(*exceptional._conic_side(self.triad.g, 1, mu.numerator, mu.denominator))
+        return Fraction(*exceptional._conic_side(self.g, 1, mu.numerator, mu.denominator))
 
     def side_fg(self, mu: Fraction) -> Fraction:
-        return Fraction(*exceptional._conic_side(self.triad.e, -1, mu.numerator, mu.denominator))
+        return Fraction(*exceptional._conic_side(self.e, -1, mu.numerator, mu.denominator))
 
     def side_eg(self, mu: Fraction) -> Fraction:
-        return Fraction(*exceptional._conic_side(self.triad.h, -1, mu.numerator, mu.denominator))
+        return Fraction(*exceptional._conic_side(self.h, -1, mu.numerator, mu.denominator))
 
     def contains(self, mu: Fraction, disc: Fraction, strict: bool = False) -> bool:
         """Whether (mu, disc) lies in the closed tile (its interior if strict)."""
         mu, disc = Fraction(mu), Fraction(disc)
         n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
-        return _inside(self.triad, n, d, a, b, strict)
+        return self._contains(n, d, a, b, strict)
 
-
-def _inside(t: Triad, n: int, d: int, a: int, b: int, strict: bool) -> bool:
-    """``Triangle.contains`` at mu = n/d, disc = a/b with d, b > 0, in any
-    terms: disc is compared with each side num/den by the sign of
-    a*den - num*b, oriented towards the inside of the tile."""
-    for x, sign, inward in ((t.g, 1, -1), (t.e, -1, -1), (t.h, -1, 1)):
-        num, den = exceptional._conic_side(x, sign, n, d)
-        gap = (a * den - num * b) * inward
-        if gap < 0 or (strict and gap == 0):
-            return False
-    return True
+    def _contains(self, n: int, d: int, a: int, b: int, strict: bool) -> bool:
+        """``contains`` at mu = n/d, disc = a/b with d, b > 0, in any terms:
+        disc is compared with each side num/den by the sign of a*den - num*b,
+        oriented towards the inside of the tile."""
+        for x, sign, inward in ((self.g, 1, -1), (self.e, -1, -1), (self.h, -1, 1)):
+            num, den = exceptional._conic_side(x, sign, n, d)
+            gap = (a * den - num * b) * inward
+            if gap < 0 or (strict and gap == 0):
+                return False
+        return True
 
 
 def _make_triad(
@@ -165,9 +155,7 @@ def _make_triad(
             raise InternalInconsistencyError(
                 f"middle mismatch at level {level}, index {index}: {mutated} vs {f}"
             )
-    # h is the kernel of e x Hom(e, f) -> f, and chi(e, f) = 3 rank(g)
-    # in a triad; Triad.__init__ verifies that identity.
-    return Triad(e, f, g, _mutation(e, f, 3 * g.rank), level, index)
+    return Triad(e, f, g, level, index)
 
 
 def root() -> Triad:
@@ -224,7 +212,7 @@ def _locate(n: int, d: int, a: int, b: int, max_depth: int | None) -> Triad:
     def steer(lo, mid, hi):
         nonlocal t
         t = _make_triad(lo, mid, hi, t)
-        if _inside(t, n, d, a, b, False):
+        if t._contains(n, d, a, b, False):
             return 0
         side = n * mid.rank - mid.c1 * d  # sign of mu - mu(f)
         if side == 0:

@@ -137,22 +137,20 @@ def _check_triads(depth: int) -> str:
     for t in helix.iterate_triads(depth):
         d = t.mid_dyadic()  # the (level, index) bookkeeping
         _require(exceptional.from_dyadic(d) == t.f, f"middle of {t.label()} is not at {d}")
-        tri = t.triangle()
         for side, ends in (
-            (tri.side_ef, (t.e, t.f)),
-            (tri.side_fg, (t.f, t.g)),
-            (tri.side_eg, (t.e, t.g)),
+            (t.side_ef, (t.e, t.f)),
+            (t.side_fg, (t.f, t.g)),
+            (t.side_eg, (t.e, t.g)),
         ):
             for v in ends:
                 _require(side(v.slope) == v.delta, f"vertex {v.label()} off a side of {t.label()}")
         if t.level < depth:
             left, right = helix.children(t)
-            lt, rt = left.triangle(), right.triangle()
             for i in range(1, 4):
                 mu = t.e.slope + (t.f.slope - t.e.slope) * Fraction(i, 4)
-                _require(lt.side_eg(mu) == tri.side_ef(mu), f"left child of {t.label()}")
+                _require(left.side_eg(mu) == t.side_ef(mu), f"left child of {t.label()}")
                 mu = t.f.slope + (t.g.slope - t.f.slope) * Fraction(i, 4)
-                _require(rt.side_eg(mu) == tri.side_fg(mu), f"right child of {t.label()}")
+                _require(right.side_eg(mu) == t.side_fg(mu), f"right child of {t.label()}")
         count += 1
     expected = (1 << (depth + 1)) - 1
     _require(count == expected, f"{count} tiles, expected {expected}")

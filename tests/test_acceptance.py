@@ -146,33 +146,31 @@ def test_acceptance_04_tiling_disjoint_interiors_shared_sides():
             running += per_level[n]
             assert running == 2 ** (n + 1) - 1
 
-        tris = [(t, t.triangle()) for t in tiles]
-        for t, tri in tris:
+        for t in tiles:
             span = t.g.slope - t.e.slope
             for i in range(1, 11):
                 mu = t.e.slope + span * Fraction(i, 11)
-                bottom = tri.side_eg(mu)
-                top = min(tri.side_ef(mu), tri.side_fg(mu))
+                bottom = t.side_eg(mu)
+                top = min(t.side_ef(mu), t.side_fg(mu))
                 assert bottom < top
                 point = (bottom + top) / 2
-                assert tri.contains(mu, point, strict=True)
-                hits = sum(1 for _, o in tris if o.contains(mu, point, strict=True))
+                assert t.contains(mu, point, strict=True)
+                hits = sum(1 for o in tiles if o.contains(mu, point, strict=True))
                 assert hits == 1
 
         # Breadth-first order puts the children of tiles[k] at 2k+1, 2k+2.
-        for k, (t, tri) in enumerate(tris):
+        for k, t in enumerate(tiles):
             if t.level == 6:
                 continue
             for child, parent_side, lo, hi in (
-                (tiles[2 * k + 1], tri.side_ef, t.e.slope, t.f.slope),
-                (tiles[2 * k + 2], tri.side_fg, t.f.slope, t.g.slope),
+                (tiles[2 * k + 1], t.side_ef, t.e.slope, t.f.slope),
+                (tiles[2 * k + 2], t.side_fg, t.f.slope, t.g.slope),
             ):
                 assert child.level == t.level + 1
                 assert child.index in (2 * t.index, 2 * t.index + 1)
-                ctri = child.triangle()
                 for j in (1, 2, 3):
                     mu = lo + (hi - lo) * Fraction(j, 4)
-                    assert ctri.side_eg(mu) == parent_side(mu)
+                    assert child.side_eg(mu) == parent_side(mu)
 
 
 def _sweep_case(cd):

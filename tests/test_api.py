@@ -6,7 +6,7 @@ import prioritaire
 
 REMOVED = {
     "surd": ("surd_sign", "surd_cmp", "Rational"),
-    "helix": ("triangle_contains",),
+    "helix": ("triangle_contains", "Triangle"),
     "frontier": ("SemistableKind",),
     "selfcheck": ("_CHECKS",),
 }

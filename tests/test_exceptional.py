@@ -7,6 +7,7 @@ chi(beta, gamma) = 0.
 """
 
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -39,6 +40,13 @@ def test_dyadic_normalization():
     assert Dyadic(-4, 2) == Dyadic(-1, 0)
     assert Dyadic(0, 5) == Dyadic(0, 0)
     assert Dyadic(-3, 2).value() == Fraction(-3, 4)
+    # One shift by the lowest set bit of p, however many factors of two.
+    assert (Dyadic(0, 10**9).p, Dyadic(0, 10**9).q) == (0, 0)
+    assert Dyadic(3 << 200000, 200001) == Dyadic(3, 1)
+    assert Dyadic(-12, 4) == Dyadic(-3, 2)
+    assert Dyadic(-3 << 50, 50) == Dyadic(-3, 0)
+    assert Dyadic(-(1 << 70), 3) == Dyadic(-(1 << 67), 0)
+    assert (Dyadic(-5, 7).p, Dyadic(-5, 7).q) == (-5, 7)
 
 
 def test_dyadic_neighbors():
@@ -169,12 +177,50 @@ def test_compose_refuses_every_non_neighbour_pair():
 
 
 def test_constructor_raises_inconsistency():
-    for rank, c1 in ((0, 1), (-2, 1), (2, 0), (6, -3), (3, -1)):
-        with pytest.raises(InternalInconsistencyError):
-            ex._bundle(rank, c1)
+    for rank, c1 in ((0, 1), (-2, 1), (2, 0), (6, -3), (3, -1), (3, 1)):
+        for build in (ex._bundle, ex.ExceptionalBundle):
+            with pytest.raises(InternalInconsistencyError):
+                build(rank, c1)
     # from_slope is the boundary for user slopes and keeps ValueError.
     with pytest.raises(ValueError, match="not an exceptional slope"):
         from_slope(Fraction(-1, 3))
+
+
+def test_bundle_is_fixed_by_rank_and_c1():
+    f = ex.ExceptionalBundle(5, -2)
+    assert f == from_slope(Fraction(-2, 5)) and hash(f) == hash(from_slope(Fraction(-2, 5)))
+    assert (f.slope, f.c2, f.delta) == (Fraction(-2, 5), 4, Fraction(12, 25))
+    assert repr(f) == "ExceptionalBundle(rank=5, c1=-2)"
+    assert pickle.loads(pickle.dumps(f)) == f
+
+    class Forged:
+        def __reduce__(self):
+            return ex.ExceptionalBundle, (3, 1)
+
+    # Unpickling runs the constructor, so its checks too.
+    with pytest.raises(InternalInconsistencyError, match=r"^\(3, 1\) is not exceptional"):
+        pickle.loads(pickle.dumps(Forged()))
+
+
+def test_from_dyadic_draws_its_steering_bits_lazily(monkeypatch):
+    import tracemalloc
+
+    def one_level(steer, what, max_depth, start, mids=None):
+        lo, hi = ex._bundle(1, start), ex._bundle(1, start + 1)
+        mid = compose(lo, hi)
+        steer(lo, mid, hi)
+        return lo, mid, hi, 1, 1
+
+    monkeypatch.setattr(ex, "_walk", one_level)
+    d = Dyadic(1, 10**6)
+    tracemalloc.start()
+    try:
+        from_dyadic(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One sign per level, built up front, would take 8 bytes a level.
+    assert peak < 1 << 20
 
 
 def test_every_cache_is_bounded():
@@ -321,9 +367,8 @@ def test_every_descent_exhausts_alike(monkeypatch):
         t = helix.root()
         for _ in range(rng.randint(2, 7)):
             t = helix.children(t)[rng.random() < 0.5]
-        tri = t.triangle()
         mu = (t.e.slope + 2 * t.f.slope) / 3
-        disc = (tri.side_eg(mu) + tri.side_ef(mu)) / 2
+        disc = (t.side_eg(mu) + t.side_ef(mu)) / 2
         point = lambda cap, mu=mu, disc=disc: helix.locate_triangle(mu, disc, cap)  # noqa: E731
         queries.append((f"point ({mu}, {disc})", point))
     calls = []

@@ -7,6 +7,7 @@ c1 and checked against the recurrence inside the library, so the tests
 here pin the externally visible numbers.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -74,16 +75,15 @@ def test_triad_identities_to_depth_five():
 
 def test_triangle_membership_root():
     t = root()
-    tri = t.triangle()
-    assert tri.side_ef(Fraction(-1, 2)) == Fraction(3, 8)
-    assert tri.side_fg(Fraction(-1, 2)) == Fraction(3, 8)
-    assert tri.side_eg(Fraction(-1, 2)) == Fraction(-1, 8)
-    assert tri.contains(Fraction(-1, 2), Fraction(0))
-    assert tri.contains(Fraction(-1, 2), Fraction(3, 8))  # vertex, closed tile
-    assert not tri.contains(Fraction(-1, 2), Fraction(2, 5))
-    assert tri.contains(Fraction(-1, 2), Fraction(1, 8), strict=True)
-    assert not tri.contains(Fraction(-1, 2), Fraction(3, 8), strict=True)
-    assert tri.contains(Fraction(-1, 4), Fraction(0))
+    assert t.side_ef(Fraction(-1, 2)) == Fraction(3, 8)
+    assert t.side_fg(Fraction(-1, 2)) == Fraction(3, 8)
+    assert t.side_eg(Fraction(-1, 2)) == Fraction(-1, 8)
+    assert t.contains(Fraction(-1, 2), Fraction(0))
+    assert t.contains(Fraction(-1, 2), Fraction(3, 8))  # vertex, closed tile
+    assert not t.contains(Fraction(-1, 2), Fraction(2, 5))
+    assert t.contains(Fraction(-1, 2), Fraction(1, 8), strict=True)
+    assert not t.contains(Fraction(-1, 2), Fraction(3, 8), strict=True)
+    assert t.contains(Fraction(-1, 4), Fraction(0))
 
 
 def test_locate_triangle():
@@ -125,17 +125,24 @@ def test_triad_refuses_slopes_out_of_order():
     t = root()
     for e, f, g in ((t.e, t.g, t.f), (t.f, t.e, t.g)):
         with pytest.raises(InternalInconsistencyError, match="^triad slopes out of order: "):
-            helix.Triad(e, f, g, t.h, 0, 0)
+            helix.Triad(e, f, g, 0, 0)
+
+
+def test_triad_derives_h():
+    t = root()
+    built = helix.Triad(t.e, t.f, t.g, 0, 0)
+    assert built.h == t.h and built.h.slope == Fraction(-2)
+    assert built == t and "h" not in built._fields
+    assert pickle.loads(pickle.dumps(built)).h == t.h
 
 
 def test_locate_builds_one_triad_per_level(monkeypatch):
     # Each step of the descent builds the one child it enters.
     points = []
     for t in iterate_triads(5):
-        tri = t.triangle()
         mu = (t.e.slope + 2 * t.f.slope) / 3
-        disc = (tri.side_eg(mu) + tri.side_ef(mu)) / 2
-        assert tri.contains(mu, disc, strict=True)
+        disc = (t.side_eg(mu) + t.side_ef(mu)) / 2
+        assert t.contains(mu, disc, strict=True)
         points.append((t, mu, disc))
     built = []
     original = helix._make_triad
@@ -287,7 +294,6 @@ def test_contains_matches_fraction_form():
     rng = random.Random(1709)
     outcomes = set()
     for t in iterate_triads(4):
-        tri = t.triangle()
         lo, hi = t.e.slope, t.g.slope
         points = []
         for _ in range(30):
@@ -295,13 +301,13 @@ def test_contains_matches_fraction_form():
             points.append((mu, Fraction(rng.randint(-200, 700), rng.randint(1, 999))))
         for i in range(9):
             mu = lo + (hi - lo) * Fraction(i, 8)
-            for side in (tri.side_ef, tri.side_fg, tri.side_eg):
+            for side in (t.side_ef, t.side_fg, t.side_eg):
                 points.append((mu, side(mu)))  # on a side, or off it elsewhere
         for v in (t.e, t.f, t.g):
             points.append((v.slope, v.delta))
         for mu, disc in points:
             for strict in (False, True):
-                got = tri.contains(mu, disc, strict)
+                got = t.contains(mu, disc, strict)
                 assert got == _reference_contains(t, mu, disc, strict), (t.label(), mu, disc)
                 outcomes.add((strict, got))
     assert outcomes == {(False, True), (False, False), (True, True), (True, False)}

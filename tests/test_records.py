@@ -20,6 +20,7 @@ import prioritaire
 from prioritaire.chern import ChernCharacter, ChernData
 from prioritaire.decompose import (
     KIND_EXCEPTIONAL,
+    KIND_GENERIC,
     KIND_POINT_EXT,
     Decomposition,
     PresentationReport,
@@ -28,7 +29,7 @@ from prioritaire.decompose import (
 )
 from prioritaire.exceptional import Dyadic, ExceptionalBundle, from_slope
 from prioritaire.frontier import Region, RegionTag
-from prioritaire.helix import ExtDims, Triangle, ext_dims, root
+from prioritaire.helix import ExtDims, ext_dims, root
 from prioritaire.selfcheck import CheckResult
 from prioritaire.surd import QuadSurd
 
@@ -45,10 +46,9 @@ def _records():
             ChernData(8, -4, 11),
             QuadSurd(Fraction(3, 2), Fraction(-1, 10), 221),
             Dyadic(-1, 2),
-            ExceptionalBundle(f.slope, f.rank, f.c1, f.c2, f.delta),
+            ExceptionalBundle(f.rank, f.c1),
             Region(RegionTag.ABOVE_DELTA_PRIME, f),
             t,
-            Triangle(t),
             ExtDims(1, 0, None),
             Summand(KIND_EXCEPTIONAL, 2, bundle=f),
             Decomposition(ChernData(5, -2, 4), 0, Region(RegionTag.SEMISTABLE_EXCEPTIONAL, f), None),
@@ -64,7 +64,7 @@ _IDS = [type(a).__name__ for a, _ in _PAIRS]
 
 
 def test_every_record_is_covered():
-    assert len(set(_IDS)) == len(_IDS) == 13
+    assert len(set(_IDS)) == len(_IDS) == 12
 
 
 @pytest.mark.parametrize("a, b", _PAIRS, ids=_IDS)
@@ -112,9 +112,7 @@ def test_records_differ_by_any_field():
 def test_repr_matches_the_dataclass_text():
     assert repr(ChernData(8, -4, 11)) == "ChernData(rank=8, c1=-4, c2=11)"
     assert repr(Dyadic(-2, 3)) == "Dyadic(p=-1, q=2)"
-    assert repr(from_slope(Fraction(-2, 5))) == (
-        "ExceptionalBundle(slope=Fraction(-2, 5), rank=5, c1=-2, c2=4, delta=Fraction(12, 25))"
-    )
+    assert repr(from_slope(Fraction(-2, 5))) == "ExceptionalBundle(rank=5, c1=-2)"
     assert repr(Region(RegionTag.NO_PRIORITARY)) == (
         "Region(tag=<RegionTag.NO_PRIORITARY: 'no_prioritary'>, witness=None)"
     )
@@ -130,6 +128,23 @@ def test_defaults():
     d1 = Decomposition(ChernData(1, 0, 0), 0, region, None)
     d2 = Decomposition(ChernData(1, 0, 0), 0, region, None)
     assert d1.verification == {} and d1.verification is not d2.verification
+
+
+def test_summand_takes_exactly_the_payload_of_its_kind():
+    f = from_slope(Fraction(-2, 5))
+    cd = ChernData(5, -2, 4)
+    for kind, payload in (
+        (KIND_EXCEPTIONAL, {}),
+        (KIND_EXCEPTIONAL, {"bundle": f, "data": cd}),
+        (KIND_GENERIC, {"bundle": f}),
+        (KIND_GENERIC, {}),
+        (KIND_POINT_EXT, {"data": cd}),
+        (KIND_POINT_EXT, {"bundle": f}),
+    ):
+        with pytest.raises(ValueError, match=f"^a {kind} summand needs"):
+            Summand(kind, 1, **payload)
+    assert Summand(KIND_GENERIC, 1, data=cd).label() == "generic(5,-2,4)"
+    assert Summand(KIND_EXCEPTIONAL, 2, bundle=f).chern_data() is f.chern
 
 
 def test_validation_in_init():

@@ -106,11 +106,10 @@ def _reference_path(t: helix.Triad, samples: int) -> str:
 
 def test_sampled_side_points_match_the_fraction_sides():
     for t in helix.iterate_triads(4):
-        tri = t.triangle()
         sides = (
-            (t.e.slope, t.f.slope, tri.side_ef, _reference_side(t.g, 1)),
-            (t.f.slope, t.g.slope, tri.side_fg, _reference_side(t.e, -1)),
-            (t.g.slope, t.e.slope, tri.side_eg, _reference_side(t.h, -1)),
+            (t.e.slope, t.f.slope, t.side_ef, _reference_side(t.g, 1)),
+            (t.f.slope, t.g.slope, t.side_fg, _reference_side(t.e, -1)),
+            (t.g.slope, t.e.slope, t.side_eg, _reference_side(t.h, -1)),
         )
         for samples in (1, 2, 3, 7, 10):
             for a, b, side, reference in sides:
