@@ -47,7 +47,6 @@ from .exceptional import (
     ExceptionalBundle,
     compose,
     dyadic_of,
-    enumerate_to_level,
     from_dyadic,
     from_slope,
     locate_exceptional,
@@ -70,6 +69,7 @@ from .helix import (
     Triad,
     TriState,
     children,
+    enumerate_to_level,
     ext_dims,
     is_prioritary_sum,
     iterate_triads,

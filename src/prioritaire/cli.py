@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import chern
 from . import decompose as decompose_mod
@@ -39,7 +38,7 @@ from .errors import (
     NotCoveredError,
     ParseError,
 )
-from .surd import QuadSurd, decimal_str, format_rational, format_surd, parse_rational
+from .surd import QuadSurd, decimal_str, format_rational, parse_rational
 
 MAX_TILE_SAMPLES = 256
 
@@ -58,9 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _exact(value, digits: int) -> dict:
-    if isinstance(value, QuadSurd):
-        return {"exact": format_surd(value), "approx": decimal_str(value, digits)}
-    return {"exact": format_rational(value), "approx": decimal_str(value, digits)}
+    return {"exact": str(value), "approx": decimal_str(value, digits)}
 
 
 def _exact_text(value, digits: int) -> str:
@@ -201,7 +198,7 @@ def build_parser() -> _Parser:
 
 def _cmd_slope(args: argparse.Namespace) -> int:
     if args.invert:
-        f, d = exceptional._from_slope(Fraction(parse_rational(args.value)), args.depth)
+        f, d = exceptional._from_slope(parse_rational(args.value), args.depth)
     else:
         d = exceptional.parse_dyadic(args.value)
         f = exceptional.from_dyadic(d)
@@ -420,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         return args.handler(args)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # ParseError included
         print(f"prioritaire: error: {exc}", file=sys.stderr)
         return 1
     except DepthExhaustedError as exc:

@@ -20,9 +20,9 @@ invariants (rank, c1, c2):
   ch(input); they are cross-checked against the Euler functionals
   m = chi(input, e), p = chi(g, input), n = -chi(input, h).
 
-All summands are finally twisted back by the normalization twist, and
-the characters of the output must add up exactly to the character of
-the input.
+Each summand is built once, already twisted back by the normalization
+twist, and the characters of the output must add up exactly to the
+character of the input.
 
 ``stable_presentation`` gives the resolution of a generic semistable
 sheaf sitting on the semistability frontier near an exceptional bundle
@@ -170,21 +170,6 @@ def _solve_multiplicities(t: helix.Triad, target: ChernData) -> tuple[int, int, 
     return out[0], out[1], out[2]
 
 
-def _untwist(summands: list[Summand], k: int) -> tuple[Summand, ...]:
-    """Map summands built in the normalized frame back by -k."""
-    if k == 0:
-        return tuple(summands)
-    out = []
-    for s in summands:
-        if s.bundle is not None:
-            out.append(Summand(s.kind, s.multiplicity, bundle=s.bundle.twist(-k)))
-        elif s.data is not None:
-            out.append(Summand(s.kind, s.multiplicity, data=chern.twist(s.data, -k)))
-        else:
-            out.append(Summand(s.kind, s.multiplicity, twist=s.twist - k))
-    return tuple(out)
-
-
 def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposition:
     """Region and explicit splitting of the generic prioritary sheaf."""
     norm, k = chern.normalize(cd)
@@ -207,10 +192,9 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     summands: list[Summand]
     if region.tag is RegionTag.SEMISTABLE_EXCEPTIONAL:
         f = region.witness
-        assert f is not None
         mult = norm.rank // f.rank
         verification["rank_multiple"] = mult
-        summands = [Summand(KIND_EXCEPTIONAL, mult, bundle=f)]
+        summands = [Summand(KIND_EXCEPTIONAL, mult, bundle=f.twist(-k))]
 
     elif region.tag is RegionTag.SPECIAL_C0_C21:
         if norm.rank < 2:
@@ -218,15 +202,14 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         summands = []
         if norm.rank > 2:
             summands.append(
-                Summand(KIND_EXCEPTIONAL, norm.rank - 2, bundle=exceptional._bundle(1, 0))
+                Summand(KIND_EXCEPTIONAL, norm.rank - 2, bundle=exceptional._bundle(1, -k))
             )
         else:
             verification["dropped_zero_multiplicity"] = "O"
-        summands.append(Summand(KIND_POINT_EXT, 1))
+        summands.append(Summand(KIND_POINT_EXT, 1, twist=-k))
 
     elif region.tag is RegionTag.ABOVE_DELTA_PRIME:
         f = region.witness
-        assert f is not None
         left_side = norm.c1 * f.rank <= f.c1 * norm.rank  # mu <= mu(F)
         p = euler_pairing(f.chern, norm) if left_side else euler_pairing(norm, f.chern)
         if p <= 0:
@@ -258,8 +241,8 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         verification["residual_on_frontier"] = True
         verification["residual_orthogonal"] = True
         summands = [
-            Summand(KIND_EXCEPTIONAL, p, bundle=f),
-            Summand(KIND_GENERIC, 1, data=residual),
+            Summand(KIND_EXCEPTIONAL, p, bundle=f.twist(-k)),
+            Summand(KIND_GENERIC, 1, data=chern.twist(residual, -k)),
         ]
 
     else:  # BELOW_DELTA_PRIME
@@ -287,20 +270,19 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         if zeros:
             verification["dropped_zero_multiplicities"] = zeros
         summands = [
-            Summand(KIND_EXCEPTIONAL, mult, bundle=b)
+            Summand(KIND_EXCEPTIONAL, mult, bundle=b.twist(-k))
             for mult, b in ((m, t.e), (n, t.f), (p, t.g))
             if mult > 0
         ]
 
-    final = _untwist(summands, k)
-    result = Decomposition(cd, k, region, final, verification)
-    if _combine((s.multiplicity, s.chern_data()) for s in final) != cd._vec:
+    result = Decomposition(cd, k, region, tuple(summands), verification)
+    if _combine((s.multiplicity, s.chern_data()) for s in summands) != cd._vec:
         raise InternalInconsistencyError(
             f"summand characters {result.total_character()} do not add up to ch{cd}"
         )
     verification["character_balance"] = True
-    if all(s.kind == KIND_EXCEPTIONAL for s in final):
-        verdict = helix.is_prioritary_sum([s.bundle for s in final])  # type: ignore[list-item]
+    if all(s.kind == KIND_EXCEPTIONAL for s in summands):
+        verdict = helix.is_prioritary_sum([s.bundle for s in summands])  # type: ignore[list-item]
         if verdict is helix.TriState.NO:
             raise InternalInconsistencyError("exceptional direct sum is not prioritary")
         verification["prioritary_sum"] = verdict.value

@@ -34,7 +34,9 @@ for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
 lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
 Every descent of the dyadic tree, here and in ``helix``, runs through
-``_walk``, the one home of the depth cap and its error.
+``_walk``, the one home of the depth cap and its error.  ``compose`` has
+two callers: ``_walk``, along one path, and ``helix``'s triad tree, whose
+middles are also the whole lattice levels (``helix.enumerate_to_level``).
 """
 
 from __future__ import annotations
@@ -405,16 +407,3 @@ def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[Excepti
 
     return [owner(n, m) for n, m in pairs]
 
-
-def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
-    """All bundles at dyadic slopes p/2^q in [-1, 0] with q <= level_max,
-    deduplicated and sorted by slope."""
-    if level_max < 0:
-        raise ValueError("level_max must be >= 0")
-    bundles = [_bundle(1, -1), _bundle(1, 0)]
-    for _ in range(level_max):
-        deeper = bundles[:1]
-        for lo, hi in zip(bundles, bundles[1:]):
-            deeper += (compose(lo, hi), hi)
-        bundles = deeper
-    return bundles

@@ -27,7 +27,9 @@ vertices e and g; all three sides are vanishing loci of Euler pairings
 against a fixed bundle.  Tiles are closed; point location descends from
 the root and returns the shallowest containing tile.  The levels up to
 MAX_TILE_DEPTH are built and checked once per process and then kept
-(``iterate_triads``).
+(``iterate_triads``).  Their middles, with O(-1) and O, are the whole
+levels of the exceptional lattice (``enumerate_to_level``), which are
+read off the kept tree and never composed again.
 
 Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
@@ -188,6 +190,19 @@ def iterate_triads(max_level: int) -> Iterator[Triad]:
             if level <= MAX_TILE_DEPTH and len(_levels) == level:
                 _levels.append(triads)
         yield from triads
+
+
+def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
+    """All bundles at dyadic slopes p/2^q in [-1, 0] with q <= level_max,
+    sorted by slope: O(-1) and O at the ends, and the middle of triad
+    (level k, index i) of ``iterate_triads(level_max - 1)`` at position
+    (2i + 1) 2^(level_max - 1 - k)."""
+    if level_max < 0:
+        raise ValueError("level_max must be >= 0")
+    bundles = [exceptional._bundle(1, -1)] * (1 << level_max) + [exceptional._bundle(1, 0)]
+    for t in iterate_triads(level_max - 1):
+        bundles[(2 * t.index + 1) << (level_max - 1 - t.level)] = t.f
+    return bundles
 
 
 def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) -> Triad:

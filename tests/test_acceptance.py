@@ -27,7 +27,6 @@ from prioritaire.decompose import KIND_EXCEPTIONAL, KIND_GENERIC, generic_priori
 from prioritaire.exceptional import (
     Dyadic,
     compose,
-    enumerate_to_level,
     from_dyadic,
     from_slope,
     locate_exceptional,
@@ -35,6 +34,7 @@ from prioritaire.exceptional import (
 from prioritaire.frontier import RegionTag
 from prioritaire.helix import (
     TriState,
+    enumerate_to_level,
     is_prioritary_sum,
     iterate_triads,
     left_series,

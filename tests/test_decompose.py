@@ -268,22 +268,56 @@ def test_residual_off_the_frontier_is_an_inconsistency(monkeypatch, shift):
         generic_prioritary(ChernData(8, -4, 11))
 
 
+SPLITTING = (ChernData(4, -2, 2), ChernData(8, -4, 11), ChernData(3, 0, 1), ChernData(4, -2, 3))
+
+
 def test_unbalanced_summands_are_an_inconsistency(monkeypatch):
     # The first summand keeps its rank and c1 but gains one in c2.
     import prioritaire.decompose as dec
 
-    original = dec._untwist
+    built = []
 
-    def off_by_one_c2(summands, k):
-        first, *rest = original(summands, k)
-        d = first.chern_data()
-        return (Summand(KIND_GENERIC, first.multiplicity, data=ChernData(d.rank, d.c1, d.c2 + 1)),
-                *rest)
+    def off_by_one_c2(*args, **kwargs):
+        s = Summand(*args, **kwargs)
+        built.append(s)
+        if len(built) > 1:
+            return s
+        d = s.chern_data()
+        return Summand(KIND_GENERIC, s.multiplicity, data=ChernData(d.rank, d.c1, d.c2 + 1))
 
-    monkeypatch.setattr(dec, "_untwist", off_by_one_c2)
-    for cd in (ChernData(4, -2, 2), ChernData(8, -4, 11), ChernData(3, 0, 1), ChernData(4, -2, 3)):
+    monkeypatch.setattr(dec, "Summand", off_by_one_c2)
+    for cd in SPLITTING:
+        built.clear()
         with pytest.raises(InternalInconsistencyError, match="do not add up"):
             generic_prioritary(cd)
+
+
+def test_each_summand_is_built_once_in_the_callers_frame(monkeypatch):
+    # Every region that splits, at twists away from the normalized band:
+    # one Summand is built per summand of the answer.
+    import prioritaire.decompose as dec
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return Summand(*args, **kwargs)
+
+    monkeypatch.setattr(dec, "Summand", counted)
+    tags = set()
+    for cd in SPLITTING:
+        for k in (2, -3):
+            built.clear()
+            result = generic_prioritary(twist(cd, k))
+            assert result.twist == -k
+            assert len(built) == len(result.summands)
+            tags.add(result.region.tag)
+    assert tags == {
+        RegionTag.BELOW_DELTA_PRIME,
+        RegionTag.ABOVE_DELTA_PRIME,
+        RegionTag.SPECIAL_C0_C21,
+        RegionTag.SEMISTABLE_EXCEPTIONAL,
+    }
 
 
 def test_twist_equivariance():

@@ -25,7 +25,6 @@ from prioritaire.exceptional import (
     Dyadic,
     compose,
     dyadic_of,
-    enumerate_to_level,
     from_dyadic,
     from_slope,
     locate_exceptional,
@@ -33,6 +32,7 @@ from prioritaire.exceptional import (
     max_depth_default,
     parse_dyadic,
 )
+from prioritaire.helix import enumerate_to_level
 
 
 def test_dyadic_normalization():
@@ -397,6 +397,26 @@ def test_one_raise_site_and_one_cap_resolution():
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     assert text.count("raise DepthExhaustedError") == 1
     assert len(re.findall(r"(?<!def )max_depth_default\(\)", text)) == 1
+
+
+def test_compose_is_called_only_by_the_walker_and_the_tree():
+    # Paths go through exceptional._walk and the triad tree through
+    # helix.root and helix.children; whole levels are read off that tree.
+    import ast
+
+    package = Path(ex.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "compose":
+                        callers.add((path.stem, node.name))
+    assert callers == {("exceptional", "_walk"), ("helix", "root"), ("helix", "children")}
 
 
 def test_enumerate_levels():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from prioritaire import exceptional, frontier
+from prioritaire import exceptional, frontier, helix
 from prioritaire.chern import ChernData, dual, hirzebruch_p, normalize, twist
 from prioritaire.errors import InternalInconsistencyError
 from prioritaire.frontier import (
@@ -169,8 +169,8 @@ def _endpoint_neighbours(f, digits):
 
 def test_closed_forms_match_the_reference_formulas():
     rng = random.Random(2024)
-    slopes = [f.slope for f in exceptional.enumerate_to_level(5)]  # mu = mu(F)
-    for f in exceptional.enumerate_to_level(4):
+    slopes = [f.slope for f in helix.enumerate_to_level(5)]  # mu = mu(F)
+    for f in helix.enumerate_to_level(4):
         for digits in (1, 3, 8, 20):
             slopes += [mu for mu in _endpoint_neighbours(f, digits) if -1 <= mu <= 0]
     slopes += [Fraction(-rng.randint(0, 10**6), rng.randint(1, 10**6)) for _ in range(300)]
@@ -186,7 +186,7 @@ def test_closed_forms_match_the_reference_formulas():
         if mu0 == f.slope:
             peaks += 1
             assert dp.is_rational and dp.a == f.delta
-    assert peaks == len(exceptional.enumerate_to_level(5))
+    assert peaks == len(helix.enumerate_to_level(5))
 
 
 def test_delta_many_matches_one_slope_queries():
@@ -291,7 +291,7 @@ def test_integer_tags_match_at_every_exceptional_point():
     # (mu(F), Delta(F)) for every F to level 5 and its multiples, each also
     # one c2 above and below, and twisted off the band.
     points = []
-    for f in exceptional.enumerate_to_level(5):
+    for f in helix.enumerate_to_level(5):
         for k in (1, 2, 3):
             c2 = _c2_at(k * f.rank, k * f.c1, f.delta)
             assert c2 is not None
@@ -299,7 +299,7 @@ def test_integer_tags_match_at_every_exceptional_point():
                 moved = twist(ChernData(k * f.rank, k * f.c1, c2 + j), 2)
                 points += [(k * f.rank, k * f.c1, c2 + j), (moved.rank, moved.c1, moved.c2)]
     tags = _assert_integer_tags_match(points)
-    assert tags[RegionTag.SEMISTABLE_EXCEPTIONAL] == 2 * 3 * len(exceptional.enumerate_to_level(5))
+    assert tags[RegionTag.SEMISTABLE_EXCEPTIONAL] == 2 * 3 * len(helix.enumerate_to_level(5))
 
 
 def test_integer_tags_match_on_random_invariants():

@@ -16,11 +16,12 @@ import pytest
 from prioritaire import helix
 from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
 from prioritaire.errors import InternalInconsistencyError, NotCoveredError
-from prioritaire.exceptional import enumerate_to_level, from_slope
+from prioritaire.exceptional import from_slope
 from prioritaire.helix import (
     ExtDims,
     TriState,
     children,
+    enumerate_to_level,
     ext_dims,
     is_prioritary_sum,
     iterate_triads,
@@ -360,6 +361,28 @@ def test_kept_tree_matches_a_fresh_build_and_stays_bounded():
     # Levels 0..MAX_TILE_DEPTH are kept, whole; 11 and 12 are not.
     levels = range(helix.MAX_TILE_DEPTH + 1)
     assert [len(kept) for kept in helix._levels] == [1 << k for k in levels]
+
+
+def test_whole_levels_are_read_off_the_kept_tree(monkeypatch):
+    from prioritaire import exceptional
+
+    enumerate_to_level(10)
+    calls = []
+    original = exceptional.compose
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(exceptional, "compose", counted)
+    bundles = enumerate_to_level(10)
+    assert calls == []
+    assert len(bundles) == (1 << 10) + 1
+
+
+def test_levels_past_the_kept_tree_are_built_and_dropped():
+    assert enumerate_to_level(12)[::4] == enumerate_to_level(10)
+    assert len(helix._levels) == helix.MAX_TILE_DEPTH + 1
 
 
 def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch):
