@@ -265,7 +265,7 @@ def _classify_payload(
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    cd = _chern_data(args)
+    cd = ChernData(args.rank, args.c1, args.c2)
     _lift_digit_limit()
     norm, k = chern.normalize(cd)
     region = frontier._classify_normalized(norm, args.depth)
@@ -296,7 +296,7 @@ def _summand_record(s: decompose_mod.Summand) -> dict:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    cd = _chern_data(args)
+    cd = ChernData(args.rank, args.c1, args.c2)
     _lift_digit_limit()
     try:
         result = decompose_mod.generic_prioritary(cd, args.depth)
@@ -396,6 +396,8 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
+    if args.depth > helix.MAX_TILE_DEPTH:
+        raise ParseError(f"selfcheck depth {args.depth} exceeds the maximum {helix.MAX_TILE_DEPTH}")
     results = selfcheck.run_selfcheck(args.depth)
     ok = True
     for r in results:
@@ -403,12 +405,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         print(f"{status:4s} {r.name}: {r.detail}")
         ok = ok and r.ok
     return 0 if ok else 2
-
-
-def _chern_data(args: argparse.Namespace) -> ChernData:
-    if args.rank < 1:
-        raise ParseError(f"rank must be >= 1, got {args.rank}")
-    return ChernData(args.rank, args.c1, args.c2)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -173,7 +173,9 @@ def _solve_multiplicities(t: helix.Triad, target: ChernData) -> tuple[int, int, 
 def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposition:
     """Region and explicit splitting of the generic prioritary sheaf."""
     norm, k = chern.normalize(cd)
-    region = frontier._classify_normalized(norm, max_depth)
+    # The owner walk and the triangle walk share one cap, resolved before any answer.
+    cap = exceptional._cap(max_depth)
+    region = frontier._classify_normalized(norm, cap)
     verification: dict = {"normalization_twist": k, "region": region.tag.value}
 
     if region.tag is RegionTag.NO_PRIORITARY:
@@ -247,7 +249,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
 
     else:  # BELOW_DELTA_PRIME
         r, c1 = norm.rank, norm.c1
-        t = helix._locate(c1, r, frontier._disc_num(r, c1, norm.c2), 2 * r * r, max_depth)
+        t = helix._locate(c1, r, frontier._disc_num(r, c1, norm.c2), 2 * r * r, cap)
         m, n, p = _solve_multiplicities(t, norm)
         cross = {
             "m": euler_pairing(norm, t.e.chern),

@@ -316,53 +316,51 @@ def _h0_line(k: int) -> int:
     return (k + 1) * (k + 2) // 2 if k >= 0 else 0
 
 
-def ext_dims(a: ExceptionalBundle, b: ExceptionalBundle) -> ExtDims:
-    """Ext dimensions from slope-based vanishing plus chi completion.
+def _ext2(a: ExceptionalBundle, b: ExceptionalBundle) -> int | None:
+    """dim Ext^2(a, b), or None where the slopes leave it open.
 
-    Rules (exceptional bundles only; a twist of an exceptional bundle is
-    again one): a bundle is simple and rigid against itself; Hom
-    vanishes when mu(a) > mu(b); Ext^1 vanishes when mu(a) <= mu(b);
-    Ext^2(a, b) is Hom(b, a(-3)) by duality; line-bundle pairs get exact
-    cohomology.  A single missing dimension is recovered from
-    chi = hom - ext1 + ext2 when the result is nonnegative; anything
-    else stays None.  Slopes are compared by the sign of
-    gap = c1_b r_a - c1_a r_b, that of mu(b) - mu(a).
+    Serre duality: Ext^2(a, b) = Hom(b, a(-3))*.  Two line bundles get
+    h^0(O(c1_a - c1_b - 3)).  Otherwise Hom between stable bundles vanishes
+    towards a smaller slope, so Ext^2 is 0 when mu(b) > mu(a) - 3 (a = b
+    included), which is gap + 3 r_a r_b > 0 for gap = c1_b r_a - c1_a r_b;
+    it is 1 for b = a(-3), the one exceptional bundle of slope mu(a) - 3,
+    since a is simple.
+    """
+    if a.rank == 1 and b.rank == 1:
+        return _h0_line(a.c1 - b.c1 - 3)
+    gap = b.c1 * a.rank - a.c1 * b.rank
+    beyond = gap + 3 * a.rank * b.rank
+    return 0 if beyond > 0 else 1 if beyond == 0 else None
+
+
+def ext_dims(a: ExceptionalBundle, b: ExceptionalBundle) -> ExtDims:
+    """dim Hom, Ext^1, Ext^2 between exceptional bundles (a twist of one is
+    again one).
+
+    Equal slopes mean a = b, simple and rigid: (1, 0, 0).  Two line bundles
+    get exact cohomology, Hom = h^0(O(c1_b - c1_a)).  Otherwise Ext^2 is
+    ``_ext2``, and the slopes make one of Hom and Ext^1 vanish: Hom when
+    mu(a) > mu(b), Ext^1 when mu(a) < mu(b), by the sign of
+    gap = c1_b r_a - c1_a r_b.  The other one is read off
+    chi(a, b) = hom - ext1 + ext2, and a negative value raises
+    InternalInconsistencyError.  Where Ext^2 is open (below mu(a) - 3,
+    so Hom = 0), Ext^1 is open too: None.
     """
     gap = b.c1 * a.rank - a.c1 * b.rank
     if gap == 0:
         return ExtDims(1, 0, 0)
+    ext2 = _ext2(a, b)
     if a.rank == 1 and b.rank == 1:
-        k = b.c1 - a.c1
-        return ExtDims(_h0_line(k), 0, _h0_line(-3 - k))
-    hom: int | None = None
-    ext1: int | None = None
-    ext2: int | None = None
-    if gap < 0:
-        hom = 0
-    else:
-        ext1 = 0
-    # Serre duality: Ext^2(a, b) = Hom(b, a(-3))*; mu(b) - mu(a) + 3 has
-    # the sign of gap + 3 r_a r_b.
-    beyond = gap + 3 * a.rank * b.rank
-    if beyond > 0:
-        ext2 = 0
-    elif beyond == 0:
-        ext2 = 1 if (b.rank, b.c1) == (a.rank, a.c1 - 3 * a.rank) else 0
+        return ExtDims(_h0_line(b.c1 - a.c1), 0, ext2)
+    if ext2 is None:
+        return ExtDims(0, None, None)
     chi = euler_pairing(a.chern, b.chern)
-    dims = [hom, ext1, ext2]
-    missing = [i for i, v in enumerate(dims) if v is None]
-    if len(missing) == 1:
-        signs = (1, -1, 1)
-        i = missing[0]
-        residue = chi - sum(s * v for s, v in zip(signs, dims) if v is not None)
-        candidate = residue * signs[i]
-        if candidate >= 0:
-            dims[i] = candidate
-    elif not missing and dims[0] - dims[1] + dims[2] != chi:  # type: ignore[operator]
+    hom, ext1 = (chi - ext2, 0) if gap > 0 else (0, ext2 - chi)
+    if hom < 0 or ext1 < 0:
         raise InternalInconsistencyError(
-            f"ext dims {dims} inconsistent with chi({a}, {b}) = {chi}"
+            f"chi({a}, {b}) = {chi} with ext2 {ext2} leaves a negative dimension"
         )
-    return ExtDims(dims[0], dims[1], dims[2])
+    return ExtDims(hom, ext1, ext2)
 
 
 class TriState(enum.Enum):
@@ -376,21 +374,21 @@ def is_prioritary_sum(
 ) -> TriState:
     """Whether a direct sum of exceptional bundles is prioritary.
 
-    The sum is prioritary iff Ext^2(A, B(-1)) = 0 for every ordered pair
-    of summands, multiplicities being irrelevant.  Verdicts: NO if some
-    pair has a known positive Ext^2, UNKNOWN if some pair is undecided,
-    YES otherwise.
+    The sum is prioritary iff Ext^2(A, B(-1)) = 0 (``_ext2``) for every
+    ordered pair of summands, multiplicities being irrelevant.  Verdicts:
+    NO if some pair has a known positive Ext^2, UNKNOWN if some pair is
+    undecided, YES otherwise.
     """
     bundles = [s[0] if isinstance(s, tuple) else s for s in summands]
     if not bundles:
         raise ValueError("empty summand list")
+    twisted = [b.twist(-1) for b in bundles]
     verdict = TriState.YES
     for a in bundles:
-        for b in bundles:
-            d2 = ext_dims(a, b.twist(-1)).ext2
+        for b in twisted:
+            d2 = _ext2(a, b)
             if d2 is None:
-                if verdict is TriState.YES:
-                    verdict = TriState.UNKNOWN
+                verdict = TriState.UNKNOWN
             elif d2 > 0:
                 return TriState.NO
     return verdict

@@ -262,6 +262,13 @@ def test_selfcheck_depth_zero_passes_and_negative_is_refused(capsys):
     assert err == "prioritaire: error: depth must be >= 0, got -1\n"
 
 
+def test_selfcheck_depth_past_the_kept_tree_is_refused(capsys):
+    # Past the kept triad tree each level doubles the work; refused before any check runs.
+    code, out, err = run(capsys, "selfcheck", "--depth", "11")
+    assert (code, out) == (1, "")
+    assert "maximum" in err
+
+
 def test_slope_of_a_deep_dyadic(capsys):
     # A level-1500 dyadic is reached by an iterative bisection walk, not
     # 1500 nested calls; its rank has 627 digits.

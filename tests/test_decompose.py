@@ -252,6 +252,23 @@ def test_above_delta_prime_finds_its_owner_once(monkeypatch):
     assert above > 20
 
 
+def test_below_delta_prime_resolves_the_cap_once(monkeypatch):
+    # The owner walk and the triangle walk share one resolved cap.
+    import prioritaire.exceptional as ex
+
+    calls = []
+    original = ex.max_depth_default
+
+    def counted():
+        calls.append(None)
+        return original()
+
+    monkeypatch.setattr(ex, "max_depth_default", counted)
+    cd = ChernData(14, -5, 18)
+    assert generic_prioritary(cd).region.tag is RegionTag.BELOW_DELTA_PRIME
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_residual_off_the_frontier_is_an_inconsistency(monkeypatch, shift):
     # (8, -4, 11) leaves the residual (4, -2, 4); pretend it is off delta.

@@ -399,6 +399,16 @@ def test_one_raise_site_and_one_cap_resolution():
     assert len(re.findall(r"(?<!def )max_depth_default\(\)", text)) == 1
 
 
+def test_no_assert_statement_in_the_package():
+    # A check must survive python -O, so it raises (selfcheck._require) instead.
+    import ast
+
+    package = Path(ex.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], path.name
+
+
 def test_compose_is_called_only_by_the_walker_and_the_tree():
     # Paths go through exceptional._walk and the triad tree through
     # helix.root and helix.children; whole levels are read off that tree.

@@ -281,6 +281,44 @@ def test_prioritary_sum_with_multiplicities():
     assert is_prioritary_sum([qstar, o]) is TriState.YES
 
 
+def test_prioritary_sum_undecided_pair_is_unknown():
+    # Ext^2(E(5/2), E(-3/2)) lies below the slope rules: mu drops by 4 > 3.
+    qstar = from_slope(Fraction(-1, 2))
+    assert is_prioritary_sum([qstar.twist(3), qstar]) is TriState.UNKNOWN
+
+
+def test_prioritary_sum_reads_ext2_without_ext_records(monkeypatch):
+    built, paired = [], []
+
+    def record(*args):
+        built.append(args)
+        return ExtDims(*args)
+
+    def pairing(a, b):
+        paired.append((a, b))
+        return euler_pairing(a, b)
+
+    monkeypatch.setattr(helix, "ExtDims", record)
+    monkeypatch.setattr(helix, "euler_pairing", pairing)
+    o = from_slope(Fraction(0))
+    qstar = from_slope(Fraction(-1, 2))
+    series = left_series(o, 0, 4)
+    paired.clear()
+    verdicts = [is_prioritary_sum([series[n], series[n + 1], o]) for n in range(4)]
+    assert verdicts == [TriState.NO, TriState.YES, TriState.YES, TriState.YES]
+    assert is_prioritary_sum([qstar.twist(3), qstar, o]) is TriState.UNKNOWN
+    assert (built, paired) == ([], [])
+
+
+def test_negative_completed_dimension_is_an_inconsistency(monkeypatch):
+    # O(-1) -> E(-1/2): mu rises, so Ext^1 = Ext^2 = 0 and Hom = chi = 3;
+    # a chi of -1 would leave Hom = -1.
+    a, b = from_slope(Fraction(-1)), from_slope(Fraction(-1, 2))
+    monkeypatch.setattr(helix, "euler_pairing", lambda x, y: -1)
+    with pytest.raises(InternalInconsistencyError, match="negative"):
+        ext_dims(a, b)
+
+
 def _reference_contains(t, mu, disc, strict):
     """Triangle membership through Fraction values of the three conics."""
     ef = hirzebruch_p(mu - t.g.slope) - t.g.delta
