@@ -198,7 +198,8 @@ def build_parser() -> _Parser:
 
 def _cmd_slope(args: argparse.Namespace) -> int:
     if args.invert:
-        f, d = exceptional._from_slope(parse_rational(args.value), args.depth)
+        slope = parse_rational(args.value)
+        f, d = exceptional._lattice(slope.denominator, slope.numerator, args.depth)
     else:
         d = exceptional.parse_dyadic(args.value)
         f = exceptional.from_dyadic(d)

@@ -204,7 +204,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         summands = []
         if norm.rank > 2:
             summands.append(
-                Summand(KIND_EXCEPTIONAL, norm.rank - 2, bundle=exceptional._bundle(1, -k))
+                Summand(KIND_EXCEPTIONAL, norm.rank - 2, bundle=exceptional._bundle(1, -k, k * k))
             )
         else:
             verification["dropped_zero_multiplicity"] = "O"

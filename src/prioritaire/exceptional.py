@@ -2,11 +2,18 @@
 
 An exceptional bundle is determined by its rank r and first Chern class
 c1: discriminant (1 - 1/r^2)/2 and c2 = ((r-1)/(2r)) * (r + 1 + c1^2),
-which must come out an integer.  ``ExceptionalBundle(r, c1)`` derives the
-rest and checks chi(F,F) = 1; the package builds every bundle through
-``_bundle``, the same constructor behind a cache of 4096 bundles.  The
-package's only other store is ``helix``'s kept triad levels, at most
-MAX_TILE_DEPTH + 1 = 11.
+which must come out an integer.  Every step of the lattice (composition,
+mutation, twist, the series recurrence) already holds the integer
+character vector x = (r, c1, c1^2 - 2 c2), so the package builds each
+bundle from it with ``_bundle``, the one exceptional-vector check (rank
+>= 1, c2 = (c1^2 - x_2)/2 integral, chi(F,F) = 1) behind a cache of 4096
+bundles.  The package's only other store is ``helix``'s kept triad
+levels, at most MAX_TILE_DEPTH + 1 = 11.
+
+``ExceptionalBundle(r, c1)``, ``from_slope`` and the CLI take bundles
+from outside through one boundary, ``_lattice``: it refuses a rank below
+1 and a non-integral c2, then proves the slope on the lattice by descent
+and raises ValueError off it.  Unpickling goes through the same path.
 
 Composition produces the bundle gamma between alpha and beta with
 chi(E_gamma, E_alpha) = chi(E_beta, E_gamma) = 0, whose slope is
@@ -51,7 +58,7 @@ from . import chern
 from ._record import Record
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
-from .surd import QuadSurd
+from .surd import QuadSurd, format_rational
 
 DEFAULT_MAX_DEPTH = 64
 _ENV_MAX_DEPTH = "PRIORITAIRE_MAX_DEPTH"
@@ -131,17 +138,20 @@ def parse_dyadic(text: str) -> Dyadic:
 
 def _c2(rank: int, c1: int) -> tuple[int, int]:
     """c2 = ((r-1)/(2r)) * (r + 1 + c1^2) of the exceptional bundle (r, c1),
-    as (quotient, remainder): the bundle exists only if the remainder is 0."""
+    as (quotient, remainder): the bundle exists only if the remainder is 0,
+    which also proves gcd(r, c1) = 1 (mod a common prime p the numerator
+    is -1).  Only the boundary ``_lattice`` divides; the package's own
+    bundles come with their vector."""
     return divmod((rank - 1) * (rank + 1 + c1 * c1), 2 * rank)
 
 
 class ExceptionalBundle(Record):
     """The exceptional bundle of rank r and first Chern class c1.
 
-    c2 must be integral, which proves gcd(r, c1) = 1 (mod a common prime p
-    the numerator is -1), and chi(F,F) = 1; failures are
-    InternalInconsistencyError.  These are necessary conditions only:
-    ``from_slope`` also descends the lattice to the slope.  The record's
+    Built from outside the package, or unpickled, the record is proved on
+    the lattice by ``_lattice`` with cap r, which raises ValueError
+    otherwise, and it is a new record equal to the one the descent found.
+    The package builds its own bundles with ``_bundle``.  The record's
     fields, for equality, hashing, repr and pickling, are (rank, c1);
     ``slope``, ``c2``, ``delta`` and ``chern`` (the invariants as
     ``ChernData``) are derived once.
@@ -151,28 +161,19 @@ class ExceptionalBundle(Record):
     _fields = __slots__[:2]
 
     def __init__(self, rank: int, c1: int) -> None:
-        if rank < 1:
-            raise InternalInconsistencyError(f"rank {rank} of ({rank}, {c1}) is not positive")
-        c2, rem = _c2(rank, c1)
-        if rem:
-            raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "slope", Fraction(c1, rank))
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "delta", Fraction(rank * rank - 1, 2 * rank * rank))
-        object.__setattr__(self, "chern", ChernData(rank, c1, c2))
-        if chern.euler_pairing(self.chern, self.chern) != 1:
-            raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
+        found = _lattice(rank, c1, rank)[0]
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(found, name))
 
     def character(self) -> ChernCharacter:
         return self.chern.character()
 
     def twist(self, k: int) -> "ExceptionalBundle":
-        return _bundle(self.rank, self.c1 + k * self.rank)
+        r, c1, x2 = self.chern._vec
+        return _bundle(r, c1 + k * r, x2 + k * (2 * c1 + k * r))
 
     def dual(self) -> "ExceptionalBundle":
-        return _bundle(self.rank, -self.c1)
+        return _bundle(self.rank, -self.c1, self.chern._vec[2])
 
     def half_width(self) -> QuadSurd:
         """x_F = (3r - sqrt(9r^2 - 4))/(2r), radius of the slope interval."""
@@ -198,8 +199,6 @@ class ExceptionalBundle(Record):
     def label(self) -> str:
         if self.rank == 1:
             return f"O({self.c1})"
-        from .surd import format_rational
-
         return f"E({format_rational(self.slope)})"
 
     def __str__(self) -> str:
@@ -220,27 +219,46 @@ def _conic_side(x: ExceptionalBundle, sign: int, n: int, d: int) -> tuple[int, i
     return t * t + 3 * t * w + (r * r + 1) * d * d, 2 * w * w
 
 
-# Every bundle of the package is built here: the constructor and its
-# checks behind the package's only cache.
-_bundle = lru_cache(maxsize=4096)(ExceptionalBundle)
+@lru_cache(maxsize=4096)
+def _bundle(rank: int, c1: int, x2: int) -> ExceptionalBundle:
+    """The bundle of character vector (rank, c1, x2), x2 = c1^2 - 2 c2, which
+    a caller inside the package already holds: every bundle of the package
+    is built here, behind its only cache.  The one exceptional-vector check:
+    rank >= 1, c1^2 - x2 even and chi(F,F) = 1; a failure is a fault of the
+    package, InternalInconsistencyError."""
+    if rank < 1:
+        raise InternalInconsistencyError(f"rank {rank} of ({rank}, {c1}) is not positive")
+    if (c1 - x2) & 1:
+        raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
+    c2 = (c1 * c1 - x2) >> 1
+    derived = (Fraction(c1, rank), c2, Fraction(rank * rank - 1, 2 * rank * rank))
+    f = object.__new__(ExceptionalBundle)
+    for name, value in zip(f.__slots__, (rank, c1, *derived, ChernData(rank, c1, c2))):
+        object.__setattr__(f, name, value)
+    if chern.euler_pairing(f.chern, f.chern) != 1:
+        raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
+    return f
 
 
 def from_slope(slope: Fraction) -> ExceptionalBundle:
-    """The exceptional bundle of a slope from outside the package.  Raises
-    ValueError when the forced c2 is not an integer or when the descent to
-    its dyadic, which ends within O(log r) levels, proves it off the lattice."""
+    """The exceptional bundle of a slope from outside the package, or
+    ValueError (``_lattice``).  The descent is capped at the denominator r
+    and never reaches the cap: it ends within O(log r) levels."""
     slope = Fraction(slope)
-    return _from_slope(slope, slope.denominator)[0]
+    return _lattice(slope.denominator, slope.numerator, slope.denominator)[0]
 
 
-def _from_slope(slope: Fraction, max_depth: int | None) -> tuple:
-    """``from_slope`` and its dyadic, from one descent capped at max_depth;
-    the bundle is built only once the descent has found it."""
-    r, c1 = slope.denominator, slope.numerator
-    if _c2(r, c1)[1]:
-        raise ValueError(f"{slope} is not an exceptional slope (c2 not integral)")
-    d = _descend(r, c1, max_depth)[0]
-    return _bundle(r, c1), d
+def _lattice(rank: int, c1: int, max_depth: int | None) -> tuple:
+    """The bundle (rank, c1) from outside the package and its dyadic: the
+    package's one boundary, behind ``ExceptionalBundle``, ``from_slope`` and
+    the CLI's ``slope --invert``.  ValueError for a rank below 1 or a
+    non-integral c2, and when the descent, capped at max_depth, proves the
+    slope off the lattice; the bundle is the one the descent found."""
+    if rank < 1:
+        raise ValueError(f"rank {rank} of ({rank}, {c1}) is not positive")
+    if _c2(rank, c1)[1]:
+        raise ValueError(f"{c1}/{rank} is not an exceptional slope (c2 not integral)")
+    return _descend(rank, c1, max_depth)[:2]
 
 
 def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
@@ -248,9 +266,10 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     dyadics (slopes a < b, gap < 3).
 
     2 chi(x, a) = u.x and 2 chi(b, x) = v.x on x = (r, c1, c1^2 - 2 c2);
-    u x v spans their kernel and is -2 x of the result.  Neighbours are
-    exactly the pairs with chi(b, a) = 0; on any other pair the kernel can
-    be another multiple of x, so compose refuses it with ValueError first.
+    u x v spans their kernel and is -2 x of the result, which ``_bundle``
+    builds from x.  Neighbours are exactly the pairs with chi(b, a) = 0; on
+    any other pair the kernel can be another multiple of x, so compose
+    refuses it with ValueError first.
     """
     ra, ca, sa = a.chern._vec
     rb, cb, sb = b.chern._vec
@@ -264,9 +283,9 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     if v0 * ra + v1 * ca + v2 * sa != 0:  # 2 chi(b, a)
         raise ValueError(f"{a} and {b} are not neighbours: chi({b}, {a}) != 0")
     k0, k1, k2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
-    result = _bundle(-k0 >> 1, -k1 >> 1)
-    if (k0 | k1 | k2) & 1 or result.chern._vec[2] != -k2 >> 1:
-        raise InternalInconsistencyError(f"kernel of {a}, {b} is not -2 x ch({result})")
+    if (k0 | k1 | k2) & 1:
+        raise InternalInconsistencyError(f"kernel of {a}, {b} is not even")
+    result = _bundle(-k0 >> 1, -k1 >> 1, -k2 >> 1)
     if chern.euler_pairing(result.chern, a.chern) != 0:
         raise InternalInconsistencyError(f"chi({result}, {a}) != 0")
     if chern.euler_pairing(b.chern, result.chern) != 0:
@@ -295,7 +314,7 @@ def _walk(
     ``mids`` keeps the mids by bracket position for walks that share them.
     """
     cap = _cap(max_depth)
-    lo, hi = _bundle(1, start), _bundle(1, start + 1)
+    lo, hi = _bundle(1, start, start * start), _bundle(1, start + 1, (start + 1) ** 2)
     p, q = start, 0  # [lo, hi] is the image of [p/2^q, (p+1)/2^q]
     for _ in range(cap):
         if mids is None:
@@ -328,7 +347,7 @@ def _from_dyadic(d: Dyadic) -> tuple:
     by a walk that steers by the bits of d and needs no depth cap."""
     base = d.p >> d.q  # floor(d)
     if d.q == 0:
-        return _bundle(1, base), None
+        return _bundle(1, base, base * base), None
     offset = d.p - (base << d.q)  # d = base + offset/2^q, offset odd
     # One sign per bit of offset below the top, then stop at the last bit;
     # drawn as the walk goes, so memory stays flat however deep d lies.
@@ -342,18 +361,19 @@ def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic
     the slope.  Raises ValueError as soon as the descent proves the slope is
     not on the lattice, and DepthExhaustedError if it lies deeper than the cap.
     """
-    return _descend(bundle.rank, bundle.c1, max_depth)[0]
+    return _descend(bundle.rank, bundle.c1, max_depth)[1]
 
 
 def _descend(r: int, c1: int, max_depth: int | None) -> tuple:
-    """``dyadic_of`` of the slope c1/r and the images of the dyadic's
-    neighbours (None, None for a line bundle).  The ranks of the mids
-    increase (each is the largest of its Markov triple), so a mid of rank
-    >= r that is not the target proves the slope off the lattice."""
+    """The bundle of slope c1/r, gcd(r, c1) = 1, its dyadic (``dyadic_of``)
+    and the images of the dyadic's neighbours (None, None for a line bundle).
+    The ranks of the mids increase (each is the largest of its Markov
+    triple), so a mid of rank >= r that is not the target proves the slope
+    off the lattice."""
     cap = _cap(max_depth)
     shift = -(-c1 // r)  # ceil(slope)
     if c1 == shift * r:
-        return Dyadic(shift, 0), None, None
+        return _bundle(1, c1, c1 * c1), Dyadic(shift, 0), None, None
 
     def steer(lo, mid, hi):
         if mid.rank == r and mid.c1 == c1:
@@ -362,8 +382,8 @@ def _descend(r: int, c1: int, max_depth: int | None) -> tuple:
             raise ValueError(f"{Fraction(c1, r)} is not an exceptional slope")
         return c1 * mid.rank - mid.c1 * r  # sign of slope - mu(mid)
 
-    lo, _, hi, p, q = _walk(steer, lambda: f"slope {Fraction(c1, r)}", cap, shift - 1)
-    return Dyadic(p, q), lo, hi
+    lo, mid, hi, p, q = _walk(steer, lambda: f"slope {Fraction(c1, r)}", cap, shift - 1)
+    return mid, Dyadic(p, q), lo, hi
 
 
 def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> ExceptionalBundle:
@@ -392,7 +412,7 @@ def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[Excepti
         if n < -m or n > 0:
             raise ValueError(f"slope {Fraction(n, m)} outside [-1, 0]")
     cap = _cap(max_depth)
-    ends = (_bundle(1, -1), _bundle(1, 0))
+    ends = (_bundle(1, -1, 1), _bundle(1, 0, 0))
     mids: dict = {}
 
     def owner(n: int, m: int) -> ExceptionalBundle:

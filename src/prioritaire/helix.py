@@ -5,13 +5,16 @@ is pairwise orthogonal in one direction: chi(f,e) = chi(g,f) = chi(g,e)
 = 0.  The root triad is (O(-1), E(-1/2), O); every other one arises by
 repeated mutation.  The left child of (e, f, g) is (e, h', f) with h'
 the kernel bundle of the evaluation f x Hom(f,g) -> g, and the right
-child is (f, k, g) with k the cokernel of e -> f x Hom(e,f)*.  Ranks and
-first Chern classes follow the mutation bookkeeping
+child is (f, k, g) with k the cokernel of e -> f x Hom(e,f)*.  The
+integer character vectors x = (r, c1, c1^2 - 2 c2) follow the mutation
+bookkeeping
 
-    rank(h') = rank(f)*chi(f,g) - rank(g),   c1(h') = chi(f,g)*c1(f) - c1(g)
+    x(h') = chi(f,g) * x(f) - x(g)
 
 and every middle, composed from its two ends, is cross-checked against
-this mutation of its parent, an independent integer route.
+this mutation of its parent, an independent integer route.  Mutations
+and series members are built from their vectors by
+``exceptional._bundle``, which checks that each vector is exceptional.
 
 Each triad is also its tile, a curvilinear triangle in the (mu, Delta)
 plane (``Triad.side_ef``, ``side_fg``, ``side_eg`` and ``contains``):
@@ -35,8 +38,9 @@ Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
 (g(-3), e) from the unique triad (e, f, g) otherwise, extended both ways
 by ch(g_{n+1}) = c * ch(g_n) - ch(g_{n-1}) with constant c =
-chi(g_0, g_1) = 3 * rank(f).  Every member satisfies chi(f, g_n) = 0,
-and (mu(g_n), Delta(g_n)) converges to (mu(f) - x_f, 1/2).
+chi(g_0, g_1) = 3 * rank(f) (checked).  Every member satisfies
+chi(f, g_n) = 0 (checked), and (mu(g_n), Delta(g_n)) converges to
+(mu(f) - x_f, 1/2).
 """
 
 from __future__ import annotations
@@ -62,10 +66,11 @@ _levels: list[list[Triad]] = []
 
 
 def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
-    """The bundle of rank rank(a)*chi - rank(b) and c1 chi*c1(a) - c1(b),
-    where chi is the Euler pairing of the mutated pair (three times a rank,
-    by the triad identities)."""
-    return exceptional._bundle(a.rank * chi - b.rank, chi * a.c1 - b.c1)
+    """The bundle of character vector chi*x(a) - x(b), where chi is the
+    Euler pairing of the mutated pair (three times a rank, by the triad
+    identities)."""
+    (ra, ca, xa), (rb, cb, xb) = a.chern._vec, b.chern._vec
+    return exceptional._bundle(chi * ra - rb, chi * ca - cb, chi * xa - xb)
 
 
 class Triad(Record):
@@ -161,7 +166,7 @@ def _make_triad(
 
 
 def root() -> Triad:
-    e, g = exceptional._bundle(1, -1), exceptional._bundle(1, 0)
+    e, g = exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)
     return _make_triad(e, exceptional.compose(e, g), g, None)
 
 
@@ -199,7 +204,7 @@ def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
     (2i + 1) 2^(level_max - 1 - k)."""
     if level_max < 0:
         raise ValueError("level_max must be >= 0")
-    bundles = [exceptional._bundle(1, -1)] * (1 << level_max) + [exceptional._bundle(1, 0)]
+    bundles = [exceptional._bundle(1, -1, 1)] * (1 << level_max) + [exceptional._bundle(1, 0, 0)]
     for t in iterate_triads(level_max - 1):
         bundles[(2 * t.index + 1) << (level_max - 1 - t.level)] = t.f
     return bundles
@@ -250,9 +255,9 @@ def left_series(
     """Members g_{n_min} .. g_{n_max} of the series attached to f.
 
     Recurrence on the integer character vectors ``ChernData._vec`` with
-    constant c = chi(g_0, g_1); every member is rebuilt from its rank and
-    c1 and must reproduce the recurrence vector exactly, and must pair
-    to zero against f.
+    constant c = chi(g_0, g_1) = 3 rank(f); every member is built from its
+    recurrence vector (``exceptional._bundle`` checks it is exceptional)
+    and must pair to zero against f.
     """
     return _series(f, None, n_min, n_max)
 
@@ -263,9 +268,9 @@ def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[Excep
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     if f.rank == 1:
-        g0, g1 = exceptional._bundle(1, f.c1 - 2), exceptional._bundle(1, f.c1 - 1)
+        g0, g1 = f.twist(-2), f.twist(-1)
     else:
-        lo, hi = exceptional._descend(f.rank, f.c1, None)[1:] if bracket is None else bracket
+        lo, hi = exceptional._descend(f.rank, f.c1, None)[2:] if bracket is None else bracket
         g0, g1 = hi.twist(-3), lo
     c = euler_pairing(g0.chern, g1.chern)
     if c != 3 * f.rank:
@@ -279,12 +284,7 @@ def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[Excep
         vecs[n - 1] = tuple(c * a - b for a, b in zip(vecs[n], vecs[n + 1]))
     out: list[ExceptionalBundle] = []
     for n in range(n_min, n_max + 1):
-        x = vecs[n]
-        bundle = exceptional._bundle(x[0], x[1])
-        if bundle.chern._vec != x:
-            raise InternalInconsistencyError(
-                f"series member {n} of {f}: character vector {x} is not exceptional"
-            )
+        bundle = exceptional._bundle(*vecs[n])
         if euler_pairing(f.chern, bundle.chern) != 0:
             raise InternalInconsistencyError(f"chi({f}, g_{n}) != 0")
         out.append(bundle)

@@ -102,18 +102,19 @@ def test_depth_exhausted_names_its_bracket(capsys, monkeypatch):
 
 
 def test_constructor_failure_exits_two(capsys, monkeypatch):
-    # A bad mutation (the second term dropped) gives a non-primitive
-    # (rank, c1), whose c2 is not integral: an inconsistency, not a usage error.
+    # A bad mutation (the second term dropped) gives the vector 3 x(O(-1))
+    # = (3, -3, 3), whose chi(F,F) is 9: the trusted builder raises an
+    # inconsistency, not a usage error.
     from prioritaire import exceptional, helix
 
     monkeypatch.setattr(
-        helix, "_mutation", lambda a, b, chi: exceptional._bundle(a.rank * chi, chi * a.c1)
+        helix, "_mutation", lambda a, b, chi: exceptional._bundle(*(chi * x for x in a.chern._vec))
     )
     # An empty kept tree, as in a fresh process: the render builds level 1.
     monkeypatch.setattr(helix, "_levels", [])
     code, out, err = run(capsys, "tile", "--depth", "1", "--format", "csv")
     assert (code, out) == (2, "")
-    assert err == "prioritaire: inconsistency: (3, -3) is not exceptional: c2 not integral\n"
+    assert err == "prioritaire: inconsistency: chi(F,F) != 1 for (3, -3, 3)\n"
 
 
 def test_frontier_values(capsys):

@@ -35,6 +35,12 @@ from prioritaire.exceptional import (
 from prioritaire.helix import enumerate_to_level
 
 
+def _vector(r, c1):
+    """(r, c1, c1^2 - 2 c2) with c2 the (floored) exceptional c2 formula,
+    the vector ``_bundle`` takes."""
+    return r, c1, c1 * c1 - 2 * ((r - 1) * (r + 1 + c1 * c1) // (2 * r))
+
+
 def test_dyadic_normalization():
     assert Dyadic(2, 3) == Dyadic(1, 2)
     assert Dyadic(-4, 2) == Dyadic(-1, 0)
@@ -159,8 +165,8 @@ def test_compose_refuses_every_non_neighbour_pair():
     # Every ordered pair with 0 < gap < 3 among the level-4 slopes and
     # their translates -2..1: compose answers the paper's formula exactly
     # on the pairs with chi(b, a) = 0 and raises ValueError on the rest.
-    keys = {(b.rank, b.c1 + k * b.rank) for b in enumerate_to_level(4) for k in range(-2, 2)}
-    bundles = sorted((ex._bundle(r, c1) for r, c1 in keys), key=lambda b: b.slope)
+    keys = {b.twist(k) for b in enumerate_to_level(4) for k in range(-2, 2)}
+    bundles = sorted(keys, key=lambda b: b.slope)
     answered = refused = 0
     for a in bundles:
         for b in bundles:
@@ -178,9 +184,15 @@ def test_compose_refuses_every_non_neighbour_pair():
 
 def test_constructor_raises_inconsistency():
     for rank, c1 in ((0, 1), (-2, 1), (2, 0), (6, -3), (3, -1), (3, 1)):
-        for build in (ex._bundle, ex.ExceptionalBundle):
+        # The trusted builder: a rank below 1, an odd c1^2 - x2, or chi(F,F)
+        # != 1 at the floored c2 is a fault of the package.
+        x2 = _vector(rank, c1)[2] if rank else c1 * c1
+        for bad in (x2, x2 + 1):
             with pytest.raises(InternalInconsistencyError):
-                build(rank, c1)
+                ex._bundle(rank, c1, bad)
+        # The public constructor is the boundary for outside input.
+        with pytest.raises(ValueError, match="is not positive|c2 not integral"):
+            ex.ExceptionalBundle(rank, c1)
     # from_slope is the boundary for user slopes and keeps ValueError.
     with pytest.raises(ValueError, match="not an exceptional slope"):
         from_slope(Fraction(-1, 3))
@@ -197,16 +209,51 @@ def test_bundle_is_fixed_by_rank_and_c1():
         def __reduce__(self):
             return ex.ExceptionalBundle, (3, 1)
 
-    # Unpickling runs the constructor, so its checks too.
-    with pytest.raises(InternalInconsistencyError, match=r"^\(3, 1\) is not exceptional"):
+    # Unpickling runs the public constructor, so its checks too.
+    with pytest.raises(ValueError, match=r"^1/3 is not an exceptional slope \(c2 not integral\)$"):
         pickle.loads(pickle.dumps(Forged()))
+
+
+def test_public_constructor_proves_lattice_membership():
+    # (10, -3) has an integral c2 = 9 and chi(F,F) = 1, but its slope is off
+    # the lattice: the descent meets rank 13 first.
+    with pytest.raises(ValueError, match=r"^-3/10 is not an exceptional slope$"):
+        ex.ExceptionalBundle(10, -3)
+
+    class Forged:
+        def __reduce__(self):
+            return ex.ExceptionalBundle, (10, -3)
+
+    with pytest.raises(ValueError, match=r"^-3/10 is not an exceptional slope$"):
+        pickle.loads(pickle.dumps(Forged()))
+    # On the lattice: a new record, equal to the one the descent found.
+    f, g = ex.ExceptionalBundle(13, -5), from_slope(Fraction(-5, 13))
+    assert f == g and f is not g and (f.c2, f.delta, f.chern) == (g.c2, g.delta, g.chern)
+
+
+def test_no_division_off_the_boundary(monkeypatch):
+    # Only the boundary works c2 out by division; the package's own
+    # bundles are built from the vectors their callers hold.
+    f = from_slope(Fraction(-2, 5))
+    calls = []
+    original = ex._c2
+    monkeypatch.setattr(ex, "_c2", lambda r, c1: calls.append((r, c1)) or original(r, c1))
+    monkeypatch.setattr(helix, "_levels", [])
+    ex._bundle.cache_clear()
+    assert sum(1 for _ in helix.iterate_triads(6)) == (1 << 7) - 1
+    assert from_dyadic(Dyadic(-349525, 20)).rank.bit_length() > 100
+    assert len(helix.left_series(f, -3, 20)) == 24
+    assert (f.twist(5).slope, f.dual().slope) == (Fraction(23, 5), Fraction(2, 5))
+    assert calls == []
+    ex.ExceptionalBundle(5, -2)
+    assert calls == [(5, -2)]
 
 
 def test_from_dyadic_draws_its_steering_bits_lazily(monkeypatch):
     import tracemalloc
 
     def one_level(steer, what, max_depth, start, mids=None):
-        lo, hi = ex._bundle(1, start), ex._bundle(1, start + 1)
+        lo, hi = ex._bundle(1, start, start * start), ex._bundle(1, start + 1, (start + 1) ** 2)
         mid = compose(lo, hi)
         steer(lo, mid, hi)
         return lo, mid, hi, 1, 1
@@ -290,7 +337,8 @@ def test_dyadic_of_far_translates():
 def test_dyadic_of_refuses_every_slope_off_the_lattice():
     # Every slope in (-1, 0] with rank < 400 whose forced c2 is integral:
     # the lattice ones round-trip, the others are refused by ValueError,
-    # both by from_slope and by dyadic_of of the record _bundle builds.
+    # by from_slope, by the public constructor and by dyadic_of of the
+    # record _bundle builds from the vector.
     # Lattice ranks at level 7 are at least 610, so level 6 lists them all.
     lattice = {(f.rank, f.c1) for f in enumerate_to_level(6) if f.rank < 400 and f.c1 > -f.rank}
     refused = 0
@@ -300,12 +348,14 @@ def test_dyadic_of_refuses_every_slope_off_the_lattice():
                 continue
             if (r, c1) in lattice:
                 f = from_slope(Fraction(c1, r))
-                assert from_dyadic(dyadic_of(f)) == f
+                assert from_dyadic(dyadic_of(f)) == f == ex.ExceptionalBundle(r, c1)
             else:
                 with pytest.raises(ValueError, match="is not an exceptional slope$"):
                     from_slope(Fraction(c1, r))
                 with pytest.raises(ValueError, match="is not an exceptional slope$"):
-                    dyadic_of(ex._bundle(r, c1))
+                    ex.ExceptionalBundle(r, c1)
+                with pytest.raises(ValueError, match="is not an exceptional slope$"):
+                    dyadic_of(ex._bundle(*_vector(r, c1)))
                 refused += 1
     assert (len(lattice), refused) == (18, 174)
 
@@ -318,7 +368,7 @@ def test_dyadic_of_refuses_at_once(monkeypatch):
     for slope in (Fraction(-3, 10), Fraction(13, 10)):
         calls.clear()
         with pytest.raises(ValueError, match=f"{slope} is not an exceptional slope"):
-            dyadic_of(ex._bundle(slope.denominator, slope.numerator), max_depth=3000)
+            dyadic_of(ex._bundle(*_vector(slope.denominator, slope.numerator)), max_depth=3000)
         assert len(calls) == 3
 
 
