@@ -60,20 +60,20 @@ def _exact(value, digits: int) -> dict:
     return {"exact": str(value), "approx": decimal_str(value, digits)}
 
 
-def _exact_text(value, digits: int) -> str:
-    e = _exact(value, digits)
+def _exact_text(e: dict) -> str:
+    """An ``_exact`` value as text: its decimal follows unless it is an integer."""
     return f"{e['exact']} (~ {e['approx']})" if "sqrt" in e["exact"] or "/" in e["exact"] else e["exact"]
 
 
+def _invariants(d: ChernData, **record) -> dict:
+    """``record`` with rank, c1, c2, slope and delta of d: the one record of
+    the invariants of a bundle or a summand."""
+    slope, delta = format_rational(d.slope()), format_rational(d.discriminant())
+    return dict(record, rank=d.rank, c1=d.c1, c2=d.c2, slope=slope, delta=delta)
+
+
 def _bundle_record(f: exceptional.ExceptionalBundle) -> dict:
-    return {
-        "label": f.label(),
-        "rank": f.rank,
-        "c1": f.c1,
-        "c2": f.c2,
-        "slope": format_rational(f.slope),
-        "delta": format_rational(f.delta),
-    }
+    return _invariants(f.chern, label=f.label())
 
 
 def _emit_json(payload: dict) -> None:
@@ -204,25 +204,24 @@ def _cmd_slope(args: argparse.Namespace) -> int:
         d = exceptional.parse_dyadic(args.value)
         f = exceptional.from_dyadic(d)
     _lift_digit_limit()
-    hw = f.half_width()
-    left = QuadSurd.from_rational(f.slope) - hw
-    right = QuadSurd.from_rational(f.slope) + hw
+    hw, mu = f.half_width(), QuadSurd.from_rational(f.slope)
     payload = _bundle_record(f)
     payload["dyadic"] = str(d)
     payload["x_f"] = _exact(hw, args.digits)
     payload["interval"] = {
-        "left": _exact(left, args.digits),
-        "right": _exact(right, args.digits),
+        "left": _exact(mu - hw, args.digits),
+        "right": _exact(mu + hw, args.digits),
     }
     if args.json:
         _emit_json(payload)
     else:
-        print(f"bundle   {f.label()}")
-        print(f"dyadic   {d}")
-        print(f"slope    {format_rational(f.slope)}")
-        print(f"rank     {f.rank}  c1 {f.c1}  c2 {f.c2}  delta {format_rational(f.delta)}")
-        print(f"x_f      {_exact_text(hw, args.digits)}")
-        print(f"interval ({_exact_text(left, args.digits)}, {_exact_text(right, args.digits)})")
+        p, interval = payload, payload["interval"]
+        print(f"bundle   {p['label']}")
+        print(f"dyadic   {p['dyadic']}")
+        print(f"slope    {p['slope']}")
+        print(f"rank     {p['rank']}  c1 {p['c1']}  c2 {p['c2']}  delta {p['delta']}")
+        print(f"x_f      {_exact_text(p['x_f'])}")
+        print(f"interval ({_exact_text(interval['left'])}, {_exact_text(interval['right'])})")
     return 0
 
 
@@ -230,23 +229,21 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     mu = parse_rational(args.mu)
     _lift_digit_limit()
     owner, d, dp = frontier.delta_many([mu], args.depth)[0]
-    bound = frontier._prioritary_bound(mu)
+    payload = {
+        "mu": format_rational(mu),
+        "delta": _exact(d, args.digits),
+        "delta_prime": _exact(dp, args.digits),
+        "owner": _bundle_record(owner),
+        "prioritary_bound": _exact(frontier._prioritary_bound(mu), args.digits),
+    }
     if args.json:
-        _emit_json(
-            {
-                "mu": format_rational(mu),
-                "delta": _exact(d, args.digits),
-                "delta_prime": _exact(dp, args.digits),
-                "owner": _bundle_record(owner),
-                "prioritary_bound": _exact(bound, args.digits),
-            }
-        )
+        _emit_json(payload)
     else:
-        print(f"mu               {format_rational(mu)}")
-        print(f"delta            {_exact_text(d, args.digits)}")
-        print(f"delta_prime      {_exact_text(dp, args.digits)}")
-        print(f"owner            {owner.label()}")
-        print(f"prioritary_bound {_exact_text(bound, args.digits)}")
+        print(f"mu               {payload['mu']}")
+        print(f"delta            {_exact_text(payload['delta'])}")
+        print(f"delta_prime      {_exact_text(payload['delta_prime'])}")
+        print(f"owner            {payload['owner']['label']}")
+        print(f"prioritary_bound {_exact_text(payload['prioritary_bound'])}")
     return 0
 
 
@@ -270,30 +267,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _lift_digit_limit()
     norm, k = chern.normalize(cd)
     region = frontier._classify_normalized(norm, args.depth)
+    payload = _classify_payload(cd, norm, k, region, args.digits)
     if args.json:
-        _emit_json(_classify_payload(cd, norm, k, region, args.digits))
+        _emit_json(payload)
     else:
-        print(f"region     {region.tag.value}")
+        print(f"region     {payload['region']}")
         if region.witness is not None:
-            print(f"witness    {region.witness.label()}")
+            print(f"witness    {payload['witness']['label']}")
         print(f"normalized ({norm.rank},{norm.c1},{norm.c2}) twist {k}")
-        print(f"mu         {_exact_text(norm.slope(), args.digits)}")
-        print(f"delta      {_exact_text(norm.discriminant(), args.digits)}")
+        print(f"mu         {_exact_text(payload['mu'])}")
+        print(f"delta      {_exact_text(payload['delta'])}")
     return 0
 
 
 def _summand_record(s: decompose_mod.Summand) -> dict:
-    d = s.chern_data()
-    return {
-        "kind": s.kind,
-        "label": s.label(),
-        "multiplicity": s.multiplicity,
-        "rank": d.rank,
-        "c1": d.c1,
-        "c2": d.c2,
-        "slope": format_rational(d.slope()),
-        "delta": format_rational(d.discriminant()),
-    }
+    return _invariants(s.chern_data(), kind=s.kind, label=s.label(), multiplicity=s.multiplicity)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -331,11 +319,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         if result.summands is None:
             print("summands none (generic sheaf does not split)")
         else:
-            for s in result.summands:
-                d = s.chern_data()
+            for r in payload["summands"]:
                 print(
-                    f"summand  {s.multiplicity} x {s.label()}"
-                    f"  [rank {d.rank} c1 {d.c1} c2 {d.c2}]"
+                    f"summand  {r['multiplicity']} x {r['label']}"
+                    f"  [rank {r['rank']} c1 {r['c1']} c2 {r['c2']}]"
                 )
             print("verified character balance exact")
     return 0

@@ -7,8 +7,10 @@ mutation, twist, the series recurrence) already holds the integer
 character vector x = (r, c1, c1^2 - 2 c2), so the package builds each
 bundle from it with ``_bundle``, the one exceptional-vector check (rank
 >= 1, c2 = (c1^2 - x_2)/2 integral, chi(F,F) = 1) behind a cache of 4096
-bundles.  The package's only other store is ``helix``'s kept triad
-levels, at most MAX_TILE_DEPTH + 1 = 11.
+bundles.  A bundle holds r, c1 and its ``ChernData``, the one home of the
+formulas for slope, c2 and discriminant, which it reads on demand: no
+lattice step builds a Fraction.  The package's only other store is
+``helix``'s kept triad levels, at most MAX_TILE_DEPTH + 1 = 11.
 
 ``ExceptionalBundle(r, c1)``, ``from_slope`` and the CLI take bundles
 from outside through one boundary, ``_lattice``: it refuses a rank below
@@ -58,7 +60,7 @@ from . import chern
 from ._record import Record
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
-from .surd import QuadSurd, format_rational
+from .surd import QuadSurd
 
 DEFAULT_MAX_DEPTH = 64
 _ENV_MAX_DEPTH = "PRIORITAIRE_MAX_DEPTH"
@@ -153,17 +155,30 @@ class ExceptionalBundle(Record):
     otherwise, and it is a new record equal to the one the descent found.
     The package builds its own bundles with ``_bundle``.  The record's
     fields, for equality, hashing, repr and pickling, are (rank, c1);
-    ``slope``, ``c2``, ``delta`` and ``chern`` (the invariants as
-    ``ChernData``) are derived once.
+    ``chern``, the invariants as ``ChernData``, is derived once, and
+    ``slope``, ``c2`` and ``delta`` are read from it on demand.
     """
 
-    __slots__ = ("rank", "c1", "slope", "c2", "delta", "chern")
+    __slots__ = ("rank", "c1", "chern")
     _fields = __slots__[:2]
 
     def __init__(self, rank: int, c1: int) -> None:
         found = _lattice(rank, c1, rank)[0]
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(found, name))
+
+    @property
+    def slope(self) -> Fraction:
+        return self.chern.slope()
+
+    @property
+    def c2(self) -> int:
+        return self.chern.c2
+
+    @property
+    def delta(self) -> Fraction:
+        """(r^2 - 1)/(2 r^2), the discriminant of every exceptional bundle."""
+        return self.chern.discriminant()
 
     def character(self) -> ChernCharacter:
         return self.chern.character()
@@ -199,7 +214,7 @@ class ExceptionalBundle(Record):
     def label(self) -> str:
         if self.rank == 1:
             return f"O({self.c1})"
-        return f"E({format_rational(self.slope)})"
+        return f"E({self.c1}/{self.rank})"  # in lowest terms: chi(F,F) = 1
 
     def __str__(self) -> str:
         return self.label()
@@ -231,9 +246,8 @@ def _bundle(rank: int, c1: int, x2: int) -> ExceptionalBundle:
     if (c1 - x2) & 1:
         raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
     c2 = (c1 * c1 - x2) >> 1
-    derived = (Fraction(c1, rank), c2, Fraction(rank * rank - 1, 2 * rank * rank))
     f = object.__new__(ExceptionalBundle)
-    for name, value in zip(f.__slots__, (rank, c1, *derived, ChernData(rank, c1, c2))):
+    for name, value in zip(f.__slots__, (rank, c1, ChernData(rank, c1, c2))):
         object.__setattr__(f, name, value)
     if chern.euler_pairing(f.chern, f.chern) != 1:
         raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import exceptional, frontier, helix
 from .exceptional import ExceptionalBundle
-from .surd import format_rational
 
 # The view spans the slopes [-1, 0] across its width and the
 # discriminants [0, DELTA_MAX] up its height.
@@ -40,17 +39,17 @@ def _py(delta: float) -> float:
 
 
 def _side_coords(
-    mu_a: Fraction, mu_b: Fraction, x: ExceptionalBundle, sign: int, samples: int
+    a: ExceptionalBundle, b: ExceptionalBundle, x: ExceptionalBundle, sign: int, samples: int
 ) -> list[str]:
     """Pixel text of the conic side P(sign*(mu - mu(x))) - Delta(x) at the
-    samples + 1 evenly spaced slopes from mu_a to mu_b.
+    samples + 1 evenly spaced slopes from mu(a) to mu(b).
 
-    The slopes share the denominator q_a q_b samples, and each coordinate
+    The slopes share the denominator r_a r_b samples, and each coordinate
     is one int/int true division of exact integers.  That division is
     correctly rounded, like ``float()`` of the same value as a Fraction,
     so the text is what the Fraction computation would print.
     """
-    pa, qa, pb, qb = mu_a.numerator, mu_a.denominator, mu_b.numerator, mu_b.denominator
+    pa, qa, pb, qb = a.c1, a.rank, b.c1, b.rank
     d = qa * qb * samples
     start, step = pa * qb * samples, pb * qa - pa * qb
     coords = []
@@ -63,10 +62,9 @@ def _side_coords(
 
 
 def _tile_path(t: helix.Triad, samples: int) -> str:
-    e, f, g = t.e.slope, t.f.slope, t.g.slope
-    coords = _side_coords(e, f, t.g, 1, samples)  # side_ef
-    coords += _side_coords(f, g, t.e, -1, samples)[1:]  # side_fg
-    coords += _side_coords(g, e, t.h, -1, samples)[1:-1]  # side_eg, back to e
+    coords = _side_coords(t.e, t.f, t.g, 1, samples)  # side_ef
+    coords += _side_coords(t.f, t.g, t.e, -1, samples)[1:]  # side_fg
+    coords += _side_coords(t.g, t.e, t.h, -1, samples)[1:-1]  # side_eg, back to e
     return "M " + " L ".join(coords) + " Z"
 
 
@@ -129,15 +127,23 @@ def tile_svg(max_level: int, samples: int = 64) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vertex_cells(b: ExceptionalBundle) -> str:
+    """The cells mu, delta of a vertex in lowest terms, from its integers:
+    mu = c1/r (gcd 1, as chi(F,F) = 1) and delta = (r^2 - 1)/(2 r^2), whose
+    terms share the factor gcd(r^2 - 1, 2) only."""
+    r, c1 = b.rank, b.c1
+    if r == 1:
+        return f"{c1},0"
+    g = 1 + (r & 1)
+    return f"{c1}/{r},{(r * r - 1) // g}/{2 * r * r // g}"
+
+
 def tile_csv(max_level: int) -> str:
     """CSV of tile vertices, exact rationals, CRLF line endings."""
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     rows = ["level,index,mu_e,delta_e,mu_f,delta_f,mu_g,delta_g"]
     for t in helix.iterate_triads(max_level):
-        cells = [str(t.level), str(t.index)]
-        for b in (t.e, t.f, t.g):
-            cells.append(format_rational(b.slope))
-            cells.append(format_rational(b.delta))
+        cells = [str(t.level), str(t.index), *map(_vertex_cells, (t.e, t.f, t.g))]
         rows.append(",".join(cells))
     return "\r\n".join(rows) + "\r\n"

@@ -191,6 +191,21 @@ def test_digits_only_where_decimals_print(capsys, argv):
     assert "error: unrecognized arguments: --digits" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slope", "--", "-1/4"),
+        ("frontier", "--", "-1/3"),
+        ("classify", "--", "8", "4", "11"),
+    ],
+)
+def test_bad_digits_print_no_half_answer(capsys, argv):
+    # The text report prints the strings of the JSON payload, which is
+    # built whole first, so a refused --digits leaves stdout empty.
+    code, out, err = run(capsys, argv[0], "--digits", "0", *argv[1:])
+    assert (code, out, err) == (1, "", "prioritaire: error: digits must be >= 1\n")
+
+
 def test_series_left_of_o(capsys):
     code, out, _ = run(capsys, "series", "--json", "0", "4")
     assert code == 0

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prioritaire.exceptional as ex
-from prioritaire import helix
+from prioritaire import chern, helix
 from prioritaire.chern import euler_pairing
 from prioritaire.errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from prioritaire.exceptional import (
@@ -247,6 +247,41 @@ def test_no_division_off_the_boundary(monkeypatch):
     assert calls == []
     ex.ExceptionalBundle(5, -2)
     assert calls == [(5, -2)]
+
+
+def test_no_fraction_on_the_lattice_path(monkeypatch):
+    # A bundle holds its integers; slope and delta are Fractions only when
+    # read, so no lattice step builds one, here or in ChernData.
+    f = from_slope(Fraction(-2, 5))
+    built = []
+    for module in (ex, chern):
+        monkeypatch.setattr(module, "Fraction", lambda *a: built.append(a) or Fraction(*a))
+    monkeypatch.setattr(helix, "_levels", [])
+    ex._bundle.cache_clear()
+    assert sum(1 for _ in helix.iterate_triads(6)) == (1 << 7) - 1
+    assert from_dyadic(Dyadic(-349525, 20)).rank.bit_length() > 100
+    assert len(helix.left_series(f, -3, 20)) == 24
+    assert (f.twist(5).c1, f.dual().c1) == (23, 2)
+    assert built == []
+
+
+def test_slope_c2_and_delta_are_read_from_the_integers():
+    bundles = set()
+    for f in enumerate_to_level(8):
+        bundles.update(f.twist(k) for k in range(-3, 4))
+        bundles.add(f.dual())
+        bundles.update(helix.left_series(f, -1, 2) + helix.right_series(f, -1, 2))
+    for f in bundles:
+        r, c1 = f.rank, f.c1
+        assert f.slope == Fraction(c1, r) and f.chern.slope() == f.slope
+        assert 2 * r * f.c2 == (r - 1) * (r + 1 + c1 * c1) and f.c2 == f.chern.c2
+        assert f.delta == Fraction(r * r - 1, 2 * r * r)
+        assert hash(f) == hash((r, c1)) and repr(f) == f"ExceptionalBundle(rank={r}, c1={c1})"
+        assert f.__reduce__() == (ex.ExceptionalBundle, (r, c1))
+        assert f.label() == (f"O({c1})" if r == 1 else f"E({f.slope})")
+    assert len(bundles) > 2000
+    for f in list(bundles)[::97]:
+        assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_from_dyadic_draws_its_steering_bits_lazily(monkeypatch):

@@ -18,6 +18,7 @@ import pytest
 
 from prioritaire import helix, render
 from prioritaire.chern import hirzebruch_p
+from prioritaire.surd import format_rational
 
 SVG_SHA256 = {
     (0, 1): "50dbef84ea3b45d3a3768c4d6b5b6a3d8a8ef1d46e3415db6adcf9916be9b557",
@@ -78,6 +79,19 @@ def test_tile_svg_bytes_pinned(level, samples):
 
 def test_tile_csv_bytes_pinned():
     assert {level: _sha256(render.tile_csv(level)) for level in CSV_SHA256} == CSV_SHA256
+
+
+def test_csv_cells_are_the_fraction_text():
+    # tile_csv writes each cell from the vertex's integers; the Fraction
+    # route is the reference.
+    rows = render.tile_csv(10).split("\r\n")
+    triads = list(helix.iterate_triads(10))
+    assert rows[-1] == "" and len(rows) == len(triads) + 2
+    for row, t in zip(rows[1:], triads):
+        cells = [str(t.level), str(t.index)]
+        for b in (t.e, t.f, t.g):
+            cells += [format_rational(b.slope), format_rational(b.delta)]
+        assert row.split(",") == cells
 
 
 def _reference_side(x, sign):
