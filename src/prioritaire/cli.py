@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from . import chern
 from . import decompose as decompose_mod
@@ -65,15 +66,15 @@ def _exact_text(e: dict) -> str:
     return f"{e['exact']} (~ {e['approx']})" if "sqrt" in e["exact"] or "/" in e["exact"] else e["exact"]
 
 
-def _invariants(d: ChernData, **record) -> dict:
-    """``record`` with rank, c1, c2, slope and delta of d: the one record of
-    the invariants of a bundle or a summand."""
-    slope, delta = format_rational(d.slope()), format_rational(d.discriminant())
+def _invariants(d: ChernData, delta: Fraction, **record) -> dict:
+    """``record`` with rank, c1, c2, slope of d and its discriminant delta:
+    the one record of the invariants of a bundle or a summand."""
+    slope, delta = format_rational(d.slope()), format_rational(delta)
     return dict(record, rank=d.rank, c1=d.c1, c2=d.c2, slope=slope, delta=delta)
 
 
 def _bundle_record(f: exceptional.ExceptionalBundle) -> dict:
-    return _invariants(f.chern, label=f.label())
+    return _invariants(f.chern, f.delta, label=f.label())
 
 
 def _emit_json(payload: dict) -> None:
@@ -281,7 +282,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _summand_record(s: decompose_mod.Summand) -> dict:
-    return _invariants(s.chern_data(), kind=s.kind, label=s.label(), multiplicity=s.multiplicity)
+    d = s.chern_data()
+    return _invariants(d, d.discriminant(), kind=s.kind, label=s.label(), multiplicity=s.multiplicity)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -378,7 +380,11 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     return 0
 

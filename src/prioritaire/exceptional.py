@@ -43,9 +43,11 @@ for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
 lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
 Every descent of the dyadic tree, here and in ``helix``, runs through
-``_walk``, the one home of the depth cap and its error.  ``compose`` has
-two callers: ``_walk``, along one path, and ``helix``'s triad tree, whose
-middles are also the whole lattice levels (``helix.enumerate_to_level``).
+``_walk``, the one home of the depth cap and its error; a walk keeps no
+store of its own.  ``compose`` has two callers: ``_walk``, along one
+path, and ``helix``: its triad tree, whose middles are the lattice levels
+it keeps, and ``enumerate_to_level``, which composes only the middles of
+the levels past that tree.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ class ExceptionalBundle(Record):
     @property
     def delta(self) -> Fraction:
         """(r^2 - 1)/(2 r^2), the discriminant of every exceptional bundle."""
-        return self.chern.discriminant()
+        return Fraction(self.rank**2 - 1, 2 * self.rank**2)
 
     def character(self) -> ChernCharacter:
         return self.chern.character()
@@ -315,9 +317,7 @@ def _cap(max_depth: int | None) -> int:
     return cap
 
 
-def _walk(
-    steer: Callable, what: Callable, max_depth: int | None, start: int, mids: dict | None = None
-) -> tuple:
+def _walk(steer: Callable, what: Callable, max_depth: int | None, start: int) -> tuple:
     """Bisect the dyadic tree from [O(start), O(start + 1)].
 
     Each level composes mid = compose(lo, hi) and asks steer(lo, mid, hi):
@@ -325,18 +325,12 @@ def _walk(
     p/2^q; a negative sign enters [lo, mid], a positive one [mid, hi].  Past
     ``_cap(max_depth)`` mids it raises DepthExhaustedError "<what()> not
     resolved within depth N" with the pair it would have entered next.
-    ``mids`` keeps the mids by bracket position for walks that share them.
     """
     cap = _cap(max_depth)
     lo, hi = _bundle(1, start, start * start), _bundle(1, start + 1, (start + 1) ** 2)
     p, q = start, 0  # [lo, hi] is the image of [p/2^q, (p+1)/2^q]
     for _ in range(cap):
-        if mids is None:
-            mid = compose(lo, hi)
-        else:
-            mid = mids.get((p, q))
-            if mid is None:
-                mid = mids[p, q] = compose(lo, hi)
+        mid = compose(lo, hi)
         side = steer(lo, mid, hi)
         p, q = 2 * p, q + 1
         if side == 0:
@@ -409,9 +403,10 @@ def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> Exceptiona
 def locate_many(
     slopes: Iterable[Fraction], max_depth: int | None = None
 ) -> list[ExceptionalBundle]:
-    """Owners of rational slopes in [-1, 0] (``_owners``).  A slope owned by
-    none of O(-1), O and the first ``max_depth`` mids of its walk raises
-    DepthExhaustedError; the error names the first such slope in the list."""
+    """Owners of rational slopes in [-1, 0] (``_owners``, one walk per
+    slope).  A slope owned by none of O(-1), O and the first ``max_depth``
+    mids of its walk raises DepthExhaustedError; the error names the first
+    such slope in the list."""
     slopes = [Fraction(mu) for mu in slopes]
     return _owners([(mu.numerator, mu.denominator) for mu in slopes], max_depth)
 
@@ -420,14 +415,13 @@ def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[Excepti
     """``locate_many`` of the slopes n/m given as pairs (n, m), m > 0, in any
     terms: every test is homogeneous.  A bundle owns a slope exactly when
     ``_contains`` holds, as it does at distance 0.  After the two ends, each
-    slope walks to the first mid that owns it; the walks share their mids,
-    so each bundle is composed once per call."""
+    slope walks on its own to the first mid that owns it; ``_bundle``'s
+    cache serves the mids that walks repeat."""
     for n, m in pairs:
         if n < -m or n > 0:
             raise ValueError(f"slope {Fraction(n, m)} outside [-1, 0]")
     cap = _cap(max_depth)
     ends = (_bundle(1, -1, 1), _bundle(1, 0, 0))
-    mids: dict = {}
 
     def owner(n: int, m: int) -> ExceptionalBundle:
         for end in ends:
@@ -437,7 +431,7 @@ def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[Excepti
         def steer(lo, mid, hi):
             return 0 if mid._contains(n, m) else n * mid.rank - mid.c1 * m
 
-        return _walk(steer, lambda: f"slope {Fraction(n, m)}", cap, -1, mids)[1]
+        return _walk(steer, lambda: f"slope {Fraction(n, m)}", cap, -1)[1]
 
     return [owner(n, m) for n, m in pairs]
 

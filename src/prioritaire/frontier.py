@@ -24,7 +24,8 @@ tag after normalizing the slope into (-1, 0].
 Every answer at a slope derives from its owner F, found by one walk of
 the lattice (``classify`` walks it on the integers (c1, r)), and
 evaluates the formulas above at (mu, F) in closed-form integers.
-``delta_many`` answers a list of slopes from one walk.
+``delta_many`` answers a list of slopes from one ``locate_many`` call,
+in which each slope walks on its own.
 
 The region tests are integer signs on (r, c1, c2) and the owner's
 (r_F, c1_F): the prioritary bound, the side of delta and the exceptional
@@ -129,7 +130,7 @@ def delta_many(
     """(owner, delta, delta_prime) at each rational slope.
 
     The owner is that of the slope normalized into (-1, 0]; all owners
-    come from one ``exceptional.locate_many`` walk of the lattice.
+    come from one ``exceptional.locate_many`` call.
     """
     mus = [_normalize_slope(mu) for mu in slopes]
     owners = exceptional.locate_many(mus, max_depth)

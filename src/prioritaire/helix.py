@@ -32,7 +32,8 @@ the root and returns the shallowest containing tile.  The levels up to
 MAX_TILE_DEPTH are built and checked once per process and then kept
 (``iterate_triads``).  Their middles, with O(-1) and O, are the whole
 levels of the exceptional lattice (``enumerate_to_level``), which are
-read off the kept tree and never composed again.
+read off the kept tree and never composed again; each level past it
+composes only its middles and builds no triad.
 
 Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
@@ -199,14 +200,20 @@ def iterate_triads(max_level: int) -> Iterator[Triad]:
 
 def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
     """All bundles at dyadic slopes p/2^q in [-1, 0] with q <= level_max,
-    sorted by slope: O(-1) and O at the ends, and the middle of triad
-    (level k, index i) of ``iterate_triads(level_max - 1)`` at position
-    (2i + 1) 2^(level_max - 1 - k)."""
+    sorted by slope: O(-1) and O at the ends, and the middle of kept triad
+    (level k, index i) at position (2i + 1) 2^(L - 1 - k) of level
+    L = min(level_max, MAX_TILE_DEPTH + 1).  Each further level inserts
+    ``compose(a, b)`` between each pair of neighbours (a, b) and builds no
+    triad; it is dropped when the call returns."""
     if level_max < 0:
         raise ValueError("level_max must be >= 0")
-    bundles = [exceptional._bundle(1, -1, 1)] * (1 << level_max) + [exceptional._bundle(1, 0, 0)]
-    for t in iterate_triads(level_max - 1):
-        bundles[(2 * t.index + 1) << (level_max - 1 - t.level)] = t.f
+    kept = min(level_max, MAX_TILE_DEPTH + 1)
+    bundles = [exceptional._bundle(1, -1, 1)] * (1 << kept) + [exceptional._bundle(1, 0, 0)]
+    for t in iterate_triads(kept - 1):
+        bundles[(2 * t.index + 1) << (kept - 1 - t.level)] = t.f
+    for _ in range(kept, level_max):
+        mids = [exceptional.compose(a, b) for a, b in zip(bundles, bundles[1:])]
+        bundles = [x for pair in zip(bundles, mids) for x in pair] + bundles[-1:]
     return bundles
 
 

@@ -72,7 +72,7 @@ def _frontier_polylines(samples: int) -> tuple[str, str]:
     """Point lists for the semistability and rigidity frontier curves at
     the slopes (i - n)/n, i = 0..n, n = 8 samples.
 
-    The owners come from one ``exceptional._owners`` walk, and each point
+    The owners come from one ``exceptional._owners`` call, and each point
     from ``frontier._conic_terms`` (N, N', k, m) of its owner F of rank r:
     delta = N/(2m^2) and delta_prime = N'/(2m^2) + k/(2mr) sqrt(9r^2 - 4).
     Each division is one int/int true division, correctly rounded like

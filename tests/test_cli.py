@@ -262,6 +262,23 @@ def test_tile_writes_file(tmp_path, capsys):
     assert raw.count(b"\r\n") == 4  # header + 3 rows + final terminator
 
 
+def test_tile_unwritable_out_is_a_usage_error(tmp_path):
+    # A missing directory and a directory: one error line, no traceback.
+    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for out in (tmp_path / "missing" / "x", tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "prioritaire", "tile", "--depth", "0", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith(f"prioritaire: error: cannot write {out}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--depth", "3")
     assert code == 0

@@ -284,6 +284,17 @@ def test_slope_c2_and_delta_are_read_from_the_integers():
         assert pickle.loads(pickle.dumps(f)) == f
 
 
+def test_delta_closed_form_matches_the_general_discriminant():
+    bundles = set()
+    for f in enumerate_to_level(8):
+        bundles.update(f.twist(k) for k in range(-3, 4))
+        bundles.add(f.dual())
+        bundles.update(helix.left_series(f, -1, 2) + helix.right_series(f, -1, 2))
+    assert len(bundles) > 2000
+    for f in bundles:
+        assert f.delta == f.chern.discriminant()
+
+
 def test_from_dyadic_draws_its_steering_bits_lazily(monkeypatch):
     import tracemalloc
 
@@ -496,7 +507,8 @@ def test_no_assert_statement_in_the_package():
 
 def test_compose_is_called_only_by_the_walker_and_the_tree():
     # Paths go through exceptional._walk and the triad tree through
-    # helix.root and helix.children; whole levels are read off that tree.
+    # helix.root and helix.children; whole levels are read off that tree,
+    # and helix.enumerate_to_level composes the middles of levels past it.
     import ast
 
     package = Path(ex.__file__).parent
@@ -511,7 +523,12 @@ def test_compose_is_called_only_by_the_walker_and_the_tree():
                     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                     if name == "compose":
                         callers.add((path.stem, node.name))
-    assert callers == {("exceptional", "_walk"), ("helix", "root"), ("helix", "children")}
+    assert callers == {
+        ("exceptional", "_walk"),
+        ("helix", "root"),
+        ("helix", "children"),
+        ("helix", "enumerate_to_level"),
+    }
 
 
 def test_enumerate_levels():
@@ -659,23 +676,3 @@ def test_locate_many_edges():
     for bad in (Fraction(1, 7), Fraction(-8, 7)):
         with pytest.raises(ValueError, match="outside"):
             locate_many([Fraction(-1, 2), bad])
-
-
-def test_locate_many_composes_each_bracket_once(monkeypatch):
-    # 65 sorted slopes share their descents: far fewer compositions than
-    # 65 separate walks would make.
-    slopes = [Fraction(i - 64, 64) for i in range(65)]
-    calls = []
-    original = ex.compose
-
-    def counted(a, b):
-        calls.append((a.slope, b.slope))
-        return original(a, b)
-
-    monkeypatch.setattr(ex, "compose", counted)
-    owners = locate_many(slopes)
-    assert len(calls) == len(set(calls))
-    walked = len(calls)
-    calls.clear()
-    assert [locate_exceptional(mu) for mu in slopes] == owners
-    assert walked < len(calls) / 3

@@ -16,7 +16,7 @@ import pytest
 from prioritaire import helix
 from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
 from prioritaire.errors import InternalInconsistencyError, NotCoveredError
-from prioritaire.exceptional import from_slope
+from prioritaire.exceptional import Dyadic, from_dyadic, from_slope
 from prioritaire.helix import (
     ExtDims,
     TriState,
@@ -421,6 +421,32 @@ def test_whole_levels_are_read_off_the_kept_tree(monkeypatch):
 def test_levels_past_the_kept_tree_are_built_and_dropped():
     assert enumerate_to_level(12)[::4] == enumerate_to_level(10)
     assert len(helix._levels) == helix.MAX_TILE_DEPTH + 1
+
+
+def test_levels_past_the_kept_tree_compose_only_their_middles(monkeypatch):
+    from prioritaire import exceptional
+
+    enumerate_to_level(helix.MAX_TILE_DEPTH + 1)
+    composed, made = [], []
+    original_compose, original_make = exceptional.compose, helix._make_triad
+
+    def counted_compose(a, b):
+        composed.append((a, b))
+        return original_compose(a, b)
+
+    def counted_make(*args):
+        made.append(args)
+        return original_make(*args)
+
+    monkeypatch.setattr(exceptional, "compose", counted_compose)
+    monkeypatch.setattr(helix, "_make_triad", counted_make)
+    level12 = enumerate_to_level(12)
+    assert (len(made), len(composed)) == (0, 2048)
+    monkeypatch.undo()
+    assert enumerate_to_level(13)[::2] == level12
+    rng = random.Random(12)
+    for p in [0, 1, 4095, 4096] + rng.sample(range(4097), 46):
+        assert level12[p] == from_dyadic(Dyadic(p - 4096, 12))
 
 
 def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch):
