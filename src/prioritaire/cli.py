@@ -373,19 +373,25 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         raise ParseError(f"tile depth {args.depth} exceeds the maximum {helix.MAX_TILE_DEPTH}")
     if args.samples > MAX_TILE_SAMPLES:
         raise ParseError(f"tile samples {args.samples} exceeds the maximum {MAX_TILE_SAMPLES}")
-    if args.format == "svg":
-        text = render.tile_svg(args.depth, args.samples)
-    else:
-        text = render.tile_csv(args.depth)
+    svg = args.format == "svg"
+    render._check(args.depth, args.samples if svg else 1)
     if args.out == "-":
-        sys.stdout.write(text)
+        fh = sys.stdout
     else:
         try:
             fh = open(args.out, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise ParseError(f"cannot write {args.out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
+    # Opened first, so that an unwritable path costs no rendering; each line
+    # is written as it is made, so the document is never held whole.
+    try:
+        if svg:
+            fh.writelines(render._svg_lines(args.depth, args.samples))
+        else:
+            fh.writelines(render._csv_lines(args.depth))
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     return 0
 
 

@@ -279,6 +279,67 @@ def test_tile_unwritable_out_is_a_usage_error(tmp_path):
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_tile_unwritable_out_fails_before_rendering(tmp_path, capsys, monkeypatch):
+    # The largest render: --out is opened before a line is made.
+    from prioritaire import render
+
+    def refuse(*args):
+        raise AssertionError("rendered before --out was opened")
+
+    monkeypatch.setattr(render, "_svg_lines", refuse)
+    out = tmp_path / "missing" / "x"
+    code, stdout, err = run(capsys, "tile", "--depth", "10", "--samples", "256", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"prioritaire: error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_tile_refused_arguments_create_no_out_file(tmp_path, capsys):
+    target = tmp_path / "tiles.svg"
+    for argv, message in (
+        (("--depth", "-1"), "max_level must be >= 0, got -1"),
+        (("--depth", "1", "--samples", "0"), "samples must be >= 1, got 0"),
+    ):
+        code, out, err = run(capsys, "tile", *argv, "--out", str(target))
+        assert (code, out, err) == (1, "", f"prioritaire: error: {message}\n")
+        assert not target.exists()
+
+
+_HWM_CHILD = """
+import sys
+from prioritaire.cli import main
+
+def hwm_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+base = hwm_kib()
+code = main(sys.argv[1:])
+print(base, hwm_kib())
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux-only")
+def test_tile_streams_in_less_memory_than_its_output(tmp_path):
+    # The peak resident size of the child grows by less than the document
+    # it writes, which it would pass if the document were held whole.
+    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    target = tmp_path / "tiles.svg"
+    proc = subprocess.run(
+        [sys.executable, "-c", _HWM_CHILD, "tile", "--depth", "9", "--samples", "128",
+         "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    base, peak = map(int, proc.stdout.split())
+    size = target.stat().st_size
+    assert size > 1 << 22
+    assert peak * 1024 < base * 1024 + size, (base, peak, size)
+
+
 def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--depth", "3")
     assert code == 0

@@ -298,7 +298,7 @@ def test_delta_closed_form_matches_the_general_discriminant():
 def test_from_dyadic_draws_its_steering_bits_lazily(monkeypatch):
     import tracemalloc
 
-    def one_level(steer, what, max_depth, start, mids=None):
+    def one_level(steer, what, max_depth, start):
         lo, hi = ex._bundle(1, start, start * start), ex._bundle(1, start + 1, (start + 1) ** 2)
         mid = compose(lo, hi)
         steer(lo, mid, hi)

@@ -5,8 +5,10 @@ The digests were taken from the renderer that sampled every side with
 ``Fraction`` arithmetic and printed ``float()`` of each value; those of
 SVG levels 6-10, of 256 samples and of CSV levels 7-10 from the one that
 rebuilt the triads on every call and printed the frontier curves from
-``Fraction`` and ``QuadSurd`` values.  The integer renderer prints the
-same text because int/int true division is correctly rounded, as
+``Fraction`` and ``QuadSurd`` values; those of SVG (6, 7), (8, 64) and
+(10, 16) from the one that sampled all three sides of every tile, before
+a tile took its bottom side from its parent's top.  The integer renderer
+prints the same text because int/int true division is correctly rounded, as
 ``Fraction.__float__`` is.
 """
 
@@ -18,6 +20,7 @@ import pytest
 
 from prioritaire import helix, render
 from prioritaire.chern import hirzebruch_p
+from prioritaire.errors import InternalInconsistencyError
 from prioritaire.surd import format_rational
 
 SVG_SHA256 = {
@@ -50,6 +53,9 @@ SVG_SHA256 = {
     (8, 1): "240fe774a725e39dbe046322b06d07afcad9eee3e54131adae186ad02bd2557a",
     (9, 1): "a86a2652c597f0213b2e2d3c5d7cd761b5672c9b5bd3b2e18474b1b197051082",
     (10, 1): "9529a13a6c7dbfb8341c7c367e19d9835511086147751f939111485ad90ffc1c",
+    (6, 7): "ff582079fd077a083d5227b5a6d10c25cd23bddf05da9ec02560622609c711c4",
+    (8, 64): "7825aba876a9c98da881e8ec5253a82fc8e06c96125a2eae1e7968597b06ff34",
+    (10, 16): "dd1e3eb61d5e36e5d98734e15418f61b1828199d899a324440afdeedd0c73508",
     (2, 256): "55e398c9b04e6b810bd56411ff10584306fd07a538f210b655c45180cdc35a62",
 }
 
@@ -119,7 +125,8 @@ def _reference_path(t: helix.Triad, samples: int) -> str:
 
 
 def test_sampled_side_points_match_the_fraction_sides():
-    for t in helix.iterate_triads(4):
+    triads = list(helix.iterate_triads(4))
+    for t in triads:
         sides = (
             (t.e.slope, t.f.slope, t.side_ef, _reference_side(t.g, 1)),
             (t.f.slope, t.g.slope, t.side_fg, _reference_side(t.e, -1)),
@@ -130,7 +137,22 @@ def test_sampled_side_points_match_the_fraction_sides():
                 for i in range(samples + 1):
                     mu = a + (b - a) * Fraction(i, samples)
                     assert side(mu) == reference(mu), (t.label(), mu)
-            assert render._tile_path(t, samples) == _reference_path(t, samples)
+    # Every outline, its bottom side shared with the parent's top, against
+    # the tile's own Fraction sides.
+    for samples in (1, 2, 3, 7, 10):
+        drawn = list(render._tiles(triads, render._draw_path, samples))
+        assert [t for t, _ in drawn] == triads
+        for t, path in drawn:
+            assert path == _reference_path(t, samples), (t.label(), samples)
+
+
+def test_a_child_that_does_not_share_its_parents_side_raises():
+    # The children of the root, with their indices swapped: each takes the
+    # slot of the other, whose side its h does not carry.
+    root, left, right = helix.iterate_triads(1)
+    swapped = [root, *(helix.Triad(c.e, c.f, c.g, 1, 1 - c.index) for c in (right, left))]
+    with pytest.raises(InternalInconsistencyError, match="does not carry its parent's side"):
+        list(render._tiles(swapped, render._draw_path, 2))
 
 
 def test_frontier_polylines_match_the_fraction_frontiers():
