@@ -9,8 +9,13 @@ bundle from it with ``_bundle``, the one exceptional-vector check (rank
 >= 1, c2 = (c1^2 - x_2)/2 integral, chi(F,F) = 1) behind a cache of 4096
 bundles.  A bundle holds r, c1 and its ``ChernData``, the one home of the
 formulas for slope, c2 and discriminant, which it reads on demand: no
-lattice step builds a Fraction.  The package's only other store is
-``helix``'s kept triad levels, at most MAX_TILE_DEPTH + 1 = 11.
+lattice step builds a Fraction.  The package keeps two other stores:
+``_compose``, a memo of 4096 checked compositions keyed by the two
+character vectors, and ``helix``'s kept triad levels, at most
+MAX_TILE_DEPTH + 1 = 11.  Every descent starts from [O(-1), O] and
+repeats the pairs near the top of the tree: in one round of the
+benchmark, 90.4 % of the ``compose`` calls of ``deep`` (from a fresh
+import), 99.8 % of ``sweep``'s and 99.3 % of ``tile``'s repeat a pair.
 
 ``ExceptionalBundle(r, c1)``, ``from_slope`` and the CLI take bundles
 from outside through one boundary, ``_lattice``: it refuses a rank below
@@ -24,11 +29,11 @@ chi(E_gamma, E_alpha) = chi(E_beta, E_gamma) = 0, whose slope is
 
 Both vanishings are linear in x = (r, c1, c1^2 - 2 c2), so ``compose``
 takes the cross product of the two forms in integers: -2 x of gamma, a
-factor checked on every call with both vanishings.  Iterating it from
-the integer slopes realizes a bijection from dyadic numbers to
-exceptional slopes: integers map to line bundles, the map commutes with
-integer translation, and the midpoint of two adjacent dyadics maps to
-the composition of their images.
+factor checked with both vanishings on every pair the memo does not
+hold.  Iterating it from the integer slopes realizes a bijection from
+dyadic numbers to exceptional slopes: integers map to line bundles, the
+map commutes with integer translation, and the midpoint of two adjacent
+dyadics maps to the composition of their images.
 
 Around each exceptional slope sits the open interval of radius
 
@@ -285,10 +290,22 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     u x v spans their kernel and is -2 x of the result, which ``_bundle``
     builds from x.  Neighbours are exactly the pairs with chi(b, a) = 0; on
     any other pair the kernel can be another multiple of x, so compose
-    refuses it with ValueError first.
+    refuses it with ValueError first.  The checked result is kept by
+    ``_compose``, keyed by the two vectors.
     """
-    ra, ca, sa = a.chern._vec
-    rb, cb, sb = b.chern._vec
+    return _compose(a.chern._vec, b.chern._vec)
+
+
+@lru_cache(maxsize=4096)
+def _compose(va: tuple, vb: tuple) -> ExceptionalBundle:
+    """``compose`` of the bundles of vectors va and vb, behind the lattice's
+    second cache: descents repeat the pairs near the top of the tree, so a
+    repeated pair costs one lookup.  A miss runs every check on a and b,
+    the builder's cached bundles of va and vb; an exception is not cached,
+    so a refused pair raises again on every call."""
+    a, b = _bundle(*va), _bundle(*vb)
+    ra, ca, sa = va
+    rb, cb, sb = vb
     gap = cb * ra - ca * rb  # (slope(b) - slope(a)) * ra * rb
     if gap <= 0:
         raise ValueError(f"compose needs slope(a) < slope(b), got {a.slope}, {b.slope}")

@@ -24,7 +24,8 @@ tag after normalizing the slope into (-1, 0].
 Every answer at a slope derives from its owner F, found by one walk of
 the lattice (``classify`` walks it on the integers (c1, r)), and
 evaluates the formulas above at (mu, F) in closed-form integers.
-``delta_many`` answers a list of slopes from one ``locate_many`` call,
+``delta``, ``delta_prime`` and ``delta_many`` normalize the slope in
+integers and hand the pairs (n, d) to one ``exceptional._owners`` call,
 in which each slope walks on its own.
 
 The region tests are integer signs on (r, c1, c2) and the owner's
@@ -38,7 +39,6 @@ only where they are returned or printed.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -89,29 +89,31 @@ def _conic_terms(num: int, den: int, f: ExceptionalBundle) -> tuple[int, int, in
     return big_n, big_n + 3 * n * m - 2 * den * den, n, m
 
 
-def _delta_at(mu0: Fraction, f: ExceptionalBundle) -> Fraction:
-    """delta at the normalized slope mu0 owned by f (``_conic_terms``)."""
-    big_n, _, _, m = _conic_terms(mu0.numerator, mu0.denominator, f)
+def _delta_at(num: int, den: int, f: ExceptionalBundle) -> Fraction:
+    """delta at the normalized slope num/den (den > 0) owned by f (``_conic_terms``)."""
+    big_n, _, _, m = _conic_terms(num, den, f)
     return Fraction(big_n, 2 * m * m)
 
 
-def _delta_prime_at(mu0: Fraction, f: ExceptionalBundle) -> QuadSurd:
-    """delta_prime at the normalized slope mu0 owned by f (``_conic_terms``)."""
-    _, rational, n, m = _conic_terms(mu0.numerator, mu0.denominator, f)
+def _delta_prime_at(num: int, den: int, f: ExceptionalBundle) -> QuadSurd:
+    """delta_prime at the normalized slope num/den (den > 0) owned by f (``_conic_terms``)."""
+    _, rational, n, m = _conic_terms(num, den, f)
     return QuadSurd(Fraction(rational, 2 * m * m), Fraction(n, 2 * m * f.rank), 9 * f.rank**2 - 4)
 
 
-def _normalize_slope(mu: Fraction) -> Fraction:
-    """Translate by an integer into (-1, 0]."""
+def _normalize_slope(mu: Fraction) -> tuple[int, int]:
+    """(n, d) of mu - ceil(mu), in lowest terms with d > 0: mu translated
+    by an integer into (-1, 0]."""
     mu = Fraction(mu)
-    return mu - math.ceil(mu)
+    d = mu.denominator
+    return -(-mu.numerator % d), d
 
 
 def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
     """Semistability frontier at the rational slope mu (any rational;
     extended by integer periodicity)."""
-    mu0 = _normalize_slope(mu)
-    return _delta_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
+    n, d = _normalize_slope(mu)
+    return _delta_at(n, d, exceptional._owners([(n, d)], max_depth)[0])
 
 
 def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
@@ -120,8 +122,8 @@ def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
     Returned as an exact surd over the radicand 9r^2 - 4 of the owning
     bundle; normalizes to a plain rational exactly when mu = mu(F).
     """
-    mu0 = _normalize_slope(mu)
-    return _delta_prime_at(mu0, exceptional.locate_exceptional(mu0, max_depth))
+    n, d = _normalize_slope(mu)
+    return _delta_prime_at(n, d, exceptional._owners([(n, d)], max_depth)[0])
 
 
 def delta_many(
@@ -130,11 +132,11 @@ def delta_many(
     """(owner, delta, delta_prime) at each rational slope.
 
     The owner is that of the slope normalized into (-1, 0]; all owners
-    come from one ``exceptional.locate_many`` call.
+    come from one ``exceptional._owners`` call.
     """
-    mus = [_normalize_slope(mu) for mu in slopes]
-    owners = exceptional.locate_many(mus, max_depth)
-    return [(f, _delta_at(mu0, f), _delta_prime_at(mu0, f)) for mu0, f in zip(mus, owners)]
+    pairs = [_normalize_slope(mu) for mu in slopes]
+    owners = exceptional._owners(pairs, max_depth)
+    return [(f, _delta_at(n, d, f), _delta_prime_at(n, d, f)) for (n, d), f in zip(pairs, owners)]
 
 
 def _disc_num(r: int, c1: int, c2: int) -> int:

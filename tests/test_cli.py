@@ -101,7 +101,7 @@ def test_depth_exhausted_names_its_bracket(capsys, monkeypatch):
     )
 
 
-def test_constructor_failure_exits_two(capsys, monkeypatch):
+def test_constructor_failure_exits_two(capsys, monkeypatch, fresh_lattice):
     # A bad mutation (the second term dropped) gives the vector 3 x(O(-1))
     # = (3, -3, 3), whose chi(F,F) is 9: the trusted builder raises an
     # inconsistency, not a usage error.
@@ -110,8 +110,8 @@ def test_constructor_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(
         helix, "_mutation", lambda a, b, chi: exceptional._bundle(*(chi * x for x in a.chern._vec))
     )
-    # An empty kept tree, as in a fresh process: the render builds level 1.
-    monkeypatch.setattr(helix, "_levels", [])
+    # The fixture empties the kept tree, as in a fresh process: the render
+    # builds level 1.
     code, out, err = run(capsys, "tile", "--depth", "1", "--format", "csv")
     assert (code, out) == (2, "")
     assert err == "prioritaire: inconsistency: chi(F,F) != 1 for (3, -3, 3)\n"
@@ -510,7 +510,7 @@ def _counting(monkeypatch, module, name):
 def test_frontier_walks_the_lattice_once(capsys, monkeypatch):
     from prioritaire import exceptional
 
-    walks = _counting(monkeypatch, exceptional, "locate_many")
+    walks = _counting(monkeypatch, exceptional, "_owners")
     code, out, err = run(capsys, "frontier", "--", "11/20")
     assert (code, out, err) == (0, FRONTIER_TEXT, "")
     assert len(walks) == 1

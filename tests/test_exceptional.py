@@ -182,6 +182,55 @@ def test_compose_refuses_every_non_neighbour_pair():
     assert (len(bundles), answered, refused) == (65, 165, 1762)
 
 
+def _neighbour_pairs(level):
+    bundles = enumerate_to_level(level)
+    return list(zip(bundles, bundles[1:]))
+
+
+def test_compose_memo_returns_the_checked_bundle():
+    pairs = _neighbour_pairs(8)
+    first = [compose(a, b) for a, b in pairs]
+    assert all(compose(a, b) is mid for (a, b), mid in zip(pairs, first))
+    assert first == enumerate_to_level(9)[1::2]
+    ex._compose.cache_clear()
+    again = [compose(a, b) for a, b in pairs]
+    assert again == first and ex._compose.cache_info().misses == len(pairs)
+
+
+def test_compose_memo_keeps_no_refusal():
+    # Every ordered pair of level 6 that is not a neighbour pair (a < b and
+    # chi(b, a) = 0) is refused twice, each time by a miss that runs the checks.
+    bundles = enumerate_to_level(6)
+    refused = [
+        (a, b)
+        for a in bundles
+        for b in bundles
+        if a.slope >= b.slope or euler_pairing(b.chern, a.chern) != 0
+    ]
+    before = ex._compose.cache_info()
+    for a, b in refused:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                compose(a, b)
+    after = ex._compose.cache_info()
+    assert len(refused) > 3000
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+    assert after.misses == before.misses + 2 * len(refused)
+
+
+def test_compose_miss_runs_the_vanishing_checks(monkeypatch, fresh_lattice):
+    # With every store empty, a fault in the Euler pairing between two
+    # distinct bundles is caught by compose's own vanishings.
+    original = chern.euler_pairing
+    monkeypatch.setattr(chern, "euler_pairing", lambda a, b: original(a, b) + (a is not b))
+    o_minus, o = ex._bundle(1, -1, 1), ex._bundle(1, 0, 0)
+    with pytest.raises(InternalInconsistencyError, match=r"^chi\(E\(-1/2\), O\(-1\)\) != 0$"):
+        compose(o_minus, o)
+    assert ex._compose.cache_info().currsize == 0
+    monkeypatch.setattr(chern, "euler_pairing", original)
+    assert compose(o_minus, o) == from_slope(Fraction(-1, 2))
+
+
 def test_constructor_raises_inconsistency():
     for rank, c1 in ((0, 1), (-2, 1), (2, 0), (6, -3), (3, -1), (3, 1)):
         # The trusted builder: a rank below 1, an odd c1^2 - x2, or chi(F,F)
@@ -231,15 +280,13 @@ def test_public_constructor_proves_lattice_membership():
     assert f == g and f is not g and (f.c2, f.delta, f.chern) == (g.c2, g.delta, g.chern)
 
 
-def test_no_division_off_the_boundary(monkeypatch):
+def test_no_division_off_the_boundary(monkeypatch, fresh_lattice):
     # Only the boundary works c2 out by division; the package's own
     # bundles are built from the vectors their callers hold.
     f = from_slope(Fraction(-2, 5))
     calls = []
     original = ex._c2
     monkeypatch.setattr(ex, "_c2", lambda r, c1: calls.append((r, c1)) or original(r, c1))
-    monkeypatch.setattr(helix, "_levels", [])
-    ex._bundle.cache_clear()
     assert sum(1 for _ in helix.iterate_triads(6)) == (1 << 7) - 1
     assert from_dyadic(Dyadic(-349525, 20)).rank.bit_length() > 100
     assert len(helix.left_series(f, -3, 20)) == 24
@@ -249,15 +296,13 @@ def test_no_division_off_the_boundary(monkeypatch):
     assert calls == [(5, -2)]
 
 
-def test_no_fraction_on_the_lattice_path(monkeypatch):
+def test_no_fraction_on_the_lattice_path(monkeypatch, fresh_lattice):
     # A bundle holds its integers; slope and delta are Fractions only when
     # read, so no lattice step builds one, here or in ChernData.
     f = from_slope(Fraction(-2, 5))
     built = []
     for module in (ex, chern):
         monkeypatch.setattr(module, "Fraction", lambda *a: built.append(a) or Fraction(*a))
-    monkeypatch.setattr(helix, "_levels", [])
-    ex._bundle.cache_clear()
     assert sum(1 for _ in helix.iterate_triads(6)) == (1 << 7) - 1
     assert from_dyadic(Dyadic(-349525, 20)).rank.bit_length() > 100
     assert len(helix.left_series(f, -3, 20)) == 24
@@ -323,7 +368,10 @@ def test_every_cache_is_bounded():
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_info")
     ]
-    assert cached == [("prioritaire.exceptional", "_bundle", 4096)]
+    assert cached == [
+        ("prioritaire.exceptional", "_bundle", 4096),
+        ("prioritaire.exceptional", "_compose", 4096),
+    ]
     # The kept triad levels stop at MAX_TILE_DEPTH, however deep the call.
     assert sum(1 for _ in helix.iterate_triads(helix.MAX_TILE_DEPTH + 1)) == (1 << 12) - 1
     assert len(helix._levels) <= helix.MAX_TILE_DEPTH + 1

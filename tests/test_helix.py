@@ -352,11 +352,10 @@ def test_contains_matches_fraction_form():
     assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
 
 
-def test_five_euler_pairings_per_triad(monkeypatch):
+def test_five_euler_pairings_per_triad(monkeypatch, fresh_lattice):
     # Triad.__init__ computes five pairings; children and the kernel
     # bundle take chi(e,f) = 3 rank(g) and chi(f,g) = 3 rank(e) from it.
     # An empty kept tree makes iterate_triads build every triad it yields.
-    monkeypatch.setattr(helix, "_levels", [])
     calls = []
     original = helix.euler_pairing
 
@@ -370,10 +369,9 @@ def test_five_euler_pairings_per_triad(monkeypatch):
     assert len(calls) == 5 * len(triads)
 
 
-def test_repeated_renders_build_each_triad_once(monkeypatch):
+def test_repeated_renders_build_each_triad_once(monkeypatch, fresh_lattice):
     from prioritaire import render
 
-    monkeypatch.setattr(helix, "_levels", [])
     built = []
     original = helix._make_triad
 
@@ -449,8 +447,7 @@ def test_levels_past_the_kept_tree_compose_only_their_middles(monkeypatch):
         assert level12[p] == from_dyadic(Dyadic(p - 4096, 12))
 
 
-def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch):
-    monkeypatch.setattr(helix, "_levels", [])
+def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch, fresh_lattice):
     original = helix._make_triad
 
     def failing(e, f, g, parent):
