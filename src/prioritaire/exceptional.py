@@ -9,13 +9,21 @@ bundle from it with ``_bundle``, the one exceptional-vector check (rank
 >= 1, c2 = (c1^2 - x_2)/2 integral, chi(F,F) = 1) behind a cache of 4096
 bundles.  A bundle holds r, c1 and its ``ChernData``, the one home of the
 formulas for slope, c2 and discriminant, which it reads on demand: no
-lattice step builds a Fraction.  The package keeps two other stores:
-``_compose``, a memo of 4096 checked compositions keyed by the two
-character vectors, and ``helix``'s kept triad levels, at most
-MAX_TILE_DEPTH + 1 = 11.  Every descent starts from [O(-1), O] and
-repeats the pairs near the top of the tree: in one round of the
-benchmark, 90.4 % of the ``compose`` calls of ``deep`` (from a fresh
-import), 99.8 % of ``sweep``'s and 99.3 % of ``tile``'s repeat a pair.
+lattice step builds a Fraction.  The package keeps three other stores,
+each bounded and each filled only by answers that passed every check:
+
+* ``_compose``, a memo of 4096 checked compositions keyed by the two
+  character vectors.  Every descent starts from [O(-1), O] and repeats
+  the pairs near the top of the tree: in one round of the benchmark,
+  90.4 % of the ``compose`` calls of ``deep`` (from a fresh import),
+  99.8 % of ``sweep``'s and 99.3 % of ``tile``'s repeat a pair.
+* ``_owner``, a memo of 4096 owners keyed by the slope in lowest terms
+  and the resolved depth cap.  A query and the frontiers at its slope ask
+  again for owners already found: one round of ``sweep`` (seed 3) asks
+  for 3 000 owners of 180 distinct slopes, ``tile`` for 1 617 of 145, and
+  ``deep`` for 792 of 386 (from a fresh import).
+* ``helix``'s kept triad tree: one slot per triad down to
+  ``helix.MAX_TILE_DEPTH``, at most 2 047 triads.
 
 ``ExceptionalBundle(r, c1)``, ``from_slope`` and the CLI take bundles
 from outside through one boundary, ``_lattice``: it refuses a rank below
@@ -49,7 +57,8 @@ lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
 Every descent of the dyadic tree, here and in ``helix``, runs through
 ``_walk``, the one home of the depth cap and its error; a walk keeps no
-store of its own.  ``compose`` has two callers: ``_walk``, along one
+store of its own, and ``_owner`` keeps only the answer of a whole owner
+walk that succeeded.  ``compose`` has two callers: ``_walk``, along one
 path, and ``helix``: its triad tree, whose middles are the lattice levels
 it keeps, and ``enumerate_to_level``, which composes only the middles of
 the levels past that tree.
@@ -62,6 +71,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 
 from . import chern
 from ._record import Record
@@ -326,6 +336,23 @@ def _compose(va: tuple, vb: tuple) -> ExceptionalBundle:
     return result
 
 
+# The longest term a walk message writes out: 2 000 bits is at most 603
+# digits, under 640, the lowest int-to-str limit Python lets a program set.
+_MAX_BITS = 2000
+
+
+def _ratio(n: int, m: int) -> str:
+    """n/m for a walk message, as ``str(Fraction(n, m))``; past _MAX_BITS
+    bits a term is named by its bit length, and the value by its sign
+    (-<22876 bits>/<22876 bits>), so no message depends on the limit."""
+    x = Fraction(n, m)
+    num, den = abs(x.numerator).bit_length(), x.denominator.bit_length()
+    if max(num, den) <= _MAX_BITS:
+        return str(x)
+    text = f"{'-' if x < 0 else ''}<{num} bits>"
+    return text if den == 1 else f"{text}/<{den} bits>"
+
+
 def _cap(max_depth: int | None) -> int:
     """The cap of a walk: max_depth, or ``max_depth_default`` for None; ValueError if < 0."""
     cap = max_depth_default() if max_depth is None else max_depth
@@ -404,10 +431,10 @@ def _descend(r: int, c1: int, max_depth: int | None) -> tuple:
         if mid.rank == r and mid.c1 == c1:
             return 0
         if mid.rank >= r:
-            raise ValueError(f"{Fraction(c1, r)} is not an exceptional slope")
+            raise ValueError(f"{_ratio(c1, r)} is not an exceptional slope")
         return c1 * mid.rank - mid.c1 * r  # sign of slope - mu(mid)
 
-    lo, mid, hi, p, q = _walk(steer, lambda: f"slope {Fraction(c1, r)}", cap, shift - 1)
+    lo, mid, hi, p, q = _walk(steer, lambda: f"slope {_ratio(c1, r)}", cap, shift - 1)
     return mid, Dyadic(p, q), lo, hi
 
 
@@ -420,35 +447,41 @@ def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> Exceptiona
 def locate_many(
     slopes: Iterable[Fraction], max_depth: int | None = None
 ) -> list[ExceptionalBundle]:
-    """Owners of rational slopes in [-1, 0] (``_owners``, one walk per
-    slope).  A slope owned by none of O(-1), O and the first ``max_depth``
-    mids of its walk raises DepthExhaustedError; the error names the first
-    such slope in the list."""
+    """Owners of rational slopes in [-1, 0] (``_owners``: a walk for each
+    slope and cap that its memo does not hold).  A slope owned by none of
+    O(-1), O and the first ``max_depth`` mids of its walk raises
+    DepthExhaustedError; the error names the first such slope in the list."""
     slopes = [Fraction(mu) for mu in slopes]
     return _owners([(mu.numerator, mu.denominator) for mu in slopes], max_depth)
 
 
 def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[ExceptionalBundle]:
     """``locate_many`` of the slopes n/m given as pairs (n, m), m > 0, in any
-    terms: every test is homogeneous.  A bundle owns a slope exactly when
-    ``_contains`` holds, as it does at distance 0.  After the two ends, each
-    slope walks on its own to the first mid that owns it; ``_bundle``'s
-    cache serves the mids that walks repeat."""
+    terms: each is read, in lowest terms, from ``_owner`` at the resolved cap."""
     for n, m in pairs:
         if n < -m or n > 0:
-            raise ValueError(f"slope {Fraction(n, m)} outside [-1, 0]")
+            raise ValueError(f"slope {_ratio(n, m)} outside [-1, 0]")
     cap = _cap(max_depth)
-    ends = (_bundle(1, -1, 1), _bundle(1, 0, 0))
+    out = []
+    for n, m in pairs:
+        g = gcd(n, m)
+        out.append(_owner(n // g, m // g, cap))
+    return out
 
-    def owner(n: int, m: int) -> ExceptionalBundle:
-        for end in ends:
-            if end._contains(n, m):
-                return end
 
-        def steer(lo, mid, hi):
-            return 0 if mid._contains(n, m) else n * mid.rank - mid.c1 * m
+@lru_cache(maxsize=4096)
+def _owner(n: int, m: int, cap: int) -> ExceptionalBundle:
+    """Owner of the slope n/m in [-1, 0], in lowest terms, within ``cap``
+    mids, behind the lattice's third cache: a query and the frontiers at its
+    slope ask for the same owner.  A bundle owns a slope exactly when
+    ``_contains`` holds, as it does at distance 0.  After the two ends, a
+    miss walks to the first mid that owns the slope; an error is not kept,
+    so a hit repeats only an answer that the same cap has proved."""
+    for end in (_bundle(1, -1, 1), _bundle(1, 0, 0)):
+        if end._contains(n, m):
+            return end
 
-        return _walk(steer, lambda: f"slope {Fraction(n, m)}", cap, -1)[1]
+    def steer(lo, mid, hi):
+        return 0 if mid._contains(n, m) else n * mid.rank - mid.c1 * m
 
-    return [owner(n, m) for n, m in pairs]
-
+    return _walk(steer, lambda: f"slope {_ratio(n, m)}", cap, -1)[1]

@@ -26,7 +26,9 @@ the lattice (``classify`` walks it on the integers (c1, r)), and
 evaluates the formulas above at (mu, F) in closed-form integers.
 ``delta``, ``delta_prime`` and ``delta_many`` normalize the slope in
 integers and hand the pairs (n, d) to one ``exceptional._owners`` call,
-in which each slope walks on its own.
+which walks a slope only when its memo of 4096 owners does not hold it
+at that cap: ``delta_prime`` at the slope that ``classify`` has just
+answered walks nothing.
 
 The region tests are integer signs on (r, c1, c2) and the owner's
 (r_F, c1_F): the prioritary bound, the side of delta and the exceptional

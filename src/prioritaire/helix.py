@@ -28,12 +28,19 @@ derives from (e, f, g) when it is built.  The bottom side is
 taken with argument mu(h) - mu so that it passes exactly through the
 vertices e and g; all three sides are vanishing loci of Euler pairings
 against a fixed bundle.  Tiles are closed; point location descends from
-the root and returns the shallowest containing tile.  The levels up to
-MAX_TILE_DEPTH are built and checked once per process and then kept
-(``iterate_triads``).  Their middles, with O(-1) and O, are the whole
-levels of the exceptional lattice (``enumerate_to_level``), which are
-read off the kept tree and never composed again; each level past it
-composes only its middles and builds no triad.
+the root and returns the shallowest containing tile.
+
+The triads down to MAX_TILE_DEPTH are kept, one slot per triad (at most
+2 047): ``_kept`` builds and checks a triad from its kept parent the
+first time any caller asks for it, so ``iterate_triads`` and point
+location (``_locate``) share each triad, whichever gets there first.
+Before the tree kept single triads, one round of the ``sweep`` benchmark
+(seed 3) built and checked 1 524 triads for point location, of only 5
+distinct ones.  Triads past the kept tree are built and dropped.  The
+middles of the kept triads, with O(-1) and O, are the whole levels of
+the exceptional lattice (``enumerate_to_level``), which are read off the
+kept tree and never composed again; each level past it composes only its
+middles and builds no triad.
 
 Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
@@ -61,9 +68,10 @@ from .exceptional import Dyadic, ExceptionalBundle
 # 2047 triads) and the deepest one the CLI renders.
 MAX_TILE_DEPTH = 10
 
-# Fully built levels of the triad tree, level k at index k: at most
-# MAX_TILE_DEPTH + 1 of them, grown on demand and never cleared.
-_levels: list[list[Triad]] = []
+# The kept triad tree: level k at index k, as 2^k slots of which slot i
+# holds triad (k, i) once ``_kept`` has built and checked it, else None.
+# At most 2047 triads, never cleared.
+_levels: list[list[Triad | None]] = [[None] * (1 << k) for k in range(MAX_TILE_DEPTH + 1)]
 
 
 def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
@@ -172,29 +180,42 @@ def root() -> Triad:
 
 
 def children(t: Triad) -> tuple[Triad, Triad]:
-    """Left and right mutation children (``_make_triad``)."""
-    return tuple(  # type: ignore[return-value]
-        _make_triad(e, exceptional.compose(e, g), g, t) for e, g in ((t.e, t.f), (t.f, t.g))
-    )
+    """Left and right mutation children (``_child``)."""
+    return _child(t, False), _child(t, True)
+
+
+def _child(t: Triad, right: bool) -> Triad:
+    """The right mutation child of t if ``right``, else the left one (``_make_triad``)."""
+    e, g = (t.f, t.g) if right else (t.e, t.f)
+    return _make_triad(e, exceptional.compose(e, g), g, t)
+
+
+def _kept(level: int, index: int) -> Triad:
+    """Triad (level, index) of the kept tree, level <= MAX_TILE_DEPTH: built
+    from its kept parent and checked the first time any caller asks for it,
+    and kept only once its checks have passed."""
+    t = _levels[level][index]
+    if t is None:
+        t = root() if level == 0 else _child(_kept(level - 1, index >> 1), index & 1)
+        _levels[level][index] = t
+    return t
 
 
 def iterate_triads(max_level: int) -> Iterator[Triad]:
     """All triads with level <= max_level, in breadth-first order.
 
-    Levels up to MAX_TILE_DEPTH come from ``_levels``, built once per
-    process; deeper ones are built from the kept level MAX_TILE_DEPTH on
-    each call and dropped.  A level is kept only once it is fully built and
-    only if it is the next one, so an interleaved call or a check that
-    raises halfway leaves no partial or duplicate level.
+    Levels up to MAX_TILE_DEPTH are read off the kept tree, whose missing
+    slots ``_kept`` fills on the way; deeper ones are built from the kept
+    level MAX_TILE_DEPTH on each call and dropped.
     """
     triads: list[Triad] = []
     for level in range(max_level + 1):
-        if level < len(_levels):
-            triads = _levels[level]
+        if level <= MAX_TILE_DEPTH:
+            triads = _levels[level]  # type: ignore[assignment]
+            if None in triads:
+                triads = [_kept(level, i) for i in range(1 << level)]
         else:
-            triads = [root()] if level == 0 else [c for t in triads for c in children(t)]
-            if level <= MAX_TILE_DEPTH and len(_levels) == level:
-                _levels.append(triads)
+            triads = [c for t in triads for c in children(t)]
         yield from triads
 
 
@@ -231,26 +252,33 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 
 def _locate(n: int, d: int, a: int, b: int, max_depth: int | None) -> Triad:
     """``locate_triangle`` at mu = n/d, disc = a/b with d, b > 0, in any
-    terms; each level of its walk builds one triad, from the bracket and mid."""
+    terms.  Each level of its walk reads the triad of the bracket and mid
+    off the kept tree (``_kept``), and past it builds that triad and drops it."""
     if n < -d or n > 0:
-        raise ValueError(f"slope {Fraction(n, d)} outside [-1, 0]")
-    t = None
+        raise ValueError(f"slope {exceptional._ratio(n, d)} outside [-1, 0]")
+    t, index = None, 0
 
     def steer(lo, mid, hi):
-        nonlocal t
-        t = _make_triad(lo, mid, hi, t)
+        nonlocal t, index
+        level = 0 if t is None else t.level + 1
+        t = _kept(level, index) if level <= MAX_TILE_DEPTH else _make_triad(lo, mid, hi, t)
         if t._contains(n, d, a, b, False):
             return 0
         side = n * mid.rank - mid.c1 * d  # sign of mu - mu(f)
         if side == 0:
             raise NotCoveredError(
-                f"({Fraction(n, d)}, {Fraction(a, b)}) sits above the vertex of {t.label()} "
-                "and is not covered"
+                f"({_point(n, d, a, b)}) sits above the vertex of {t.label()} and is not covered"
             )
+        index = 2 * index + (side > 0)
         return side
 
-    exceptional._walk(steer, lambda: f"point ({Fraction(n, d)}, {Fraction(a, b)})", max_depth, -1)
+    exceptional._walk(steer, lambda: f"point ({_point(n, d, a, b)})", max_depth, -1)
     return t  # type: ignore[return-value]
+
+
+def _point(n: int, d: int, a: int, b: int) -> str:
+    """The point (n/d, a/b) for a walk message (``exceptional._ratio``)."""
+    return f"{exceptional._ratio(n, d)}, {exceptional._ratio(a, b)}"
 
 
 # -- series attached to an exceptional bundle ---------------------------

@@ -371,10 +371,12 @@ def test_every_cache_is_bounded():
     assert cached == [
         ("prioritaire.exceptional", "_bundle", 4096),
         ("prioritaire.exceptional", "_compose", 4096),
+        ("prioritaire.exceptional", "_owner", 4096),
     ]
-    # The kept triad levels stop at MAX_TILE_DEPTH, however deep the call.
+    # The kept triad tree stops at MAX_TILE_DEPTH, however deep the call.
     assert sum(1 for _ in helix.iterate_triads(helix.MAX_TILE_DEPTH + 1)) == (1 << 12) - 1
-    assert len(helix._levels) <= helix.MAX_TILE_DEPTH + 1
+    assert len(helix._levels) == helix.MAX_TILE_DEPTH + 1
+    assert sum(t is not None for slots in helix._levels for t in slots) == 2047
 
 
 def test_half_width_satisfies_quadratic():
@@ -497,6 +499,49 @@ def test_locate_depth_cap():
     assert err.value.bracket is not None
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str limit of 4 300 digits, where it has one."""
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    before = limit()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_walk_errors_do_not_depend_on_the_int_to_str_limit(default_digit_limit):
+    # A bundle of rank 22 876 bits, about 6 900 digits: each walk message
+    # names its slope by sign and bit lengths, and keeps its typed error.
+    f = from_dyadic(Dyadic(-349525, 20))
+    assert (f.rank.bit_length(), (-f.c1).bit_length()) == (22876, 22875)
+    big = "-<22875 bits>/<22876 bits>"
+    with pytest.raises(DepthExhaustedError) as err:
+        dyadic_of(f, 3)
+    assert str(err.value) == f"slope {big} not resolved within depth 3"
+    assert err.value.bracket is not None
+    with pytest.raises(DepthExhaustedError, match=rf"^slope {re.escape(big)} not resolved "):
+        ex._owners([(f.c1, f.rank)], 3)
+    point = re.escape(f"point ({big}, <45750 bits>/<45751 bits>)")
+    with pytest.raises(DepthExhaustedError, match=rf"^{point} not resolved within depth 3$"):
+        helix._locate(f.c1, f.rank, f.rank**2 - 1, 2 * f.rank**2, 3)
+    with pytest.raises(ValueError, match=r"^-<\d+ bits>/<\d+ bits> is not an exceptional slope$"):
+        ex._descend(f.rank + 1, f.c1, None)
+    with pytest.raises(ValueError, match=r"^slope <22876 bits> outside \[-1, 0\]$"):
+        locate_many([Fraction(f.rank)])
+    # Short terms are written as str(Fraction) writes them.
+    for n, m in ((-6, 4), (0, 5), (7, 1), (-(1 << 1999), 3), (1, 1 << 1999)):
+        assert ex._ratio(n, m) == str(Fraction(n, m))
+    assert ex._ratio(1 << 2001, 2) == "<2001 bits>"
+    assert ex._ratio(3, 1 << 2000) == "<2 bits>/<2001 bits>"
+
+
 def test_every_descent_exhausts_alike(monkeypatch):
     # dyadic_of, locate_many and locate_triangle walk the tree alike: a cap
     # N composes at most N mids, and past them the error names what was
@@ -555,7 +600,7 @@ def test_no_assert_statement_in_the_package():
 
 def test_compose_is_called_only_by_the_walker_and_the_tree():
     # Paths go through exceptional._walk and the triad tree through
-    # helix.root and helix.children; whole levels are read off that tree,
+    # helix.root and helix._child; whole levels are read off that tree,
     # and helix.enumerate_to_level composes the middles of levels past it.
     import ast
 
@@ -574,7 +619,7 @@ def test_compose_is_called_only_by_the_walker_and_the_tree():
     assert callers == {
         ("exceptional", "_walk"),
         ("helix", "root"),
-        ("helix", "children"),
+        ("helix", "_child"),
         ("helix", "enumerate_to_level"),
     }
 

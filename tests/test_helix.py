@@ -137,14 +137,21 @@ def test_triad_derives_h():
     assert pickle.loads(pickle.dumps(built)).h == t.h
 
 
-def test_locate_builds_one_triad_per_level(monkeypatch):
-    # Each step of the descent builds the one child it enters.
+def _kept_count() -> int:
+    return sum(t is not None for slots in helix._levels for t in slots)
+
+
+def test_locate_builds_one_triad_per_level(monkeypatch, fresh_lattice):
+    # A cold descent builds at most the one triad it enters at each level,
+    # and keeps it: a repeated or warm descent builds none.
     points = []
     for t in iterate_triads(5):
         mu = (t.e.slope + 2 * t.f.slope) / 3
         disc = (t.side_eg(mu) + t.side_ef(mu)) / 2
         assert t.contains(mu, disc, strict=True)
         points.append((t, mu, disc))
+    for slots in helix._levels:
+        slots[:] = [None] * len(slots)
     built = []
     original = helix._make_triad
 
@@ -153,11 +160,21 @@ def test_locate_builds_one_triad_per_level(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(helix, "_make_triad", counted)
-    for t, mu, disc in points:
+    cold = []
+    for t, mu, disc in reversed(points):
         built.clear()
         found = locate_triangle(mu, disc)
         assert (found.level, found.index) == (t.level, t.index)
-        assert len(built) == t.level + 1
+        assert len(built) <= t.level + 1
+        cold.append(len(built))
+        built.clear()
+        assert locate_triangle(mu, disc) is found and built == []
+    # Deepest points first: each level-5 point builds its own leaf and
+    # whichever of its ancestors no earlier point entered.
+    assert sum(cold) == _kept_count() == len(points)
+    assert cold[0] == 6 and cold[-1] == 0
+    built.clear()
+    assert list(iterate_triads(5)) == [t for t, _, _ in points] and built == []
 
 
 def test_left_series_of_o():
@@ -394,9 +411,11 @@ def test_kept_tree_matches_a_fresh_build_and_stays_bounded():
         fresh += level
         level = [c for t in level for c in children(t)]
     assert list(iterate_triads(12)) == fresh
-    # Levels 0..MAX_TILE_DEPTH are kept, whole; 11 and 12 are not.
+    # Levels 0..MAX_TILE_DEPTH are kept, each slot filled; 11 and 12 are not.
     levels = range(helix.MAX_TILE_DEPTH + 1)
-    assert [len(kept) for kept in helix._levels] == [1 << k for k in levels]
+    assert [len(slots) for slots in helix._levels] == [1 << k for k in levels]
+    assert [t for slots in helix._levels for t in slots] == fresh[: (1 << 11) - 1]
+    assert _kept_count() == 2047
 
 
 def test_whole_levels_are_read_off_the_kept_tree(monkeypatch):
@@ -447,7 +466,9 @@ def test_levels_past_the_kept_tree_compose_only_their_middles(monkeypatch):
         assert level12[p] == from_dyadic(Dyadic(p - 4096, 12))
 
 
-def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch, fresh_lattice):
+def test_a_raise_keeps_no_unchecked_triad_and_the_next_call_completes_the_level(
+    monkeypatch, fresh_lattice
+):
     original = helix._make_triad
 
     def failing(e, f, g, parent):
@@ -459,7 +480,9 @@ def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch,
     monkeypatch.setattr(helix, "_make_triad", failing)
     with pytest.raises(InternalInconsistencyError, match="halfway"):
         list(iterate_triads(4))
-    assert [len(kept) for kept in helix._levels] == [1, 2, 4]
+    # Levels 0-2 and the first five triads of level 3 passed their checks.
+    assert [sum(t is not None for t in slots) for slots in helix._levels[:5]] == [1, 2, 4, 5, 0]
+    assert helix._levels[3][5] is None
     monkeypatch.setattr(helix, "_make_triad", original)
     first, second = iterate_triads(5), iterate_triads(5)
     a, b = [], []
@@ -467,7 +490,8 @@ def test_kept_levels_stay_whole_after_a_raise_and_interleaved_calls(monkeypatch,
         a.append(x)
         b.append(y)
     assert a == b == list(iterate_triads(5))
-    assert [len(kept) for kept in helix._levels] == [1 << k for k in range(6)]
+    assert [(t.level, t.index) for t in a] == [(k, i) for k in range(6) for i in range(1 << k)]
+    assert _kept_count() == (1 << 6) - 1
 
 
 def test_series_takes_its_bracket_from_one_walk(monkeypatch):
