@@ -10,6 +10,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -502,8 +503,6 @@ def test_locate_depth_cap():
 @pytest.fixture
 def default_digit_limit():
     """Python's default int-to-str limit of 4 300 digits, where it has one."""
-    import sys
-
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:
         yield
