@@ -17,8 +17,12 @@ invariants (rank, c1, c2):
 * below the rigidity frontier: the point lies in a unique triangle tile
   (e, f, g) and the generic sheaf is e^m + f^n + g^p, the multiplicities
   being the unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) =
-  ch(input); they are cross-checked against the Euler functionals
-  m = chi(input, e), p = chi(g, input), n = -chi(input, h).
+  ch(input).  They are solved with the cofactor rows of (e, f, g) that
+  the kept triad holds, three dot products, and cross-checked on every
+  query against the Euler functionals m = chi(input, e),
+  p = chi(g, input), n = -chi(input, h), so no stored row is trusted.
+  The triad also keeps the prioritary verdict of each support, which no
+  twist changes.
 
 Each summand is built once, already twisted back by the normalization
 twist, and the characters of the output must add up exactly to the
@@ -141,26 +145,19 @@ def _combine(terms: Iterable[tuple[int, ChernData]]) -> tuple[int, int, int]:
     return r, c1, x
 
 
-def _det3(u: tuple, v: tuple, w: tuple) -> int:
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - v[0] * (u[1] * w[2] - u[2] * w[1])
-        + w[0] * (u[1] * v[2] - u[2] * v[1])
-    )
-
-
 def _solve_multiplicities(t: helix.Triad, target: ChernData) -> tuple[int, int, int]:
     """Unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) = ch(target).
 
-    Cramer's rule on the integer vectors ``ChernData._vec``.
+    Cramer's rule on the integer vectors ``ChernData._vec``: each
+    multiplicity is a cofactor row of the basis, kept on the triad
+    (``Triad._splitting``), dotted with the target and divided by the
+    determinant.
     """
-    a, b, c = t.e.chern._vec, t.f.chern._vec, t.g.chern._vec
-    d = target._vec
-    det = _det3(a, b, c)
-    if det == 0:
-        raise InternalInconsistencyError(f"degenerate character basis in {t.label()}")
+    rows, det, _ = t._splitting()
+    x0, x1, x2 = target._vec
     out = []
-    for num in (_det3(d, b, c), _det3(a, d, c), _det3(a, b, d)):
+    for u0, u1, u2 in rows:
+        num = u0 * x0 + u1 * x1 + u2 * x2
         value, rem = divmod(num, det)
         if rem != 0 or value < 0:
             raise InternalInconsistencyError(
@@ -177,6 +174,8 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     cap = exceptional._cap(max_depth)
     region = frontier._classify_normalized(norm, cap)
     verification: dict = {"normalization_twist": k, "region": region.tag.value}
+    # The prioritary verdict of an all-exceptional splitting; None otherwise.
+    verdict: helix.TriState | None = None
 
     if region.tag is RegionTag.NO_PRIORITARY:
         exc = NoPrioritarySheafError(
@@ -196,7 +195,9 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         f = region.witness
         mult = norm.rank // f.rank
         verification["rank_multiple"] = mult
-        summands = [Summand(KIND_EXCEPTIONAL, mult, bundle=f.twist(-k))]
+        bundle = f.twist(-k)
+        summands = [Summand(KIND_EXCEPTIONAL, mult, bundle=bundle)]
+        verdict = helix.is_prioritary_sum([bundle])
 
     elif region.tag is RegionTag.SPECIAL_C0_C21:
         if norm.rank < 2:
@@ -276,6 +277,8 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
             for mult, b in ((m, t.e), (n, t.f), (p, t.g))
             if mult > 0
         ]
+        # Ext^2 vanishing is invariant under the common twist by -k.
+        verdict = t._prioritary((m > 0, n > 0, p > 0))
 
     result = Decomposition(cd, k, region, tuple(summands), verification)
     if _combine((s.multiplicity, s.chern_data()) for s in summands) != cd._vec:
@@ -283,8 +286,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
             f"summand characters {result.total_character()} do not add up to ch{cd}"
         )
     verification["character_balance"] = True
-    if all(s.kind == KIND_EXCEPTIONAL for s in summands):
-        verdict = helix.is_prioritary_sum([s.bundle for s in summands])  # type: ignore[list-item]
+    if verdict is not None:
         if verdict is helix.TriState.NO:
             raise InternalInconsistencyError("exceptional direct sum is not prioritary")
         verification["prioritary_sum"] = verdict.value

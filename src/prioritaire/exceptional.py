@@ -55,13 +55,16 @@ slope); ``locate_many`` finds the owners of a list of slopes, and
 for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
 lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
-Every descent of the dyadic tree, here and in ``helix``, runs through
-``_walk``, the one home of the depth cap and its error; a walk keeps no
-store of its own, and ``_owner`` keeps only the answer of a whole owner
-walk that succeeded.  ``compose`` has two callers: ``_walk``, along one
-path, and ``helix``: its triad tree, whose middles are the lattice levels
-it keeps, and ``enumerate_to_level``, which composes only the middles of
-the levels past that tree.
+Every descent resolves its cap with ``_cap`` and raises through
+``_exhausted``, the one raise site of DepthExhaustedError.  The descents
+of the lattice run through ``_walk``, which composes one mid per level;
+a walk keeps no store of its own, and ``_owner`` keeps only the answer
+of a whole owner walk that succeeded.  Point location (``helix._locate``)
+is the one descent that does not walk: it reads each triad it enters off
+the kept tree and composes nothing there.  ``compose`` has two callers:
+``_walk``, along one path, and ``helix``: its triad tree, whose middles
+are the lattice levels it keeps, and ``enumerate_to_level``, which
+composes only the middles of the levels past that tree.
 """
 
 from __future__ import annotations
@@ -383,7 +386,14 @@ def _walk(steer: Callable, what: Callable, max_depth: int | None, start: int) ->
             hi = mid
         else:
             lo, p = mid, p + 1
-    raise DepthExhaustedError(f"{what()} not resolved within depth {cap}", bracket=(lo, hi))
+    _exhausted(what(), cap, lo, hi)
+
+
+def _exhausted(what: str, cap: int, lo: ExceptionalBundle, hi: ExceptionalBundle) -> None:
+    """Raise DepthExhaustedError "<what> not resolved within depth <cap>"
+    with the pair (lo, hi) that a descent would have entered next: the one
+    raise site of every descent, ``_walk`` and ``helix._locate``."""
+    raise DepthExhaustedError(f"{what} not resolved within depth {cap}", bracket=(lo, hi))
 
 
 def from_dyadic(d: Dyadic) -> ExceptionalBundle:

@@ -73,8 +73,10 @@ class Region(Record):
 
 def _prioritary_bound(mu: Fraction) -> Fraction:
     """-mu(mu+1)/2: prioritary sheaves of normalized slope mu exist iff
-    their discriminant is at least this."""
-    return -mu * (mu + 1) / 2
+    their discriminant is at least this.  With mu = n/d it is
+    -n(n + d)/(2d^2), built as one Fraction."""
+    n, d = mu.numerator, mu.denominator
+    return Fraction(-n * (n + d), 2 * d * d)
 
 
 def _conic_terms(num: int, den: int, f: ExceptionalBundle) -> tuple[int, int, int, int]:

@@ -34,13 +34,22 @@ The triads down to MAX_TILE_DEPTH are kept, one slot per triad (at most
 2 047): ``_kept`` builds and checks a triad from its kept parent the
 first time any caller asks for it, so ``iterate_triads`` and point
 location (``_locate``) share each triad, whichever gets there first.
-Before the tree kept single triads, one round of the ``sweep`` benchmark
-(seed 3) built and checked 1 524 triads for point location, of only 5
-distinct ones.  Triads past the kept tree are built and dropped.  The
-middles of the kept triads, with O(-1) and O, are the whole levels of
-the exceptional lattice (``enumerate_to_level``), which are read off the
-kept tree and never composed again; each level past it composes only its
-middles and builds no triad.
+Point location reads the triad of each level off the kept tree by its
+(level, index), steering by the sign of mu - mu(f), and composes nothing
+there; past the kept tree it builds each triad with ``_child`` and drops
+it.  A cap of N enters at most N triads, and ``exceptional._exhausted``
+raises past them.  The middles of the kept triads, with O(-1) and O, are
+the whole levels of the exceptional lattice (``enumerate_to_level``),
+which are read off the kept tree and never composed again; each level
+past it composes only its middles and builds no triad.
+
+A triad also holds the data of the splittings e^m + f^n + g^p of the
+generic sheaves whose points it holds (``Triad._splitting``): the
+cofactor rows and determinant of its character basis, and the
+``is_prioritary_sum`` verdict of each support seen.  The first splitting
+on a triad fills them, and nothing else does: building, rendering and
+locating leave them unset.  In one round of the ``sweep`` benchmark
+(seed 3), 1 026 splittings land on 5 kept triads.
 
 Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
@@ -74,6 +83,10 @@ MAX_TILE_DEPTH = 10
 _levels: list[list[Triad | None]] = [[None] * (1 << k) for k in range(MAX_TILE_DEPTH + 1)]
 
 
+def _cross(u: tuple, v: tuple) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
     """The bundle of character vector chi*x(a) - x(b), where chi is the
     Euler pairing of the mutated pair (three times a rank, by the triad
@@ -89,10 +102,12 @@ class Triad(Record):
     its slope bracket is the image of the dyadic interval
     [(index)/2^level - 1, (index+1)/2^level - 1].  ``h``, the kernel bundle
     of e x Hom(e,f) -> f that carries the bottom side of the tile, is
-    derived from (e, f, g) once the triad identities hold.
+    derived from (e, f, g) once the triad identities hold.  ``_split``,
+    the data of the splittings on the tile (``_splitting``), stays unset
+    until the first one.
     """
 
-    __slots__ = ("e", "f", "g", "level", "index", "h")
+    __slots__ = ("e", "f", "g", "level", "index", "h", "_split")
     _fields = __slots__[:5]
 
     def __init__(
@@ -124,6 +139,41 @@ class Triad(Record):
 
     def label(self) -> str:
         return f"({self.e}, {self.f}, {self.g})"
+
+    def _splitting(self) -> tuple:
+        """(rows, det, verdicts) for the splittings e^m + f^n + g^p on this
+        tile, worked out by the first one and kept on the triad.
+
+        rows are the cofactor rows (f x g, g x e, e x f) of the character
+        basis (e, f, g) on the vectors ``ChernData._vec``, and det its
+        determinant, so (m, n, p) is rows . x / det for the character x.
+        verdicts maps each support seen, the tuple of which of e, f, g
+        have a positive multiplicity, to ``_prioritary``.
+        """
+        try:
+            return self._split
+        except AttributeError:
+            pass
+        a, b, c = self.e.chern._vec, self.f.chern._vec, self.g.chern._vec
+        rows = (_cross(b, c), _cross(c, a), _cross(a, b))
+        det = sum(x * y for x, y in zip(a, rows[0]))
+        if det == 0:
+            raise InternalInconsistencyError(f"degenerate character basis in {self.label()}")
+        split = (rows, det, {})
+        object.__setattr__(self, "_split", split)
+        return split
+
+    def _prioritary(self, support: tuple[bool, bool, bool]) -> TriState:
+        """``is_prioritary_sum`` of the bundles of (e, f, g) that support
+        marks, kept per support in ``_splitting``.  Ext^2 vanishing is
+        invariant under a common twist, so it is also the verdict of every
+        twist of that sum."""
+        verdicts = self._splitting()[2]
+        verdict = verdicts.get(support)
+        if verdict is None:
+            chosen = [x for x, kept in zip((self.e, self.f, self.g), support) if kept]
+            verdict = verdicts[support] = is_prioritary_sum(chosen)
+        return verdict
 
     def mid_dyadic(self) -> Dyadic:
         return Dyadic(2 * self.index + 1 - (1 << (self.level + 1)), self.level + 1)
@@ -252,28 +302,26 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 
 def _locate(n: int, d: int, a: int, b: int, max_depth: int | None) -> Triad:
     """``locate_triangle`` at mu = n/d, disc = a/b with d, b > 0, in any
-    terms.  Each level of its walk reads the triad of the bracket and mid
-    off the kept tree (``_kept``), and past it builds that triad and drops it."""
+    terms.  Each level reads the triad it enters off the kept tree
+    (``_kept``) and composes nothing; past it, each level builds its triad
+    with ``_child`` and drops it.  A cap of N enters at most N triads."""
     if n < -d or n > 0:
         raise ValueError(f"slope {exceptional._ratio(n, d)} outside [-1, 0]")
+    cap = exceptional._cap(max_depth)
+    lo, hi = exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)
     t, index = None, 0
-
-    def steer(lo, mid, hi):
-        nonlocal t, index
-        level = 0 if t is None else t.level + 1
-        t = _kept(level, index) if level <= MAX_TILE_DEPTH else _make_triad(lo, mid, hi, t)
+    for level in range(cap):
+        t = _kept(level, index) if level <= MAX_TILE_DEPTH else _child(t, index & 1)
         if t._contains(n, d, a, b, False):
-            return 0
-        side = n * mid.rank - mid.c1 * d  # sign of mu - mu(f)
+            return t
+        side = n * t.f.rank - t.f.c1 * d  # sign of mu - mu(f)
         if side == 0:
             raise NotCoveredError(
                 f"({_point(n, d, a, b)}) sits above the vertex of {t.label()} and is not covered"
             )
         index = 2 * index + (side > 0)
-        return side
-
-    exceptional._walk(steer, lambda: f"point ({_point(n, d, a, b)})", max_depth, -1)
-    return t  # type: ignore[return-value]
+        lo, hi = (t.f, t.g) if side > 0 else (t.e, t.f)
+    exceptional._exhausted(f"point ({_point(n, d, a, b)})", cap, lo, hi)
 
 
 def _point(n: int, d: int, a: int, b: int) -> str:

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from prioritaire import exceptional, helix
+
+# The one Hypothesis profile of every run, on every Python version and in
+# every module order: the same examples each time, no example database
+# written, and no deadline for a slow runner to trip.
+settings.register_profile("prioritaire", deadline=None, derandomize=True, database=None)
+settings.load_profile("prioritaire")
 
 
 def empty_tree() -> list[list]:

@@ -10,7 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from prioritaire import helix
 from prioritaire.chern import ChernData, twist
 from prioritaire.decompose import (
     KIND_EXCEPTIONAL,
@@ -457,3 +460,52 @@ def test_warm_queries_build_no_fraction(monkeypatch):
     assert _count_fractions(monkeypatch, generic_prioritary, prioritary) == 0
     # The counter does count: the rejected points build their error text.
     assert _count_fractions(monkeypatch, _tag, rejected[:10]) > 0
+
+
+def _det3(u: tuple, v: tuple, w: tuple) -> int:
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - v[0] * (u[1] * w[2] - u[2] * w[1])
+        + w[0] * (u[1] * v[2] - u[2] * v[1])
+    )
+
+
+@st.composite
+def _normalized_band(draw):
+    """(r, c1, c2) with r < 40, -r < c1 <= 0 and c2 from the prioritary
+    bound, 2r c2 >= (r - 2) c1^2 - r c1, to twelve above it."""
+    r = draw(st.integers(1, 39))
+    c1 = draw(st.integers(-r + 1, 0))
+    floor = -(((r - 2) * c1 * c1 - r * c1) // (-2 * r))
+    return r, c1, floor + draw(st.integers(0, 12))
+
+
+@given(_normalized_band(), st.integers(-3, 3))
+def test_below_delta_prime_matches_a_cramer_solve_at_every_twist(point, k):
+    norm = ChernData(*point)
+    assume(classify(norm).tag is RegionTag.BELOW_DELTA_PRIME)
+    result = generic_prioritary(twist(norm, k))
+    assert result.twist == -k
+    v = result.verification
+    t = helix._levels[v["triangle"]["level"]][v["triangle"]["index"]]
+    a, b, c, x = t.e.chern._vec, t.f.chern._vec, t.g.chern._vec, norm._vec
+    det = _det3(a, b, c)
+    cramer = [Fraction(_det3(*col), det) for col in ((x, b, c), (a, x, c), (a, b, x))]
+    assert v["multiplicities"] == cramer
+    bundles = [s.bundle for s in result.summands]
+    assert v["prioritary_sum"] == helix.is_prioritary_sum(bundles).value
+    assert_characters_add_up(result)
+
+
+def test_a_corrupted_cofactor_row_is_caught_by_the_euler_cross_check(fresh_lattice):
+    # The rows kept on the triad are trusted by no query: shift the row of m
+    # by det * (1, 0, 0), so m comes out an integer r too large, and the next
+    # splitting on that triad refuses it.
+    cd = ChernData(14, -5, 18)
+    tri = generic_prioritary(cd).verification["triangle"]
+    t = helix._levels[tri["level"]][tri["index"]]
+    (row, *rest), det, verdicts = t._splitting()
+    bad = (tuple(u + det * e for u, e in zip(row, (1, 0, 0))), *rest)
+    object.__setattr__(t, "_split", (bad, det, verdicts))
+    with pytest.raises(InternalInconsistencyError, match=r"^Euler functionals .* \(14, 1, 1\)"):
+        generic_prioritary(cd)

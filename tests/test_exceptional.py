@@ -541,41 +541,85 @@ def test_walk_errors_do_not_depend_on_the_int_to_str_limit(default_digit_limit):
     assert ex._ratio(3, 1 << 2000) == "<2 bits>/<2001 bits>"
 
 
+def _point_in(t):
+    """A point strictly inside the tile of t, and so in no shallower tile."""
+    mu = (t.e.slope + 2 * t.f.slope) / 3
+    return mu, (t.side_eg(mu) + t.side_ef(mu)) / 2
+
+
 def test_every_descent_exhausts_alike(monkeypatch):
-    # dyadic_of, locate_many and locate_triangle walk the tree alike: a cap
-    # N composes at most N mids, and past them the error names what was
-    # sought and the pair of neighbours the walk would have entered next.
+    # dyadic_of, locate_many and locate_triangle exhaust a cap alike: a walk
+    # with cap N composes N mids, and point location enters N triads, read
+    # off the kept tree with no compose.  Past them the error names what was
+    # sought and the pair of neighbours the descent would have entered next.
+    list(helix.iterate_triads(7))
     rng = random.Random(9709)
     queries = []
     for _ in range(12):
         f = from_dyadic(Dyadic(rng.randrange(1, 1 << 7, 2), 7)).twist(rng.randint(-3, 2))
-        queries.append((f"slope {f.slope}", lambda cap, f=f: dyadic_of(f, cap)))
+        queries.append((f"slope {f.slope}", lambda cap, f=f: dyadic_of(f, cap), None))
         mu = Fraction(-rng.randint(1, 10**4 - 1), 10**4)
-        queries.append((f"slope {mu}", lambda cap, mu=mu: locate_many([mu], cap)))
-        t = helix.root()
+        queries.append((f"slope {mu}", lambda cap, mu=mu: locate_many([mu], cap), None))
+        path = [helix.root()]
         for _ in range(rng.randint(2, 7)):
-            t = helix.children(t)[rng.random() < 0.5]
-        mu = (t.e.slope + 2 * t.f.slope) / 3
-        disc = (t.side_eg(mu) + t.side_ef(mu)) / 2
+            path.append(helix.children(path[-1])[rng.random() < 0.5])
+        mu, disc = _point_in(path[-1])
         point = lambda cap, mu=mu, disc=disc: helix.locate_triangle(mu, disc, cap)  # noqa: E731
-        queries.append((f"point ({mu}, {disc})", point))
-    calls = []
-    original = ex.compose
-    monkeypatch.setattr(ex, "compose", lambda a, b: calls.append(a) or original(a, b))
+        queries.append((f"point ({mu}, {disc})", point, path))
+    composed, entered = [], []
+    original, contains = ex.compose, helix.Triad._contains
+    monkeypatch.setattr(ex, "compose", lambda a, b: composed.append(a) or original(a, b))
+    monkeypatch.setattr(
+        helix.Triad, "_contains", lambda t, *args: entered.append(t) or contains(t, *args)
+    )
     exhausted = 0
-    for what, query in queries:
+    for what, query, path in queries:
         with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
             query(-1)
         for cap in range(7):
-            calls.clear()
+            composed.clear()
+            entered.clear()
             try:
                 query(cap)
             except DepthExhaustedError as err:
                 assert str(err) == f"{what} not resolved within depth {cap}"
-                assert len(calls) == cap
+                if path is None:
+                    assert (len(composed), entered) == (cap, [])
+                else:
+                    assert (composed, entered) == ([], path[:cap])
+                    assert err.bracket == (path[cap].e, path[cap].g)
                 original(*err.bracket)  # neighbours, or compose raises ValueError
                 exhausted += 1
     assert exhausted > 3 * len(queries)
+
+
+def test_point_location_past_the_kept_tree_builds_and_drops(monkeypatch):
+    # Past MAX_TILE_DEPTH each level builds its triad with _child, one
+    # compose, and keeps none; the cap still counts triads entered.
+    path = [helix.root()]
+    for right in (0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1):
+        path.append(helix.children(path[-1])[right])
+    mu, disc = _point_in(path[-1])
+    what = "point ({}, {})".format(*(ex._ratio(x.numerator, x.denominator) for x in (mu, disc)))
+    kept = helix.MAX_TILE_DEPTH + 1
+    list(helix.iterate_triads(kept - 1))
+    composed, entered = [], []
+    original, contains = ex.compose, helix.Triad._contains
+    monkeypatch.setattr(ex, "compose", lambda a, b: composed.append(a) or original(a, b))
+    monkeypatch.setattr(
+        helix.Triad, "_contains", lambda t, *args: entered.append(t) or contains(t, *args)
+    )
+    for cap in (kept, kept + 1, kept + 2):
+        composed.clear()
+        entered.clear()
+        with pytest.raises(DepthExhaustedError) as err:
+            helix.locate_triangle(mu, disc, cap)
+        assert str(err.value) == f"{what} not resolved within depth {cap}"
+        assert err.value.bracket == (path[cap].e, path[cap].g)
+        assert (len(composed), entered) == (cap - kept, path[:cap])
+    found = helix.locate_triangle(mu, disc, len(path))
+    assert found == path[-1] and found.level == len(path) - 1
+    assert sum(t is not None for slots in helix._levels for t in slots) <= (1 << kept) - 1
 
 
 def test_one_raise_site_and_one_cap_resolution():

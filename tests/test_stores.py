@@ -1,9 +1,10 @@
 """Answers do not depend on what the lattice's stores hold.
 
 The package keeps four stores between calls: ``_bundle``'s cache, the
-``_compose`` and ``_owner`` memos, and the kept triad tree.  A query
-answers, or raises, the same from an empty lattice as from a warm one
-visited in another order, at every cap.
+``_compose`` and ``_owner`` memos, and the kept triad tree, whose triads
+hold the data of the splittings on them.  A query answers, or raises,
+the same from an empty lattice as from a warm one visited in another
+order, at every cap.
 """
 
 import hashlib
@@ -12,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from prioritaire import decompose, exceptional, frontier, helix
+from prioritaire import decompose, exceptional, frontier, helix, render
 from prioritaire.chern import ChernData
-from prioritaire.errors import DepthExhaustedError
+from prioritaire.errors import DepthExhaustedError, NoPrioritarySheafError
 from prioritaire.exceptional import locate_exceptional, locate_many
 
 CAPS = (None, 0, 1, 3)
@@ -123,3 +124,50 @@ def test_frontiers_after_classify_walk_nothing(monkeypatch, fresh_lattice):
             frontier.delta_prime(Fraction(c1, r) + k)
             frontier.delta(Fraction(c1, r) - k)
         assert walks == []
+
+
+def _holding_splitting_data() -> set:
+    """(level, index) of every kept triad that holds splitting data."""
+    return {
+        (t.level, t.index)
+        for slots in helix._levels
+        for t in slots
+        if t is not None and hasattr(t, "_split")
+    }
+
+
+def test_a_warm_splitting_composes_and_walks_nothing(monkeypatch):
+    cd = ChernData(14, -5, 18)
+    first = decompose.generic_prioritary(cd)
+    assert first.region.tag is frontier.RegionTag.BELOW_DELTA_PRIME
+    calls = []
+    for name in ("compose", "_walk"):
+        original = getattr(exceptional, name)
+        monkeypatch.setattr(
+            exceptional, name, lambda *args, f=original, n=name: calls.append(n) or f(*args)
+        )
+    again = decompose.generic_prioritary(cd)
+    assert calls == []
+    assert repr(again) == repr(first)
+
+
+def test_rendering_fills_no_splitting_data(fresh_lattice):
+    render.tile_csv(10)
+    assert sum(t is not None for slots in helix._levels for t in slots) == 2047
+    assert _holding_splitting_data() == set()
+
+
+def test_only_the_triads_of_the_answers_hold_splitting_data(fresh_lattice):
+    named = set()
+    for name, args in _band():
+        if name != "generic_prioritary":
+            _ask(name, args, None)
+            continue
+        try:
+            triangle = decompose.generic_prioritary(ChernData(*args)).verification.get("triangle")
+        except NoPrioritarySheafError:
+            continue
+        if triangle is not None:
+            named.add((triangle["level"], triangle["index"]))
+    assert len(named) > 1
+    assert _holding_splitting_data() == named
