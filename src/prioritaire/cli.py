@@ -332,9 +332,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     d = exceptional.parse_dyadic(args.dyadic)
-    f, bracket = exceptional._from_dyadic(d)
     if args.n_min > args.n_max:
         raise ParseError(f"--from {args.n_min} exceeds n_max {args.n_max}")
+    f, bracket = exceptional._from_dyadic(d)
     _lift_digit_limit()
     # From the bracket the parse composed last: one walk, which no depth cap bounds.
     members = helix._series(f, bracket, args.n_min, args.n_max)
@@ -412,6 +412,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        # A usage error, refused before the command walks the lattice, which
+        # a deep argument makes slow.
+        if getattr(args, "digits", 1) < 1:
+            raise ParseError("digits must be >= 1")
         return args.handler(args)
     except ValueError as exc:  # ParseError included
         print(f"prioritaire: error: {exc}", file=sys.stderr)

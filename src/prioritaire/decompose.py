@@ -16,13 +16,13 @@ invariants (rank, c1, c2):
   with F.  p * rank(F) < rank is asserted.
 * below the rigidity frontier: the point lies in a unique triangle tile
   (e, f, g) and the generic sheaf is e^m + f^n + g^p, the multiplicities
-  being the unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) =
-  ch(input).  They are solved with the cofactor rows of (e, f, g) that
-  the kept triad holds, three dot products, and cross-checked on every
-  query against the Euler functionals m = chi(input, e),
-  p = chi(g, input), n = -chi(input, h), so no stored row is trusted.
-  The triad also keeps the prioritary verdict of each support, which no
-  twist changes.
+  being the coordinates of ch(input) in the basis (e, f, g).  They are
+  read off the Euler pairings with the dual basis, m = chi(input, e),
+  n = -chi(input, h), p = chi(g, input) (the Gram matrix of (e, f, g)
+  is unitriangular and h pairs to (0, -1, 0) with it), and the character
+  balance below proves them.  A negative pairing is a point outside the
+  tile.  The kept triad holds the prioritary verdict of each support,
+  which no twist changes.
 
 Each summand is built once, already twisted back by the normalization
 twist, and the characters of the output must add up exactly to the
@@ -145,28 +145,6 @@ def _combine(terms: Iterable[tuple[int, ChernData]]) -> tuple[int, int, int]:
     return r, c1, x
 
 
-def _solve_multiplicities(t: helix.Triad, target: ChernData) -> tuple[int, int, int]:
-    """Unique exact solution of m*ch(e) + n*ch(f) + p*ch(g) = ch(target).
-
-    Cramer's rule on the integer vectors ``ChernData._vec``: each
-    multiplicity is a cofactor row of the basis, kept on the triad
-    (``Triad._splitting``), dotted with the target and divided by the
-    determinant.
-    """
-    rows, det, _ = t._splitting()
-    x0, x1, x2 = target._vec
-    out = []
-    for u0, u1, u2 in rows:
-        num = u0 * x0 + u1 * x1 + u2 * x2
-        value, rem = divmod(num, det)
-        if rem != 0 or value < 0:
-            raise InternalInconsistencyError(
-                f"multiplicity {Fraction(num, det)} not a nonnegative integer in {t.label()}"
-            )
-        out.append(value)
-    return out[0], out[1], out[2]
-
-
 def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposition:
     """Region and explicit splitting of the generic prioritary sheaf."""
     norm, k = chern.normalize(cd)
@@ -251,15 +229,14 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     else:  # BELOW_DELTA_PRIME
         r, c1 = norm.rank, norm.c1
         t = helix._locate(c1, r, frontier._disc_num(r, c1, norm.c2), 2 * r * r, cap)
-        m, n, p = _solve_multiplicities(t, norm)
-        cross = {
-            "m": euler_pairing(norm, t.e.chern),
-            "n": -euler_pairing(norm, t.h.chern),
-            "p": euler_pairing(t.g.chern, norm),
-        }
-        if (cross["m"], cross["n"], cross["p"]) != (m, n, p):
+        m = euler_pairing(norm, t.e.chern)
+        n = -euler_pairing(norm, t.h.chern)
+        p = euler_pairing(t.g.chern, norm)
+        # Each pairing is the gap to one side of the tile, so a negative one
+        # is the point outside it.
+        if min(m, n, p) < 0:
             raise InternalInconsistencyError(
-                f"Euler functionals {cross} disagree with solved multiplicities {(m, n, p)}"
+                f"negative multiplicity in {(m, n, p)}: the point is outside {t.label()}"
             )
         zeros = sum(1 for v in (m, n, p) if v == 0)
         if zeros > 1:
@@ -269,7 +246,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
             )
         verification["triangle"] = {"level": t.level, "index": t.index}
         verification["multiplicities"] = [m, n, p]
-        verification["euler_cross_check"] = cross
+        verification["euler_cross_check"] = {"m": m, "n": n, "p": p}
         if zeros:
             verification["dropped_zero_multiplicities"] = zeros
         summands = [

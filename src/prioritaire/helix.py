@@ -43,13 +43,15 @@ the whole levels of the exceptional lattice (``enumerate_to_level``),
 which are read off the kept tree and never composed again; each level
 past it composes only its middles and builds no triad.
 
-A triad also holds the data of the splittings e^m + f^n + g^p of the
-generic sheaves whose points it holds (``Triad._splitting``): the
-cofactor rows and determinant of its character basis, and the
-``is_prioritary_sum`` verdict of each support seen.  The first splitting
-on a triad fills them, and nothing else does: building, rendering and
-locating leave them unset.  In one round of the ``sweep`` benchmark
-(seed 3), 1 026 splittings land on 5 kept triads.
+A triad also holds the ``is_prioritary_sum`` verdict of each support
+seen among the splittings e^m + f^n + g^p of the generic sheaves whose
+points it holds (``Triad._prioritary``).  The first splitting on a triad
+fills the dict, and nothing else does: building, rendering and locating
+leave it unset.  The multiplicities themselves are Euler pairings with
+the dual basis (e, -h, g): the triad identities make the Gram matrix of
+(e, f, g) unitriangular, and h = 3 rank(g) x(e) - x(f) pairs as
+chi(e,h) = chi(g,h) = 0, chi(f,h) = -1.  In one round of the ``sweep``
+benchmark (seed 3), 1 026 splittings land on 5 kept triads.
 
 Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
@@ -83,10 +85,6 @@ MAX_TILE_DEPTH = 10
 _levels: list[list[Triad | None]] = [[None] * (1 << k) for k in range(MAX_TILE_DEPTH + 1)]
 
 
-def _cross(u: tuple, v: tuple) -> tuple:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
     """The bundle of character vector chi*x(a) - x(b), where chi is the
     Euler pairing of the mutated pair (three times a rank, by the triad
@@ -102,12 +100,12 @@ class Triad(Record):
     its slope bracket is the image of the dyadic interval
     [(index)/2^level - 1, (index+1)/2^level - 1].  ``h``, the kernel bundle
     of e x Hom(e,f) -> f that carries the bottom side of the tile, is
-    derived from (e, f, g) once the triad identities hold.  ``_split``,
-    the data of the splittings on the tile (``_splitting``), stays unset
-    until the first one.
+    derived from (e, f, g) once the triad identities hold.  ``_verdicts``,
+    the prioritary verdicts of the splittings on the tile
+    (``_prioritary``), stays unset until the first one.
     """
 
-    __slots__ = ("e", "f", "g", "level", "index", "h", "_split")
+    __slots__ = ("e", "f", "g", "level", "index", "h", "_verdicts")
     _fields = __slots__[:5]
 
     def __init__(
@@ -140,35 +138,16 @@ class Triad(Record):
     def label(self) -> str:
         return f"({self.e}, {self.f}, {self.g})"
 
-    def _splitting(self) -> tuple:
-        """(rows, det, verdicts) for the splittings e^m + f^n + g^p on this
-        tile, worked out by the first one and kept on the triad.
-
-        rows are the cofactor rows (f x g, g x e, e x f) of the character
-        basis (e, f, g) on the vectors ``ChernData._vec``, and det its
-        determinant, so (m, n, p) is rows . x / det for the character x.
-        verdicts maps each support seen, the tuple of which of e, f, g
-        have a positive multiplicity, to ``_prioritary``.
-        """
-        try:
-            return self._split
-        except AttributeError:
-            pass
-        a, b, c = self.e.chern._vec, self.f.chern._vec, self.g.chern._vec
-        rows = (_cross(b, c), _cross(c, a), _cross(a, b))
-        det = sum(x * y for x, y in zip(a, rows[0]))
-        if det == 0:
-            raise InternalInconsistencyError(f"degenerate character basis in {self.label()}")
-        split = (rows, det, {})
-        object.__setattr__(self, "_split", split)
-        return split
-
     def _prioritary(self, support: tuple[bool, bool, bool]) -> TriState:
         """``is_prioritary_sum`` of the bundles of (e, f, g) that support
-        marks, kept per support in ``_splitting``.  Ext^2 vanishing is
+        marks, kept per support in ``_verdicts``.  Ext^2 vanishing is
         invariant under a common twist, so it is also the verdict of every
         twist of that sum."""
-        verdicts = self._splitting()[2]
+        try:
+            verdicts = self._verdicts
+        except AttributeError:
+            verdicts = {}
+            object.__setattr__(self, "_verdicts", verdicts)
         verdict = verdicts.get(support)
         if verdict is None:
             chosen = [x for x, kept in zip((self.e, self.f, self.g), support) if kept]

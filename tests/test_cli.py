@@ -194,16 +194,33 @@ def test_digits_only_where_decimals_print(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("slope", "--", "-1/4"),
-        ("frontier", "--", "-1/3"),
-        ("classify", "--", "8", "4", "11"),
+        ("slope", "--digits", "0", "--", "-1/4"),
+        ("frontier", "--digits", "0", "--", "-1/3"),
+        ("classify", "--digits", "0", "--", "8", "4", "11"),
+        ("series", "--from", "5", "--", "-1/4", "1"),
     ],
 )
-def test_bad_digits_print_no_half_answer(capsys, argv):
-    # The text report prints the strings of the JSON payload, which is
-    # built whole first, so a refused --digits leaves stdout empty.
-    code, out, err = run(capsys, argv[0], "--digits", "0", *argv[1:])
-    assert (code, out, err) == (1, "", "prioritaire: error: digits must be >= 1\n")
+def test_bad_digits_print_no_half_answer(capsys, monkeypatch, argv):
+    # A refused --digits or --from is a usage error, found before the
+    # command enters the lattice (a deep dyadic would make it wait), so it
+    # leaves stdout empty.
+    from prioritaire import decompose, exceptional, frontier, helix
+
+    entered = []
+    for module, name in (
+        (exceptional, "_from_dyadic"),
+        (exceptional, "from_dyadic"),
+        (exceptional, "_lattice"),
+        (frontier, "delta_many"),
+        (frontier, "_classify_normalized"),
+        (decompose, "generic_prioritary"),
+        (helix, "_series"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, n=name: entered.append(n))
+    code, out, err = run(capsys, *argv)
+    message = "--from 5 exceeds n_max 1" if argv[0] == "series" else "digits must be >= 1"
+    assert (code, out, err) == (1, "", f"prioritaire: error: {message}\n")
+    assert entered == []
 
 
 def test_series_left_of_o(capsys):

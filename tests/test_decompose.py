@@ -1,9 +1,9 @@
 """Splittings of the generic prioritary sheaf, all regions.
 
 Every expected multiplicity below was recomputed by hand from the
-character equations; the library additionally verifies each result
-against the Euler functionals, and the tests re-add the summand
-characters independently.
+character equations; the library reads the multiplicities below
+delta_prime off Euler pairings and proves them by the character balance,
+and the tests re-add the summand characters independently.
 """
 
 import random
@@ -312,6 +312,26 @@ def test_unbalanced_summands_are_an_inconsistency(monkeypatch):
             generic_prioritary(cd)
 
 
+def test_an_euler_pairing_one_too_large_fails_the_character_balance(monkeypatch):
+    # The pairings are the answer and the balance their proof: m on
+    # (14, -5, 18), the first pairing of the splitting, comes out one too
+    # large, and the summands no longer add up.
+    import prioritaire.decompose as dec
+
+    cd = ChernData(14, -5, 18)
+    assert generic_prioritary(cd).verification["multiplicities"] == [0, 1, 1]
+    pairing, calls = dec.euler_pairing, []
+
+    def first_one_too_large(a, b):
+        calls.append((a, b))
+        return pairing(a, b) + (len(calls) == 1)
+
+    monkeypatch.setattr(dec, "euler_pairing", first_one_too_large)
+    with pytest.raises(InternalInconsistencyError, match="do not add up"):
+        generic_prioritary(cd)
+    assert calls[0][0] == cd
+
+
 def test_each_summand_is_built_once_in_the_callers_frame(monkeypatch):
     # Every region that splits, at twists away from the normalized band:
     # one Summand is built per summand of the answer.
@@ -495,17 +515,3 @@ def test_below_delta_prime_matches_a_cramer_solve_at_every_twist(point, k):
     bundles = [s.bundle for s in result.summands]
     assert v["prioritary_sum"] == helix.is_prioritary_sum(bundles).value
     assert_characters_add_up(result)
-
-
-def test_a_corrupted_cofactor_row_is_caught_by_the_euler_cross_check(fresh_lattice):
-    # The rows kept on the triad are trusted by no query: shift the row of m
-    # by det * (1, 0, 0), so m comes out an integer r too large, and the next
-    # splitting on that triad refuses it.
-    cd = ChernData(14, -5, 18)
-    tri = generic_prioritary(cd).verification["triangle"]
-    t = helix._levels[tri["level"]][tri["index"]]
-    (row, *rest), det, verdicts = t._splitting()
-    bad = (tuple(u + det * e for u, e in zip(row, (1, 0, 0))), *rest)
-    object.__setattr__(t, "_split", (bad, det, verdicts))
-    with pytest.raises(InternalInconsistencyError, match=r"^Euler functionals .* \(14, 1, 1\)"):
-        generic_prioritary(cd)

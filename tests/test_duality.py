@@ -11,8 +11,9 @@ from collections import Counter
 from fractions import Fraction
 
 from prioritaire import decompose, frontier
-from prioritaire.chern import ChernData
+from prioritaire.chern import ChernData, euler_pairing
 from prioritaire.errors import NoPrioritarySheafError
+from prioritaire.helix import enumerate_to_level
 
 
 def _band() -> list[tuple[int, int, int]]:
@@ -61,6 +62,16 @@ def test_dual_invariants_split_into_dual_summands(fresh_lattice):
         assert _counted(theirs) == _dual(_counted(ours)), (r, c1, c2)
         split += ours.summands is not None
     assert (split, refused) == (4503, 2962)
+
+
+def test_duality_reverses_the_euler_pairing():
+    # chi(a*, b*) = chi(b, a) on the lattice to level 4 and its twists.
+    bundles = enumerate_to_level(4)
+    twisted = [b.twist(k) for b in bundles for k in range(-3, 4)]
+    assert len(bundles) * len(twisted) == 2023
+    for a in bundles:
+        for b in twisted:
+            assert euler_pairing(a.dual().chern, b.dual().chern) == euler_pairing(b.chern, a.chern)
 
 
 def test_frontiers_are_even(fresh_lattice):

@@ -93,12 +93,14 @@ def test_slope_map_table():
 
 
 def test_slope_map_symmetry():
-    # The map intertwines the two mirror symmetries x -> -1-x.
-    for q in range(1, 7):
+    # The map intertwines the two mirror symmetries x -> -1-x, and on the
+    # bundles the mirror is the dual twisted by -1.
+    for q in range(1, 9):
         for p in range(-(1 << q) + 1, 0):
             d = Dyadic(p, q)
             mirror = Dyadic(-(1 << q) - p, q)
             assert from_dyadic(mirror).slope == -1 - from_dyadic(d).slope
+            assert from_dyadic(d).dual().twist(-1) == from_dyadic(mirror)
 
 
 def test_from_slope_invariants():

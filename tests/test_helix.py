@@ -60,18 +60,24 @@ def test_root_children():
     assert right.e.slope == Fraction(-1, 2) and right.g.slope == Fraction(0)
 
 
-def test_triad_identities_to_depth_five():
+def test_triad_and_dual_basis_identities_on_every_kept_triad():
+    # The pairings with h make (e, -h, g) the dual basis of (e, f, g), so
+    # the multiplicities of a splitting are Euler pairings.
     count = 0
-    for t in iterate_triads(5):
+    for t in iterate_triads(helix.MAX_TILE_DEPTH):
         re, rf, rg = t.e.rank, t.f.rank, t.g.rank
+        e, f, g, h = t.e.chern, t.f.chern, t.g.chern, t.h.chern
         assert re * re + rf * rf + rg * rg == 3 * re * rf * rg
-        assert euler_pairing(t.e.chern, t.f.chern) == 3 * rg
-        assert euler_pairing(t.f.chern, t.g.chern) == 3 * re
-        assert euler_pairing(t.f.chern, t.e.chern) == 0
-        assert euler_pairing(t.g.chern, t.f.chern) == 0
-        assert euler_pairing(t.g.chern, t.e.chern) == 0
+        assert euler_pairing(e, f) == 3 * rg
+        assert euler_pairing(f, g) == 3 * re
+        assert euler_pairing(f, e) == 0
+        assert euler_pairing(g, f) == 0
+        assert euler_pairing(g, e) == 0
+        assert euler_pairing(e, h) == 0
+        assert euler_pairing(f, h) == -1
+        assert euler_pairing(g, h) == 0
         count += 1
-    assert count == 63
+    assert count == 2047
 
 
 def test_triangle_membership_root():
