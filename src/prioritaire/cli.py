@@ -267,7 +267,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     cd = ChernData(args.rank, args.c1, args.c2)
     _lift_digit_limit()
     norm, k = chern.normalize(cd)
-    region = frontier._classify_normalized(norm, args.depth)
+    region = frontier._classify_normalized(norm, exceptional._cap(args.depth))
     payload = _classify_payload(cd, norm, k, region, args.digits)
     if args.json:
         _emit_json(payload)

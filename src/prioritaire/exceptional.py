@@ -14,9 +14,10 @@ each bounded and each filled only by answers that passed every check:
 
 * ``_compose``, a memo of 4096 checked compositions keyed by the two
   character vectors.  Every descent starts from [O(-1), O] and repeats
-  the pairs near the top of the tree: in one round of the benchmark,
-  90.4 % of the ``compose`` calls of ``deep`` (from a fresh import),
-  99.8 % of ``sweep``'s and 99.3 % of ``tile``'s repeat a pair.
+  the pairs near the top of the tree: in one round of the benchmark
+  (seed 3), 2 562 of the 3 098 ``compose`` calls of ``deep`` (from a
+  fresh import) and 25 of the 27 of ``sweep`` repeat a pair; a warm
+  ``tile`` round composes nothing.
 * ``_owner``, a memo of 4096 owners keyed by the slope in lowest terms
   and the resolved depth cap.  A query and the frontiers at its slope ask
   again for owners already found: one round of ``sweep`` (seed 3) asks
@@ -55,16 +56,21 @@ slope); ``locate_many`` finds the owners of a list of slopes, and
 for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
 lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
-Every descent resolves its cap with ``_cap`` and raises through
+Each public entry point resolves its depth cap once with ``_cap``, after
+refusing a slope outside [-1, 0] where it takes one, and hands the int
+to the descents (``_walk``, ``_descend``, ``_owners``,
+``frontier._classify_normalized`` and ``helix._locate``), which neither
+resolve it again nor check the range.  Every descent raises through
 ``_exhausted``, the one raise site of DepthExhaustedError.  The descents
 of the lattice run through ``_walk``, which composes one mid per level;
 a walk keeps no store of its own, and ``_owner`` keeps only the answer
 of a whole owner walk that succeeded.  Point location (``helix._locate``)
 is the one descent that does not walk: it reads each triad it enters off
-the kept tree and composes nothing there.  ``compose`` has two callers:
-``_walk``, along one path, and ``helix``: its triad tree, whose middles
-are the lattice levels it keeps, and ``enumerate_to_level``, which
-composes only the middles of the levels past that tree.
+the kept tree and composes nothing there.  ``compose`` has three
+callers: ``_walk``, along one path; ``helix.root``, whose middle is the
+one of the triad tree that is not a mutation; and
+``helix.enumerate_to_level``, which composes only the middles of the
+levels past that tree.
 """
 
 from __future__ import annotations
@@ -232,9 +238,11 @@ class ExceptionalBundle(Record):
         return 2 * n < 3 * m and n * (n - 3 * m) * r * r + m * m > 0
 
     def label(self) -> str:
-        if self.rank == 1:
-            return f"O({self.c1})"
-        return f"E({self.c1}/{self.rank})"  # in lowest terms: chi(F,F) = 1
+        """O(c1) or E(c1/r), in lowest terms since chi(F,F) = 1; the terms
+        are written by ``_ratio``, so past _MAX_BITS a term is named by its
+        bit length and no label depends on the int-to-str limit."""
+        text = _ratio(self.c1, self.rank)
+        return f"O({text})" if self.rank == 1 else f"E({text})"
 
     def __str__(self) -> str:
         return self.label()
@@ -292,7 +300,7 @@ def _lattice(rank: int, c1: int, max_depth: int | None) -> tuple:
         raise ValueError(f"rank {rank} of ({rank}, {c1}) is not positive")
     if _c2(rank, c1)[1]:
         raise ValueError(f"{c1}/{rank} is not an exceptional slope (c2 not integral)")
-    return _descend(rank, c1, max_depth)[:2]
+    return _descend(rank, c1, _cap(max_depth))[:2]
 
 
 def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
@@ -339,15 +347,16 @@ def _compose(va: tuple, vb: tuple) -> ExceptionalBundle:
     return result
 
 
-# The longest term a walk message writes out: 2 000 bits is at most 603
-# digits, under 640, the lowest int-to-str limit Python lets a program set.
+# The longest term a walk message or a label writes out: 2 000 bits is at
+# most 603 digits, under 640, the lowest int-to-str limit Python lets a
+# program set.
 _MAX_BITS = 2000
 
 
 def _ratio(n: int, m: int) -> str:
-    """n/m for a walk message, as ``str(Fraction(n, m))``; past _MAX_BITS
-    bits a term is named by its bit length, and the value by its sign
-    (-<22876 bits>/<22876 bits>), so no message depends on the limit."""
+    """n/m for a walk message or a label, as ``str(Fraction(n, m))``; past
+    _MAX_BITS bits a term is named by its bit length, and the value by its
+    sign (-<22876 bits>/<22876 bits>), so no message depends on the limit."""
     x = Fraction(n, m)
     num, den = abs(x.numerator).bit_length(), x.denominator.bit_length()
     if max(num, den) <= _MAX_BITS:
@@ -364,16 +373,15 @@ def _cap(max_depth: int | None) -> int:
     return cap
 
 
-def _walk(steer: Callable, what: Callable, max_depth: int | None, start: int) -> tuple:
+def _walk(steer: Callable, what: Callable, cap: int, start: int) -> tuple:
     """Bisect the dyadic tree from [O(start), O(start + 1)].
 
     Each level composes mid = compose(lo, hi) and asks steer(lo, mid, hi):
     0 stops at mid, returning (lo, mid, hi, p, q) with mid the image of
     p/2^q; a negative sign enters [lo, mid], a positive one [mid, hi].  Past
-    ``_cap(max_depth)`` mids it raises DepthExhaustedError "<what()> not
+    the resolved ``cap`` of mids it raises DepthExhaustedError "<what()> not
     resolved within depth N" with the pair it would have entered next.
     """
-    cap = _cap(max_depth)
     lo, hi = _bundle(1, start, start * start), _bundle(1, start + 1, (start + 1) ** 2)
     p, q = start, 0  # [lo, hi] is the image of [p/2^q, (p+1)/2^q]
     for _ in range(cap):
@@ -423,16 +431,15 @@ def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic
     the slope.  Raises ValueError as soon as the descent proves the slope is
     not on the lattice, and DepthExhaustedError if it lies deeper than the cap.
     """
-    return _descend(bundle.rank, bundle.c1, max_depth)[1]
+    return _descend(bundle.rank, bundle.c1, _cap(max_depth))[1]
 
 
-def _descend(r: int, c1: int, max_depth: int | None) -> tuple:
+def _descend(r: int, c1: int, cap: int) -> tuple:
     """The bundle of slope c1/r, gcd(r, c1) = 1, its dyadic (``dyadic_of``)
-    and the images of the dyadic's neighbours (None, None for a line bundle).
-    The ranks of the mids increase (each is the largest of its Markov
-    triple), so a mid of rank >= r that is not the target proves the slope
-    off the lattice."""
-    cap = _cap(max_depth)
+    and the images of the dyadic's neighbours (None, None for a line bundle),
+    within the resolved cap.  The ranks of the mids increase (each is the
+    largest of its Markov triple), so a mid of rank >= r that is not the
+    target proves the slope off the lattice."""
     shift = -(-c1 // r)  # ceil(slope)
     if c1 == shift * r:
         return _bundle(1, c1, c1 * c1), Dyadic(shift, 0), None, None
@@ -461,17 +468,17 @@ def locate_many(
     slope and cap that its memo does not hold).  A slope owned by none of
     O(-1), O and the first ``max_depth`` mids of its walk raises
     DepthExhaustedError; the error names the first such slope in the list."""
-    slopes = [Fraction(mu) for mu in slopes]
-    return _owners([(mu.numerator, mu.denominator) for mu in slopes], max_depth)
-
-
-def _owners(pairs: list[tuple[int, int]], max_depth: int | None) -> list[ExceptionalBundle]:
-    """``locate_many`` of the slopes n/m given as pairs (n, m), m > 0, in any
-    terms: each is read, in lowest terms, from ``_owner`` at the resolved cap."""
+    pairs = [(mu.numerator, mu.denominator) for mu in map(Fraction, slopes)]
     for n, m in pairs:
         if n < -m or n > 0:
             raise ValueError(f"slope {_ratio(n, m)} outside [-1, 0]")
-    cap = _cap(max_depth)
+    return _owners(pairs, _cap(max_depth))
+
+
+def _owners(pairs: list[tuple[int, int]], cap: int) -> list[ExceptionalBundle]:
+    """``locate_many`` of the slopes n/m in [-1, 0] given as pairs (n, m),
+    m > 0, in any terms: each is read, in lowest terms, from ``_owner`` at
+    the resolved cap."""
     out = []
     for n, m in pairs:
         g = gcd(n, m)

@@ -72,10 +72,12 @@ class Region(Record):
 
 
 def _prioritary_bound(mu: Fraction) -> Fraction:
-    """-mu(mu+1)/2: prioritary sheaves of normalized slope mu exist iff
-    their discriminant is at least this.  With mu = n/d it is
-    -n(n + d)/(2d^2), built as one Fraction."""
-    n, d = mu.numerator, mu.denominator
+    """-mu(mu+1)/2 at mu normalized into (-1, 0]: prioritary sheaves of
+    slope mu exist iff their discriminant is at least this.  A twist
+    changes neither, so the bound has period 1 in mu.  With the normalized
+    slope n/d (``_normalize_slope``) it is -n(n + d)/(2d^2), built as one
+    Fraction."""
+    n, d = _normalize_slope(mu)
     return Fraction(-n * (n + d), 2 * d * d)
 
 
@@ -117,7 +119,7 @@ def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
     """Semistability frontier at the rational slope mu (any rational;
     extended by integer periodicity)."""
     n, d = _normalize_slope(mu)
-    return _delta_at(n, d, exceptional._owners([(n, d)], max_depth)[0])
+    return _delta_at(n, d, exceptional._owners([(n, d)], exceptional._cap(max_depth))[0])
 
 
 def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
@@ -127,7 +129,7 @@ def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
     bundle; normalizes to a plain rational exactly when mu = mu(F).
     """
     n, d = _normalize_slope(mu)
-    return _delta_prime_at(n, d, exceptional._owners([(n, d)], max_depth)[0])
+    return _delta_prime_at(n, d, exceptional._owners([(n, d)], exceptional._cap(max_depth))[0])
 
 
 def delta_many(
@@ -139,7 +141,7 @@ def delta_many(
     come from one ``exceptional._owners`` call.
     """
     pairs = [_normalize_slope(mu) for mu in slopes]
-    owners = exceptional._owners(pairs, max_depth)
+    owners = exceptional._owners(pairs, exceptional._cap(max_depth))
     return [(f, _delta_at(n, d, f), _delta_prime_at(n, d, f)) for (n, d), f in zip(pairs, owners)]
 
 
@@ -206,14 +208,14 @@ def classify(cd: ChernData, max_depth: int | None = None) -> Region:
     delta_prime.  Equality with an irrational delta_prime is impossible
     for rational input and treated as an internal inconsistency.
     """
-    return _classify_normalized(chern.normalize(cd)[0], max_depth)
-
-
-def _classify_normalized(norm: ChernData, max_depth: int | None) -> Region:
-    """``classify`` of invariants already twisted into -1 < mu <= 0."""
-    r, c1, c2 = norm.rank, norm.c1, norm.c2
     # The cap is resolved before any answer, so a bad one raises below the bound too.
-    cap = exceptional._cap(max_depth)
+    return _classify_normalized(chern.normalize(cd)[0], exceptional._cap(max_depth))
+
+
+def _classify_normalized(norm: ChernData, cap: int) -> Region:
+    """``classify`` of invariants already twisted into -1 < mu <= 0, within
+    the resolved cap."""
+    r, c1, c2 = norm.rank, norm.c1, norm.c2
     if not _prioritary(r, c1, c2):
         return Region(RegionTag.NO_PRIORITARY)
     f = exceptional._owners([(c1, r)], cap)[0]

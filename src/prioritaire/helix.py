@@ -11,10 +11,12 @@ bookkeeping
 
     x(h') = chi(f,g) * x(f) - x(g)
 
-and every middle, composed from its two ends, is cross-checked against
-this mutation of its parent, an independent integer route.  Mutations
-and series members are built from their vectors by
-``exceptional._bundle``, which checks that each vector is exceptional.
+and each child's middle is this mutation of its parent's and nothing
+else: ``Triad``'s checks prove it the composition of its two ends, since
+the vanishings chi(f,e) = chi(g,f) = 0 leave one line of vectors, and
+chi(F,F) = 1 with rank >= 1 fixes the multiple.  Only the root composes
+its middle.  Mutations and series members are built from their vectors
+by ``exceptional._bundle``, which checks that each vector is exceptional.
 
 Each triad is also its tile, a curvilinear triangle in the (mu, Delta)
 plane (``Triad.side_ef``, ``side_fg``, ``side_eg`` and ``contains``):
@@ -184,28 +186,9 @@ class Triad(Record):
         return True
 
 
-def _make_triad(
-    e: ExceptionalBundle, f: ExceptionalBundle, g: ExceptionalBundle, parent: Triad | None
-) -> Triad:
-    """The triad (e, f, g) with f = compose(e, g), one level below parent
-    (None for the root).  f must also be the parent's mutation
-    3 rank(kept end) f - (dropped end), an independent route."""
-    level, index = 0, 0
-    if parent is not None:
-        right = (e.rank, e.c1) == (parent.f.rank, parent.f.c1)
-        level, index = parent.level + 1, 2 * parent.index + right
-        kept, dropped = (parent.g, parent.e) if right else (parent.e, parent.g)
-        mutated = _mutation(parent.f, dropped, 3 * kept.rank)
-        if mutated.rank != f.rank or mutated.c1 != f.c1:
-            raise InternalInconsistencyError(
-                f"middle mismatch at level {level}, index {index}: {mutated} vs {f}"
-            )
-    return Triad(e, f, g, level, index)
-
-
 def root() -> Triad:
     e, g = exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)
-    return _make_triad(e, exceptional.compose(e, g), g, None)
+    return Triad(e, exceptional.compose(e, g), g, 0, 0)
 
 
 def children(t: Triad) -> tuple[Triad, Triad]:
@@ -214,9 +197,13 @@ def children(t: Triad) -> tuple[Triad, Triad]:
 
 
 def _child(t: Triad, right: bool) -> Triad:
-    """The right mutation child of t if ``right``, else the left one (``_make_triad``)."""
-    e, g = (t.f, t.g) if right else (t.e, t.f)
-    return _make_triad(e, exceptional.compose(e, g), g, t)
+    """The right mutation child (f, k, g) of t if ``right``, else the left
+    one (e, h', f).  Its middle is the mutation 3 rank(kept) x(f) -
+    x(dropped) of t's middle, and ``Triad``'s checks prove it the
+    composition of its two ends, so nothing is composed."""
+    e, g, dropped = (t.f, t.g, t.e) if right else (t.e, t.f, t.g)
+    kept = g if right else e
+    return Triad(e, _mutation(t.f, dropped, 3 * kept.rank), g, t.level + 1, 2 * t.index + right)
 
 
 def _kept(level: int, index: int) -> Triad:
@@ -276,17 +263,18 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
     DepthExhaustedError with the ends (e, g) of the next one.
     """
     mu, disc = Fraction(mu), Fraction(disc)
-    return _locate(mu.numerator, mu.denominator, disc.numerator, disc.denominator, max_depth)
-
-
-def _locate(n: int, d: int, a: int, b: int, max_depth: int | None) -> Triad:
-    """``locate_triangle`` at mu = n/d, disc = a/b with d, b > 0, in any
-    terms.  Each level reads the triad it enters off the kept tree
-    (``_kept``) and composes nothing; past it, each level builds its triad
-    with ``_child`` and drops it.  A cap of N enters at most N triads."""
+    n, d = mu.numerator, mu.denominator
     if n < -d or n > 0:
         raise ValueError(f"slope {exceptional._ratio(n, d)} outside [-1, 0]")
-    cap = exceptional._cap(max_depth)
+    return _locate(n, d, disc.numerator, disc.denominator, exceptional._cap(max_depth))
+
+
+def _locate(n: int, d: int, a: int, b: int, cap: int) -> Triad:
+    """``locate_triangle`` at mu = n/d in [-1, 0], disc = a/b with d, b > 0,
+    in any terms, within the resolved cap.  Each level reads the triad it
+    enters off the kept tree (``_kept``) and composes nothing; past it,
+    each level builds its triad with ``_child`` and drops it.  A cap of N
+    enters at most N triads."""
     lo, hi = exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)
     t, index = None, 0
     for level in range(cap):
@@ -332,7 +320,7 @@ def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[Excep
     if f.rank == 1:
         g0, g1 = f.twist(-2), f.twist(-1)
     else:
-        lo, hi = exceptional._descend(f.rank, f.c1, None)[2:] if bracket is None else bracket
+        lo, hi = bracket or exceptional._descend(f.rank, f.c1, exceptional._cap(None))[2:]
         g0, g1 = hi.twist(-3), lo
     c = euler_pairing(g0.chern, g1.chern)
     if c != 3 * f.rank:

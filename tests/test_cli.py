@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import prioritaire
+from prioritaire.chern import ChernData
 from prioritaire.cli import main
 from prioritaire.exceptional import Dyadic, parse_dyadic
 from prioritaire.surd import parse_rational, parse_surd
@@ -385,7 +386,16 @@ def test_slope_of_a_deep_dyadic(capsys):
     # 1500 nested calls; its rank has 627 digits.
     code, out, err = run(capsys, "slope", "--json", "--", "-1/2^1500")
     assert code == 0 and err == ""
-    payload = json.loads(out)
+    # Its c2 has 1 253 digits: lift the int-to-str limit (3.10.7 and later)
+    # around the parsing only, so the test runs under any limit.
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
     assert parse_dyadic(payload["dyadic"]) == Dyadic(-1, 1500)
     assert len(str(payload["rank"])) == 627
     mu = parse_rational(payload["slope"])
@@ -469,7 +479,7 @@ mu               11/20
 delta            441/800 (~ 0.55125)
 delta_prime      301/800 + 1/80*sqrt(32) (~ 0.446960678119)
 owner            E(-1/2)
-prioritary_bound -341/800 (~ -0.42625)
+prioritary_bound 99/800 (~ 0.12375)
 """
 
 FRONTIER_JSON = {
@@ -484,7 +494,7 @@ FRONTIER_JSON = {
         "rank": 2,
         "slope": "-1/2",
     },
-    "prioritary_bound": {"approx": "-0.42625", "exact": "-341/800"},
+    "prioritary_bound": {"approx": "0.12375", "exact": "99/800"},
 }
 
 CLASSIFY_TEXT = """\
@@ -535,6 +545,27 @@ def test_frontier_walks_the_lattice_once(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out == json.dumps(FRONTIER_JSON, sort_keys=True, indent=2) + "\n"
     assert len(walks) == 2
+
+
+def test_frontier_prints_the_bound_of_the_normalized_slope(capsys):
+    # The prioritary bound, like delta and delta_prime, has period 1 in mu:
+    # a twist changes neither the discriminant nor prioritarity.
+    def bound(mu):
+        code, out, err = run(capsys, "frontier", "--json", "--", str(mu))
+        assert (code, err) == (0, "")
+        return Fraction(json.loads(out)["prioritary_bound"]["exact"])
+
+    for mu in (Fraction(11, 20), Fraction(-2, 7), Fraction(0)):
+        assert {bound(mu + k) for k in range(-3, 4)} == {bound(mu)}
+    # (20, 11, 57), of slope 11/20 and discriminant -19/800, has no
+    # prioritary sheaf: the printed bound lies above that discriminant, and
+    # is the bound that decompose names.
+    cd = ChernData(20, 11, 57)
+    assert cd.discriminant() == Fraction(-19, 800) < bound(Fraction(11, 20)) == Fraction(99, 800)
+    code, out, err = run(capsys, "decompose", "--", "20", "11", "57")
+    assert (code, err) == (0, "")
+    assert "below the existence bound 99/800" in out
+    assert bound(Fraction(5)) == 0
 
 
 def test_series_walks_the_lattice_once(capsys, monkeypatch):

@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 import prioritaire.exceptional as ex
 from prioritaire import chern, helix
 from prioritaire.chern import euler_pairing
-from prioritaire.errors import DepthExhaustedError, InternalInconsistencyError, ParseError
+from prioritaire.errors import (
+    DepthExhaustedError,
+    InternalInconsistencyError,
+    NotCoveredError,
+    ParseError,
+)
 from prioritaire.exceptional import (
     Dyadic,
     compose,
@@ -533,7 +538,7 @@ def test_walk_errors_do_not_depend_on_the_int_to_str_limit(default_digit_limit):
     with pytest.raises(DepthExhaustedError, match=rf"^{point} not resolved within depth 3$"):
         helix._locate(f.c1, f.rank, f.rank**2 - 1, 2 * f.rank**2, 3)
     with pytest.raises(ValueError, match=r"^-<\d+ bits>/<\d+ bits> is not an exceptional slope$"):
-        ex._descend(f.rank + 1, f.c1, None)
+        ex._descend(f.rank + 1, f.c1, ex.DEFAULT_MAX_DEPTH)
     with pytest.raises(ValueError, match=r"^slope <22876 bits> outside \[-1, 0\]$"):
         locate_many([Fraction(f.rank)])
     # Short terms are written as str(Fraction) writes them.
@@ -541,6 +546,26 @@ def test_walk_errors_do_not_depend_on_the_int_to_str_limit(default_digit_limit):
         assert ex._ratio(n, m) == str(Fraction(n, m))
     assert ex._ratio(1 << 2001, 2) == "<2001 bits>"
     assert ex._ratio(3, 1 << 2000) == "<2 bits>/<2001 bits>"
+
+
+def test_a_deep_label_does_not_depend_on_the_int_to_str_limit(default_digit_limit):
+    # label() writes its terms as walk messages do, so a point above a deep
+    # vertex keeps its NotCoveredError.
+    f = from_dyadic(Dyadic(-349525, 20))
+    assert f.label() == "E(-<22875 bits>/<22876 bits>)"
+    assert str(f) == f.label()
+    with pytest.raises(NotCoveredError) as err:
+        helix.locate_triangle(f.slope, Fraction(1, 2))
+    assert str(err.value).startswith("(-<22875 bits>/<22876 bits>, 1/2) sits above the vertex of (")
+    assert f", {f}, " in str(err.value)
+    # Labels under _MAX_BITS keep their bytes.
+    assert [from_slope(Fraction(*x)).label() for x in ((-1, 2), (3, 1), (7, 5))] == [
+        "E(-1/2)",
+        "O(3)",
+        "E(7/5)",
+    ]
+    line = ex._bundle(1, 1 << 2000, 1 << 4000)
+    assert line.label() == "O(<2001 bits>)"
 
 
 def _point_in(t):
@@ -596,8 +621,9 @@ def test_every_descent_exhausts_alike(monkeypatch):
 
 
 def test_point_location_past_the_kept_tree_builds_and_drops(monkeypatch):
-    # Past MAX_TILE_DEPTH each level builds its triad with _child, one
-    # compose, and keeps none; the cap still counts triads entered.
+    # Past MAX_TILE_DEPTH each level builds its triad with one _child, by
+    # mutation with no compose, and keeps none; the cap still counts triads
+    # entered.
     path = [helix.root()]
     for right in (0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1):
         path.append(helix.children(path[-1])[right])
@@ -605,20 +631,22 @@ def test_point_location_past_the_kept_tree_builds_and_drops(monkeypatch):
     what = "point ({}, {})".format(*(ex._ratio(x.numerator, x.denominator) for x in (mu, disc)))
     kept = helix.MAX_TILE_DEPTH + 1
     list(helix.iterate_triads(kept - 1))
-    composed, entered = [], []
-    original, contains = ex.compose, helix.Triad._contains
+    composed, built, entered = [], [], []
+    original, child, contains = ex.compose, helix._child, helix.Triad._contains
     monkeypatch.setattr(ex, "compose", lambda a, b: composed.append(a) or original(a, b))
+    monkeypatch.setattr(helix, "_child", lambda t, right: built.append(t) or child(t, right))
     monkeypatch.setattr(
         helix.Triad, "_contains", lambda t, *args: entered.append(t) or contains(t, *args)
     )
     for cap in (kept, kept + 1, kept + 2):
         composed.clear()
+        built.clear()
         entered.clear()
         with pytest.raises(DepthExhaustedError) as err:
             helix.locate_triangle(mu, disc, cap)
         assert str(err.value) == f"{what} not resolved within depth {cap}"
         assert err.value.bracket == (path[cap].e, path[cap].g)
-        assert (len(composed), entered) == (cap - kept, path[:cap])
+        assert (composed, len(built), entered) == ([], cap - kept, path[:cap])
     found = helix.locate_triangle(mu, disc, len(path))
     assert found == path[-1] and found.level == len(path) - 1
     assert sum(t is not None for slots in helix._levels for t in slots) <= (1 << kept) - 1
@@ -644,9 +672,10 @@ def test_no_assert_statement_in_the_package():
 
 
 def test_compose_is_called_only_by_the_walker_and_the_tree():
-    # Paths go through exceptional._walk and the triad tree through
-    # helix.root and helix._child; whole levels are read off that tree,
-    # and helix.enumerate_to_level composes the middles of levels past it.
+    # Paths go through exceptional._walk; the triad tree composes only its
+    # root's middle (helix.root), each child's middle being a mutation.
+    # Whole levels are read off that tree, and helix.enumerate_to_level
+    # composes the middles of levels past it.
     import ast
 
     package = Path(ex.__file__).parent
@@ -664,7 +693,6 @@ def test_compose_is_called_only_by_the_walker_and_the_tree():
     assert callers == {
         ("exceptional", "_walk"),
         ("helix", "root"),
-        ("helix", "_child"),
         ("helix", "enumerate_to_level"),
     }
 

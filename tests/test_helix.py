@@ -32,12 +32,27 @@ from prioritaire.helix import (
 )
 
 
-def test_make_triad_checks_the_middle_against_compose(monkeypatch):
-    t = root()
+def test_a_wrong_mutation_is_refused_by_the_triad_checks(monkeypatch, fresh_lattice):
+    # A child's middle is its parent's mutation and nothing else; Triad's own
+    # checks refuse a wrong one, and the kept tree keeps no child.
+    t = helix._kept(0, 0)
     qstar = from_slope(Fraction(-1, 2))
     monkeypatch.setattr(helix, "_mutation", lambda a, b, chi: qstar)
-    with pytest.raises(InternalInconsistencyError, match="middle mismatch at level 1, index 0"):
+    with pytest.raises(InternalInconsistencyError, match="^triad slopes out of order: "):
         children(t)
+    with pytest.raises(InternalInconsistencyError, match="^triad slopes out of order: "):
+        helix._kept(1, 0)
+    assert helix._levels[0] == [t] and helix._levels[1] == [None, None]
+
+
+def test_every_kept_middle_is_the_composition_of_its_ends(fresh_lattice):
+    # Reference: the mutation that builds each middle agrees with compose's
+    # cross product of the two ends, on every triad of the kept tree.
+    from prioritaire import exceptional
+
+    triads = list(iterate_triads(helix.MAX_TILE_DEPTH))
+    assert len(triads) == 2047
+    assert [t for t in triads if t.f != exceptional.compose(t.e, t.g)] == []
 
 
 def test_root_triad():
@@ -111,21 +126,24 @@ def test_locate_triangle():
 def test_locate_triangle_in_any_terms():
     # The descent decides on integers (n, d, a, b) in any terms; messages
     # print the reduced fractions.
+    # The private descent takes a resolved cap and a slope in [-1, 0];
+    # locate_triangle refuses any other slope.
     for k in (1, 2, 7):
         for j in (1, 3, 10):
-            t = helix._locate(-3 * k, 7 * k, 37 * j, 98 * j, None)
+            t = helix._locate(-3 * k, 7 * k, 37 * j, 98 * j, 64)
             assert (t.level, t.index) == (1, 1)
             with pytest.raises(NotCoveredError) as info:
-                helix._locate(-1 * k, 2 * k, 2 * j, 5 * j, None)
+                helix._locate(-1 * k, 2 * k, 2 * j, 5 * j, 64)
             assert str(info.value).startswith("(-1/2, 2/5) sits above")
     with pytest.raises(NotCoveredError, match=r"^\(-1/2, 2/5\) sits above"):
-        helix._locate(-2, 4, 4, 10, None)
+        helix._locate(-2, 4, 4, 10, 64)
     for n, d in ((2, 6), (-14, 12)):
         slope = Fraction(n, d)
         with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
-            helix._locate(n, d, 0, 1, None)
-        with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
             locate_triangle(slope, Fraction(0))
+        # The range is checked before the cap.
+        with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
+            locate_triangle(slope, Fraction(0), -1)
 
 
 def test_triad_refuses_slopes_out_of_order():
@@ -149,7 +167,8 @@ def _kept_count() -> int:
 
 def test_locate_builds_one_triad_per_level(monkeypatch, fresh_lattice):
     # A cold descent builds at most the one triad it enters at each level,
-    # and keeps it: a repeated or warm descent builds none.
+    # and keeps it: a repeated or warm descent builds none.  Below the root
+    # every triad is a child (``_child``).
     points = []
     for t in iterate_triads(5):
         mu = (t.e.slope + 2 * t.f.slope) / 3
@@ -159,26 +178,27 @@ def test_locate_builds_one_triad_per_level(monkeypatch, fresh_lattice):
     for slots in helix._levels:
         slots[:] = [None] * len(slots)
     built = []
-    original = helix._make_triad
+    original = helix._child
 
     def counted(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(helix, "_make_triad", counted)
+    monkeypatch.setattr(helix, "_child", counted)
     cold = []
     for t, mu, disc in reversed(points):
         built.clear()
         found = locate_triangle(mu, disc)
         assert (found.level, found.index) == (t.level, t.index)
-        assert len(built) <= t.level + 1
+        assert len(built) <= t.level
         cold.append(len(built))
         built.clear()
         assert locate_triangle(mu, disc) is found and built == []
     # Deepest points first: each level-5 point builds its own leaf and
-    # whichever of its ancestors no earlier point entered.
-    assert sum(cold) == _kept_count() == len(points)
-    assert cold[0] == 6 and cold[-1] == 0
+    # whichever of its ancestors no earlier point entered; the first one
+    # also builds the root, which is no child.
+    assert sum(cold) + 1 == _kept_count() == len(points)
+    assert cold[0] == 5 and cold[-1] == 0
     built.clear()
     assert list(iterate_triads(5)) == [t for t, _, _ in points] and built == []
 
@@ -396,19 +416,20 @@ def test_repeated_renders_build_each_triad_once(monkeypatch, fresh_lattice):
     from prioritaire import render
 
     built = []
-    original = helix._make_triad
+    original = helix._child
 
     def counted(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(helix, "_make_triad", counted)
+    monkeypatch.setattr(helix, "_child", counted)
     counts = []
     for _ in range(2):
         render.tile_csv(6)
         counts.append(len(built))
         built.clear()
-    assert counts == [127, 0]
+    # The 127 triads of levels 0-6 are the root and 126 children.
+    assert counts == [126, 0]
 
 
 def test_kept_tree_matches_a_fresh_build_and_stays_bounded():
@@ -451,18 +472,18 @@ def test_levels_past_the_kept_tree_compose_only_their_middles(monkeypatch):
 
     enumerate_to_level(helix.MAX_TILE_DEPTH + 1)
     composed, made = [], []
-    original_compose, original_make = exceptional.compose, helix._make_triad
+    original_compose, original_child = exceptional.compose, helix._child
 
     def counted_compose(a, b):
         composed.append((a, b))
         return original_compose(a, b)
 
-    def counted_make(*args):
+    def counted_child(*args):
         made.append(args)
-        return original_make(*args)
+        return original_child(*args)
 
     monkeypatch.setattr(exceptional, "compose", counted_compose)
-    monkeypatch.setattr(helix, "_make_triad", counted_make)
+    monkeypatch.setattr(helix, "_child", counted_child)
     level12 = enumerate_to_level(12)
     assert (len(made), len(composed)) == (0, 2048)
     monkeypatch.undo()
@@ -475,21 +496,21 @@ def test_levels_past_the_kept_tree_compose_only_their_middles(monkeypatch):
 def test_a_raise_keeps_no_unchecked_triad_and_the_next_call_completes_the_level(
     monkeypatch, fresh_lattice
 ):
-    original = helix._make_triad
+    original = helix._child
 
-    def failing(e, f, g, parent):
-        t = original(e, f, g, parent)
+    def failing(parent, right):
+        t = original(parent, right)
         if (t.level, t.index) == (3, 5):
             raise InternalInconsistencyError("check failed halfway through level 3")
         return t
 
-    monkeypatch.setattr(helix, "_make_triad", failing)
+    monkeypatch.setattr(helix, "_child", failing)
     with pytest.raises(InternalInconsistencyError, match="halfway"):
         list(iterate_triads(4))
     # Levels 0-2 and the first five triads of level 3 passed their checks.
     assert [sum(t is not None for t in slots) for slots in helix._levels[:5]] == [1, 2, 4, 5, 0]
     assert helix._levels[3][5] is None
-    monkeypatch.setattr(helix, "_make_triad", original)
+    monkeypatch.setattr(helix, "_child", original)
     first, second = iterate_triads(5), iterate_triads(5)
     a, b = [], []
     for x, y in zip(first, second):
