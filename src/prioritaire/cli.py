@@ -19,6 +19,13 @@ the work of converting a huge argument string.
 
 Negative arguments start with a dash, so insert ``--`` before the
 positionals: ``prioritaire frontier -- -1/2``.
+
+A query that names its command first is parsed by that command's parser
+alone (``_parse``); no argument, a leading option, an unknown command
+and arguments left over go to the full parser (``build_parser``), which
+prints the top-level usage, help and errors.  The help formatter sizes
+itself to the terminal only when it prints, so a query that answers
+imports no ``shutil``.
 """
 
 from __future__ import annotations
@@ -49,8 +56,32 @@ _EPILOG = (
 )
 
 
+class _Formatter(argparse.HelpFormatter):
+    """A help formatter that runs argparse's ``__init__`` only when it formats.
+
+    argparse makes a formatter for each ``add_argument`` only to check the
+    metavar, which reads no instance attribute of the formatter; the base
+    ``__init__`` imports ``shutil`` for the terminal width.  Here it runs,
+    with the same arguments, on the first attribute read, so usage, help
+    and errors still follow ``COLUMNS`` or the terminal."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._deferred = args, kwargs
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set yet: initialise once, then retry.
+        if "_deferred" not in vars(self):
+            raise AttributeError(name)
+        args, kwargs = vars(self).pop("_deferred")
+        super().__init__(*args, **kwargs)
+        return getattr(self, name)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_Formatter, **kwargs)
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)
@@ -112,58 +143,41 @@ def _depth_arg(p: argparse.ArgumentParser, what: str) -> None:
     )
 
 
-def _invariant_args(p: argparse.ArgumentParser) -> None:
+def _invariant_args(p: argparse.ArgumentParser, digits: bool = True) -> None:
+    """rank, c1, c2, --depth and the output options of classify and decompose."""
     p.add_argument("rank", type=int, help="rank, a positive integer")
     p.add_argument("c1", type=int, help="first Chern class")
     p.add_argument("c2", type=int, help="second Chern class")
+    _depth_arg(p, "descent cap")
+    _output_args(p, digits)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="prioritaire",
-        description="existence frontiers and generic splittings on the projective plane",
-        epilog=_EPILOG,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "slope",
-        help="dyadic to exceptional bundle, or back with --invert",
-        epilog=_EPILOG,
-    )
+def _slope_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("value", help='dyadic like "-1/4" or "-3/2^2"; with --invert a rational slope')
     p.add_argument("--invert", action="store_true", help="treat VALUE as an exceptional slope")
     _depth_arg(p, "descent cap for --invert")
     _output_args(p)
     p.set_defaults(handler=_cmd_slope)
 
-    p = sub.add_parser("frontier", help="frontier values at a rational slope", epilog=_EPILOG)
+
+def _frontier_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("mu", help='rational slope like "-1/3"')
     _depth_arg(p, "descent cap")
     _output_args(p)
     p.set_defaults(handler=_cmd_frontier)
 
-    p = sub.add_parser("classify", help="region of integral invariants", epilog=_EPILOG)
+
+def _classify_args(p: argparse.ArgumentParser) -> None:
     _invariant_args(p)
-    _depth_arg(p, "descent cap")
-    _output_args(p)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser(
-        "decompose",
-        help="splitting of the generic prioritary sheaf",
-        epilog=_EPILOG,
-    )
-    _invariant_args(p)
-    _depth_arg(p, "descent cap")
-    _output_args(p, digits=False)
+
+def _decompose_args(p: argparse.ArgumentParser) -> None:
+    _invariant_args(p, digits=False)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser(
-        "series",
-        help="orthogonal series attached to an exceptional bundle",
-        epilog=_EPILOG,
-    )
+
+def _series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("dyadic", help='dyadic locating the bundle, like "0" or "-1/2"')
     p.add_argument("n_max", type=int, help="largest index n; members run from --from to n")
     p.add_argument("--from", dest="n_min", type=int, default=0, metavar="N")
@@ -171,7 +185,8 @@ def build_parser() -> _Parser:
     _output_args(p, digits=False)
     p.set_defaults(handler=_cmd_series)
 
-    p = sub.add_parser("tile", help="render the triangle tiling", epilog=_EPILOG)
+
+def _tile_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--depth",
         type=int,
@@ -190,12 +205,59 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-", metavar="PATH", help="output file, - for stdout")
     p.set_defaults(handler=_cmd_tile)
 
-    p = sub.add_parser("selfcheck", help="run the built-in consistency checks")
+
+def _selfcheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=4, metavar="N")
     p.set_defaults(handler=_cmd_selfcheck)
 
+
+# Each subcommand, in listing order: its help in the command list, its
+# epilog and the function that adds its arguments.
+_COMMANDS = {
+    "slope": ("dyadic to exceptional bundle, or back with --invert", _EPILOG, _slope_args),
+    "frontier": ("frontier values at a rational slope", _EPILOG, _frontier_args),
+    "classify": ("region of integral invariants", _EPILOG, _classify_args),
+    "decompose": ("splitting of the generic prioritary sheaf", _EPILOG, _decompose_args),
+    "series": ("orthogonal series attached to an exceptional bundle", _EPILOG, _series_args),
+    "tile": ("render the triangle tiling", _EPILOG, _tile_args),
+    "selfcheck": ("run the built-in consistency checks", None, _selfcheck_args),
+}
+
+
+def build_parser() -> _Parser:
+    """The full parser: the top level and one subparser per command."""
+    parser = _Parser(
+        prog="prioritaire",
+        description="existence frontiers and generic splittings on the projective plane",
+        epilog=_EPILOG,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, epilog, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_, epilog=epilog))
     return parser
 
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, through the named command's parser alone.
+
+    argparse hands a subparser every argument after the command name,
+    ``--`` included, and parses them with the subparser's own
+    ``parse_known_args``, whose errors print the subparser's usage: a
+    standalone parser of the same prog gives the same namespace and the
+    same output.  Anything else (no command first, or arguments left
+    over, which the top level refuses) goes to the full parser, which
+    prints the top-level usage, help and errors.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        _, epilog, add_args = _COMMANDS[argv[0]]
+        parser = _Parser(prog=f"prioritaire {argv[0]}", epilog=epilog)
+        add_args(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 def _cmd_slope(args: argparse.Namespace) -> int:
     if args.invert:
@@ -408,8 +470,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         # A usage error, refused before the command walks the lattice, which

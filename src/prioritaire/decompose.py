@@ -156,10 +156,11 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     verdict: helix.TriState | None = None
 
     if region.tag is RegionTag.NO_PRIORITARY:
+        disc, bound = norm.discriminant(), frontier._prioritary_bound(norm.slope())
         exc = NoPrioritarySheafError(
             f"no prioritary sheaf with invariants {cd}: "
-            f"discriminant {norm.discriminant()} below the existence bound "
-            f"{frontier._prioritary_bound(norm.slope())}"
+            f"discriminant {exceptional._ratio(disc.numerator, disc.denominator)} below the "
+            f"existence bound {exceptional._ratio(bound.numerator, bound.denominator)}"
         )
         exc.region = region  # type: ignore[attr-defined]
         raise exc

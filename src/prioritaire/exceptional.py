@@ -83,7 +83,7 @@ from itertools import chain
 from math import gcd
 
 from . import chern
-from ._record import Record
+from ._record import _MAX_BITS, Record, _bits
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from .surd import QuadSurd
@@ -347,22 +347,15 @@ def _compose(va: tuple, vb: tuple) -> ExceptionalBundle:
     return result
 
 
-# The longest term a walk message or a label writes out: 2 000 bits is at
-# most 603 digits, under 640, the lowest int-to-str limit Python lets a
-# program set.
-_MAX_BITS = 2000
-
-
 def _ratio(n: int, m: int) -> str:
-    """n/m for a walk message or a label, as ``str(Fraction(n, m))``; past
-    _MAX_BITS bits a term is named by its bit length, and the value by its
-    sign (-<22876 bits>/<22876 bits>), so no message depends on the limit."""
+    """n/m for a message or a label, as ``str(Fraction(n, m))``; past
+    _MAX_BITS bits both terms are named by their bit lengths (``_bits``:
+    -<22876 bits>/<22876 bits>), so no message depends on the limit."""
     x = Fraction(n, m)
-    num, den = abs(x.numerator).bit_length(), x.denominator.bit_length()
-    if max(num, den) <= _MAX_BITS:
+    num, den = x.numerator, x.denominator
+    if max(num.bit_length(), den.bit_length()) <= _MAX_BITS:
         return str(x)
-    text = f"{'-' if x < 0 else ''}<{num} bits>"
-    return text if den == 1 else f"{text}/<{den} bits>"
+    return _bits(num) if den == 1 else f"{_bits(num)}/{_bits(den)}"
 
 
 def _cap(max_depth: int | None) -> int:

@@ -4,6 +4,8 @@ All commands run in-process through ``main(argv)`` so the tests can
 capture stdout precisely and parse the machine output back.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import prioritaire
+from prioritaire import cli
 from prioritaire.chern import ChernData
 from prioritaire.cli import main
 from prioritaire.exceptional import Dyadic, parse_dyadic
@@ -610,3 +613,85 @@ def test_tile_samples_cap(capsys, tmp_path):
         assert not target.exists()
     code, out, _ = run(capsys, "tile", "--depth", "0", "--samples", "256")
     assert code == 0 and out.count("<path ") == 1
+
+
+_TRANSCRIPT = json.loads(Path(__file__).with_name("cli_transcript.json").read_text(encoding="utf-8"))
+# The transcript's invocations that leave arguments over after the command's parse.
+_LEFTOVER = [
+    ["slope", "--", "-1/4", "extra"],
+    ["frontier", "--", "-1/3", "-1/4"],
+    ["slope", "--bogus", "--", "0"],
+]
+# More parser inputs; the first three are not in the transcript because
+# argparse's own text or exit code for them changed between 3.13 patch releases.
+_EDGES = [
+    ["bogus"],
+    ["--", "slope", "--", "0"],
+    ["tile", "--depth", "1", "--format", "png"],
+    ["--help"],
+    ["-h", "slope"],
+    ["--", "slope"],
+    ["Slope", "--", "0"],
+    ["slope", "-h", "extra"],
+    ["slope", "extra", "-h"],
+    ["slope", "--", "-1/4", "--json"],
+    ["slope", "--", "--", "0"],
+    ["slope", "--de", "3", "--", "0"],
+    ["slope", "--d", "3", "--", "0"],
+    ["slope", "-hx"],
+    ["tile", "--depth=1", "--format", "csv"],
+    ["tile", "--depth", "1", "--out"],
+    ["decompose", "--digits", "3", "--", "8", "-4", "11"],
+]
+
+
+def _outcome(parse, argv: list[str]):
+    """vars() of the namespace ``parse(argv)`` gives, or the exit code,
+    stdout and stderr of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_one_command_parser_parses_as_the_full_parser(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in [e["argv"] for e in _TRANSCRIPT] + _EDGES:
+        full = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+        assert _outcome(cli._parse, argv) == full, argv
+
+
+def _quietly(argv: list[str]) -> None:
+    """``main(argv)`` with its output and its usage exit discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting(self, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    full = ["prioritaire", *(f"prioritaire {name}" for name in cli._COMMANDS)]
+    for entry in _TRANSCRIPT:
+        argv = entry["argv"]
+        if entry["env"] is None:
+            monkeypatch.delenv("PRIORITAIRE_MAX_DEPTH", raising=False)
+        else:
+            monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", entry["env"])
+        progs.clear()
+        _quietly(argv)
+        own = [f"prioritaire {argv[0]}"] if argv and argv[0] in cli._COMMANDS else []
+        assert progs == (own + full if not own or argv in _LEFTOVER else own), argv
+    for argv in (["-h"], [], ["bogus"]):
+        progs.clear()
+        _quietly(argv)
+        assert progs == full

@@ -24,6 +24,7 @@ from prioritaire.chern import euler_pairing
 from prioritaire.errors import (
     DepthExhaustedError,
     InternalInconsistencyError,
+    NoPrioritarySheafError,
     NotCoveredError,
     ParseError,
 )
@@ -566,6 +567,35 @@ def test_a_deep_label_does_not_depend_on_the_int_to_str_limit(default_digit_limi
     ]
     line = ex._bundle(1, 1 << 2000, 1 << 4000)
     assert line.label() == "O(<2001 bits>)"
+
+
+def test_reprs_and_the_no_prioritary_message_do_not_depend_on_the_int_to_str_limit(
+    default_digit_limit,
+):
+    # repr and the NoPrioritarySheafError message name a long integer by its
+    # bit length, so a huge input keeps its typed error outside the CLI.
+    from prioritaire.decompose import generic_prioritary
+    from prioritaire.frontier import RegionTag, classify
+
+    f = from_dyadic(Dyadic(-349525, 20))
+    assert repr(f) == "ExceptionalBundle(rank=<22876 bits>, c1=-<22875 bits>)"
+    r = 2**15000 + 1
+    for cd, text in (
+        (chern.ChernData(r, 0, -r), "c1=0, c2=-<15001 bits>): discriminant -1 below the existence bound 0"),
+        (
+            chern.ChernData(r, 1, -r),
+            "c1=1, c2=-<15001 bits>): discriminant -<30001 bits>/<30001 bits> "
+            "below the existence bound <15000 bits>/<30001 bits>",
+        ),
+    ):
+        assert classify(cd).tag is RegionTag.NO_PRIORITARY
+        with pytest.raises(NoPrioritarySheafError) as err:
+            generic_prioritary(cd)
+        prefix = "no prioritary sheaf with invariants ChernData(rank=<15001 bits>, "
+        assert str(err.value) == prefix + text
+    # Under _MAX_BITS a repr keeps its bytes.
+    n = 1 << 1999
+    assert repr(chern.ChernData(n, -n, 3)) == f"ChernData(rank={n}, c1={-n}, c2=3)"
 
 
 def _point_in(t):

@@ -189,11 +189,10 @@ def test_decomposition_compares_by_identity():
     assert a.summands == b.summands and a.region == b.region
 
 
-def test_import_leaves_heavy_modules_out():
+def _child(probe: str) -> str:
+    """The stdout of ``python -S -c probe`` with the package on the path."""
     src = str(Path(prioritaire.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    heavy = ("dataclasses", "typing", "inspect", "json")
-    probe = f"import sys, prioritaire.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
@@ -202,4 +201,27 @@ def test_import_leaves_heavy_modules_out():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout
+
+
+def test_import_leaves_heavy_modules_out():
+    heavy = ("dataclasses", "typing", "inspect", "json")
+    probe = f"import sys, prioritaire.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    assert _child(probe).strip() == ""
+
+
+_QUERY_PROBE = """
+import contextlib, io, sys
+from prioritaire.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main({argv!r})
+print("shutil" in sys.modules)
+"""
+
+
+def test_a_query_that_prints_no_help_leaves_shutil_out():
+    # argparse imports shutil to size its help to the terminal: a help
+    # screen pays for it, an answer does not.
+    query = ["decompose", "--json", "--", "8", "-4", "11"]
+    assert _child(_QUERY_PROBE.format(argv=query)) == "False\n"
+    assert _child(_QUERY_PROBE.format(argv=["slope", "-h"])) == "True\n"
