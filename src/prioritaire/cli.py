@@ -259,6 +259,7 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
             return args
     return build_parser().parse_args(argv)
 
+
 def _cmd_slope(args: argparse.Namespace) -> int:
     if args.invert:
         slope = parse_rational(args.value)

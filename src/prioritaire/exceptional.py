@@ -348,13 +348,13 @@ def _compose(va: tuple, vb: tuple) -> ExceptionalBundle:
 
 
 def _ratio(n: int, m: int) -> str:
-    """n/m for a message or a label, as ``str(Fraction(n, m))``; past
-    _MAX_BITS bits both terms are named by their bit lengths (``_bits``:
+    """n/m, m > 0, for a message or a label, as ``str(Fraction(n, m))``;
+    past _MAX_BITS bits both terms are named by their bit lengths (``_bits``:
     -<22876 bits>/<22876 bits>), so no message depends on the limit."""
-    x = Fraction(n, m)
-    num, den = x.numerator, x.denominator
+    g = gcd(n, m)
+    num, den = n // g, m // g
     if max(num.bit_length(), den.bit_length()) <= _MAX_BITS:
-        return str(x)
+        return str(num) if den == 1 else f"{num}/{den}"
     return _bits(num) if den == 1 else f"{_bits(num)}/{_bits(den)}"
 
 

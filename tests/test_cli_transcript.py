@@ -76,7 +76,7 @@ def test_replay(entry):
 
 
 def test_transcript_covers_every_subcommand():
-    # The other first words are the top-level usage cases: none, -h, --, an unknown name.
+    # The one other first word is -h, the top-level help.
     first = {e["argv"][0] for e in _entries() if e["argv"]}
     assert first >= {
         "slope", "frontier", "classify", "decompose", "series", "tile", "selfcheck"
