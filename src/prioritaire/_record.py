@@ -6,11 +6,13 @@ derived value in an extra slot names its fields in ``_fields`` instead.
 The base gives what a frozen dataclass gave: equality and hashing by
 field values, assignment and deletion that raise ``AttributeError``,
 and the repr ``Name(field=value, ...)``, in which an integer past
-_MAX_BITS bits is named by its bit length (``_bits``).  It exists so
-that importing the package does not import ``dataclasses``, which costs
-more than the package itself.
+_MAX_BITS bits, alone or as a term of a ``Fraction``, is named by its bit
+length (``_bits``).  It exists so that importing the package does not
+import ``dataclasses``, which costs more than the package itself.
 """
 
+from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 # The longest integer a repr, a walk message or a label writes out:
@@ -25,7 +27,22 @@ def _bits(n: int) -> str:
     return f"{'-' if n < 0 else ''}<{n.bit_length()} bits>"
 
 
+def _ratio(n: int, m: int) -> str:
+    """n/m, m > 0, for a message or a label, as ``str(Fraction(n, m))``;
+    past _MAX_BITS bits both terms are named by their bit lengths (``_bits``:
+    -<22876 bits>/<22876 bits>), so no message depends on the limit."""
+    g = gcd(n, m)
+    num, den = n // g, m // g
+    if max(num.bit_length(), den.bit_length()) <= _MAX_BITS:
+        return str(num) if den == 1 else f"{num}/{den}"
+    return _bits(num) if den == 1 else f"{_bits(num)}/{_bits(den)}"
+
+
 def _field_repr(value: object) -> str:
+    """repr(value), with each integer past _MAX_BITS bits, the value or a
+    term of a Fraction, named by ``_bits``."""
+    if type(value) is Fraction:  # not isinstance: Fraction's ABC check would cost every field
+        return f"Fraction({_field_repr(value.numerator)}, {_field_repr(value.denominator)})"
     if isinstance(value, int) and value.bit_length() > _MAX_BITS:
         return _bits(value)
     return repr(value)

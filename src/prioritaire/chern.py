@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, _ratio
 from .errors import InternalInconsistencyError
 
 
@@ -39,7 +39,7 @@ class ChernCharacter(Record):
     def __init__(self, rank: int, c1: int, ch2: Fraction | int) -> None:
         ch2 = Fraction(ch2)
         if (2 * ch2).denominator != 1:
-            raise ValueError(f"ch2 must be a half-integer, got {ch2}")
+            raise ValueError(f"ch2 must be a half-integer, got {_ratio(*ch2.as_integer_ratio())}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "ch2", ch2)
@@ -64,7 +64,8 @@ class ChernCharacter(Record):
     def to_data(self) -> "ChernData":
         c2 = (Fraction(self.c1 * self.c1) - 2 * self.ch2) / 2
         if c2.denominator != 1:
-            raise InternalInconsistencyError(f"character {self} has non-integral c2 = {c2}")
+            text = _ratio(*c2.as_integer_ratio())
+            raise InternalInconsistencyError(f"character {self} has non-integral c2 = {text}")
         return ChernData(self.rank, self.c1, int(c2))
 
 
@@ -78,7 +79,7 @@ class ChernData(Record):
 
     def __init__(self, rank: int, c1: int, c2: int) -> None:
         if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+            raise ValueError(f"rank must be >= 1, got {_ratio(rank, 1)}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)

@@ -12,12 +12,12 @@ formulas for slope, c2 and discriminant, which it reads on demand: no
 lattice step builds a Fraction.  The package keeps three other stores,
 each bounded and each filled only by answers that passed every check:
 
-* ``_compose``, a memo of 4096 checked compositions keyed by the two
-  character vectors.  Every descent starts from [O(-1), O] and repeats
-  the pairs near the top of the tree: in one round of the benchmark
-  (seed 3), 2 562 of the 3 098 ``compose`` calls of ``deep`` (from a
-  fresh import) and 25 of the 27 of ``sweep`` repeat a pair; a warm
-  ``tile`` round composes nothing.
+* ``_mids``, one slot per dyadic middle of [O(-1), O] down to dyadic
+  level 11, at most 2 047 middles, never evicted: the middle of bracket
+  (q, i), the image of (2i + 1)/2^(q+1) - 1, in slot 2^q - 1 + i.  Every
+  descent starts from [O(-1), O] and repeats the middles near the top of
+  the tree, and ``_middle``, the fetch of each level, fills a slot with
+  the first ``compose`` of that middle that passed every check.
 * ``_owner``, a memo of 4096 owners keyed by the slope in lowest terms
   and the resolved depth cap.  A query and the frontiers at its slope ask
   again for owners already found: one round of ``sweep`` (seed 3) asks
@@ -38,11 +38,11 @@ chi(E_gamma, E_alpha) = chi(E_beta, E_gamma) = 0, whose slope is
 
 Both vanishings are linear in x = (r, c1, c1^2 - 2 c2), so ``compose``
 takes the cross product of the two forms in integers: -2 x of gamma, a
-factor checked with both vanishings on every pair the memo does not
-hold.  Iterating it from the integer slopes realizes a bijection from
-dyadic numbers to exceptional slopes: integers map to line bundles, the
-map commutes with integer translation, and the midpoint of two adjacent
-dyadics maps to the composition of their images.
+factor checked with both vanishings on every call.  Iterating it from
+the integer slopes realizes a bijection from dyadic numbers to
+exceptional slopes: integers map to line bundles, the map commutes with
+integer translation, and the midpoint of two adjacent dyadics maps to
+the composition of their images.
 
 Around each exceptional slope sits the open interval of radius
 
@@ -62,15 +62,17 @@ to the descents (``_walk``, ``_descend``, ``_owners``,
 ``frontier._classify_normalized`` and ``helix._locate``), which neither
 resolve it again nor check the range.  Every descent raises through
 ``_exhausted``, the one raise site of DepthExhaustedError.  The descents
-of the lattice run through ``_walk``, which composes one mid per level;
-a walk keeps no store of its own, and ``_owner`` keeps only the answer
-of a whole owner walk that succeeded.  Point location (``helix._locate``)
-is the one descent that does not walk: it reads each triad it enters off
-the kept tree and composes nothing there.  ``compose`` has three
-callers: ``_walk``, along one path; ``helix.root``, whose middle is the
-one of the triad tree that is not a mutation; and
-``helix.enumerate_to_level``, which composes only the middles of the
-levels past that tree.
+of the lattice run through ``_walk``, which fetches one mid per level with
+``_middle``: from its slot of ``_mids`` for a bracket of [O(-1), O] down
+to level 11, composed and dropped past it or for a translated bracket
+(only the CLI walks from another integer, once per process).  A walk
+keeps nothing else, and ``_owner`` keeps only the answer of a whole owner
+walk that succeeded.  ``helix.enumerate_to_level`` is one loop of the
+same fetch over all levels.  Point location (``helix._locate``) is the
+one descent that does not walk: it reads each triad it enters off the
+kept tree and fetches nothing there.  ``compose`` has two callers:
+``_middle``, and ``helix.root``, whose middle is the one of the triad
+tree that is not a mutation.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from itertools import chain
 from math import gcd
 
 from . import chern
-from ._record import _MAX_BITS, Record, _bits
+from ._record import Record, _ratio
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from .surd import QuadSurd
@@ -311,22 +313,10 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     u x v spans their kernel and is -2 x of the result, which ``_bundle``
     builds from x.  Neighbours are exactly the pairs with chi(b, a) = 0; on
     any other pair the kernel can be another multiple of x, so compose
-    refuses it with ValueError first.  The checked result is kept by
-    ``_compose``, keyed by the two vectors.
+    refuses it with ValueError first.  Every call runs every check: compose
+    keeps nothing, and ``_middle`` keeps only what it returns.
     """
-    return _compose(a.chern._vec, b.chern._vec)
-
-
-@lru_cache(maxsize=4096)
-def _compose(va: tuple, vb: tuple) -> ExceptionalBundle:
-    """``compose`` of the bundles of vectors va and vb, behind the lattice's
-    second cache: descents repeat the pairs near the top of the tree, so a
-    repeated pair costs one lookup.  A miss runs every check on a and b,
-    the builder's cached bundles of va and vb; an exception is not cached,
-    so a refused pair raises again on every call."""
-    a, b = _bundle(*va), _bundle(*vb)
-    ra, ca, sa = va
-    rb, cb, sb = vb
+    (ra, ca, sa), (rb, cb, sb) = a.chern._vec, b.chern._vec
     gap = cb * ra - ca * rb  # (slope(b) - slope(a)) * ra * rb
     if gap <= 0:
         raise ValueError(f"compose needs slope(a) < slope(b), got {a.slope}, {b.slope}")
@@ -347,15 +337,25 @@ def _compose(va: tuple, vb: tuple) -> ExceptionalBundle:
     return result
 
 
-def _ratio(n: int, m: int) -> str:
-    """n/m, m > 0, for a message or a label, as ``str(Fraction(n, m))``;
-    past _MAX_BITS bits both terms are named by their bit lengths (``_bits``:
-    -<22876 bits>/<22876 bits>), so no message depends on the limit."""
-    g = gcd(n, m)
-    num, den = n // g, m // g
-    if max(num.bit_length(), den.bit_length()) <= _MAX_BITS:
-        return str(num) if den == 1 else f"{num}/{den}"
-    return _bits(num) if den == 1 else f"{_bits(num)}/{_bits(den)}"
+# The middles of [-1, 0] at dyadic levels 1..11, one level past helix's kept
+# triad tree: slot 2^q - 1 + i holds the middle of bracket (q, i) once a
+# ``compose`` that passed every check has found it, else None (module
+# docstring).  At most 2 047 middles, never cleared.
+_mids: list[ExceptionalBundle | None] = [None] * ((1 << 11) - 1)
+
+
+def _middle(lo: ExceptionalBundle, hi: ExceptionalBundle, p: int, q: int) -> ExceptionalBundle:
+    """compose(lo, hi) for the images lo, hi of p/2^q and (p + 1)/2^q: the
+    one fetch of each level of a walk and of ``helix.enumerate_to_level``.
+    The middle of a bracket of [-1, 0] with q <= 10 is read from its slot
+    of ``_mids``, which the first call fills; past that level, or for a
+    translated bracket, it is composed and dropped."""
+    slot = (2 << q) + p - 1  # 2^q - 1 + i with i = p + 2^q
+    if not (-(1 << q) <= p < 0 and slot < len(_mids)):
+        return compose(lo, hi)
+    if _mids[slot] is None:
+        _mids[slot] = compose(lo, hi)
+    return _mids[slot]
 
 
 def _cap(max_depth: int | None) -> int:
@@ -369,7 +369,7 @@ def _cap(max_depth: int | None) -> int:
 def _walk(steer: Callable, what: Callable, cap: int, start: int) -> tuple:
     """Bisect the dyadic tree from [O(start), O(start + 1)].
 
-    Each level composes mid = compose(lo, hi) and asks steer(lo, mid, hi):
+    Each level fetches mid = _middle(lo, hi, p, q) and asks steer(lo, mid, hi):
     0 stops at mid, returning (lo, mid, hi, p, q) with mid the image of
     p/2^q; a negative sign enters [lo, mid], a positive one [mid, hi].  Past
     the resolved ``cap`` of mids it raises DepthExhaustedError "<what()> not
@@ -378,7 +378,7 @@ def _walk(steer: Callable, what: Callable, cap: int, start: int) -> tuple:
     lo, hi = _bundle(1, start, start * start), _bundle(1, start + 1, (start + 1) ** 2)
     p, q = start, 0  # [lo, hi] is the image of [p/2^q, (p+1)/2^q]
     for _ in range(cap):
-        mid = compose(lo, hi)
+        mid = _middle(lo, hi, p, q)
         side = steer(lo, mid, hi)
         p, q = 2 * p, q + 1
         if side == 0:
@@ -401,7 +401,7 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
     """The dyadic-to-exceptional bijection: integers give line bundles, and
     a dyadic of positive level maps to the composition of the images of its
     bracketing pair, reached by bisection from the integer bracket of d at
-    one ``compose`` per level."""
+    one ``_middle`` per level."""
     return _from_dyadic(d)[0]
 
 

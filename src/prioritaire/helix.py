@@ -40,10 +40,12 @@ Point location reads the triad of each level off the kept tree by its
 (level, index), steering by the sign of mu - mu(f), and composes nothing
 there; past the kept tree it builds each triad with ``_child`` and drops
 it.  A cap of N enters at most N triads, and ``exceptional._exhausted``
-raises past them.  The middles of the kept triads, with O(-1) and O, are
-the whole levels of the exceptional lattice (``enumerate_to_level``),
-which are read off the kept tree and never composed again; each level
-past it composes only its middles and builds no triad.
+raises past them.  The whole levels of the exceptional lattice
+(``enumerate_to_level``) build no triad: one loop fetches each level's
+middles with ``exceptional._middle``, kept in ``exceptional._mids`` down
+to level 11 and composed and dropped past it.  The package's stores are
+``exceptional._bundle``, ``exceptional._mids``, ``exceptional._owner``
+and this kept tree.
 
 A triad also holds the ``is_prioritary_sum`` verdict of each support
 seen among the splittings e^m + f^n + g^p of the generic sheaves whose
@@ -237,19 +239,17 @@ def iterate_triads(max_level: int) -> Iterator[Triad]:
 
 def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
     """All bundles at dyadic slopes p/2^q in [-1, 0] with q <= level_max,
-    sorted by slope: O(-1) and O at the ends, and the middle of kept triad
-    (level k, index i) at position (2i + 1) 2^(L - 1 - k) of level
-    L = min(level_max, MAX_TILE_DEPTH + 1).  Each further level inserts
-    ``compose(a, b)`` between each pair of neighbours (a, b) and builds no
-    triad; it is dropped when the call returns."""
+    sorted by slope: O(-1) and O, then each level q inserts between each
+    pair of neighbours (a, b), the images of p/2^q and (p + 1)/2^q, their
+    middle ``exceptional._middle(a, b, p, q)``, kept in its slot of
+    ``exceptional._mids`` down to level 11 and composed and dropped past
+    it.  It builds no triad."""
     if level_max < 0:
         raise ValueError("level_max must be >= 0")
-    kept = min(level_max, MAX_TILE_DEPTH + 1)
-    bundles = [exceptional._bundle(1, -1, 1)] * (1 << kept) + [exceptional._bundle(1, 0, 0)]
-    for t in iterate_triads(kept - 1):
-        bundles[(2 * t.index + 1) << (kept - 1 - t.level)] = t.f
-    for _ in range(kept, level_max):
-        mids = [exceptional.compose(a, b) for a, b in zip(bundles, bundles[1:])]
+    bundles = [exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)]
+    for q in range(level_max):
+        pairs = enumerate(zip(bundles, bundles[1:]), -1 << q)
+        mids = [exceptional._middle(a, b, p, q) for p, (a, b) in pairs]
         bundles = [x for pair in zip(bundles, mids) for x in pair] + bundles[-1:]
     return bundles
 

@@ -89,21 +89,16 @@ def _check_pairings() -> str:
 
 
 def _check_lattice(depth: int) -> str:
-    bundles = helix.enumerate_to_level(depth)
+    finer = helix.enumerate_to_level(depth + 1)
+    bundles = finer[::2]
     for f in bundles:
-        c2 = Fraction((f.rank - 1) * (f.rank + 1 + f.c1 * f.c1), 2 * f.rank)
-        _require(c2.denominator == 1 and c2 == f.c2, f"c2 of {f.label()}")
-    for left, right in zip(bundles, bundles[1:]):
+        _require(exceptional._c2(f.rank, f.c1) == (f.c2, 0), f"c2 of {f.label()}")
+    for left, m, right in zip(bundles, finer[1::2], bundles[1:]):
         # Intervals (slope - x, slope + x) of consecutive bundles must not
-        # overlap: distance of slopes >= sum of half-widths.
-        gap = right.slope - left.slope
-        u2 = left.half_width().b ** 2 * left.half_width().d
-        v2 = right.half_width().b ** 2 * right.half_width().d
-        # half_width = 3/2 - sqrt(u2) with u2 = (9r^2-4)/(4r^2); the sum of
-        # widths is 3 - sqrt(u2) - sqrt(v2), so disjointness reads
-        # sqrt(u2) + sqrt(v2) >= 3 - gap.
+        # overlap.  The middle m between them lies in neither open interval,
+        # so mu(left) + x_left <= mu(m) <= mu(right) - x_right: in integers.
         _require(
-            compare_sqrt_sum(u2, v2, Fraction(3) - gap) >= 0,
+            not (left._contains(m.c1, m.rank) or right._contains(m.c1, m.rank)),
             f"intervals of {left.label()} and {right.label()} overlap",
         )
     return f"{len(bundles)} bundles to level {depth}: integrality, rigidity, disjoint intervals"

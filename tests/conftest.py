@@ -22,10 +22,10 @@ def empty_tree() -> list[list]:
 @pytest.fixture
 def fresh_lattice(monkeypatch):
     """The lattice's four stores empty, as in a fresh process: the kept
-    triad tree (the test gets its own empty slots, and the kept ones come
-    back afterwards), ``_bundle``'s cache, ``_compose``'s memo and
-    ``_owner``'s memo."""
+    triad tree and the kept middles ``_mids`` (the test gets its own empty
+    slots, and the kept ones come back afterwards), ``_bundle``'s cache
+    and ``_owner``'s memo."""
     monkeypatch.setattr(helix, "_levels", empty_tree())
+    monkeypatch.setattr(exceptional, "_mids", [None] * len(exceptional._mids))
     exceptional._bundle.cache_clear()
-    exceptional._compose.cache_clear()
     exceptional._owner.cache_clear()

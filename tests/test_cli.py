@@ -572,18 +572,19 @@ def test_frontier_prints_the_bound_of_the_normalized_slope(capsys):
 
 
 def test_series_walks_the_lattice_once(capsys, monkeypatch):
-    # The series starts from the bracket that parsing the dyadic composed
-    # last, so the depth cap, which bounds descents, does not apply.
+    # The series starts from the bracket that parsing the dyadic fetched
+    # last, one middle per level, so the depth cap, which bounds descents,
+    # does not apply.
     from prioritaire import exceptional
 
     code, uncapped, err = run(capsys, "series", "--", "-5/16", "3")
     assert (code, err) == (0, "")
-    composed = _counting(monkeypatch, exceptional, "compose")
+    fetched = _counting(monkeypatch, exceptional, "_middle")
     for depth in ("1", "2"):
         monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", depth)
-        composed.clear()
+        fetched.clear()
         assert run(capsys, "series", "--", "-5/16", "3") == (0, uncapped, "")
-        assert len(composed) == 4
+        assert len(fetched) == 4
 
 
 def test_classify_normalizes_once(capsys, monkeypatch):

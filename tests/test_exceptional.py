@@ -196,19 +196,23 @@ def _neighbour_pairs(level):
     return list(zip(bundles, bundles[1:]))
 
 
-def test_compose_memo_returns_the_checked_bundle():
+def test_a_middle_slot_returns_the_checked_bundle(monkeypatch):
     pairs = _neighbour_pairs(8)
-    first = [compose(a, b) for a, b in pairs]
-    assert all(compose(a, b) is mid for (a, b), mid in zip(pairs, first))
-    assert first == enumerate_to_level(9)[1::2]
-    ex._compose.cache_clear()
-    again = [compose(a, b) for a, b in pairs]
-    assert again == first and ex._compose.cache_info().misses == len(pairs)
+    monkeypatch.setattr(ex, "_mids", [None] * len(ex._mids))
+    first = [ex._middle(a, b, i - 256, 8) for i, (a, b) in enumerate(pairs)]
+    assert first == [compose(a, b) for a, b in pairs]
+    # Only level 9's slots, 2^8 - 1 + i for bracket (8, i), are filled, each
+    # with the very object it returned.
+    assert sum(m is not None for m in ex._mids) == 1 << 8
+    assert all(ex._mids[255 + i] is mid for i, mid in enumerate(first))
+    assert all(ex._middle(a, b, i - 256, 8) is first[i] for i, (a, b) in enumerate(pairs))
+    assert all(x is y for x, y in zip(enumerate_to_level(9)[1::2], first))
 
 
-def test_compose_memo_keeps_no_refusal():
+def test_a_refused_pair_leaves_every_slot_empty(monkeypatch):
     # Every ordered pair of level 6 that is not a neighbour pair (a < b and
-    # chi(b, a) = 0) is refused twice, each time by a miss that runs the checks.
+    # chi(b, a) = 0) is refused twice at the slot of [-1, 0], each time by a
+    # compose that runs the checks.
     bundles = enumerate_to_level(6)
     refused = [
         (a, b)
@@ -216,28 +220,28 @@ def test_compose_memo_keeps_no_refusal():
         for b in bundles
         if a.slope >= b.slope or euler_pairing(b.chern, a.chern) != 0
     ]
-    before = ex._compose.cache_info()
+    monkeypatch.setattr(ex, "_mids", [None] * len(ex._mids))
     for a, b in refused:
         for _ in range(2):
             with pytest.raises(ValueError):
-                compose(a, b)
-    after = ex._compose.cache_info()
+                ex._middle(a, b, -1, 0)
     assert len(refused) > 3000
-    assert (after.hits, after.currsize) == (before.hits, before.currsize)
-    assert after.misses == before.misses + 2 * len(refused)
+    assert ex._mids == [None] * 2047
 
 
-def test_compose_miss_runs_the_vanishing_checks(monkeypatch, fresh_lattice):
+def test_a_failing_vanishing_check_leaves_every_slot_empty(monkeypatch, fresh_lattice):
     # With every store empty, a fault in the Euler pairing between two
-    # distinct bundles is caught by compose's own vanishings.
+    # distinct bundles is caught by compose's own vanishings, and no slot
+    # keeps the unchecked middle.
     original = chern.euler_pairing
     monkeypatch.setattr(chern, "euler_pairing", lambda a, b: original(a, b) + (a is not b))
-    o_minus, o = ex._bundle(1, -1, 1), ex._bundle(1, 0, 0)
     with pytest.raises(InternalInconsistencyError, match=r"^chi\(E\(-1/2\), O\(-1\)\) != 0$"):
-        compose(o_minus, o)
-    assert ex._compose.cache_info().currsize == 0
+        from_dyadic(Dyadic(-1, 1))
+    with pytest.raises(InternalInconsistencyError, match=r"^chi\(E\(-1/2\), O\(-1\)\) != 0$"):
+        enumerate_to_level(3)
+    assert ex._mids == [None] * 2047
     monkeypatch.setattr(chern, "euler_pairing", original)
-    assert compose(o_minus, o) == from_slope(Fraction(-1, 2))
+    assert from_dyadic(Dyadic(-1, 1)) == from_slope(Fraction(-1, 2)) == ex._mids[0]
 
 
 def test_constructor_raises_inconsistency():
@@ -379,9 +383,12 @@ def test_every_cache_is_bounded():
     ]
     assert cached == [
         ("prioritaire.exceptional", "_bundle", 4096),
-        ("prioritaire.exceptional", "_compose", 4096),
         ("prioritaire.exceptional", "_owner", 4096),
     ]
+    # The kept middles stop at dyadic level 11, however deep the call.
+    assert len(enumerate_to_level(12)) == (1 << 12) + 1
+    assert len(ex._mids) == 2047
+    assert sum(m is not None for m in ex._mids) == 2047
     # The kept triad tree stops at MAX_TILE_DEPTH, however deep the call.
     assert sum(1 for _ in helix.iterate_triads(helix.MAX_TILE_DEPTH + 1)) == (1 << 12) - 1
     assert len(helix._levels) == helix.MAX_TILE_DEPTH + 1
@@ -468,8 +475,8 @@ def test_dyadic_of_refuses_every_slope_off_the_lattice():
 def test_dyadic_of_refuses_at_once(monkeypatch):
     # The descent stops at the first mid of rank >= 10: 2, 5, 13.
     calls = []
-    original = ex.compose
-    monkeypatch.setattr(ex, "compose", lambda a, b: calls.append(a) or original(a, b))
+    original = ex._middle
+    monkeypatch.setattr(ex, "_middle", lambda *args: calls.append(args) or original(*args))
     for slope in (Fraction(-3, 10), Fraction(13, 10)):
         calls.clear()
         with pytest.raises(ValueError, match=f"{slope} is not an exceptional slope"):
@@ -598,6 +605,32 @@ def test_reprs_and_the_no_prioritary_message_do_not_depend_on_the_int_to_str_lim
     assert repr(chern.ChernData(n, -n, 3)) == f"ChernData(rank={n}, c1={-n}, c2=3)"
 
 
+def test_fraction_fields_and_chern_messages_do_not_depend_on_the_int_to_str_limit(
+    default_digit_limit,
+):
+    # A Fraction field names each long term by its bit length, and so do the
+    # errors of the Chern records built from outside.
+    big = 2**15000 + 1
+    with pytest.raises(ValueError, match=r"^ch2 must be a half-integer, got <1 bits>/<15001 bits>$"):
+        chern.ChernCharacter(big, 1, Fraction(1, big))
+    ch = chern.ChernCharacter(big, 1, Fraction(big, 2))
+    assert repr(ch) == "ChernCharacter(rank=<15001 bits>, c1=1, ch2=Fraction(<15001 bits>, 2))"
+    with pytest.raises(ValueError, match=r"^rank must be >= 1, got -<15001 bits>$"):
+        chern.ChernData(-big, 0, 0)
+    with pytest.raises(InternalInconsistencyError) as err:
+        chern.ChernCharacter(1, big, 0).to_data()
+    assert str(err.value) == (
+        "character ChernCharacter(rank=1, c1=<15001 bits>, ch2=Fraction(0, 1)) "
+        "has non-integral c2 = <30001 bits>/<2 bits>"
+    )
+    # Under _MAX_BITS a Fraction field keeps its bytes.
+    n = 1 << 1999
+    for ch2 in (Fraction(-3), Fraction(n + 1, 2), Fraction(-n - 1, 2)):
+        assert repr(chern.ChernCharacter(1, 0, ch2)) == f"ChernCharacter(rank=1, c1=0, ch2={ch2!r})"
+    with pytest.raises(ValueError, match=r"^ch2 must be a half-integer, got 1/3$"):
+        chern.ChernCharacter(1, 0, Fraction(1, 3))
+
+
 def _point_in(t):
     """A point strictly inside the tile of t, and so in no shallower tile."""
     mu = (t.e.slope + 2 * t.f.slope) / 3
@@ -606,8 +639,8 @@ def _point_in(t):
 
 def test_every_descent_exhausts_alike(monkeypatch):
     # dyadic_of, locate_many and locate_triangle exhaust a cap alike: a walk
-    # with cap N composes N mids, and point location enters N triads, read
-    # off the kept tree with no compose.  Past them the error names what was
+    # with cap N fetches N mids, and point location enters N triads, read
+    # off the kept tree with no fetch.  Past them the error names what was
     # sought and the pair of neighbours the descent would have entered next.
     list(helix.iterate_triads(7))
     rng = random.Random(9709)
@@ -623,9 +656,9 @@ def test_every_descent_exhausts_alike(monkeypatch):
         mu, disc = _point_in(path[-1])
         point = lambda cap, mu=mu, disc=disc: helix.locate_triangle(mu, disc, cap)  # noqa: E731
         queries.append((f"point ({mu}, {disc})", point, path))
-    composed, entered = [], []
-    original, contains = ex.compose, helix.Triad._contains
-    monkeypatch.setattr(ex, "compose", lambda a, b: composed.append(a) or original(a, b))
+    fetched, entered = [], []
+    middle, contains = ex._middle, helix.Triad._contains
+    monkeypatch.setattr(ex, "_middle", lambda *args: fetched.append(args) or middle(*args))
     monkeypatch.setattr(
         helix.Triad, "_contains", lambda t, *args: entered.append(t) or contains(t, *args)
     )
@@ -634,18 +667,18 @@ def test_every_descent_exhausts_alike(monkeypatch):
         with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
             query(-1)
         for cap in range(7):
-            composed.clear()
+            fetched.clear()
             entered.clear()
             try:
                 query(cap)
             except DepthExhaustedError as err:
                 assert str(err) == f"{what} not resolved within depth {cap}"
                 if path is None:
-                    assert (len(composed), entered) == (cap, [])
+                    assert (len(fetched), entered) == (cap, [])
                 else:
-                    assert (composed, entered) == ([], path[:cap])
+                    assert (fetched, entered) == ([], path[:cap])
                     assert err.bracket == (path[cap].e, path[cap].g)
-                original(*err.bracket)  # neighbours, or compose raises ValueError
+                compose(*err.bracket)  # neighbours, or compose raises ValueError
                 exhausted += 1
     assert exhausted > 3 * len(queries)
 
@@ -702,14 +735,14 @@ def test_no_assert_statement_in_the_package():
 
 
 def test_compose_is_called_only_by_the_walker_and_the_tree():
-    # Paths go through exceptional._walk; the triad tree composes only its
-    # root's middle (helix.root), each child's middle being a mutation.
-    # Whole levels are read off that tree, and helix.enumerate_to_level
-    # composes the middles of levels past it.
+    # Paths go through exceptional._walk, which fetches each level's middle
+    # with _middle, as helix.enumerate_to_level does; _middle composes a
+    # middle that no slot keeps.  The triad tree composes only its root's
+    # middle (helix.root), each child's middle being a mutation.
     import ast
 
     package = Path(ex.__file__).parent
-    callers = set()
+    callers = {"compose": set(), "_middle": set()}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, ast.FunctionDef):
@@ -718,12 +751,11 @@ def test_compose_is_called_only_by_the_walker_and_the_tree():
                 if isinstance(call, ast.Call):
                     func = call.func
                     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                    if name == "compose":
-                        callers.add((path.stem, node.name))
+                    if name in callers:
+                        callers[name].add((path.stem, node.name))
     assert callers == {
-        ("exceptional", "_walk"),
-        ("helix", "root"),
-        ("helix", "enumerate_to_level"),
+        "compose": {("exceptional", "_middle"), ("helix", "root")},
+        "_middle": {("exceptional", "_walk"), ("helix", "enumerate_to_level")},
     }
 
 

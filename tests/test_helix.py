@@ -446,6 +446,7 @@ def test_kept_tree_matches_a_fresh_build_and_stays_bounded():
 
 
 def test_whole_levels_are_read_off_the_kept_tree(monkeypatch):
+    # The kept middles of exceptional._mids, which the first call filled.
     from prioritaire import exceptional
 
     enumerate_to_level(10)
@@ -460,6 +461,24 @@ def test_whole_levels_are_read_off_the_kept_tree(monkeypatch):
     bundles = enumerate_to_level(10)
     assert calls == []
     assert len(bundles) == (1 << 10) + 1
+
+
+def test_enumeration_builds_no_triad_from_a_fresh_lattice(monkeypatch, fresh_lattice):
+    # Each level fetches its middles from exceptional._mids, composed on
+    # first use, whatever the kept triad tree holds.
+    from prioritaire import exceptional
+
+    built = []
+    init = helix.Triad.__init__
+    monkeypatch.setattr(
+        helix.Triad, "__init__", lambda t, *args: built.append(args) or init(t, *args)
+    )
+    bundles = enumerate_to_level(12)
+    assert (len(bundles), built, _kept_count()) == ((1 << 12) + 1, [], 0)
+    assert sum(m is not None for m in exceptional._mids) == 2047
+    # The same middles as the kept tree's, which is built only now.
+    triads = list(iterate_triads(helix.MAX_TILE_DEPTH))
+    assert [bundles[(2 * t.index + 1) << (11 - t.level)] for t in triads] == [t.f for t in triads]
 
 
 def test_levels_past_the_kept_tree_are_built_and_dropped():
@@ -523,7 +542,7 @@ def test_a_raise_keeps_no_unchecked_triad_and_the_next_call_completes_the_level(
 
 def test_series_takes_its_bracket_from_one_walk(monkeypatch):
     # The initial pair comes from the walk that finds f's dyadic: one
-    # compose per level, and the same pair as the dyadic's neighbours.
+    # middle fetched per level, and the same pair as the dyadic's neighbours.
     from prioritaire import exceptional
 
     for text, level in (("-5/16", 4), ("-1/2", 1), ("11/4", 2), ("-23/8", 3)):
@@ -532,13 +551,13 @@ def test_series_takes_its_bracket_from_one_walk(monkeypatch):
         lo, hi = d.neighbors()
         expected = [exceptional.from_dyadic(hi).twist(-3), exceptional.from_dyadic(lo)]
         calls = []
-        original = exceptional.compose
+        original = exceptional._middle
 
-        def counted(a, b, _original=original):
-            calls.append((a, b))
-            return _original(a, b)
+        def counted(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
 
-        monkeypatch.setattr(exceptional, "compose", counted)
+        monkeypatch.setattr(exceptional, "_middle", counted)
         assert left_series(f, 0, 1) == expected
         assert len(calls) == level
         monkeypatch.undo()

@@ -1,8 +1,8 @@
 """Answers do not depend on what the lattice's stores hold.
 
 The package keeps four stores between calls: ``_bundle``'s cache, the
-``_compose`` and ``_owner`` memos, and the kept triad tree, whose triads
-hold the data of the splittings on them.  A query answers, or raises,
+kept middles ``_mids``, the ``_owner`` memo, and the kept triad tree,
+whose triads hold the data of the splittings on them.  A query answers, or raises,
 the same from an empty lattice as from a warm one visited in another
 order, at every cap.
 """
@@ -171,3 +171,40 @@ def test_only_the_triads_of_the_answers_hold_splitting_data(fresh_lattice):
             named.add((triangle["level"], triangle["index"]))
     assert len(named) > 1
     assert _holding_splitting_data() == named
+
+
+def _stores(module) -> dict:
+    """The module-level stores of a module: each ``lru_cache``, and each
+    list of slots (a list, or a list of lists, whose empty slots are None)."""
+    return {
+        name: obj
+        for name, obj in vars(module).items()
+        if not name.startswith("__") and (hasattr(obj, "cache_info") or isinstance(obj, list))
+    }
+
+
+def _held(store) -> int:
+    """How many entries or filled slots a store holds."""
+    if hasattr(store, "cache_info"):
+        return store.cache_info().currsize
+    return sum(_held(x) if isinstance(x, list) else x is not None for x in store)
+
+
+def test_fresh_lattice_empties_every_store(request):
+    # Warm every store, then ask for the fixture: each store that the
+    # lattice's modules hold is found, and each is empty.
+    helix.enumerate_to_level(11)
+    list(helix.iterate_triads(3))
+    locate_exceptional(Fraction(-2, 5))
+    modules = (exceptional, helix)
+    names = {(m.__name__, name) for m in modules for name in _stores(m)}
+    assert names >= {
+        ("prioritaire.exceptional", "_bundle"),
+        ("prioritaire.exceptional", "_mids"),
+        ("prioritaire.exceptional", "_owner"),
+        ("prioritaire.helix", "_levels"),
+    }
+    assert all(_held(store) for m in modules for store in _stores(m).values())
+    request.getfixturevalue("fresh_lattice")
+    held = {(m.__name__, name): _held(store) for m in modules for name, store in _stores(m).items()}
+    assert held == dict.fromkeys(names, 0)
