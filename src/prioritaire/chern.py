@@ -40,9 +40,10 @@ class ChernCharacter(Record):
         ch2 = Fraction(ch2)
         if (2 * ch2).denominator != 1:
             raise ValueError(f"ch2 must be a half-integer, got {_ratio(*ch2.as_integer_ratio())}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "ch2", ch2)
+        set_rank, set_c1, set_ch2 = __class__._setters
+        set_rank(self, rank)
+        set_c1(self, c1)
+        set_ch2(self, ch2)
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         return ChernCharacter(self.rank + other.rank, self.c1 + other.c1, self.ch2 + other.ch2)
@@ -80,10 +81,11 @@ class ChernData(Record):
     def __init__(self, rank: int, c1: int, c2: int) -> None:
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {_ratio(rank, 1)}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "_vec", (rank, c1, c1 * c1 - 2 * c2))
+        set_rank, set_c1, set_c2, set_vec = __class__._setters
+        set_rank(self, rank)
+        set_c1(self, c1)
+        set_c2(self, c2)
+        set_vec(self, (rank, c1, c1 * c1 - 2 * c2))
 
     def slope(self) -> Fraction:
         return Fraction(self.c1, self.rank)

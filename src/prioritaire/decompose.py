@@ -40,7 +40,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from . import chern, exceptional, frontier, helix
-from ._record import Record
+from ._record import Record, _ratio
 from .chern import ChernCharacter, ChernData, euler_pairing
 from .errors import InternalInconsistencyError, NoPrioritarySheafError
 from .exceptional import ExceptionalBundle
@@ -70,7 +70,7 @@ class Summand(Record):
         twist: int = 0,
     ) -> None:
         if multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+            raise ValueError(f"multiplicity must be >= 1, got {_ratio(multiplicity, 1)}")
         if kind not in (KIND_EXCEPTIONAL, KIND_GENERIC, KIND_POINT_EXT):
             raise ValueError(f"unknown summand kind {kind!r}")
         given = (bundle is not None, data is not None)
@@ -79,11 +79,12 @@ class Summand(Record):
                 f"a {kind} summand needs a bundle if exceptional, data if generic_semistable "
                 f"and neither otherwise; got bundle={bundle}, data={data}"
             )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "twist", twist)
+        set_kind, set_multiplicity, set_bundle, set_data, set_twist = __class__._setters
+        set_kind(self, kind)
+        set_multiplicity(self, multiplicity)
+        set_bundle(self, bundle)
+        set_data(self, data)
+        set_twist(self, twist)
 
     def character(self) -> ChernCharacter:
         return self.chern_data().character()
@@ -123,11 +124,12 @@ class Decomposition(Record):
         summands: tuple[Summand, ...] | None,
         verification: dict | None = None,
     ) -> None:
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "verification", {} if verification is None else verification)
+        set_input, set_twist, set_region, set_summands, set_verification = __class__._setters
+        set_input(self, input)
+        set_twist(self, twist)
+        set_region(self, region)
+        set_summands(self, summands)
+        set_verification(self, {} if verification is None else verification)
 
     def total_character(self) -> ChernCharacter | None:
         if self.summands is None:
@@ -151,19 +153,12 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
     # The owner walk and the triangle walk share one cap, resolved before any answer.
     cap = exceptional._cap(max_depth)
     region = frontier._classify_normalized(norm, cap)
+    if region.tag is RegionTag.NO_PRIORITARY:
+        # The error writes its message only when it is read.
+        raise NoPrioritarySheafError(cd, (norm.rank, norm.c1, norm.c2), region)
     verification: dict = {"normalization_twist": k, "region": region.tag.value}
     # The prioritary verdict of an all-exceptional splitting; None otherwise.
     verdict: helix.TriState | None = None
-
-    if region.tag is RegionTag.NO_PRIORITARY:
-        disc, bound = norm.discriminant(), frontier._prioritary_bound(norm.slope())
-        exc = NoPrioritarySheafError(
-            f"no prioritary sheaf with invariants {cd}: "
-            f"discriminant {exceptional._ratio(disc.numerator, disc.denominator)} below the "
-            f"existence bound {exceptional._ratio(bound.numerator, bound.denominator)}"
-        )
-        exc.region = region  # type: ignore[attr-defined]
-        raise exc
 
     if region.tag is RegionTag.SEMISTABLE_POSITIVE_DIM:
         verification["note"] = "semistable moduli positive-dimensional; generic sheaf does not split"
@@ -286,13 +281,14 @@ class PresentationReport(Record):
         g0_3: ExceptionalBundle,
         g1_3: ExceptionalBundle,
     ) -> None:
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "g0_3", g0_3)
-        object.__setattr__(self, "g1_3", g1_3)
+        set_input, set_f, set_k, set_m1, set_m2, set_g0_3, set_g1_3 = __class__._setters
+        set_input(self, input)
+        set_f(self, f)
+        set_k(self, k)
+        set_m1(self, m1)
+        set_m2(self, m2)
+        set_g0_3(self, g0_3)
+        set_g1_3(self, g1_3)
 
     def describe(self) -> str:
         return (
@@ -314,14 +310,16 @@ def stable_presentation(cd: ChernData, f: ExceptionalBundle) -> PresentationRepo
     r, c1, c2 = cd.rank, cd.c1, cd.c2
     if r < 2:
         raise ValueError(f"rank {r} < 2")
+    # The messages write their terms through _ratio: no int-to-str limit applies.
     if c1 * f.rank > f.c1 * r:
-        raise ValueError(f"slope {cd.slope()} right of mu(f) = {f.slope}")
+        raise ValueError(f"slope {_ratio(c1, r)} right of mu(f) = {_ratio(f.c1, f.rank)}")
     if not f._contains(c1, r):
-        raise ValueError(f"slope {cd.slope()} outside the interval of {f}")
+        raise ValueError(f"slope {_ratio(c1, r)} outside the interval of {f}")
     on_frontier = frontier._frontier_gaps(r, c1, c2, f)[0] == 0
     if not (on_frontier or frontier._at_exceptional_point(r, c1, c2, f)):
         raise ValueError(
-            f"discriminant {cd.discriminant()} not on the semistability frontier at {cd.slope()}"
+            f"discriminant {_ratio(frontier._disc_num(r, c1, c2), 2 * r * r)} "
+            f"not on the semistability frontier at {_ratio(c1, r)}"
         )
     g0, g1, g2 = helix.left_series(f, 0, 2)
     k = euler_pairing(cd, f.chern)

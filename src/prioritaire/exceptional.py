@@ -119,8 +119,9 @@ class Dyadic(Record):
         # Strip every factor of two at once: the lowest set bit of p.
         shift = q if p == 0 else min(q, (p & -p).bit_length() - 1)
         p, q = p >> shift, q - shift
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        set_p, set_q = __class__._setters
+        set_p(self, p)
+        set_q(self, q)
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "Dyadic":
@@ -192,8 +193,10 @@ class ExceptionalBundle(Record):
 
     def __init__(self, rank: int, c1: int) -> None:
         found = _lattice(rank, c1, rank)[0]
-        for name in self.__slots__:
-            object.__setattr__(self, name, getattr(found, name))
+        set_rank, set_c1, set_chern = __class__._setters
+        set_rank(self, found.rank)
+        set_c1(self, found.c1)
+        set_chern(self, found.chern)
 
     @property
     def slope(self) -> Fraction:
@@ -277,8 +280,10 @@ def _bundle(rank: int, c1: int, x2: int) -> ExceptionalBundle:
         raise InternalInconsistencyError(f"({rank}, {c1}) is not exceptional: c2 not integral")
     c2 = (c1 * c1 - x2) >> 1
     f = object.__new__(ExceptionalBundle)
-    for name, value in zip(f.__slots__, (rank, c1, ChernData(rank, c1, c2))):
-        object.__setattr__(f, name, value)
+    set_rank, set_c1, set_chern = ExceptionalBundle._setters
+    set_rank(f, rank)
+    set_c1(f, c1)
+    set_chern(f, ChernData(rank, c1, c2))
     if chern.euler_pairing(f.chern, f.chern) != 1:
         raise InternalInconsistencyError(f"chi(F,F) != 1 for ({rank}, {c1}, {c2})")
     return f

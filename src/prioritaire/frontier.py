@@ -67,8 +67,9 @@ class Region(Record):
     __slots__ = ("tag", "witness")
 
     def __init__(self, tag: RegionTag, witness: ExceptionalBundle | None = None) -> None:
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "witness", witness)
+        set_tag, set_witness = __class__._setters
+        set_tag(self, tag)
+        set_witness(self, witness)
 
 
 def _prioritary_bound(mu: Fraction) -> Fraction:

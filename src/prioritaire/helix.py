@@ -120,11 +120,12 @@ class Triad(Record):
         level: int,
         index: int,
     ) -> None:
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "index", index)
+        set_e, set_f, set_g, set_level, set_index, set_h, _ = __class__._setters
+        set_e(self, e)
+        set_f(self, f)
+        set_g(self, g)
+        set_level(self, level)
+        set_index(self, index)
         if not (e.c1 * f.rank < f.c1 * e.rank and f.c1 * g.rank < g.c1 * f.rank):
             raise InternalInconsistencyError(f"triad slopes out of order: {e}, {f}, {g}")
         for left, right in ((f, e), (g, f), (g, e)):
@@ -137,7 +138,7 @@ class Triad(Record):
             raise InternalInconsistencyError(f"chi(e,f) != 3*rank(g) in {self.label()}")
         if euler_pairing(f.chern, g.chern) != 3 * re_:
             raise InternalInconsistencyError(f"chi(f,g) != 3*rank(e) in {self.label()}")
-        object.__setattr__(self, "h", _mutation(e, f, 3 * rg))
+        set_h(self, _mutation(e, f, 3 * rg))
 
     def label(self) -> str:
         return f"({self.e}, {self.f}, {self.g})"
@@ -151,7 +152,7 @@ class Triad(Record):
             verdicts = self._verdicts
         except AttributeError:
             verdicts = {}
-            object.__setattr__(self, "_verdicts", verdicts)
+            __class__._setters[-1](self, verdicts)  # the slot _verdicts
         verdict = verdicts.get(support)
         if verdict is None:
             chosen = [x for x, kept in zip((self.e, self.f, self.g), support) if kept]
@@ -357,9 +358,10 @@ class ExtDims(Record):
     __slots__ = ("hom", "ext1", "ext2")
 
     def __init__(self, hom: int | None, ext1: int | None, ext2: int | None) -> None:
-        object.__setattr__(self, "hom", hom)
-        object.__setattr__(self, "ext1", ext1)
-        object.__setattr__(self, "ext2", ext2)
+        set_hom, set_ext1, set_ext2 = __class__._setters
+        set_hom(self, hom)
+        set_ext1(self, ext1)
+        set_ext2(self, ext2)
 
 
 def _h0_line(k: int) -> int:

@@ -37,9 +37,10 @@ class CheckResult(Record):
     __slots__ = ("name", "ok", "detail")
 
     def __init__(self, name: str, ok: bool, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+        set_name, set_ok, set_detail = __class__._setters
+        set_name(self, name)
+        set_ok(self, ok)
+        set_detail(self, detail)
 
 
 def _decimal_sign(s: QuadSurd) -> int:

@@ -66,9 +66,10 @@ class QuadSurd(Record):
             root = math.isqrt(d)
             if root * root == d:
                 a, b, d = a + b * root, Fraction(0), 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        set_a, set_b, set_d = __class__._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_d(self, d)
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "QuadSurd":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -29,3 +31,18 @@ def fresh_lattice(monkeypatch):
     monkeypatch.setattr(exceptional, "_mids", [None] * len(exceptional._mids))
     exceptional._bundle.cache_clear()
     exceptional._owner.cache_clear()
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str limit of 4 300 digits, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    before = limit()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -6,6 +6,8 @@ delta_prime off Euler pairings and proves them by the character balance,
 and the tests re-add the summand characters independently.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -159,6 +161,71 @@ def test_no_prioritary_raises():
     with pytest.raises(NoPrioritarySheafError) as err:
         generic_prioritary(ChernData(2, -1, 0))
     assert err.value.region.tag is RegionTag.NO_PRIORITARY
+
+
+def test_a_refusal_holds_its_data():
+    # The input, the normalized integers and the region are the error's
+    # args and attributes; the message is written from them when read.
+    cd = ChernData(5, 3, -7)
+    with pytest.raises(NoPrioritarySheafError) as err:
+        generic_prioritary(cd)
+    exc = err.value
+    assert exc.args == (cd, (5, -2, -9), exc.region)
+    assert (exc.input, exc.normalized) == (cd, (5, -2, -9))
+    assert exc.region == classify(cd)
+    assert twist(cd, -1) == ChernData(*exc.normalized)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_refusal_survives_copy_and_pickle(clone):
+    with pytest.raises(NoPrioritarySheafError) as err:
+        generic_prioritary(ChernData(29, -12, 0))
+    exc = err.value
+    again = clone(exc)
+    assert type(again) is NoPrioritarySheafError and again is not exc
+    assert str(again) == str(exc)
+    assert again.region == exc.region and again.region.tag is RegionTag.NO_PRIORITARY
+    assert again.args == exc.args
+
+
+_HUGE = 2**2100 + 3
+# The refusal texts of the commit before the error kept its data, when it
+# formatted two Fractions on raising; the lazy message keeps these bytes.
+_REFUSALS = [
+    ((2, -1, 0), "ChernData(rank=2, c1=-1, c2=0): discriminant -1/8 below the existence bound 1/8"),
+    ((1, 0, -1), "ChernData(rank=1, c1=0, c2=-1): discriminant -1 below the existence bound 0"),
+    ((8, -4, 2), "ChernData(rank=8, c1=-4, c2=2): discriminant -5/8 below the existence bound 1/8"),
+    ((5, 3, -7), "ChernData(rank=5, c1=3, c2=-7): discriminant -53/25 below the existence bound 3/25"),
+    (
+        (29, -12, 0),
+        "ChernData(rank=29, c1=-12, c2=0): discriminant -2016/841 below the existence bound 102/841",
+    ),
+    (
+        (30, 41, 17),
+        "ChernData(rank=30, c1=41, c2=17): discriminant -47729/1800 below the existence bound 209/1800",
+    ),
+    (
+        (3, 2**2001, 0),
+        "ChernData(rank=3, c1=<2002 bits>, c2=0): discriminant -<4003 bits>/<4 bits> "
+        "below the existence bound 1/9",
+    ),
+    (
+        (_HUGE, -1, -2),
+        "ChernData(rank=<2101 bits>, c1=-1, c2=-2): discriminant -<2102 bits>/<4201 bits> "
+        "below the existence bound <2100 bits>/<4201 bits>",
+    ),
+]
+
+
+@pytest.mark.parametrize("point, text", _REFUSALS)
+def test_the_refusal_text_keeps_its_bytes(point, text):
+    with pytest.raises(NoPrioritarySheafError) as err:
+        generic_prioritary(ChernData(*point))
+    assert str(err.value) == "no prioritary sheaf with invariants " + text
 
 
 def _band():
@@ -466,10 +533,18 @@ def _count_fractions(monkeypatch, fn, items):
     return built[0]
 
 
+def _refusal_text(cd):
+    try:
+        generic_prioritary(cd)
+    except NoPrioritarySheafError as exc:
+        return str(exc)
+    raise AssertionError(f"{cd} was not refused")
+
+
 def test_warm_queries_build_no_fraction(monkeypatch):
-    # A warm pass decides in integers: classify and left_series build no
-    # Fraction, and generic_prioritary builds one only for the text of
-    # NoPrioritarySheafError.
+    # A warm pass decides in integers: classify, left_series and
+    # generic_prioritary build no Fraction, nor does a refusal, raised or
+    # read: NoPrioritarySheafError writes its text in integers.
     from prioritaire.helix import left_series
 
     points = [
@@ -487,8 +562,10 @@ def test_warm_queries_build_no_fraction(monkeypatch):
     assert _count_fractions(monkeypatch, lambda f: left_series(f, -2, 4), bundles) == 0
     assert _count_fractions(monkeypatch, classify, points) == 0
     assert _count_fractions(monkeypatch, generic_prioritary, prioritary) == 0
-    # The counter does count: the rejected points build their error text.
-    assert _count_fractions(monkeypatch, _tag, rejected[:10]) > 0
+    assert _count_fractions(monkeypatch, _tag, rejected) == 0
+    assert _count_fractions(monkeypatch, _refusal_text, rejected) == 0
+    # The counter does count: one slope, one Fraction.
+    assert _count_fractions(monkeypatch, ChernData.slope, rejected[:10]) == 10
 
 
 def _det3(u: tuple, v: tuple, w: tuple) -> int:

@@ -10,7 +10,6 @@ import math
 import pickle
 import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -513,21 +512,6 @@ def test_locate_depth_cap():
     with pytest.raises(DepthExhaustedError) as err:
         locate_exceptional(Fraction(-9, 20), max_depth=0)
     assert err.value.bracket is not None
-
-
-@pytest.fixture
-def default_digit_limit():
-    """Python's default int-to-str limit of 4 300 digits, where it has one."""
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:
-        yield
-        return
-    before = limit()
-    sys.set_int_max_str_digits(4300)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(before)
 
 
 def test_walk_errors_do_not_depend_on_the_int_to_str_limit(default_digit_limit):

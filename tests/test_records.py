@@ -7,6 +7,7 @@ or its command line must not pull in ``dataclasses``, ``typing``,
 ``inspect`` or ``json``.
 """
 
+import itertools
 import os
 import pickle
 import subprocess
@@ -29,7 +30,7 @@ from prioritaire.decompose import (
 )
 from prioritaire.exceptional import Dyadic, ExceptionalBundle, from_slope
 from prioritaire.frontier import Region, RegionTag
-from prioritaire.helix import ExtDims, ext_dims, root
+from prioritaire.helix import ExtDims, Triad, _kept, _mutation, ext_dims, root
 from prioritaire.selfcheck import CheckResult
 from prioritaire.surd import QuadSurd
 
@@ -117,6 +118,81 @@ def test_repr_matches_the_dataclass_text():
         "Region(tag=<RegionTag.NO_PRIORITARY: 'no_prioritary'>, witness=None)"
     )
     assert repr(ExtDims(1, 0, None)) == "ExtDims(hom=1, ext1=0, ext2=None)"
+
+
+def _built_from_distinct_arguments():
+    """(record type, arguments) for each record, the arguments pairwise
+    distinct where their types allow, so that a setter bound to the wrong
+    slot reads back another argument."""
+    e, f, g = (from_slope(Fraction(*s)) for s in ((-1, 2), (-2, 5), (0, 1)))
+    t = _kept(2, 1)
+    cd = ChernData(5, -2, 4)
+    region = Region(RegionTag.ABOVE_DELTA_PRIME, f)
+    return [
+        (ChernCharacter, (3, 1, Fraction(5, 2))),
+        (ChernData, (8, -4, 11)),
+        (QuadSurd, (Fraction(3, 2), Fraction(-1, 10), 221)),
+        (Dyadic, (-3, 2)),
+        (ExceptionalBundle, (5, -2)),
+        (Region, (RegionTag.ABOVE_DELTA_PRIME, f)),
+        (Triad, (t.e, t.f, t.g, 2, 1)),
+        (ExtDims, (3, 1, 2)),
+        (Summand, (KIND_EXCEPTIONAL, 2, f, None, -1)),
+        (Decomposition, (cd, 1, region, (Summand(KIND_GENERIC, 1, data=cd),), {"p": 1})),
+        (PresentationReport, (cd, f, 1, 2, 3, e, g)),
+        (CheckResult, ("name", True, "detail")),
+    ]
+
+
+def test_each_field_reads_back_its_own_argument():
+    cases = _built_from_distinct_arguments()
+    assert {cls for cls, _ in cases} == {type(a) for a, _ in _PAIRS}
+    for cls, args in cases:
+        for a, b in itertools.combinations(args, 2):
+            assert type(a) is not type(b) or a != b, (cls, a, b)
+        record = cls(*args)
+        assert len(record._fields) == len(args)
+        for name, arg in zip(record._fields, args):
+            value = getattr(record, name)
+            assert type(value) is type(arg) and value == arg, (cls, name, value, arg)
+    # The derived slots hold what their fields derive.
+    assert ChernData(8, -4, 11)._vec == (8, -4, 16 - 22)
+    for f in (ExceptionalBundle(5, -2), from_slope(Fraction(-2, 5))):
+        assert (f.rank, f.c1, f.chern) == (5, -2, ChernData(5, -2, 4))
+    t = Triad(*_built_from_distinct_arguments()[6][1])
+    assert t.h == _mutation(t.e, t.f, 3 * t.g.rank) and t.h not in (t.e, t.f, t.g)
+
+
+class _Plain(ChernData):
+    """A subclass that declares nothing."""
+
+
+class _Tagged(ChernData):
+    """A subclass with a slot of its own, set through its own setters."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, rank: int, c1: int, c2: int, tag: str) -> None:
+        super().__init__(rank, c1, c2)
+        (set_tag,) = __class__._setters
+        set_tag(self, tag)
+
+
+def test_subclasses_keep_the_parent_setters():
+    # A subclass's fields are its parent's fields, then its own slots: a
+    # derived slot such as ChernData._vec stays out of them, so the repr
+    # and pickling, which rebuilds through __init__, keep working.
+    plain = _Plain(8, -4, 11)
+    assert _Plain._setters == () and len(ChernData._setters) == 4
+    assert (plain.rank, plain.c1, plain.c2, plain._vec) == (8, -4, 11, (8, -4, -6))
+    assert repr(plain) == "_Plain(rank=8, c1=-4, c2=11)" and plain != ChernData(8, -4, 11)
+    assert pickle.loads(pickle.dumps(plain)) == plain
+    tagged = _Tagged(8, -4, 11, "t")
+    assert (tagged.rank, tagged.c1, tagged.c2, tagged.tag) == (8, -4, 11, "t")
+    assert repr(tagged) == "_Tagged(rank=8, c1=-4, c2=11, tag='t')"
+    assert pickle.loads(pickle.dumps(tagged)) == tagged != _Tagged(8, -4, 11, "u")
+    with pytest.raises(AttributeError):
+        tagged.tag = "u"
 
 
 def test_defaults():
