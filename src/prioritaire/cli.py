@@ -200,7 +200,7 @@ def _tile_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=64,
         metavar="K",
-        help=f"points per curved side (svg), at most {MAX_TILE_SAMPLES}",
+        help=f"8K + 1 points per frontier curve (svg), at most {MAX_TILE_SAMPLES}",
     )
     p.add_argument("--out", default="-", metavar="PATH", help="output file, - for stdout")
     p.set_defaults(handler=_cmd_tile)

@@ -99,12 +99,14 @@ class Summand(Record):
         return ChernData(2, 2 * t, t * t + 1)
 
     def label(self) -> str:
+        """The bundle's label, generic(r,c1,c2) or V(t); each term is written
+        by ``_ratio``, so past _MAX_BITS it is named by its bit length."""
         if self.bundle is not None:
             return self.bundle.label()
         if self.data is not None:
             d = self.data
-            return f"generic({d.rank},{d.c1},{d.c2})"
-        return f"V({self.twist})" if self.twist else "V"
+            return f"generic({_ratio(d.rank, 1)},{_ratio(d.c1, 1)},{_ratio(d.c2, 1)})"
+        return f"V({_ratio(self.twist, 1)})" if self.twist else "V"
 
 
 class Decomposition(Record):

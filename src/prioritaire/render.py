@@ -1,19 +1,22 @@
 """Deterministic renderings of the triangle tiling of the (mu, delta) strip.
 
-``tile_svg`` draws every tile down to a given level as a closed path
-whose curved sides are sampled exactly and formatted with three
-decimals; the output is a pure function of the arguments, so repeated
-runs are byte-identical.  ``tile_csv`` lists the tile vertices with
-exact rational coordinates, one row per tile, RFC 4180 line endings.
+``tile_svg`` draws every tile down to a given level as a closed path of
+three quadratic Beziers, one per curved side, which draw the sides
+exactly, and the two frontier curves as polylines through 8 * samples
++ 1 exact points; every point is rounded once to three decimals, and the
+output is a pure function of the arguments, so repeated runs are
+byte-identical.  ``tile_csv`` lists the tile vertices with exact
+rational coordinates, one row per tile, RFC 4180 line endings.
 
-Each edge and each vertex is formatted once per document.  A tile's
+Each side and each vertex is formatted once per document.  A tile's
 bottom side is its parent's top side through the same two vertices (the
 parent's side ef for a left child, whose h is the parent's g(-3), as
 P(-3 - x) = P(x); the side fg for a right child, whose h is the
-parent's e), so a tile samples only its two top sides and formats only
-its middle vertex.  The shared identity is checked at each reuse.  Both
-documents are made line by line (``_svg_lines``, ``_csv_lines``), which
-the CLI writes as they come and the two functions join.
+parent's e), so a tile computes only the control points of its two top
+sides and formats only its middle vertex.  The shared identity is
+checked at each reuse.  Both documents are made line by line
+(``_svg_lines``, ``_csv_lines``), which the CLI writes as they come and
+the two functions join.
 """
 
 from __future__ import annotations
@@ -49,50 +52,48 @@ def _py(delta: float) -> float:
     return VIEW_H - delta / _DELTA_MAX_FLOAT * VIEW_H
 
 
-def _side_coords(
-    a: ExceptionalBundle,
-    b: ExceptionalBundle,
-    x: ExceptionalBundle,
-    sign: int,
-    samples: int,
-    lo: int,
-    hi: int,
-) -> list[str]:
-    """Pixel text of the conic side P(sign*(mu - mu(x))) - Delta(x) at the
-    slopes mu_i = mu(a) + (mu(b) - mu(a)) i / samples, lo <= i < hi.
+def _vertex_at(b: ExceptionalBundle) -> str:
+    """Pixel text of the vertex of b, (mu, Delta) = (c1/r, (r^2 - 1)/(2 r^2)).
 
-    The slopes share the denominator d = r_a r_b samples, and the argument
-    of P is t_i/w with w = d r_x and t_i linear in i (the kernel
-    ``exceptional._conic_side``, inlined).  Each coordinate is one int/int
-    true division of exact integers.  That division is correctly rounded,
-    like ``float()`` of the same value as a Fraction, so the text is what
-    the Fraction computation would print.
+    Each coordinate is one int/int true division of exact integers.  That
+    division is correctly rounded, like ``float()`` of the same value as a
+    Fraction, so the text is what the Fraction computation would print.
     """
-    pa, qa, pb, qb, r = a.c1, a.rank, b.c1, b.rank, x.rank
-    d = qa * qb * samples
-    step = pb * qa - pa * qb
-    n = pa * qb * samples + step * lo  # mu_lo = n/d
-    t, dt = sign * (n * r - x.c1 * d), sign * step * r
-    w = d * r
-    w3, c, den, count = 3 * w, (r * r + 1) * d * d, 2 * w * w, hi - lo
-    # (n + d)/d is the fraction of the width, (t^2 + 3tw + c)/den the discriminant.
-    return [
-        f"{u / d * VIEW_W:.3f},"
-        f"{VIEW_H - (t * (t + w3) + c) / den / _DELTA_MAX_FLOAT * VIEW_H:.3f}"
-        for u, t in zip(range(n + d, n + d + step * count, step), range(t, t + dt * count, dt))
-    ]
+    r = b.rank
+    return f"{(b.c1 + r) / r * VIEW_W:.3f},{_py((r * r - 1) / (2 * r * r)):.3f}"
 
 
-def _tiles(
-    triads: list[helix.Triad], draw: Callable, *args
-) -> Iterator[tuple[helix.Triad, str]]:
+def _control_at(
+    a: ExceptionalBundle, b: ExceptionalBundle, x: ExceptionalBundle, sign: int
+) -> str:
+    """Pixel text of the control point of the quadratic Bezier from vertex a
+    to vertex b that is the conic side P(sign*(mu - mu(x))) - Delta(x).
+
+    The side is a parabola in mu and the pixel map is affine, so the Bezier
+    whose control point is the tangent point ((mu_a + mu_b)/2, Delta(mu_a)
+    + Delta'(mu_a)(mu_b - mu_a)/2) draws it exactly.  With X_j = sign *
+    (mu_j - mu_x) = sign k_j/(r_j r_x), k_j = c1_j r_x - c1_x r_j, and
+    P(X) = (X^2 + 3X + 2)/2, that Delta is (X_a X_b + 3(X_a + X_b)/2 + 2)/2
+    - Delta(x), symmetric in a and b: a side and its reverse share it.  Over
+    d = 2 r_a r_b it is (2 k_a k_b + 3 sign r_x (k_a r_b + k_b r_a) + (r_x^2
+    + 1) d) / (2 d r_x^2).  Each coordinate is one correctly rounded int/int
+    division, as in ``_vertex_at``.
+    """
+    ra, rb, r = a.rank, b.rank, x.rank
+    ka, kb = a.c1 * r - x.c1 * ra, b.c1 * r - x.c1 * rb
+    d = 2 * ra * rb
+    delta = (2 * ka * kb + 3 * sign * r * (ka * rb + kb * ra) + (r * r + 1) * d) / (2 * d * r * r)
+    return f"{(a.c1 * rb + b.c1 * ra + d) / d * VIEW_W:.3f},{_py(delta):.3f}"
+
+
+def _tiles(triads: list[helix.Triad], draw: Callable) -> Iterator[tuple[helix.Triad, str]]:
     """Each triad t of the breadth-first list ``triads`` with its text.
 
-    ``draw(t, slot, *args)`` returns the text and the slots of t's left and
-    right children: what a child shares with its parent, its two ends among
-    them, is made once, in the parent.  The root gets the slot None.  A slot
-    is dropped once its child has used it, and none is kept at the last
-    level.
+    ``draw(t, slot)`` returns the text and the slots of t's left and right
+    children: what a child shares with its parent, its two ends and its
+    bottom side among them, is made once, in the parent.  The root gets
+    the slot None.  A slot is dropped once its child has used it, and none
+    is kept at the last level.
     """
     last = triads[-1].level
     slots: list = [None]
@@ -100,42 +101,38 @@ def _tiles(
     for t in triads:
         if t.index == 0 and t.level > 0:
             slots, below = below, []
-        text, left, right = draw(t, slots[t.index], *args)
+        text, left, right = draw(t, slots[t.index])
         slots[t.index] = None
         if t.level < last:
             below += (left, right)
         yield t, text
 
 
-def _draw_path(t: helix.Triad, slot: tuple | None, samples: int) -> tuple:
-    """The outline "M ... Z" of tile t, and the slots of its children.
+def _draw_path(t: helix.Triad, slot: tuple | None) -> tuple:
+    """The outline "M e Q c f Q c g Q c e Z" of tile t, one exact quadratic
+    Bezier per side (``_control_at``), and the slots of its children.
 
     A child's bottom side is its parent's top side through the same two
     vertices: a left child's h is the parent's g(-3), and P(-3 - x) = P(x),
     so that side is the parent's side ef; a right child's h is the parent's
-    e, and it is the side fg.  A slot holds the rank and c1 of the h it
-    expects, the text of the child's two ends and the interior of that
-    side, reversed; the child checks its own h against it before use.
+    e, and it is the side fg.  Reversing a Bezier keeps its control point,
+    so a slot holds the rank and c1 of the h it expects, the text of the
+    child's two ends and that side's control point; the child checks its
+    own h against it before use.
     """
     e, f, g, h = t.e, t.f, t.g, t.h
     if slot is None:
-        (e_at,) = _side_coords(e, f, g, 1, samples, 0, 1)
-        (g_at,) = _side_coords(f, g, e, -1, samples, samples, samples + 1)
-        bottom = " L ".join(_side_coords(g, e, h, -1, samples, 1, samples))
+        e_at, g_at, ge = _vertex_at(e), _vertex_at(g), _control_at(g, e, h, -1)
     else:
-        rank, c1, e_at, g_at, bottom = slot
+        rank, c1, e_at, g_at, ge = slot
         if h.rank != rank or h.c1 != c1:
             raise InternalInconsistencyError(
                 f"tile {t.label()} at level {t.level}, index {t.index}: its h {h} "
                 "does not carry its parent's side"
             )
-    ef = _side_coords(e, f, g, 1, samples, 1, samples + 1)
-    f_at = ef.pop()
-    fg = _side_coords(f, g, e, -1, samples, 1, samples)
-    path = " L ".join([e_at, *ef, f_at, *fg, g_at])
-    path = f"M {path} L {bottom} Z" if bottom else f"M {path} Z"
-    left = (g.rank, g.c1 - 3 * g.rank, e_at, f_at, " L ".join(reversed(ef)))
-    return path, left, (e.rank, e.c1, f_at, g_at, " L ".join(reversed(fg)))
+    f_at, ef, fg = _vertex_at(f), _control_at(e, f, g, 1), _control_at(f, g, e, -1)
+    path = f"M {e_at} Q {ef} {f_at} Q {fg} {g_at} Q {ge} {e_at} Z"
+    return path, (g.rank, g.c1 - 3 * g.rank, e_at, f_at, ef), (e.rank, e.c1, f_at, g_at, fg)
 
 
 def _frontier_polylines(samples: int) -> tuple[str, str]:
@@ -164,7 +161,7 @@ def _frontier_polylines(samples: int) -> tuple[str, str]:
 
 
 def _check(max_level: int, samples: int) -> None:
-    """Refuse a negative level or fewer than one sample per side."""
+    """Refuse a negative level or fewer than one frontier sample."""
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     if samples < 1:
@@ -181,9 +178,12 @@ def _svg_lines(max_level: int, samples: int) -> Iterator[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {VIEW_W} {VIEW_H}">\n'
     )
-    yield f"<title>triangle tiling, levels 0..{max_level}, {samples} samples per side</title>\n"
+    yield (
+        f"<title>triangle tiling, levels 0..{max_level}, exact tile sides, "
+        f"frontiers through {8 * samples + 1} points</title>\n"
+    )
     yield f'<rect x="0" y="0" width="{VIEW_W}" height="{VIEW_H}" fill="#ffffff"/>\n'
-    for t, path in _tiles(triads, _draw_path, samples):
+    for t, path in _tiles(triads, _draw_path):
         fill = _PALETTE[t.level % len(_PALETTE)]
         yield (
             f'<path d="{path}" fill="{fill}" fill-opacity="0.55" '
@@ -201,8 +201,9 @@ def _svg_lines(max_level: int, samples: int) -> Iterator[str]:
 def tile_svg(max_level: int, samples: int = 64) -> str:
     """SVG 1.1 document of the tiling down to ``max_level``.
 
-    Tiles are filled paths; the semistability frontier is the solid
-    curve above them and the rigidity frontier the dashed one.
+    Tiles are filled paths of exact quadratic Beziers; the semistability
+    frontier is the solid polyline above them and the rigidity frontier
+    the dashed one, each through 8 * samples + 1 points.
     """
     _check(max_level, samples)
     return "".join(_svg_lines(max_level, samples))

@@ -325,40 +325,28 @@ def test_tile_refused_arguments_create_no_out_file(tmp_path, capsys):
         assert not target.exists()
 
 
-_HWM_CHILD = """
-import sys
-from prioritaire.cli import main
+def test_tile_writes_every_tile_before_the_frontiers(tmp_path, capsys, monkeypatch):
+    # The frontiers are made after the last tile line.  When they fail, most
+    # of the document has already reached the file, and once it is closed
+    # the file holds the header and every tile line: the lines are written
+    # as they come, not held until the document is whole.
+    from prioritaire import render
+    from prioritaire.errors import InternalInconsistencyError
 
-def hwm_kib():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
-base = hwm_kib()
-code = main(sys.argv[1:])
-print(base, hwm_kib())
-sys.exit(code)
-"""
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux-only")
-def test_tile_streams_in_less_memory_than_its_output(tmp_path):
-    # The peak resident size of the child grows by less than the document
-    # it writes, which it would pass if the document were held whole.
-    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    whole = render.tile_svg(9, 128)
     target = tmp_path / "tiles.svg"
-    proc = subprocess.run(
-        [sys.executable, "-c", _HWM_CHILD, "tile", "--depth", "9", "--samples", "128",
-         "--out", str(target)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-    base, peak = map(int, proc.stdout.split())
-    size = target.stat().st_size
-    assert size > 1 << 22
-    assert peak * 1024 < base * 1024 + size, (base, peak, size)
+    seen = []
+
+    def refuse(samples):
+        seen.append(target.read_text(encoding="utf-8"))
+        raise InternalInconsistencyError("no frontiers")
+
+    monkeypatch.setattr(render, "_frontier_polylines", refuse)
+    code, out, err = run(capsys, "tile", "--depth", "9", "--samples", "128", "--out", str(target))
+    assert (code, out, err) == (2, "", "prioritaire: inconsistency: no frontiers\n")
+    text = target.read_text(encoding="utf-8")
+    assert text == whole[: whole.index("<polyline ")] and text.count("<path ") == 1023
+    assert text.startswith(seen[0]) and len(seen[0]) > len(text) // 2
 
 
 def test_selfcheck_passes(capsys):

@@ -2,7 +2,7 @@
 
 Python refuses to write an integer of more than 4 300 digits (about
 14 000 bits) with ``str()``, and raises a bare ``ValueError`` instead.  No
-message of the library may depend on that limit: each error stays the
+message or label of the library may depend on that limit: each error stays the
 library's own, with its own text, which names a term past 2 000 bits by
 its bit length (``_record._ratio``).
 """
@@ -56,6 +56,16 @@ def test_stable_presentation_messages(default_digit_limit):
         stable_presentation(ChernData(3, 1, 0), o)
 
 
+def test_summand_labels(default_digit_limit):
+    assert Summand(KIND_POINT_EXT, 1, twist=BIG).label() == "V(<15001 bits>)"
+    data = ChernData(BIG, -BIG, BIG)
+    label = Summand(KIND_GENERIC, 1, data=data).label()
+    assert label == "generic(<15001 bits>,-<15001 bits>,<15001 bits>)"
+    # Under 2 000 bits the terms keep their digits.
+    assert Summand(KIND_POINT_EXT, 1, twist=-3).label() == "V(-3)"
+    assert Summand(KIND_GENERIC, 1, data=ChernData(2, -1, 5)).label() == "generic(2,-1,5)"
+
+
 @st.composite
 def _integers(draw):
     """An integer of up to 20 000 bits, of either sign: short ones, ones
@@ -104,6 +114,7 @@ def test_records_and_presentations_take_huge_integers(default_digit_limit, r, c1
     for kind, payload in payloads:
         s = _own(lambda: Summand(kind, c1, twist=r, **payload), "multiplicity must be >= 1, got ")
         assert s is None or (s.multiplicity, s.twist) == (c1, r)
+        assert s is None or "Exceeds the limit" not in s.label()
 
 
 @_SETTINGS

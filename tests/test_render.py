@@ -1,15 +1,13 @@
-"""Renderings of the tiling: pinned bytes, and the integer sampling
+"""Renderings of the tiling: pinned bytes, and the integer arithmetic
 against the Fraction computation it replaces.
 
-The digests were taken from the renderer that sampled every side with
-``Fraction`` arithmetic and printed ``float()`` of each value; those of
-SVG levels 6-10, of 256 samples and of CSV levels 7-10 from the one that
-rebuilt the triads on every call and printed the frontier curves from
-``Fraction`` and ``QuadSurd`` values; those of SVG (6, 7), (8, 64) and
-(10, 16) from the one that sampled all three sides of every tile, before
-a tile took its bottom side from its parent's top.  The integer renderer
-prints the same text because int/int true division is correctly rounded, as
-``Fraction.__float__`` is.
+The SVG digests were taken from the renderer that draws each tile side
+as one quadratic Bezier, after ``test_bezier_sides_are_the_fraction_sides``
+had checked every vertex and control point against its Fraction value
+rounded once; the frontier polylines in them are those of the earlier
+sampling renderers, whose bytes ``test_frontier_polylines_match_the_fraction_frontiers``
+still pins.  The integer renderer prints the Fraction text because
+int/int true division is correctly rounded, as ``Fraction.__float__`` is.
 """
 
 import hashlib
@@ -24,39 +22,39 @@ from prioritaire.errors import InternalInconsistencyError
 from prioritaire.surd import format_rational
 
 SVG_SHA256 = {
-    (0, 1): "50dbef84ea3b45d3a3768c4d6b5b6a3d8a8ef1d46e3415db6adcf9916be9b557",
-    (0, 2): "3897fe765f268cc0aa4001ddfee713c3fcce7c1a4c323613d97204f40bdf8cfe",
-    (0, 7): "aa0c2547bf4af3cf2df7def587876c794928ecc0449acaf77d1b6ccba46f2895",
-    (0, 64): "a478a18cff442a90adbe6f3d3118afa4d67d9181c91253b65452509ed72fdf91",
-    (1, 1): "39de5b2983064ee0a1c064ee96126ec352238596019f63bd81a807d3567b5f44",
-    (1, 2): "8fa203483db1110833922f535355ad881e578e18b276ab50a5bf24982055cf4e",
-    (1, 7): "4372d8bebf128516a3e6bf5fd70de595a4c80f235ef33d0560bbb6c55e05578c",
-    (1, 64): "f797ebbf4bfe4a9e917fa7c65e57a5698d1c19036cbd562c1374f90d1872f0de",
-    (2, 1): "99b84b0e22f1963545b26fd3dab5d1501047912c41a4d6db1015d4544b80039e",
-    (2, 2): "91aca0540ded0136a7cdfb5a9cd8586b0feab3a956bf829e46547ff65fdb4f36",
-    (2, 7): "9cd2082d2d99142ff2aec7419e1c33848ebe2a9d652178f2bfcfe04189986a4f",
-    (2, 64): "d78bf4e257fda8ba1ce2b3e59eee08c8d454af80c13a655ad29d7d1d05bac1b1",
-    (3, 1): "f126e3848496bd8000db47bc0b8d38812df6c52e02de3bbd065d9eb7abd7dc39",
-    (3, 2): "88f05d3fd1140e2dff663e9be17a8ef4adeba8db482ce58f9e37efa3f9ecf463",
-    (3, 7): "ae0db5872e6c419dd461d1ee538505e438d75743efa2c5cc35199095da80ef43",
-    (3, 64): "8adec92c602104bd0553bd4ae55cdc4dc1fdb89023ffffae228107396937628d",
-    (4, 1): "8791ef350df9b6561769d3e45969c5b870780d70f3ced0691335b25f0df96697",
-    (4, 2): "d32302f7459585e5ad52834e79a322d1b32da8a2c7e58dab0ef54d5d2693f52e",
-    (4, 7): "232536c62a909637e33a63b444e9d401ea650f1c470f007bb71be140b847fd83",
-    (4, 64): "ee4d2198882194bb617e590da94b33d4a9c429bde58a7102462d548387ec80f8",
-    (5, 1): "353b297ed3895a6742dd687fc198e84987ddc9064b6b1770c3361e37dd65c1ca",
-    (5, 2): "74067633e70ab1c697d6d1325f9e043d530c8dbcafbb5f021fb4c9fb1d18a798",
-    (5, 7): "abf067d25c2d71cb11d50a459a3e18fd283ae8968759d7f100575c69a67f6889",
-    (5, 64): "cb8de4b5460ea3aedaab87ba7a90f22a5754414b00439aafd3cf9dd8c5ec891c",
-    (6, 1): "a20b2f934d5784d9573372470d0cf3d69b9cf337b8aab5c3990fb48d786e7393",
-    (7, 1): "609e7ae15eb2054483a5c416921e6f3762364ed81af64108f3be681f785426a2",
-    (8, 1): "240fe774a725e39dbe046322b06d07afcad9eee3e54131adae186ad02bd2557a",
-    (9, 1): "a86a2652c597f0213b2e2d3c5d7cd761b5672c9b5bd3b2e18474b1b197051082",
-    (10, 1): "9529a13a6c7dbfb8341c7c367e19d9835511086147751f939111485ad90ffc1c",
-    (6, 7): "ff582079fd077a083d5227b5a6d10c25cd23bddf05da9ec02560622609c711c4",
-    (8, 64): "7825aba876a9c98da881e8ec5253a82fc8e06c96125a2eae1e7968597b06ff34",
-    (10, 16): "dd1e3eb61d5e36e5d98734e15418f61b1828199d899a324440afdeedd0c73508",
-    (2, 256): "55e398c9b04e6b810bd56411ff10584306fd07a538f210b655c45180cdc35a62",
+    (0, 1): "721d2c27af0febddbdcda7fab4ac0e2695f9c08ff10b4270e9ac907598176b8a",
+    (0, 2): "10d2a4a3ec29eb473f59b224198b3cb5db9ea1a9256ef22a12d5d3401bee0c6e",
+    (0, 7): "89ef348946cb9257e27c581337fa3f7778ad3530aaebfe0f8c08bdd6d68e7a74",
+    (0, 64): "89ad8d99ad675e98df20c26a3b1eae4a3b4ceae2b9ee1facb04e6db76e43037e",
+    (1, 1): "8c00d97484b94fe8838f4a49bd849cdaccec9df31dc890c369f6e09ccc31b682",
+    (1, 2): "a00df81885f2313badcb48c174ba97b48cd06af27844cf7d8f68a4def7d912ea",
+    (1, 7): "555c32538ea2a1a4383a8d4fc2fbf8dd4876876fb778d3732dc4df12322100df",
+    (1, 64): "ab1faaced1c01de5b3915c182c5a8d9e953655743c90fbf188db051c536d1c58",
+    (2, 1): "c007ac269798dfdb6dd1db35979a2cbacde8d3294211f477806fe1a79d079244",
+    (2, 2): "368b3e722f68678ad1d331d63ab38b861366e0061c6c89e97edc326e2c5085f9",
+    (2, 7): "73851e4199755175a305836d76d9de93ef7edd320cd880e198c8d937c5c0da27",
+    (2, 64): "ffff0654a26b8eeaed572e4bb9d286847629f7b86e072949fdaa1df11f9881d6",
+    (3, 1): "01b6b237f18c059f40f8ee7c6c21f993159d266b95f5dd81f5c563efcda8a2b6",
+    (3, 2): "36c9aec64ef284280815c568a611ccbf4d170b85af5926e4b8791ff4479d6576",
+    (3, 7): "7961ebc1586b7d30e5f73c0d76dbbe2c77b8db2b73a3056ac5b740f259716404",
+    (3, 64): "cac71abd7fd6d475008e26984034d5e4e4db5c1841dd91f5306ccc20b220ecad",
+    (4, 1): "6214314bf23c8fe7cf5214cf7d8f090b72ab76ea4c20268e11e47a4a67434e88",
+    (4, 2): "92f05080f85e511d159dfe0e7801bff38e347578987b5f5f6bd1978ce025d876",
+    (4, 7): "26db1f2ac80fd2ef090a8e567b8cc86078ba6a12fd55d9eb83435b148c97ea97",
+    (4, 64): "4cff0616f0582f7779e920077f44c05aa450dc2150a382250fd6d8af6870df95",
+    (5, 1): "13695afc135b18a7163ac2c5555dd992e41b7c494ba369d1c8d2fba6a8271edc",
+    (5, 2): "88cdc6acb8e2f837431284ac8487c454e1e618bc510c0046a2f562d46ad9c59f",
+    (5, 7): "a21a8e2c0169178fd6e7f87c641bdff03dcb326cf6570e510ae2fb97bbaa1fe2",
+    (5, 64): "bc75f9851052f93428d44f4673fae9f4b481fd6ad365bec940109b912d1b9b22",
+    (6, 1): "5c58a53a0f3bb30e3b4cb61fd6edf236e0dd62e35a5b570b9ef5aad3f000d618",
+    (7, 1): "04013318218dea2fa8bae534bd483595f9ee386d45271fe0dc62b46412b80223",
+    (8, 1): "e2d6310eeb92f90070d70b20fa4b048a2f8f43bfbb2e7a8b931564a13f34c750",
+    (9, 1): "0867ae0f4319db8ef6128cb3a93c82de10a7370e983c92d21ed82db1558bc397",
+    (10, 1): "17377e1f8f4fac5c2a715aa968b291fbc91003f08b6140c181c426b986be2f8a",
+    (6, 7): "e1a116010e78cd244fbb96cc9d01b1d6e838f4544d56454941bb8bc217bf5b7b",
+    (8, 64): "25478880c9e55063163cb5cdc62b1a0475c1d5f7bce9673a568330bb4686be97",
+    (10, 16): "fb855f6ed81d3bdd6f04e17327f1d63c5fd2ec3e59b1f0ea500bc37d34d13b87",
+    (2, 256): "8e6b19352def86d5656a080d2e9f8d6286ee28be4dd727b094c6de42eb4fdddd",
 }
 
 CSV_SHA256 = {
@@ -105,45 +103,79 @@ def _reference_side(x, sign):
     return lambda mu: hirzebruch_p(sign * (mu - x.slope)) - x.delta
 
 
-def _reference_path(t: helix.Triad, samples: int) -> str:
-    """The tile outline as the Fraction renderer printed it."""
-    sides = (
-        (t.e.slope, t.f.slope, _reference_side(t.g, 1)),
-        (t.f.slope, t.g.slope, _reference_side(t.e, -1)),
-        (t.g.slope, t.e.slope, _reference_side(t.h, -1)),
-    )
-    pts = []
-    for k, (a, b, side) in enumerate(sides):
-        run = [a + (b - a) * Fraction(i, samples) for i in range(samples + 1)]
-        run = run if k == 0 else run[1:] if k == 1 else run[1:-1]
-        pts += [(mu, side(mu)) for mu in run]
-    coords = [
-        f"{float(mu + 1) * 1000:.3f},{700 - float(d) / float(Fraction(7, 10)) * 700:.3f}"
-        for mu, d in pts
-    ]
-    return "M " + " L ".join(coords) + " Z"
+def _reference_beziers(t: helix.Triad) -> list:
+    """The sides ef, fg and ge of tile t as (start, control, end, conic) in
+    Fractions: the control point is where the tangent of the conic at the
+    start meets the middle slope, from P'(X) = X + 3/2."""
+    sides = []
+    for a, b, x, sign in ((t.e, t.f, t.g, 1), (t.f, t.g, t.e, -1), (t.g, t.e, t.h, -1)):
+        conic = _reference_side(x, sign)
+        mid = (a.slope + b.slope) / 2
+        slope = sign * (sign * (a.slope - x.slope) + Fraction(3, 2))
+        control = (mid, conic(a.slope) + slope * (mid - a.slope))
+        sides.append(((a.slope, a.delta), control, (b.slope, b.delta), conic))
+    return sides
 
 
-def test_sampled_side_points_match_the_fraction_sides():
-    triads = list(helix.iterate_triads(4))
+def _text(point) -> str:
+    """The pixel text of an exact point, rounded once by float()."""
+    mu, d = point
+    return f"{float(mu + 1) * 1000:.3f},{700 - float(d) / float(Fraction(7, 10)) * 700:.3f}"
+
+
+def _reference_path(t: helix.Triad) -> str:
+    """The tile outline, each vertex and control point rounded once."""
+    (e, ef, f, _), (_, fg, g, _), (_, ge, _, _) = _reference_beziers(t)
+    return "M {} Q {} {} Q {} {} Q {} {} Z".format(*map(_text, (e, ef, f, fg, g, ge, e)))
+
+
+def test_bezier_sides_are_the_fraction_sides():
+    # Each side, as a quadratic Bezier, lies on its conic at t = i/8, and
+    # each outline, its bottom side shared with the parent's top, prints
+    # its vertices and control points rounded once.
+    triads = list(helix.iterate_triads(6))
+    points = 0
     for t in triads:
-        sides = (
-            (t.e.slope, t.f.slope, t.side_ef, _reference_side(t.g, 1)),
-            (t.f.slope, t.g.slope, t.side_fg, _reference_side(t.e, -1)),
-            (t.g.slope, t.e.slope, t.side_eg, _reference_side(t.h, -1)),
-        )
-        for samples in (1, 2, 3, 7, 10):
-            for a, b, side, reference in sides:
-                for i in range(samples + 1):
-                    mu = a + (b - a) * Fraction(i, samples)
-                    assert side(mu) == reference(mu), (t.label(), mu)
-    # Every outline, its bottom side shared with the parent's top, against
-    # the tile's own Fraction sides.
-    for samples in (1, 2, 3, 7, 10):
-        drawn = list(render._tiles(triads, render._draw_path, samples))
-        assert [t for t, _ in drawn] == triads
-        for t, path in drawn:
-            assert path == _reference_path(t, samples), (t.label(), samples)
+        sides = zip(_reference_beziers(t), (t.side_ef, t.side_fg, t.side_eg))
+        for (p0, p1, p2, conic), side in sides:
+            assert conic(p0[0]) == p0[1] and conic(p2[0]) == p2[1], t.label()
+            for i in range(9):
+                s = Fraction(i, 8)
+                mu, d = ((1 - s) ** 2 * u + 2 * s * (1 - s) * v + s * s * w
+                         for u, v, w in zip(p0, p1, p2))
+                assert d == conic(mu) == side(mu), (t.label(), i)
+                points += 1
+    assert points == 3 * 127 * 9
+    drawn = list(render._tiles(triads, render._draw_path))
+    assert [t for t, _ in drawn] == triads
+    for t, path in drawn:
+        assert path == _reference_path(t), t.label()
+
+
+def _mirror(point):
+    mu, d = point
+    return -1 - mu, d
+
+
+def test_the_tiling_is_mirror_symmetric():
+    # Triad (k, i) mirrors triad (k, 2^k - 1 - i): e and g swap, and each
+    # vertex maps by mu -> -1 - mu, c1 -> -c1 - r, on the exact cells.
+    rows = [row.split(",") for row in render.tile_csv(10).split("\r\n")[1:-1]]
+    cells = {(int(row[0]), int(row[1])): row[2:] for row in rows}
+    assert len(cells) == 2047
+    for (k, i), (mu_e, d_e, mu_f, d_f, mu_g, d_g) in cells.items():
+        ends = ((mu_g, d_g), (mu_f, d_f), (mu_e, d_e))
+        mirrored = [(-1 - Fraction(mu), Fraction(d)) for mu, d in ends]
+        other = cells[k, (1 << k) - 1 - i]
+        assert mirrored == [(Fraction(mu), Fraction(d)) for mu, d in zip(other[::2], other[1::2])]
+    # And so is each Bezier's exact control point: the mirror of side ef is
+    # side fg of the mirror tile, reversed, and the bottom side its bottom.
+    controls = {
+        (t.level, t.index): [side[1] for side in _reference_beziers(t)]
+        for t in helix.iterate_triads(10)
+    }
+    for (k, i), (ef, fg, ge) in controls.items():
+        assert [_mirror(fg), _mirror(ef), _mirror(ge)] == controls[k, (1 << k) - 1 - i], (k, i)
 
 
 def test_a_child_that_does_not_share_its_parents_side_raises():
@@ -152,7 +184,7 @@ def test_a_child_that_does_not_share_its_parents_side_raises():
     root, left, right = helix.iterate_triads(1)
     swapped = [root, *(helix.Triad(c.e, c.f, c.g, 1, 1 - c.index) for c in (right, left))]
     with pytest.raises(InternalInconsistencyError, match="does not carry its parent's side"):
-        list(render._tiles(swapped, render._draw_path, 2))
+        list(render._tiles(swapped, render._draw_path))
 
 
 def test_frontier_polylines_match_the_fraction_frontiers():
