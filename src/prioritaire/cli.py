@@ -4,7 +4,8 @@ Each subcommand answers one question.  The default output is a short
 human-readable report; ``--json`` switches to a JSON document with
 sorted keys, so machine output is deterministic.  Exact values are
 printed as rational or surd strings; decimal approximations are
-display-only and sized by ``--digits``.
+display-only, rounded once from the exact value and sized by ``--digits``,
+at most MAX_DIGITS: their cost grows faster than their count.
 
 Exit codes: 0 when the question was answered (including "no prioritary
 sheaf exists"), 1 for usage errors, 2 when an internal consistency
@@ -49,6 +50,7 @@ from .errors import (
 from .surd import QuadSurd, decimal_str, format_rational, parse_rational
 
 MAX_TILE_SAMPLES = 256
+MAX_DIGITS = 10_000
 
 _EPILOG = (
     "negative values start with a dash; insert -- before the positional "
@@ -129,7 +131,7 @@ def _output_args(p: argparse.ArgumentParser, digits: bool = True) -> None:
             type=int,
             default=12,
             metavar="N",
-            help="significant digits of decimal approximations (default 12)",
+            help=f"significant digits of decimal approximations (default 12, at most {MAX_DIGITS})",
         )
 
 
@@ -474,10 +476,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
-        # A usage error, refused before the command walks the lattice, which
-        # a deep argument makes slow.
-        if getattr(args, "digits", 1) < 1:
+        # Usage errors, refused before the command walks the lattice, which
+        # a deep argument makes slow, or rounds a decimal of unbounded length.
+        digits = getattr(args, "digits", 1)
+        if digits < 1:
             raise ParseError("digits must be >= 1")
+        if digits > MAX_DIGITS:
+            raise ParseError(f"digits must be <= {MAX_DIGITS}")
         return args.handler(args)
     except ValueError as exc:  # ParseError included
         print(f"prioritaire: error: {exc}", file=sys.stderr)

@@ -252,8 +252,8 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
             for mult, b in ((m, t.e), (n, t.f), (p, t.g))
             if mult > 0
         ]
-        # Ext^2 vanishing is invariant under the common twist by -k.
-        verdict = t._prioritary((m > 0, n > 0, p > 0))
+        # The triad's verdict holds for every sum of its bundles and every twist.
+        verdict = t._prioritary()
 
     result = Decomposition(cd, k, region, tuple(summands), verification)
     if _combine((s.multiplicity, s.chern_data()) for s in summands) != cd._vec:

@@ -47,15 +47,22 @@ to level 11 and composed and dropped past it.  The package's stores are
 ``exceptional._bundle``, ``exceptional._mids``, ``exceptional._owner``
 and this kept tree.
 
-A triad also holds the ``is_prioritary_sum`` verdict of each support
-seen among the splittings e^m + f^n + g^p of the generic sheaves whose
-points it holds (``Triad._prioritary``).  The first splitting on a triad
-fills the dict, and nothing else does: building, rendering and locating
-leave it unset.  The multiplicities themselves are Euler pairings with
-the dual basis (e, -h, g): the triad identities make the Gram matrix of
-(e, f, g) unitriangular, and h = 3 rank(g) x(e) - x(f) pairs as
-chi(e,h) = chi(g,h) = 0, chi(f,h) = -1.  In one round of the ``sweep``
+A triad also holds one ``is_prioritary_sum`` verdict, that of (e, f, g)
+(``Triad._prioritary``), which answers every splitting e^m + f^n + g^p
+of the generic sheaves whose points it holds: the pairs of a splitting's
+summands are among the triad's.  The first splitting on a triad sets it,
+and nothing else does: building, rendering and locating leave it unset.
+The multiplicities themselves are Euler pairings with the dual basis
+(e, -h, g): the triad identities make the Gram matrix of (e, f, g)
+unitriangular, and h = 3 rank(g) x(e) - x(f) pairs as chi(e,h) =
+chi(g,h) = 0, chi(f,h) = -1.  In one round of the ``sweep``
 benchmark (seed 3), 1 026 splittings land on 5 kept triads.
+
+The Ext groups between exceptional bundles follow one slope rule
+(Drezet-Le Potier): Ext^1 = Ext^2 = 0 towards a larger slope and Hom = 0
+towards a smaller one.  With Serre duality, Ext^2(a, b) = Hom(b, a(-3))*,
+it gives every dimension (``_ext2``, ``ext_dims``), line bundles included,
+and ``is_prioritary_sum`` answers YES or NO on every sum.
 
 Attached to each exceptional bundle f is a two-sided series (g_n): the
 left initial pair is (O(c1-2), O(c1-1)) when f is a line bundle and
@@ -104,12 +111,12 @@ class Triad(Record):
     its slope bracket is the image of the dyadic interval
     [(index)/2^level - 1, (index+1)/2^level - 1].  ``h``, the kernel bundle
     of e x Hom(e,f) -> f that carries the bottom side of the tile, is
-    derived from (e, f, g) once the triad identities hold.  ``_verdicts``,
-    the prioritary verdicts of the splittings on the tile
-    (``_prioritary``), stays unset until the first one.
+    derived from (e, f, g) once the triad identities hold.  ``_verdict``,
+    the prioritary verdict of (e, f, g) (``_prioritary``), stays unset
+    until the first splitting on the tile.
     """
 
-    __slots__ = ("e", "f", "g", "level", "index", "h", "_verdicts")
+    __slots__ = ("e", "f", "g", "level", "index", "h", "_verdict")
     _fields = __slots__[:5]
 
     def __init__(
@@ -143,21 +150,16 @@ class Triad(Record):
     def label(self) -> str:
         return f"({self.e}, {self.f}, {self.g})"
 
-    def _prioritary(self, support: tuple[bool, bool, bool]) -> TriState:
-        """``is_prioritary_sum`` of the bundles of (e, f, g) that support
-        marks, kept per support in ``_verdicts``.  Ext^2 vanishing is
-        invariant under a common twist, so it is also the verdict of every
-        twist of that sum."""
+    def _prioritary(self) -> TriState:
+        """``is_prioritary_sum`` of (e, f, g), kept in ``_verdict``.  A
+        splitting on the tile sums some of e, f, g, whose pairs are among
+        the triad's, so a YES here holds for it; Ext^2 vanishing is
+        invariant under a common twist, so it also holds for every twist."""
         try:
-            verdicts = self._verdicts
-        except AttributeError:
-            verdicts = {}
-            __class__._setters[-1](self, verdicts)  # the slot _verdicts
-        verdict = verdicts.get(support)
-        if verdict is None:
-            chosen = [x for x, kept in zip((self.e, self.f, self.g), support) if kept]
-            verdict = verdicts[support] = is_prioritary_sum(chosen)
-        return verdict
+            return self._verdict
+        except AttributeError:  # the first splitting on the tile sets the slot
+            __class__._setters[-1](self, is_prioritary_sum([self.e, self.f, self.g]))
+        return self._verdict
 
     def mid_dyadic(self) -> Dyadic:
         return Dyadic(2 * self.index + 1 - (1 << (self.level + 1)), self.level + 1)
@@ -353,61 +355,49 @@ def right_series(
 
 
 class ExtDims(Record):
-    """dim Hom, Ext^1, Ext^2; None marks a dimension the rules leave open."""
+    """dim Hom, Ext^1, Ext^2."""
 
     __slots__ = ("hom", "ext1", "ext2")
 
-    def __init__(self, hom: int | None, ext1: int | None, ext2: int | None) -> None:
+    def __init__(self, hom: int, ext1: int, ext2: int) -> None:
         set_hom, set_ext1, set_ext2 = __class__._setters
         set_hom(self, hom)
         set_ext1(self, ext1)
         set_ext2(self, ext2)
 
 
-def _h0_line(k: int) -> int:
-    return (k + 1) * (k + 2) // 2 if k >= 0 else 0
+def _ext2(a: ExceptionalBundle, b: ExceptionalBundle) -> int:
+    """dim Ext^2(a, b), by Serre duality Ext^2(a, b) = Hom(b, a(-3))* and
+    one slope rule: between exceptional bundles, Ext^1 = Ext^2 = 0 towards
+    a larger slope, and Hom = 0 towards a smaller one (Drezet-Le Potier).
 
-
-def _ext2(a: ExceptionalBundle, b: ExceptionalBundle) -> int | None:
-    """dim Ext^2(a, b), or None where the slopes leave it open.
-
-    Serre duality: Ext^2(a, b) = Hom(b, a(-3))*.  Two line bundles get
-    h^0(O(c1_a - c1_b - 3)).  Otherwise Hom between stable bundles vanishes
-    towards a smaller slope, so Ext^2 is 0 when mu(b) > mu(a) - 3 (a = b
-    included), which is gap + 3 r_a r_b > 0 for gap = c1_b r_a - c1_a r_b;
-    it is 1 for b = a(-3), the one exceptional bundle of slope mu(a) - 3,
-    since a is simple.
+    So Ext^2 is 0 when mu(b) > mu(a) - 3, which is gap + 3 r_a r_b > 0 for
+    gap = c1_b r_a - c1_a r_b.  Otherwise Hom(b, a(-3)) is its own
+    chi(b, a(-3)) = chi(a, b), and a negative value raises
+    InternalInconsistencyError.  For line bundles this is h^0(O(-t-3)),
+    t = c1_b - c1_a, since P(-3 - t) = P(t).
     """
-    if a.rank == 1 and b.rank == 1:
-        return _h0_line(a.c1 - b.c1 - 3)
-    gap = b.c1 * a.rank - a.c1 * b.rank
-    beyond = gap + 3 * a.rank * b.rank
-    return 0 if beyond > 0 else 1 if beyond == 0 else None
+    if b.c1 * a.rank - a.c1 * b.rank + 3 * a.rank * b.rank > 0:
+        return 0
+    chi = euler_pairing(a.chern, b.chern)
+    if chi < 0:
+        raise InternalInconsistencyError(f"dim Ext^2({a}, {b}) = chi = {chi} < 0")
+    return chi
 
 
 def ext_dims(a: ExceptionalBundle, b: ExceptionalBundle) -> ExtDims:
     """dim Hom, Ext^1, Ext^2 between exceptional bundles (a twist of one is
     again one).
 
-    Equal slopes mean a = b, simple and rigid: (1, 0, 0).  Two line bundles
-    get exact cohomology, Hom = h^0(O(c1_b - c1_a)).  Otherwise Ext^2 is
-    ``_ext2``, and the slopes make one of Hom and Ext^1 vanish: Hom when
-    mu(a) > mu(b), Ext^1 when mu(a) < mu(b), by the sign of
-    gap = c1_b r_a - c1_a r_b.  The other one is read off
+    Ext^2 is ``_ext2``, and the slope rule makes one of Hom and Ext^1
+    vanish: Ext^1 when mu(a) <= mu(b), Hom when mu(a) > mu(b), by the sign
+    of gap = c1_b r_a - c1_a r_b.  The other one is read off
     chi(a, b) = hom - ext1 + ext2, and a negative value raises
-    InternalInconsistencyError.  Where Ext^2 is open (below mu(a) - 3,
-    so Hom = 0), Ext^1 is open too: None.
+    InternalInconsistencyError.  Equal slopes mean a = b, simple and
+    rigid: (1, 0, 0); below mu(a) - 3 the answer is (0, 0, chi(a, b)).
     """
-    gap = b.c1 * a.rank - a.c1 * b.rank
-    if gap == 0:
-        return ExtDims(1, 0, 0)
-    ext2 = _ext2(a, b)
-    if a.rank == 1 and b.rank == 1:
-        return ExtDims(_h0_line(b.c1 - a.c1), 0, ext2)
-    if ext2 is None:
-        return ExtDims(0, None, None)
-    chi = euler_pairing(a.chern, b.chern)
-    hom, ext1 = (chi - ext2, 0) if gap > 0 else (0, ext2 - chi)
+    ext2, chi = _ext2(a, b), euler_pairing(a.chern, b.chern)
+    hom, ext1 = (chi - ext2, 0) if b.c1 * a.rank >= a.c1 * b.rank else (0, ext2 - chi)
     if hom < 0 or ext1 < 0:
         raise InternalInconsistencyError(
             f"chi({a}, {b}) = {chi} with ext2 {ext2} leaves a negative dimension"
@@ -418,7 +408,6 @@ def ext_dims(a: ExceptionalBundle, b: ExceptionalBundle) -> ExtDims:
 class TriState(enum.Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN = "unknown"
 
 
 def is_prioritary_sum(
@@ -427,20 +416,11 @@ def is_prioritary_sum(
     """Whether a direct sum of exceptional bundles is prioritary.
 
     The sum is prioritary iff Ext^2(A, B(-1)) = 0 (``_ext2``) for every
-    ordered pair of summands, multiplicities being irrelevant.  Verdicts:
-    NO if some pair has a known positive Ext^2, UNKNOWN if some pair is
-    undecided, YES otherwise.
+    ordered pair of summands, multiplicities being irrelevant: YES if so,
+    NO otherwise.
     """
     bundles = [s[0] if isinstance(s, tuple) else s for s in summands]
     if not bundles:
         raise ValueError("empty summand list")
     twisted = [b.twist(-1) for b in bundles]
-    verdict = TriState.YES
-    for a in bundles:
-        for b in twisted:
-            d2 = _ext2(a, b)
-            if d2 is None:
-                verdict = TriState.UNKNOWN
-            elif d2 > 0:
-                return TriState.NO
-    return verdict
+    return TriState.NO if any(_ext2(a, b) for a in bundles for b in twisted) else TriState.YES

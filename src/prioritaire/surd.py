@@ -207,25 +207,54 @@ def parse_surd(text: str) -> QuadSurd:
     return QuadSurd.from_rational(parse_rational(text))
 
 
-def _dec_of_fraction(f: Fraction) -> decimal.Decimal:
-    return decimal.Decimal(f.numerator) / decimal.Decimal(f.denominator)
-
-
 def decimal_str(value: Fraction | QuadSurd | int, digits: int = 12) -> str:
-    """Decimal rendering at ``digits`` significant digits, half-even.
+    """Decimal rendering at ``digits`` significant digits, half-even,
+    rounded once from the exact value.
 
-    Display only; exact computations never call this.
+    A rational is one ``Decimal`` division, which is correctly rounded; a
+    surd goes through ``_surd_decimal``.  Display only; exact computations
+    never call this.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if isinstance(value, (Fraction, int)):
-        value = QuadSurd.from_rational(Fraction(value))
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits + 15
-        approx = _dec_of_fraction(value.a)
-        if value.b != 0:
-            approx += _dec_of_fraction(value.b) * decimal.Decimal(value.d).sqrt()
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = decimal.ROUND_HALF_EVEN
-        return str(+approx)
+    ctx = decimal.Context(
+        prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+    if isinstance(value, QuadSurd):
+        if value.b:
+            return str(_surd_decimal(value, ctx))
+        value = value.a
+    value = Fraction(value)
+    return str(ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)))
+
+
+def _surd_decimal(s: QuadSurd, ctx: decimal.Context) -> decimal.Decimal:
+    """The irrational s = (p + q sqrt(d))/m rounded once at ``ctx.prec``
+    significant digits.
+
+    N = floor(|s| 10^k) is found in integers, with one ``math.isqrt``, for
+    a k >= 0 that gives N at least prec + 1 digits.  k comes from a lower
+    bound on |s| in bit lengths; where p and q sqrt(d) have opposite signs
+    it reads |s| = |p^2 - q^2 d| / (m (|p| + |q| sqrt(d))), so cancellation
+    costs no digit.  |s| lies strictly between N and N + 1 over 10^k, and with at
+    least prec + 1 digits every rounding boundary is a whole multiple of
+    10^-k, so N followed by a digit 1 rounds as |s| does.
+    """
+    (a, m_a), (b, m_b) = s.a.as_integer_ratio(), s.b.as_integer_ratio()
+    m = math.lcm(m_a, m_b)
+    p, q = a * (m // m_a), b * (m // m_b)
+    z = q * q * s.d
+    bp, bz, sign = abs(p).bit_length(), z.bit_length(), 1 if q > 0 else -1
+    if p * q >= 0:  # no cancellation: |s| >= max(|p|, sqrt(z)) / m
+        e = max(bp - 1, (bz - 1) // 2) - m.bit_length()
+    else:  # |s| = |p^2 - z| / (m (|p| + sqrt(z))), |p| + sqrt(z) < 2^(1 + max(bp, ceil(bz / 2)))
+        w = p * p - z
+        sign *= -1 if w > 0 else 1  # the larger of |p| and sqrt(z) wins
+        e = abs(w).bit_length() - 2 - m.bit_length() - max(bp, (bz + 1) // 2)
+    p, q = sign * p, sign * q
+    # 2^e < |s| and 10^(e log10 2) >= 10^lower, with log10 2 in (0.30102, 0.30103).
+    lower = e * (30102 if e >= 0 else 30103) // 100000
+    k = max(ctx.prec - lower, 0)
+    root = math.isqrt(z * 100**k)  # floor(|q| sqrt(d) 10^k), never exact
+    n = (p * 10**k + (root if q > 0 else -root - 1)) // m
+    return decimal.Decimal(sign * (10 * n + 1)).scaleb(-k - 1, ctx)

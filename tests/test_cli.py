@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -586,6 +587,35 @@ def test_classify_normalizes_once(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out == json.dumps(CLASSIFY_JSON, sort_keys=True, indent=2) + "\n"
     assert len(normalizations) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, approx",
+    [
+        (("slope", "--", "1/2^40"), "2.32194019216E-34"),
+        (("slope", "--digits", "30", "--", "-5592405/2^24"), "2.70528658346993452184625765546E-94404"),
+        (("slope", "--", "1/2^20"), "1.21580030814E-17"),
+    ],
+)
+def test_a_deep_half_width_keeps_every_digit(capsys, argv, approx):
+    # x_f = 3/2 - sqrt(9r^2 - 4)/(2r) cancels about twice as many digits
+    # as the rank has; each decimal is rounded once from the exact value.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[4].endswith(f"(~ {approx})")
+
+
+def test_digits_above_the_bound_are_refused(capsys):
+    from prioritaire.cli import MAX_DIGITS
+
+    assert MAX_DIGITS == 10000
+    for argv in (("slope", "-1/4"), ("frontier", "-1/3"), ("classify", "8", "4", "11")):
+        code, out, err = run(capsys, argv[0], "--digits", "10001", "--", *argv[1:])
+        assert (code, out, err) == (1, "", "prioritaire: error: digits must be <= 10000\n")
+    code, out, _ = run(capsys, "slope", "--digits", "10000", "--", "-1/4")
+    x_f = out.splitlines()[4]
+    assert code == 0
+    assert len(Decimal(x_f[x_f.index("(~ ") + 3 : -1]).as_tuple().digits) == 10000
 
 
 def test_tile_samples_cap(capsys, tmp_path):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from prioritaire import decompose, frontier
 from prioritaire.chern import ChernData, euler_pairing
 from prioritaire.errors import NoPrioritarySheafError
-from prioritaire.helix import enumerate_to_level
+from prioritaire.helix import enumerate_to_level, ext_dims, is_prioritary_sum
 
 
 def _band() -> list[tuple[int, int, int]]:
@@ -72,6 +72,39 @@ def test_duality_reverses_the_euler_pairing():
     for a in bundles:
         for b in twisted:
             assert euler_pairing(a.dual().chern, b.dual().chern) == euler_pairing(b.chern, a.chern)
+
+
+def _h0_line(t: int) -> int:
+    """h^0(O(t)) on the projective plane."""
+    return (t + 1) * (t + 2) // 2 if t >= 0 else 0
+
+
+def test_ext_dims_obey_serre_duality_and_dualization():
+    # Every ordered pair of the lattice to level 4 without O, twisted by
+    # -7..6: 50 176 pairs, with slope gaps from -8 to 8.
+    bundles = [b.twist(k) for b in enumerate_to_level(4)[:-1] for k in range(-7, 7)]
+    assert len(bundles) ** 2 == 50176
+    dual = [a.dual() for a in bundles]
+    dims = [[ext_dims(a, b) for b in bundles] for a in bundles]
+    lines = 0
+    for i, a in enumerate(bundles):
+        down = a.twist(-3)
+        for j, b in enumerate(bundles):
+            d = dims[i][j]
+            got = (d.hom, d.ext1, d.ext2)
+            assert all(type(v) is int and v >= 0 for v in got), (a, b)
+            assert d.hom - d.ext1 + d.ext2 == euler_pairing(a.chern, b.chern), (a, b)
+            # Serre duality: Ext^i(a, b) = Ext^(2-i)(b, a(-3))*.
+            serre = ext_dims(b, down)
+            assert got == (serre.ext2, serre.ext1, serre.hom), (a, b)
+            # Dualization: Ext^i(a*, b*) = Ext^i(b, a).
+            assert ext_dims(dual[i], dual[j]) == dims[j][i], (a, b)
+            assert is_prioritary_sum([dual[i], dual[j]]) is is_prioritary_sum([a, b]), (a, b)
+            if a.rank == b.rank == 1:
+                t = b.c1 - a.c1
+                assert got == (_h0_line(t), 0, _h0_line(-t - 3)), (a, b)
+                lines += 1
+    assert lines == 14 * 14
 
 
 def test_frontiers_are_even(fresh_lattice):

@@ -270,40 +270,40 @@ def test_ext_dims_mixed():
 
 def _reference_vanishing(a, b):
     """(hom, ext1, ext2) from the vanishing rules, comparing slopes as
-    Fractions; None where no rule applies."""
+    Fractions, with Ext^2(a, b) = Hom(b, a(-3))* read off chi(b, a(-3))
+    where mu(b) <= mu(a) - 3; None where chi(a, b) decides."""
     hom = 0 if a.slope > b.slope else None
-    ext1 = 0 if a.slope <= b.slope else None
+    ext1 = 0 if a.slope <= b.slope or b.slope <= a.slope - 3 else None
     if b.slope > a.slope - 3:
         ext2 = 0
-    elif b.slope == a.slope - 3:
-        ext2 = 1 if b == a.twist(-3) else 0
     else:
-        ext2 = None
+        ext2 = euler_pairing(b.chern, a.twist(-3).chern)
     return hom, ext1, ext2
 
 
 def test_ext_dims_matches_the_fraction_slope_rules():
     # Every ordered pair of level-3 bundles and their translates -4..3,
-    # which meets slope gaps below, at and above -3.
+    # line bundles included, which meets slope gaps below, at and above -3.
     bundles = [b.twist(k) for b in enumerate_to_level(3) for k in range(-4, 4)]
-    at_minus_three = 0
+    at_minus_three = below = 0
     for a in bundles:
         for b in bundles:
             d = ext_dims(a, b)
+            got = (d.hom, d.ext1, d.ext2)
+            assert all(type(v) is int and v >= 0 for v in got), (a, b)
             if a.slope == b.slope:
                 assert d == ExtDims(1, 0, 0)
-                continue
-            if a.rank == 1 and b.rank == 1:
-                continue
-            got = (d.hom, d.ext1, d.ext2)
             for value, rule in zip(got, _reference_vanishing(a, b)):
                 assert rule is None or value == rule, (a, b)
-            if None not in got:
-                assert d.hom - d.ext1 + d.ext2 == euler_pairing(a.chern, b.chern)
+            chi = euler_pairing(a.chern, b.chern)
+            assert d.hom - d.ext1 + d.ext2 == chi
             if b.slope == a.slope - 3:
                 at_minus_three += 1
-                assert d.ext2 == 1
-    assert at_minus_three > 0
+                assert d == ExtDims(0, 0, 1)
+            elif b.slope < a.slope - 3:
+                below += 1
+                assert d == ExtDims(0, 0, chi)
+    assert at_minus_three > 0 and below > 0
     qstar = from_slope(Fraction(-1, 2))
     assert ext_dims(qstar, qstar.twist(-3)) == ExtDims(0, 0, 1)
 
@@ -324,10 +324,14 @@ def test_prioritary_sum_with_multiplicities():
     assert is_prioritary_sum([qstar, o]) is TriState.YES
 
 
-def test_prioritary_sum_undecided_pair_is_unknown():
-    # Ext^2(E(5/2), E(-3/2)) lies below the slope rules: mu drops by 4 > 3.
+def test_prioritary_sum_below_minus_three_is_no():
+    # mu drops by 4 > 3 from E(5/2) to E(-3/2) = E(-1/2)(-1), so
+    # Ext^2(E(5/2), E(-3/2)) = Hom(E(-3/2), E(-1/2))* has dim chi = 9.
     qstar = from_slope(Fraction(-1, 2))
-    assert is_prioritary_sum([qstar.twist(3), qstar]) is TriState.UNKNOWN
+    assert ext_dims(qstar.twist(3), qstar.twist(-1)) == ExtDims(0, 0, 9)
+    assert is_prioritary_sum([qstar.twist(3), qstar]) is TriState.NO
+    assert is_prioritary_sum([qstar.twist(3), qstar.twist(-1)]) is TriState.NO
+    assert is_prioritary_sum([qstar.twist(3).dual(), qstar.dual()]) is TriState.NO
 
 
 def test_prioritary_sum_reads_ext2_without_ext_records(monkeypatch):
@@ -349,8 +353,10 @@ def test_prioritary_sum_reads_ext2_without_ext_records(monkeypatch):
     paired.clear()
     verdicts = [is_prioritary_sum([series[n], series[n + 1], o]) for n in range(4)]
     assert verdicts == [TriState.NO, TriState.YES, TriState.YES, TriState.YES]
-    assert is_prioritary_sum([qstar.twist(3), qstar, o]) is TriState.UNKNOWN
-    assert (built, paired) == ([], [])
+    assert is_prioritary_sum([qstar.twist(3), qstar, o]) is TriState.NO
+    assert built == []
+    # Only a pair at or below mu(a) - 3 reads chi(a, b); the slopes decide the rest.
+    assert paired and all(b.slope() <= a.slope() - 3 for a, b in paired)
 
 
 def test_negative_completed_dimension_is_an_inconsistency(monkeypatch):
@@ -360,6 +366,11 @@ def test_negative_completed_dimension_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(helix, "euler_pairing", lambda x, y: -1)
     with pytest.raises(InternalInconsistencyError, match="negative"):
         ext_dims(a, b)
+    # E(7/2) -> O(-1): mu drops by 4.5 > 3, so Ext^2 = chi, which is never negative.
+    with pytest.raises(InternalInconsistencyError, match=r"Ext\^2.* < 0"):
+        ext_dims(b.twist(4), a)
+    with pytest.raises(InternalInconsistencyError, match=r"Ext\^2.* < 0"):
+        is_prioritary_sum([b.twist(4), a])
 
 
 def _reference_contains(t, mu, disc, strict):

@@ -50,7 +50,7 @@ def _records():
             ExceptionalBundle(f.rank, f.c1),
             Region(RegionTag.ABOVE_DELTA_PRIME, f),
             t,
-            ExtDims(1, 0, None),
+            ExtDims(1, 0, 2),
             Summand(KIND_EXCEPTIONAL, 2, bundle=f),
             Decomposition(ChernData(5, -2, 4), 0, Region(RegionTag.SEMISTABLE_EXCEPTIONAL, f), None),
             PresentationReport(ChernData(5, -2, 4), f, 1, 0, 0, f, f),
@@ -105,7 +105,7 @@ def test_pickle_round_trip(a, b):
 def test_records_differ_by_any_field():
     assert ChernData(8, -4, 11) != ChernData(8, -4, 12)
     assert Dyadic(-1, 2) != Dyadic(1, 2)
-    assert ExtDims(1, 0, None) != ExtDims(1, 0, 0)
+    assert ExtDims(1, 0, 2) != ExtDims(1, 0, 0)
     # Equal field values in different record types are not equal.
     assert ChernData(2, 0, 1) != ChernCharacter(2, 0, 1)
 
@@ -117,7 +117,7 @@ def test_repr_matches_the_dataclass_text():
     assert repr(Region(RegionTag.NO_PRIORITARY)) == (
         "Region(tag=<RegionTag.NO_PRIORITARY: 'no_prioritary'>, witness=None)"
     )
-    assert repr(ExtDims(1, 0, None)) == "ExtDims(hom=1, ext1=0, ext2=None)"
+    assert repr(ExtDims(0, 0, 9)) == "ExtDims(hom=0, ext1=0, ext2=9)"
 
 
 def _built_from_distinct_arguments():

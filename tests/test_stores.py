@@ -127,12 +127,12 @@ def test_frontiers_after_classify_walk_nothing(monkeypatch, fresh_lattice):
 
 
 def _holding_splitting_data() -> set:
-    """(level, index) of every kept triad that holds splitting verdicts."""
+    """(level, index) of every kept triad that holds a splitting verdict."""
     return {
         (t.level, t.index)
         for slots in helix._levels
         for t in slots
-        if t is not None and hasattr(t, "_verdicts")
+        if t is not None and hasattr(t, "_verdict")
     }
 
 

@@ -4,7 +4,8 @@ Sign decisions are cross-checked against a 50-digit Decimal evaluation,
 which is precise enough to separate every sample here by a wide margin.
 """
 
-from decimal import Decimal, localcontext
+import math
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -111,12 +112,61 @@ def test_decimal_str_half_even():
     # 0.125 at two digits rounds half-even to 0.12.
     assert decimal_str(Fraction(1, 8), 2) == "0.12"
     assert decimal_str(QuadSurd(Fraction(3, 2), Fraction(-1, 10), 221), 12) == "0.0133931252681"
+    # Rounded once: -0.125000000000000000001 is past the half-way -0.125.
+    assert decimal_str(Fraction(-125000000000000000001, 10**21), 2) == "-0.13"
 
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
 )
 radicands = st.sampled_from([0, 2, 3, 5, 7, 32, 221])
+digit_counts = st.integers(min_value=1, max_value=60)
+
+
+@given(
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.integers(min_value=1, max_value=10**60),
+    digit_counts,
+)
+def test_decimal_str_of_a_rational_is_one_division(n, m, digits):
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
+        expected = str(Decimal(n) / Decimal(m))
+    assert decimal_str(Fraction(n, m), digits) == expected
+
+
+def _assert_within_half_a_unit(s: QuadSurd, digits: int) -> None:
+    """decimal_str(s, digits) has ``digits`` digits and lies within half a
+    unit of its last digit of s, decided exactly by QuadSurd.compare."""
+    x = Decimal(decimal_str(s, digits))
+    _, coefficient, exponent = x.as_tuple()
+    assert len(coefficient) == digits
+    half = Fraction(10) ** exponent / 2
+    assert s.compare(Fraction(x) - half) > 0 and s.compare(Fraction(x) + half) < 0
+
+
+@given(
+    rationals,
+    rationals.filter(bool),
+    st.sampled_from([2, 3, 5, 7, 32, 221]),
+    st.integers(min_value=-30, max_value=30),
+    digit_counts,
+)
+def test_decimal_str_of_a_surd_is_within_half_a_unit(a, b, d, shift, digits):
+    scale = Fraction(10) ** shift
+    _assert_within_half_a_unit(QuadSurd(a * scale, b * scale, d), digits)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**80),
+    st.sampled_from([2, 3, 5, 7, 221, 9 * 10**40 - 4]),
+    st.booleans(),
+    digit_counts,
+)
+def test_decimal_str_of_a_cancelling_surd_is_within_half_a_unit(n, d, below, digits):
+    # isqrt(d n^2)/n - sqrt(d) cancels about as many digits as n has.
+    root = math.isqrt(d * n * n) + (not below)
+    _assert_within_half_a_unit(QuadSurd(Fraction(root, n), -1, d), digits)
 
 
 @given(rationals, rationals, radicands)
