@@ -51,7 +51,6 @@ from .exceptional import (
     from_slope,
     locate_exceptional,
     locate_many,
-    max_depth_default,
     parse_dyadic,
 )
 from .frontier import (
@@ -130,7 +129,6 @@ __all__ = [
     "locate_exceptional",
     "locate_many",
     "locate_triangle",
-    "max_depth_default",
     "normalize",
     "parse_dyadic",
     "prioritary_exists",

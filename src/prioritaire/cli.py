@@ -5,7 +5,7 @@ human-readable report; ``--json`` switches to a JSON document with
 sorted keys, so machine output is deterministic.  Exact values are
 printed as rational or surd strings; decimal approximations are
 display-only, rounded once from the exact value and sized by ``--digits``,
-at most MAX_DIGITS: their cost grows faster than their count.
+at most ``surd.MAX_DIGITS``: their cost grows faster than their count.
 
 Exit codes: 0 when the question was answered (including "no prioritary
 sheaf exists"), 1 for usage errors, 2 when an internal consistency
@@ -47,10 +47,9 @@ from .errors import (
     NotCoveredError,
     ParseError,
 )
-from .surd import QuadSurd, decimal_str, format_rational, parse_rational
+from .surd import MAX_DIGITS, QuadSurd, decimal_str, format_rational, parse_rational
 
 MAX_TILE_SAMPLES = 256
-MAX_DIGITS = 10_000
 
 _EPILOG = (
     "negative values start with a dash; insert -- before the positional "
@@ -141,7 +140,7 @@ def _depth_arg(p: argparse.ArgumentParser, what: str) -> None:
         type=int,
         default=None,
         metavar="N",
-        help=f"{what} (default: PRIORITAIRE_MAX_DEPTH or {exceptional.DEFAULT_MAX_DEPTH})",
+        help=f"{what} (default {exceptional.DEFAULT_MAX_DEPTH})",
     )
 
 

@@ -56,9 +56,10 @@ slope); ``locate_many`` finds the owners of a list of slopes, and
 for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
 lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
-Each public entry point resolves its depth cap once with ``_cap``, after
-refusing a slope outside [-1, 0] where it takes one, and hands the int
-to the descents (``_walk``, ``_descend``, ``_owners``,
+Each public entry point resolves its depth cap once with ``_cap`` (its
+``max_depth`` argument, or DEFAULT_MAX_DEPTH for None), after refusing a
+slope outside [-1, 0] where it takes one, and hands the int to the
+descents (``_walk``, ``_descend``, ``_owners``,
 ``frontier._classify_normalized`` and ``helix._locate``), which neither
 resolve it again nor check the range.  Every descent raises through
 ``_exhausted``, the one raise site of DepthExhaustedError.  The descents
@@ -77,7 +78,6 @@ tree that is not a mutation.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
@@ -91,21 +91,6 @@ from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from .surd import QuadSurd
 
 DEFAULT_MAX_DEPTH = 64
-_ENV_MAX_DEPTH = "PRIORITAIRE_MAX_DEPTH"
-
-
-def max_depth_default() -> int:
-    """Descent cap: PRIORITAIRE_MAX_DEPTH from the environment, else 64."""
-    raw = os.environ.get(_ENV_MAX_DEPTH)
-    if raw is None:
-        return DEFAULT_MAX_DEPTH
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{_ENV_MAX_DEPTH} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ParseError(f"{_ENV_MAX_DEPTH} must be >= 1, got {value}")
-    return value
 
 
 class Dyadic(Record):
@@ -364,8 +349,8 @@ def _middle(lo: ExceptionalBundle, hi: ExceptionalBundle, p: int, q: int) -> Exc
 
 
 def _cap(max_depth: int | None) -> int:
-    """The cap of a walk: max_depth, or ``max_depth_default`` for None; ValueError if < 0."""
-    cap = max_depth_default() if max_depth is None else max_depth
+    """The cap of a walk: max_depth, or DEFAULT_MAX_DEPTH for None; ValueError if < 0."""
+    cap = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
     if cap < 0:
         raise ValueError(f"depth must be >= 0, got {cap}")
     return cap

@@ -317,13 +317,15 @@ def left_series(
 
 def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[ExceptionalBundle]:
     """``left_series`` of f; ``bracket`` is the images of the neighbours of its
-    dyadic (``exceptional._from_dyadic``), or None to descend for them."""
+    dyadic (``exceptional._from_dyadic``), or None to descend for them.  That
+    descent is capped at f.rank, which it never reaches: the ranks of its
+    mids rise by at least 1 per level."""
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     if f.rank == 1:
         g0, g1 = f.twist(-2), f.twist(-1)
     else:
-        lo, hi = bracket or exceptional._descend(f.rank, f.c1, exceptional._cap(None))[2:]
+        lo, hi = bracket or exceptional._descend(f.rank, f.c1, f.rank)[2:]
         g0, g1 = hi.twist(-3), lo
     c = euler_pairing(g0.chern, g1.chern)
     if c != 3 * f.rank:

@@ -29,6 +29,10 @@ from fractions import Fraction
 from ._record import Record
 from .errors import ParseError
 
+# The most significant digits ``decimal_str`` renders: its cost grows
+# faster than the digit count.
+MAX_DIGITS = 10_000
+
 _SURD_RE = re.compile(
     r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
     r"(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>\d+)\s*\)\s*$"
@@ -213,10 +217,12 @@ def decimal_str(value: Fraction | QuadSurd | int, digits: int = 12) -> str:
 
     A rational is one ``Decimal`` division, which is correctly rounded; a
     surd goes through ``_surd_decimal``.  Display only; exact computations
-    never call this.
+    never call this.  ValueError unless 1 <= digits <= MAX_DIGITS.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be <= {MAX_DIGITS}")
     ctx = decimal.Context(
         prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
     )

@@ -5,6 +5,7 @@ import importlib
 import prioritaire
 
 REMOVED = {
+    "exceptional": ("max_depth_default", "_ENV_MAX_DEPTH"),
     "surd": ("surd_sign", "surd_cmp", "Rational"),
     "helix": ("triangle_contains", "Triangle"),
     "frontier": ("SemistableKind",),

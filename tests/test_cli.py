@@ -81,15 +81,13 @@ def test_slope_invert_far_from_the_band():
     assert proc.stdout.splitlines()[1] == "dyadic   10000000"
 
 
-def test_depth_exhausted_names_its_bracket(capsys, monkeypatch):
-    monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "2")
-    code, out, err = run(capsys, "frontier", "--", "-5/13")
+def test_depth_exhausted_names_its_bracket(capsys):
+    code, out, err = run(capsys, "frontier", "--depth", "2", "--", "-5/13")
     assert (code, out) == (2, "")
     assert err == (
         "prioritaire: depth exhausted: slope -5/13 not resolved within depth 2"
         " (bracket E(-2/5) .. O(0))\n"
     )
-    monkeypatch.delenv("PRIORITAIRE_MAX_DEPTH")
     code, out, err = run(capsys, "slope", "--invert", "--depth", "1", "--", "-12/29")
     assert (code, out) == (2, "")
     assert err == (
@@ -97,13 +95,28 @@ def test_depth_exhausted_names_its_bracket(capsys, monkeypatch):
         " (bracket E(-1/2) .. O(0))\n"
     )
 
-    monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "1")
-    code, out, err = run(capsys, "decompose", "--", "14", "-5", "18")
+    code, out, err = run(capsys, "decompose", "--depth", "1", "--", "14", "-5", "18")
     assert (code, out) == (2, "")
     assert err == (
         "prioritaire: depth exhausted: point (-5/14, 179/392) not resolved within depth 1"
         " (bracket E(-1/2) .. O(0))\n"
     )
+
+
+def test_a_stale_depth_variable_changes_nothing():
+    # The cap is --depth or 64: a PRIORITAIRE_MAX_DEPTH left in a shell
+    # changes no byte, whatever its value.
+    src = str(Path(prioritaire.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PRIORITAIRE_MAX_DEPTH"}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-m", "prioritaire", "classify", "--", "8", "4", "11"]
+    unset = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    stale = subprocess.run(
+        argv, capture_output=True, env=dict(env, PRIORITAIRE_MAX_DEPTH="zero"), timeout=60
+    )
+    assert (unset.returncode, unset.stderr) == (0, b"")
+    assert unset.stdout == CLASSIFY_TEXT.encode()
+    assert (stale.returncode, stale.stdout, stale.stderr) == (0, unset.stdout, b"")
 
 
 def test_constructor_failure_exits_two(capsys, monkeypatch, fresh_lattice):
@@ -562,18 +575,15 @@ def test_frontier_prints_the_bound_of_the_normalized_slope(capsys):
 
 def test_series_walks_the_lattice_once(capsys, monkeypatch):
     # The series starts from the bracket that parsing the dyadic fetched
-    # last, one middle per level, so the depth cap, which bounds descents,
-    # does not apply.
+    # last, one middle per level, so it resolves no depth cap.
     from prioritaire import exceptional
 
-    code, uncapped, err = run(capsys, "series", "--", "-5/16", "3")
-    assert (code, err) == (0, "")
     fetched = _counting(monkeypatch, exceptional, "_middle")
-    for depth in ("1", "2"):
-        monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", depth)
-        fetched.clear()
-        assert run(capsys, "series", "--", "-5/16", "3") == (0, uncapped, "")
-        assert len(fetched) == 4
+    caps = _counting(monkeypatch, exceptional, "_cap")
+    code, out, err = run(capsys, "series", "--", "-5/16", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith("source E(-179/433)  side left\n")
+    assert (len(fetched), caps) == (4, [])
 
 
 def test_classify_normalizes_once(capsys, monkeypatch):
@@ -702,10 +712,6 @@ def test_a_command_builds_only_its_own_parser(monkeypatch):
     full = ["prioritaire", *(f"prioritaire {name}" for name in cli._COMMANDS)]
     for entry in _TRANSCRIPT:
         argv = entry["argv"]
-        if entry["env"] is None:
-            monkeypatch.delenv("PRIORITAIRE_MAX_DEPTH", raising=False)
-        else:
-            monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", entry["env"])
         progs.clear()
         _quietly(argv)
         own = [f"prioritaire {argv[0]}"] if argv and argv[0] in cli._COMMANDS else []

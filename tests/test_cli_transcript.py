@@ -1,9 +1,8 @@
 """Replay of recorded command-line invocations, byte for byte.
 
 ``cli_transcript.json`` lists invocations of ``cli.main``: the argument
-vector, the value of ``PRIORITAIRE_MAX_DEPTH`` (null for unset), and the
-exit code, stdout and stderr that were recorded.  Each one is replayed
-in-process and must give the same three values.
+vector and the exit code, stdout and stderr that were recorded.  Each
+one is replayed in-process and must give the same three values.
 
 argparse wraps usage and help to ``COLUMNS``, which the replay sets to
 80, or to an entry's ``columns``.  The entries that print the top-level
@@ -31,16 +30,13 @@ import pytest
 from prioritaire.cli import main
 
 TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
-ENV = "PRIORITAIRE_MAX_DEPTH"
 
 
-def invoke(argv: list[str], depth_env: str | None, columns: int = 80) -> dict:
-    """Exit code, stdout and stderr of ``main(argv)`` under the given env,
-    with argparse's terminal width fixed at ``columns``."""
-    saved = {key: os.environ.pop(key, None) for key in (ENV, "COLUMNS")}
+def invoke(argv: list[str], columns: int = 80) -> dict:
+    """Exit code, stdout and stderr of ``main(argv)`` with argparse's
+    terminal width fixed at ``columns``."""
+    saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = str(columns)
-    if depth_env is not None:
-        os.environ[ENV] = depth_env
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -49,10 +45,10 @@ def invoke(argv: list[str], depth_env: str | None, columns: int = 80) -> dict:
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
     finally:
-        for key, value in saved.items():
-            os.environ.pop(key, None)
-            if value is not None:
-                os.environ[key] = value
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -61,12 +57,11 @@ def _entries() -> list[dict]:
 
 
 def _id(entry: dict) -> str:
-    env = "" if entry["env"] is None else f"{ENV}={entry['env']} "
-    return env + " ".join(entry["argv"])
+    return " ".join(entry["argv"])
 
 
 def _replay(entry: dict) -> dict:
-    return invoke(entry["argv"], entry["env"], entry.get("columns", 80))
+    return invoke(entry["argv"], entry.get("columns", 80))
 
 
 @pytest.mark.parametrize("entry", _entries(), ids=_id)

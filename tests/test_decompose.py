@@ -327,25 +327,20 @@ def test_below_delta_prime_resolves_the_cap_once(monkeypatch):
     # resolves it, and the private walks take it as an int.
     import prioritaire.exceptional as ex
 
-    calls, caps = [], []
-    original, original_cap = ex.max_depth_default, ex._cap
-
-    def counted():
-        calls.append(None)
-        return original()
+    caps = []
+    original_cap = ex._cap
 
     def counted_cap(max_depth):
         caps.append(max_depth)
         return original_cap(max_depth)
 
-    monkeypatch.setattr(ex, "max_depth_default", counted)
     monkeypatch.setattr(ex, "_cap", counted_cap)
     cd = ChernData(14, -5, 18)
     assert generic_prioritary(cd).region.tag is RegionTag.BELOW_DELTA_PRIME
-    assert (len(calls), caps) == (1, [None])
+    assert caps == [None]
     caps.clear()
     assert generic_prioritary(cd, 7).region.tag is RegionTag.BELOW_DELTA_PRIME
-    assert (len(calls), caps) == (1, [7])
+    assert caps == [7]
 
 
 @pytest.mark.parametrize("shift", [-1, 1])

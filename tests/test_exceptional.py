@@ -35,7 +35,6 @@ from prioritaire.exceptional import (
     from_slope,
     locate_exceptional,
     locate_many,
-    max_depth_default,
     parse_dyadic,
 )
 from prioritaire.helix import enumerate_to_level
@@ -700,12 +699,40 @@ def test_point_location_past_the_kept_tree_builds_and_drops(monkeypatch):
 
 
 def test_one_raise_site_and_one_cap_resolution():
-    # Every descent goes through exceptional._walk, which alone raises
-    # DepthExhaustedError and reads the default cap.
+    # Every descent raises DepthExhaustedError through exceptional._exhausted.
+    # A query's cap is its max_depth argument, which _cap alone maps to the
+    # default; render's frontier owners and the CLI's --depth help read the
+    # constant, and no caller asks _cap for the default.
+    import ast
+
     package = Path(ex.__file__).parent
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     assert text.count("raise DepthExhaustedError") == 1
-    assert len(re.findall(r"(?<!def )max_depth_default\(\)", text)) == 1
+    assert "_cap(None)" not in text
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+            if isinstance(node, ast.FunctionDef) and "DEFAULT_MAX_DEPTH" in names:
+                readers.add((path.stem, node.name))
+    assert readers == {
+        ("exceptional", "_cap"),
+        ("render", "_frontier_polylines"),
+        ("cli", "_depth_arg"),
+    }
+
+
+def test_no_module_reads_the_environment():
+    # A query's answer depends on its arguments alone: no module reads
+    # os.environ or getenv (the CLI's help formatter reads COLUMNS through
+    # argparse, outside the package).
+    import ast
+
+    package = Path(ex.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(n, "attr", getattr(n, "id", getattr(n, "name", None))) for n in ast.walk(tree)}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
 
 
 def test_no_assert_statement_in_the_package():
@@ -758,16 +785,6 @@ def test_twist_and_dual_bundles():
     assert f.twist(1).rank == 5
     assert f.dual().slope == Fraction(2, 5)
     assert f.dual().delta == f.delta
-
-
-def test_max_depth_env(monkeypatch):
-    monkeypatch.delenv("PRIORITAIRE_MAX_DEPTH", raising=False)
-    assert max_depth_default() == 64
-    monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "32")
-    assert max_depth_default() == 32
-    monkeypatch.setenv("PRIORITAIRE_MAX_DEPTH", "zero")
-    with pytest.raises(ParseError):
-        max_depth_default()
 
 
 def _surd_contains(f, mu: Fraction) -> bool:

@@ -245,6 +245,16 @@ def test_series_stays_on_the_orthogonal_conic():
         assert euler_pairing(f.chern, g.chern) == 0
 
 
+def test_series_below_the_default_depth():
+    # The descent to f's neighbours is capped by f's rank, which it never
+    # reaches, and not by the default depth: 1/2^70 lies 70 levels down.
+    d = Dyadic(1, 70)
+    f = from_dyadic(d)
+    assert f.rank.bit_length() == 97
+    lo, hi = d.neighbors()
+    assert left_series(f, 0, 1) == [from_dyadic(hi).twist(-3), from_dyadic(lo)]
+
+
 def test_ext_dims_line_bundles():
     o = from_slope(Fraction(0))
     assert ext_dims(from_slope(Fraction(-1)), o) == ExtDims(3, 0, 0)

@@ -71,8 +71,7 @@ def digest(found: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_answers_do_not_depend_on_the_stores(monkeypatch, fresh_lattice):
-    monkeypatch.delenv("PRIORITAIRE_MAX_DEPTH", raising=False)
+def test_answers_do_not_depend_on_the_stores(fresh_lattice):
     queries = _band()
     cold = answers(queries)
     assert exceptional._owner.cache_info().currsize > 0

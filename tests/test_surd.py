@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from prioritaire.errors import ParseError
 from prioritaire.surd import (
+    MAX_DIGITS,
     QuadSurd,
     compare_sqrt_sum,
     decimal_str,
@@ -114,6 +115,16 @@ def test_decimal_str_half_even():
     assert decimal_str(QuadSurd(Fraction(3, 2), Fraction(-1, 10), 221), 12) == "0.0133931252681"
     # Rounded once: -0.125000000000000000001 is past the half-way -0.125.
     assert decimal_str(Fraction(-125000000000000000001, 10**21), 2) == "-0.13"
+
+
+def test_decimal_str_bounds_its_digits():
+    # The cost grows faster than the digit count, so the bound is the
+    # function's own and not only the CLI's.
+    x = QuadSurd(Fraction(3, 2), Fraction(-1, 10), 221)
+    assert MAX_DIGITS == 10_000
+    with pytest.raises(ValueError, match="^digits must be <= 10000$"):
+        decimal_str(x, 10_001)
+    assert len(Decimal(decimal_str(x, 10_000)).as_tuple().digits) == 10_000
 
 
 rationals = st.fractions(
