@@ -140,7 +140,7 @@ def _depth_arg(p: argparse.ArgumentParser, what: str) -> None:
         type=int,
         default=None,
         metavar="N",
-        help=f"{what} (default {exceptional.DEFAULT_MAX_DEPTH})",
+        help=f"{what} (default: bounded by the input)",
     )
 
 

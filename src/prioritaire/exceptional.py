@@ -19,10 +19,11 @@ each bounded and each filled only by answers that passed every check:
   the tree, and ``_middle``, the fetch of each level, fills a slot with
   the first ``compose`` of that middle that passed every check.
 * ``_owner``, a memo of 4096 owners keyed by the slope in lowest terms
-  and the resolved depth cap.  A query and the frontiers at its slope ask
-  again for owners already found: one round of ``sweep`` (seed 3) asks
-  for 3 000 owners of 180 distinct slopes, ``tile`` for 1 617 of 145, and
-  ``deep`` for 792 of 386 (from a fresh import).
+  and the depth cap, None unless a caller gives one.  A query and the
+  frontiers at its slope ask again for owners already found: one round
+  of ``sweep`` (seed 3) asks for 3 000 owners of 180 distinct slopes,
+  ``tile`` for 1 617 of 145, and ``deep`` for 792 of 386 (from a fresh
+  import).
 * ``helix``'s kept triad tree: one slot per triad down to
   ``helix.MAX_TILE_DEPTH``, at most 2 047 triads.
 
@@ -56,17 +57,23 @@ slope); ``locate_many`` finds the owners of a list of slopes, and
 for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
 lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
 
-Each public entry point resolves its depth cap once with ``_cap`` (its
-``max_depth`` argument, or DEFAULT_MAX_DEPTH for None), after refusing a
-slope outside [-1, 0] where it takes one, and hands the int to the
-descents (``_walk``, ``_descend``, ``_owners``,
-``frontier._classify_normalized`` and ``helix._locate``), which neither
-resolve it again nor check the range.  Every descent raises through
-``_exhausted``, the one raise site of DepthExhaustedError.  The descents
-of the lattice run through ``_walk``, which fetches one mid per level with
-``_middle``: from its slot of ``_mids`` for a bracket of [O(-1), O] down
-to level 11, composed and dropped past it or for a translated bracket
-(only the CLI walks from another integer, once per process).  A walk
+Each public entry point checks its depth cap once with ``_cap`` (its
+``max_depth`` argument, refused below 0), after refusing a slope outside
+[-1, 0] where it takes one, and hands it to the descents (``_walk``,
+``_descend``, ``_owners``, ``frontier._classify_normalized`` and
+``helix._locate``), which neither check it again nor check the range.
+An int caps a descent; None, the default, leaves it bounded by its
+input, since every target lies at a depth its input fixes: the mids'
+ranks rise, a slope c1/r is proved on or off the lattice by a mid of
+rank r, the owner of n/m (lowest terms, m > 0) has rank m and slope
+n/m or rank below (2m + 1)/6, and the shallowest tile holding a point
+has a middle of rank at most the rank at which the point is integral.
+Every descent raises through ``_exhausted``, the one raise site of
+DepthExhaustedError.  The descents of the lattice run through ``_walk``,
+which fetches one mid per level with ``_middle``: from its slot of
+``_mids`` for a bracket of [O(-1), O] down to level 11, composed and
+dropped past it or for a translated bracket (only the CLI walks from
+another integer, once per process).  A walk
 keeps nothing else, and ``_owner`` keeps only the answer of a whole owner
 walk that succeeded.  ``helix.enumerate_to_level`` is one loop of the
 same fetch over all levels.  Point location (``helix._locate``) is the
@@ -81,7 +88,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from math import gcd
 
 from . import chern
@@ -89,9 +96,6 @@ from ._record import Record, _ratio
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from .surd import QuadSurd
-
-DEFAULT_MAX_DEPTH = 64
-
 
 class Dyadic(Record):
     """Rational p / 2^q in normal form (q == 0, or p odd)."""
@@ -165,8 +169,8 @@ class ExceptionalBundle(Record):
     """The exceptional bundle of rank r and first Chern class c1.
 
     Built from outside the package, or unpickled, the record is proved on
-    the lattice by ``_lattice`` with cap r, which raises ValueError
-    otherwise, and it is a new record equal to the one the descent found.
+    the lattice by ``_lattice``, which raises ValueError otherwise, and it
+    is a new record equal to the one the descent found.
     The package builds its own bundles with ``_bundle``.  The record's
     fields, for equality, hashing, repr and pickling, are (rank, c1);
     ``chern``, the invariants as ``ChernData``, is derived once, and
@@ -177,7 +181,7 @@ class ExceptionalBundle(Record):
     _fields = __slots__[:2]
 
     def __init__(self, rank: int, c1: int) -> None:
-        found = _lattice(rank, c1, rank)[0]
+        found = _lattice(rank, c1, None)[0]
         set_rank, set_c1, set_chern = __class__._setters
         set_rank(self, found.rank)
         set_c1(self, found.c1)
@@ -276,10 +280,10 @@ def _bundle(rank: int, c1: int, x2: int) -> ExceptionalBundle:
 
 def from_slope(slope: Fraction) -> ExceptionalBundle:
     """The exceptional bundle of a slope from outside the package, or
-    ValueError (``_lattice``).  The descent is capped at the denominator r
-    and never reaches the cap: it ends within O(log r) levels."""
+    ValueError (``_lattice``).  The descent needs no cap: the ranks of its
+    mids rise, and it ends at the first of rank >= the denominator."""
     slope = Fraction(slope)
-    return _lattice(slope.denominator, slope.numerator, slope.denominator)[0]
+    return _lattice(slope.denominator, slope.numerator, None)[0]
 
 
 def _lattice(rank: int, c1: int, max_depth: int | None) -> tuple:
@@ -348,26 +352,27 @@ def _middle(lo: ExceptionalBundle, hi: ExceptionalBundle, p: int, q: int) -> Exc
     return _mids[slot]
 
 
-def _cap(max_depth: int | None) -> int:
-    """The cap of a walk: max_depth, or DEFAULT_MAX_DEPTH for None; ValueError if < 0."""
-    cap = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
-    if cap < 0:
-        raise ValueError(f"depth must be >= 0, got {cap}")
-    return cap
+def _cap(max_depth: int | None) -> int | None:
+    """The cap of a walk: max_depth, None for a walk that its input
+    bounds (module docstring); ValueError if < 0."""
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"depth must be >= 0, got {max_depth}")
+    return max_depth
 
 
-def _walk(steer: Callable, what: Callable, cap: int, start: int) -> tuple:
+def _walk(steer: Callable, what: Callable, cap: int | None, start: int) -> tuple:
     """Bisect the dyadic tree from [O(start), O(start + 1)].
 
     Each level fetches mid = _middle(lo, hi, p, q) and asks steer(lo, mid, hi):
     0 stops at mid, returning (lo, mid, hi, p, q) with mid the image of
     p/2^q; a negative sign enters [lo, mid], a positive one [mid, hi].  Past
-    the resolved ``cap`` of mids it raises DepthExhaustedError "<what()> not
-    resolved within depth N" with the pair it would have entered next.
+    ``cap`` mids it raises DepthExhaustedError "<what()> not resolved within
+    depth N" with the pair it would have entered next; with cap None the
+    steer alone ends the walk, by stopping or raising.
     """
     lo, hi = _bundle(1, start, start * start), _bundle(1, start + 1, (start + 1) ** 2)
     p, q = start, 0  # [lo, hi] is the image of [p/2^q, (p+1)/2^q]
-    for _ in range(cap):
+    for _ in count() if cap is None else range(cap):
         mid = _middle(lo, hi, p, q)
         side = steer(lo, mid, hi)
         p, q = 2 * p, q + 1
@@ -412,17 +417,18 @@ def _from_dyadic(d: Dyadic) -> tuple:
 def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic:
     """Invert ``from_dyadic`` by monotone descent from the integer bracket of
     the slope.  Raises ValueError as soon as the descent proves the slope is
-    not on the lattice, and DepthExhaustedError if it lies deeper than the cap.
+    not on the lattice, and DepthExhaustedError if it lies deeper than an
+    explicit cap.
     """
     return _descend(bundle.rank, bundle.c1, _cap(max_depth))[1]
 
 
-def _descend(r: int, c1: int, cap: int) -> tuple:
+def _descend(r: int, c1: int, cap: int | None) -> tuple:
     """The bundle of slope c1/r, gcd(r, c1) = 1, its dyadic (``dyadic_of``)
     and the images of the dyadic's neighbours (None, None for a line bundle),
-    within the resolved cap.  The ranks of the mids increase (each is the
-    largest of its Markov triple), so a mid of rank >= r that is not the
-    target proves the slope off the lattice."""
+    within the cap.  The ranks of the mids increase (each is the largest of
+    its Markov triple), so a mid of rank >= r that is not the target proves
+    the slope off the lattice: with cap None, that ends the walk."""
     shift = -(-c1 // r)  # ceil(slope)
     if c1 == shift * r:
         return _bundle(1, c1, c1 * c1), Dyadic(shift, 0), None, None
@@ -448,9 +454,10 @@ def locate_many(
     slopes: Iterable[Fraction], max_depth: int | None = None
 ) -> list[ExceptionalBundle]:
     """Owners of rational slopes in [-1, 0] (``_owners``: a walk for each
-    slope and cap that its memo does not hold).  A slope owned by none of
-    O(-1), O and the first ``max_depth`` mids of its walk raises
-    DepthExhaustedError; the error names the first such slope in the list."""
+    slope and cap that its memo does not hold).  With an explicit
+    ``max_depth``, a slope owned by none of O(-1), O and the first
+    ``max_depth`` mids of its walk raises DepthExhaustedError; the error
+    names the first such slope in the list."""
     pairs = [(mu.numerator, mu.denominator) for mu in map(Fraction, slopes)]
     for n, m in pairs:
         if n < -m or n > 0:
@@ -458,10 +465,10 @@ def locate_many(
     return _owners(pairs, _cap(max_depth))
 
 
-def _owners(pairs: list[tuple[int, int]], cap: int) -> list[ExceptionalBundle]:
+def _owners(pairs: list[tuple[int, int]], cap: int | None) -> list[ExceptionalBundle]:
     """``locate_many`` of the slopes n/m in [-1, 0] given as pairs (n, m),
     m > 0, in any terms: each is read, in lowest terms, from ``_owner`` at
-    the resolved cap."""
+    the cap."""
     out = []
     for n, m in pairs:
         g = gcd(n, m)
@@ -470,18 +477,22 @@ def _owners(pairs: list[tuple[int, int]], cap: int) -> list[ExceptionalBundle]:
 
 
 @lru_cache(maxsize=4096)
-def _owner(n: int, m: int, cap: int) -> ExceptionalBundle:
+def _owner(n: int, m: int, cap: int | None) -> ExceptionalBundle:
     """Owner of the slope n/m in [-1, 0], in lowest terms, within ``cap``
     mids, behind the lattice's third cache: a query and the frontiers at its
     slope ask for the same owner.  A bundle owns a slope exactly when
     ``_contains`` holds, as it does at distance 0.  After the two ends, a
     miss walks to the first mid that owns the slope; an error is not kept,
-    so a hit repeats only an answer that the same cap has proved."""
+    so a hit repeats only an answer that the same cap has proved.  The
+    owner has rank at most m (module docstring), so a mid of larger rank
+    that does not own the slope is InternalInconsistencyError."""
     for end in (_bundle(1, -1, 1), _bundle(1, 0, 0)):
         if end._contains(n, m):
             return end
 
     def steer(lo, mid, hi):
+        if mid.rank > m and not mid._contains(n, m):
+            raise InternalInconsistencyError(f"no mid up to its denominator owns {_ratio(n, m)}")
         return 0 if mid._contains(n, m) else n * mid.rank - mid.c1 * m
 
     return _walk(steer, lambda: f"slope {_ratio(n, m)}", cap, -1)[1]

@@ -209,13 +209,13 @@ def classify(cd: ChernData, max_depth: int | None = None) -> Region:
     delta_prime.  Equality with an irrational delta_prime is impossible
     for rational input and treated as an internal inconsistency.
     """
-    # The cap is resolved before any answer, so a bad one raises below the bound too.
+    # The cap is checked before any answer, so a bad one raises below the bound too.
     return _classify_normalized(chern.normalize(cd)[0], exceptional._cap(max_depth))
 
 
-def _classify_normalized(norm: ChernData, cap: int) -> Region:
+def _classify_normalized(norm: ChernData, cap: int | None) -> Region:
     """``classify`` of invariants already twisted into -1 < mu <= 0, within
-    the resolved cap."""
+    the checked cap."""
     r, c1, c2 = norm.rank, norm.c1, norm.c2
     if not _prioritary(r, c1, c2):
         return Region(RegionTag.NO_PRIORITARY)

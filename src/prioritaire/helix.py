@@ -40,7 +40,8 @@ Point location reads the triad of each level off the kept tree by its
 (level, index), steering by the sign of mu - mu(f), and composes nothing
 there; past the kept tree it builds each triad with ``_child`` and drops
 it.  A cap of N enters at most N triads, and ``exceptional._exhausted``
-raises past them.  The whole levels of the exceptional lattice
+raises past them; no cap is needed, since past a middle of rank above the
+point's no tile holds it.  The whole levels of the exceptional lattice
 (``enumerate_to_level``) build no triad: one loop fetches each level's
 middles with ``exceptional._middle``, kept in ``exceptional._mids`` down
 to level 11 and composed and dropped past it.  The package's stores are
@@ -262,26 +263,34 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
 
     Descends toward the child whose slope bracket contains mu; a point
     straight above a tile's top vertex is in no tile at all and raises
-    NotCoveredError.  After ``max_depth`` triads it raises
-    DepthExhaustedError with the ends (e, g) of the next one.
+    NotCoveredError, and so does one in no tile whose middle has rank at
+    most 2 b d^2, for (n/d, a/b) in lowest terms: at that rank the point is
+    integral (``_locate``).  After an explicit ``max_depth`` of triads it
+    raises DepthExhaustedError with the ends (e, g) of the next one.
     """
     mu, disc = Fraction(mu), Fraction(disc)
-    n, d = mu.numerator, mu.denominator
+    n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
     if n < -d or n > 0:
         raise ValueError(f"slope {exceptional._ratio(n, d)} outside [-1, 0]")
-    return _locate(n, d, disc.numerator, disc.denominator, exceptional._cap(max_depth))
+    return _locate(n, d, a, b, exceptional._cap(max_depth), 2 * b * d * d)
 
 
-def _locate(n: int, d: int, a: int, b: int, cap: int) -> Triad:
+def _locate(n: int, d: int, a: int, b: int, cap: int | None, bound: int) -> Triad:
     """``locate_triangle`` at mu = n/d in [-1, 0], disc = a/b with d, b > 0,
-    in any terms, within the resolved cap.  Each level reads the triad it
-    enters off the kept tree (``_kept``) and composes nothing; past it,
-    each level builds its triad with ``_child`` and drops it.  A cap of N
-    enters at most N triads."""
+    in any terms, within the cap, for a point integral at rank ``bound``.
+    The shallowest tile holding such a point has a middle of rank <= bound
+    (the middle's multiplicity in its splitting is at least 1), and the
+    middles' ranks rise, by at least 1 a level from 2 at the root, so a
+    triad of larger middle raises NotCoveredError untested, by level
+    ``bound`` - 1 at the latest.  Each level reads the triad it enters off the kept tree
+    (``_kept``) and composes nothing; past it, each level builds its triad
+    with ``_child`` and drops it.  A cap of N enters at most N triads."""
     lo, hi = exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)
     t, index = None, 0
-    for level in range(cap):
+    for level in range(bound if cap is None else cap):
         t = _kept(level, index) if level <= MAX_TILE_DEPTH else _child(t, index & 1)
+        if t.f.rank > bound:
+            raise NotCoveredError(f"({_point(n, d, a, b)}) is in no tile up to its rank")
         if t._contains(n, d, a, b, False):
             return t
         side = n * t.f.rank - t.f.c1 * d  # sign of mu - mu(f)
@@ -318,14 +327,14 @@ def left_series(
 def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[ExceptionalBundle]:
     """``left_series`` of f; ``bracket`` is the images of the neighbours of its
     dyadic (``exceptional._from_dyadic``), or None to descend for them.  That
-    descent is capped at f.rank, which it never reaches: the ranks of its
-    mids rise by at least 1 per level."""
+    descent needs no cap: it ends at the mid of rank f.rank, since the
+    ranks of its mids rise."""
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     if f.rank == 1:
         g0, g1 = f.twist(-2), f.twist(-1)
     else:
-        lo, hi = bracket or exceptional._descend(f.rank, f.c1, f.rank)[2:]
+        lo, hi = bracket or exceptional._descend(f.rank, f.c1, None)[2:]
         g0, g1 = hi.twist(-3), lo
     c = euler_pairing(g0.chern, g1.chern)
     if c != 3 * f.rank:

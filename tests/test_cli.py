@@ -103,8 +103,20 @@ def test_depth_exhausted_names_its_bracket(capsys):
     )
 
 
+def test_a_deep_slope_inverts_without_a_cap(capsys):
+    # The image of 1/2^70, at level 70: its 97-bit rank bounds the descent.
+    slope = "50095301248058391139327916261/131151201344081895336534324866"
+    code, out, err = run(capsys, "slope", "--invert", "--", slope)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:3] == ["dyadic   1/1180591620717411303424", f"slope    {slope}"]
+    code, out, err = run(capsys, "slope", "--invert", "--depth", "64", "--", slope)
+    assert (code, out) == (2, "")
+    assert err.startswith("prioritaire: depth exhausted: slope ")
+    assert f"{slope} not resolved within depth 64 (bracket " in err
+
+
 def test_a_stale_depth_variable_changes_nothing():
-    # The cap is --depth or 64: a PRIORITAIRE_MAX_DEPTH left in a shell
+    # The cap is --depth or none: a PRIORITAIRE_MAX_DEPTH left in a shell
     # changes no byte, whatever its value.
     src = str(Path(prioritaire.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PRIORITAIRE_MAX_DEPTH"}

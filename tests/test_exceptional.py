@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prioritaire.exceptional as ex
-from prioritaire import chern, helix
-from prioritaire.chern import euler_pairing
+from prioritaire import chern, frontier, helix
+from prioritaire.chern import ChernData, euler_pairing
 from prioritaire.errors import (
     DepthExhaustedError,
     InternalInconsistencyError,
@@ -37,6 +37,7 @@ from prioritaire.exceptional import (
     locate_many,
     parse_dyadic,
 )
+from prioritaire.frontier import RegionTag
 from prioritaire.helix import enumerate_to_level
 
 
@@ -497,6 +498,54 @@ def test_dyadic_of_translates_its_bracket():
                 assert moved.value.bracket == tuple(b.twist(shift) for b in base.value.bracket)
 
 
+# The bundle of -1/2^70: a 97-bit rank at dyadic level 70.
+DEEP = ChernData(
+    131151201344081895336534324866,
+    -50095301248058391139327916261,
+    1254769603566860300466847610169497049264524484443656560535,
+)
+
+
+def test_a_deep_bundle_is_answered_without_a_cap():
+    # Its rank bounds the owner walk and the inverse descent, which go past
+    # level 64 by default; an explicit cap of 64 still runs out first.
+    f = from_dyadic(Dyadic(-1, 70))
+    assert (f.rank, f.c1, f.c2) == (DEEP.rank, DEEP.c1, DEEP.c2)
+    region = frontier.classify(DEEP)
+    assert (region.tag, region.witness) == (RegionTag.SEMISTABLE_EXCEPTIONAL, f)
+    assert dyadic_of(f.dual()) == Dyadic(1, 70)
+    assert str(dyadic_of(from_dyadic(Dyadic(1, 70)))) == "1/1180591620717411303424"
+    assert from_slope(f.slope) == f == ex.ExceptionalBundle(f.rank, f.c1)
+    with pytest.raises(DepthExhaustedError, match=r"not resolved within depth 64$"):
+        frontier.classify(DEEP, 64)
+    with pytest.raises(DepthExhaustedError, match=r"not resolved within depth 64$"):
+        dyadic_of(f.dual(), 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.fractions(min_value=-1, max_value=0, max_denominator=10**6))
+def test_the_owner_of_a_slope_has_rank_below_a_third_of_its_denominator(mu):
+    # The owner F of n/m (lowest terms) is the bundle of slope n/m, of rank
+    # m, or else |n/m - mu_F| >= 1/(m r_F), while x_F < 2/(r_F (6 r_F - 1)),
+    # so 6 r_F < 2m + 1.
+    m = mu.denominator
+    f = locate_exceptional(mu)
+    assert (f.rank == m and f.slope == mu) or 6 * f.rank < 2 * m + 1
+
+
+def test_an_owner_walk_past_the_denominator_is_an_inconsistency(monkeypatch):
+    # Were no mid to own the slope, the walk would stop at the first mid of
+    # rank above the denominator instead of running on.
+    ends = (ex._bundle(1, -1, 1), ex._bundle(1, 0, 0))
+    original = ex.ExceptionalBundle._contains
+    monkeypatch.setattr(
+        ex.ExceptionalBundle, "_contains", lambda f, n, m: f in ends and original(f, n, m)
+    )
+    ex._owner.cache_clear()
+    with pytest.raises(InternalInconsistencyError, match=r"^no mid up to its denominator owns"):
+        locate_exceptional(Fraction(-9, 20))
+
+
 def test_locate_exceptional():
     assert locate_exceptional(Fraction(-9, 20)).slope == Fraction(-1, 2)
     assert locate_exceptional(Fraction(-1, 4)).slope == Fraction(0)
@@ -527,9 +576,9 @@ def test_walk_errors_do_not_depend_on_the_int_to_str_limit(default_digit_limit):
         ex._owners([(f.c1, f.rank)], 3)
     point = re.escape(f"point ({big}, <45750 bits>/<45751 bits>)")
     with pytest.raises(DepthExhaustedError, match=rf"^{point} not resolved within depth 3$"):
-        helix._locate(f.c1, f.rank, f.rank**2 - 1, 2 * f.rank**2, 3)
+        helix._locate(f.c1, f.rank, f.rank**2 - 1, 2 * f.rank**2, 3, f.rank)
     with pytest.raises(ValueError, match=r"^-<\d+ bits>/<\d+ bits> is not an exceptional slope$"):
-        ex._descend(f.rank + 1, f.c1, ex.DEFAULT_MAX_DEPTH)
+        ex._descend(f.rank + 1, f.c1, None)
     with pytest.raises(ValueError, match=r"^slope <22876 bits> outside \[-1, 0\]$"):
         locate_many([Fraction(f.rank)])
     # Short terms are written as str(Fraction) writes them.
@@ -700,26 +749,17 @@ def test_point_location_past_the_kept_tree_builds_and_drops(monkeypatch):
 
 def test_one_raise_site_and_one_cap_resolution():
     # Every descent raises DepthExhaustedError through exceptional._exhausted.
-    # A query's cap is its max_depth argument, which _cap alone maps to the
-    # default; render's frontier owners and the CLI's --depth help read the
-    # constant, and no caller asks _cap for the default.
-    import ast
-
+    # A query's cap is its max_depth argument, which _cap only checks: no
+    # module names a default depth, and None leaves each walk bounded by
+    # its input.
     package = Path(ex.__file__).parent
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     assert text.count("raise DepthExhaustedError") == 1
     assert "_cap(None)" not in text
-    readers = set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
-            if isinstance(node, ast.FunctionDef) and "DEFAULT_MAX_DEPTH" in names:
-                readers.add((path.stem, node.name))
-    assert readers == {
-        ("exceptional", "_cap"),
-        ("render", "_frontier_polylines"),
-        ("cli", "_depth_arg"),
-    }
+    assert "DEFAULT_MAX_DEPTH" not in text
+    assert ex._cap(None) is None and ex._cap(0) == 0
+    with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+        ex._cap(-1)
 
 
 def test_no_module_reads_the_environment():

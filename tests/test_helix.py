@@ -12,10 +12,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prioritaire import helix
 from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
-from prioritaire.errors import InternalInconsistencyError, NotCoveredError
+from prioritaire.errors import DepthExhaustedError, InternalInconsistencyError, NotCoveredError
 from prioritaire.exceptional import Dyadic, from_dyadic, from_slope
 from prioritaire.helix import (
     ExtDims,
@@ -126,17 +128,19 @@ def test_locate_triangle():
 def test_locate_triangle_in_any_terms():
     # The descent decides on integers (n, d, a, b) in any terms; messages
     # print the reduced fractions.
-    # The private descent takes a resolved cap and a slope in [-1, 0];
+    # The private descent takes a checked cap, a rank at which the point is
+    # integral (2 b d^2 in lowest terms) and a slope in [-1, 0];
     # locate_triangle refuses any other slope.
     for k in (1, 2, 7):
         for j in (1, 3, 10):
-            t = helix._locate(-3 * k, 7 * k, 37 * j, 98 * j, 64)
-            assert (t.level, t.index) == (1, 1)
-            with pytest.raises(NotCoveredError) as info:
-                helix._locate(-1 * k, 2 * k, 2 * j, 5 * j, 64)
-            assert str(info.value).startswith("(-1/2, 2/5) sits above")
+            for cap in (None, 64):
+                t = helix._locate(-3 * k, 7 * k, 37 * j, 98 * j, cap, 2 * 98 * 7**2)
+                assert (t.level, t.index) == (1, 1)
+                with pytest.raises(NotCoveredError) as info:
+                    helix._locate(-1 * k, 2 * k, 2 * j, 5 * j, cap, 2 * 5 * 2**2)
+                assert str(info.value).startswith("(-1/2, 2/5) sits above")
     with pytest.raises(NotCoveredError, match=r"^\(-1/2, 2/5\) sits above"):
-        helix._locate(-2, 4, 4, 10, 64)
+        helix._locate(-2, 4, 4, 10, None, 40)
     for n, d in ((2, 6), (-14, 12)):
         slope = Fraction(n, d)
         with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
@@ -144,6 +148,48 @@ def test_locate_triangle_in_any_terms():
         # The range is checked before the cap.
         with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
             locate_triangle(slope, Fraction(0), -1)
+
+
+def test_a_point_in_no_tile_up_to_its_rank_is_not_covered():
+    # (-1/7, 29/100) is integral at rank 2 * 100 * 7^2: no tile whose middle
+    # has at most that rank holds it, so none does.  An explicit cap that
+    # runs out first keeps its DepthExhaustedError.
+    with pytest.raises(NotCoveredError, match=r"^\(-1/7, 29/100\) is in no tile up to its rank$"):
+        locate_triangle(Fraction(-1, 7), Fraction(29, 100))
+    with pytest.raises(DepthExhaustedError, match=r"within depth 3$"):
+        locate_triangle(Fraction(-1, 7), Fraction(29, 100), 3)
+
+
+_POINTS = st.tuples(
+    st.fractions(min_value=-1, max_value=0, max_denominator=60),
+    st.fractions(min_value=0, max_value=Fraction(7, 10), max_denominator=1000),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=_POINTS)
+def test_locate_triangle_enters_no_middle_above_the_rank_of_the_point(point):
+    # The point (n/d, a/b) is integral at rank 2 b d^2, and the shallowest
+    # tile holding it has a middle of at most that rank: the descent answers
+    # that tile, or refuses the point without testing a deeper triad.  A
+    # descent with no rank bound finds no tile among its first 12 levels.
+    mu, disc = point
+    bound = 2 * disc.denominator * mu.denominator**2
+    tested = []
+    original = helix.Triad._contains
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helix.Triad, "_contains", lambda t, *a: tested.append(t) or original(t, *a))
+        try:
+            found = locate_triangle(mu, disc)
+        except NotCoveredError:
+            found = None
+    assert all(t.f.rank <= bound for t in tested)
+    if found is not None:
+        assert found is tested[-1] and found.contains(mu, disc)
+        return
+    n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
+    with pytest.raises((NotCoveredError, DepthExhaustedError)):
+        helix._locate(n, d, a, b, 12, 1 << 4096)
 
 
 def test_triad_refuses_slopes_out_of_order():

@@ -81,8 +81,16 @@ def test_answers_do_not_depend_on_the_stores(fresh_lattice):
     assert warm == cold
     kinds = {value.split(":")[0] for value in cold.values() if "Error" in value.split(" ")[0]}
     assert kinds >= {"DepthExhaustedError", "NoPrioritarySheafError", "NotCoveredError"}
-    # The same digest as before the owner memo and the slot-per-triad tree.
-    assert digest(cold) == "f777e41eb1479563b813ab22cc25d15f35722c82fa631f12b3686096f4d65836"
+    # Without a cap, 87 points are refused as in no tile up to their rank;
+    # each explicit cap runs out first and keeps its DepthExhaustedError.
+    beyond = [key[1] for key, value in cold.items() if value.endswith("up to its rank None")]
+    assert len(beyond) == 87
+    for cap in (0, 1, 3):
+        assert all(cold["locate_triangle", point, cap].startswith("Depth") for point in beyond)
+    # The digest of the answers with no default cap: against the one of a
+    # default cap of 64, exactly those 87 answers differ, each of which was
+    # DepthExhaustedError at depth 64.
+    assert digest(cold) == "5539d2ae92fcbc12aea4678d312f0d834286332f44a678054ee110559c68639d"
 
 
 def test_a_proved_owner_does_not_lift_a_lower_cap(fresh_lattice):
