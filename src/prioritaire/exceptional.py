@@ -54,8 +54,18 @@ distinct exceptional slopes are pairwise disjoint and every rational in
 [-1, 0] falls in exactly one of them (or is itself an exceptional
 slope); ``locate_many`` finds the owners of a list of slopes, and
 ``locate_exceptional`` is its one-slope case.  Membership needs no surd:
-for 0 <= d < 3/2 the quadratic is positive exactly below x_F, so d = n/m
-lies inside exactly when n(n - 3m) r^2 + m^2 > 0, an integer test.
+for 0 <= d < 3/2 the quadratic is positive exactly below x_F.  At the
+slope num/den, d = n/m with n = |num r - c1 den| and m = den r, so
+m^2 (d^2 - 3d + 1/r^2) = n(n - 3m) + den^2, as m^2/r^2 = den^2, and d
+lies inside exactly when
+
+    2n < 3m  and  n(n - 3m) + den^2 > 0,
+
+an integer test written once, in ``_inside``: the form n(n - 3m) r^2 + m^2
+divided by r^2 > 0, with no factor r^2 left to multiply.  It says
+delta_F(mu) > 1/2, since 2 m^2 (delta_F(mu) - 1/2) = n(n - 3m) + den^2
+(``frontier._conic_terms``).  den^2 is the same at every level of an
+owner walk, which squares it once.
 
 Each public entry point checks its depth cap once with ``_cap`` (its
 ``max_depth`` argument, refused below 0), after refusing a slope outside
@@ -92,7 +102,7 @@ from itertools import chain, count
 from math import gcd
 
 from . import chern
-from ._record import Record, _ratio
+from ._record import _MAX_BITS, Record, _ratio
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
 from .surd import QuadSurd
@@ -104,7 +114,7 @@ class Dyadic(Record):
 
     def __init__(self, p: int, q: int) -> None:
         if q < 0:
-            raise ValueError(f"negative level {q}")
+            raise ValueError(f"negative level {_ratio(q, 1)}")
         # Strip every factor of two at once: the lowest set bit of p.
         shift = q if p == 0 else min(q, (p & -p).bit_length() - 1)
         p, q = p >> shift, q - shift
@@ -114,12 +124,10 @@ class Dyadic(Record):
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "Dyadic":
-        value = Fraction(value)
-        den = value.denominator
-        q = den.bit_length() - 1
-        if 1 << q != den:
-            raise ParseError(f"{value} is not dyadic (denominator {den})")
-        return cls(value.numerator, q)
+        n, den = Fraction(value).as_integer_ratio()
+        if den & (den - 1):  # not a power of two
+            raise ParseError(f"{_ratio(n, den)} is not dyadic (denominator {_ratio(den, 1)})")
+        return cls(n, den.bit_length() - 1)
 
     def value(self) -> Fraction:
         return Fraction(self.p, 1 << self.q)
@@ -127,13 +135,15 @@ class Dyadic(Record):
     def neighbors(self) -> "tuple[Dyadic, Dyadic]":
         """The bracketing pair one level up; defined for q >= 1."""
         if self.q == 0:
-            raise ValueError(f"{self} is an integer and has no bracketing pair")
+            raise ValueError(f"{_ratio(self.p, 1)} is an integer and has no bracketing pair")
         return (Dyadic((self.p - 1) // 2, self.q - 1), Dyadic((self.p + 1) // 2, self.q - 1))
 
     def __str__(self) -> str:
-        if self.q == 0:
-            return str(self.p)
-        return f"{self.p}/{1 << self.q}"
+        """p at level 0, else p over 2^q in digits, or over "2^q" once 2^q
+        passes _MAX_BITS bits: exact, read back by ``parse_dyadic``, and
+        within the int-to-str limit whenever p is."""
+        den = 1 << self.q if self.q < _MAX_BITS else f"2^{self.q}"
+        return f"{self.p}/{den}" if self.q else str(self.p)
 
 
 def parse_dyadic(text: str) -> Dyadic:
@@ -218,18 +228,17 @@ class ExceptionalBundle(Record):
     def contains_slope(self, mu: Fraction) -> bool:
         """Whether mu lies in the open interval around this slope.
 
-        With d = |mu - mu(F)| = n/m, d < x_F iff 2n < 3m and
-        n(n - 3m) r^2 + m^2 > 0 (module docstring).
+        With mu = num/den and d = |mu - mu(F)| = n/m, m = den r, d < x_F iff
+        2n < 3m and n(n - 3m) + den^2 > 0: the test n(n - 3m) r^2 + m^2 > 0
+        of m^2 r^2 times X^2 - 3X + 1/r^2 at d, divided by r^2 > 0 (module
+        docstring; equivalently delta_F(mu) > 1/2).
         """
         return self._contains(mu.numerator, mu.denominator)
 
     def _contains(self, num: int, den: int) -> bool:
-        """``contains_slope`` of num/den, den > 0; the fraction need not be
-        in lowest terms, the test being homogeneous."""
-        r, c1 = self.rank, self.c1
-        n = abs(num * r - c1 * den)
-        m = den * r
-        return 2 * n < 3 * m and n * (n - 3 * m) * r * r + m * m > 0
+        """``contains_slope`` of num/den, den > 0, by ``_inside``; the
+        fraction need not be in lowest terms, the test being homogeneous."""
+        return _inside(abs(num * self.rank - self.c1 * den), den * self.rank, den * den)
 
     def label(self) -> str:
         """O(c1) or E(c1/r), in lowest terms since chi(F,F) = 1; the terms
@@ -242,9 +251,17 @@ class ExceptionalBundle(Record):
         return self.label()
 
 
+def _inside(n: int, m: int, den_sq: int) -> bool:
+    """Whether d = n/m, n >= 0, lies below x_F of the bundle of rank r at
+    the slope num/den, for n = |num r - c1 den|, m = den r and den_sq =
+    den^2: 2n < 3m and n(n - 3m) + den^2 > 0 (module docstring).  The one
+    ownership test, behind ``_contains`` and ``_owner``'s steer."""
+    return 2 * n < 3 * m and n * (n - 3 * m) + den_sq > 0
+
+
 def _conic_side(x: ExceptionalBundle, sign: int, n: int, d: int) -> tuple[int, int]:
     """P(sign * (mu - mu(x))) - Delta(x) at mu = n/d, d > 0, as (num, den):
-    each side of a triangle tile, and delta, is this conic.
+    each side of a triangle tile is this conic.
 
     With t = sign * (n r - c1 d) and w = d r the argument of P is t/w,
     and P(t/w) - (r^2 - 1)/(2 r^2) = (t^2 + 3 t w + (r^2 + 1) d^2) / (2 w^2).
@@ -293,9 +310,11 @@ def _lattice(rank: int, c1: int, max_depth: int | None) -> tuple:
     non-integral c2, and when the descent, capped at max_depth, proves the
     slope off the lattice; the bundle is the one the descent found."""
     if rank < 1:
-        raise ValueError(f"rank {rank} of ({rank}, {c1}) is not positive")
+        r = _ratio(rank, 1)
+        raise ValueError(f"rank {r} of ({r}, {_ratio(c1, 1)}) is not positive")
     if _c2(rank, c1)[1]:
-        raise ValueError(f"{c1}/{rank} is not an exceptional slope (c2 not integral)")
+        slope = f"{_ratio(c1, 1)}/{_ratio(rank, 1)}"  # term by term: it need not be reduced
+        raise ValueError(f"{slope} is not an exceptional slope (c2 not integral)")
     return _descend(rank, c1, _cap(max_depth))[:2]
 
 
@@ -313,9 +332,10 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     (ra, ca, sa), (rb, cb, sb) = a.chern._vec, b.chern._vec
     gap = cb * ra - ca * rb  # (slope(b) - slope(a)) * ra * rb
     if gap <= 0:
-        raise ValueError(f"compose needs slope(a) < slope(b), got {a.slope}, {b.slope}")
+        slopes = f"{_ratio(ca, ra)}, {_ratio(cb, rb)}"
+        raise ValueError(f"compose needs slope(a) < slope(b), got {slopes}")
     if gap >= 3 * ra * rb:
-        raise ValueError(f"slope gap {b.slope - a.slope} too wide for composition")
+        raise ValueError(f"slope gap {_ratio(gap, ra * rb)} too wide for composition")
     u0, u1, u2 = 2 * ra + 3 * ca + sa, -3 * ra - 2 * ca, ra
     v0, v1, v2 = 2 * rb - 3 * cb + sb, 3 * rb - 2 * cb, rb
     if v0 * ra + v1 * ca + v2 * sa != 0:  # 2 chi(b, a)
@@ -481,18 +501,24 @@ def _owner(n: int, m: int, cap: int | None) -> ExceptionalBundle:
     """Owner of the slope n/m in [-1, 0], in lowest terms, within ``cap``
     mids, behind the lattice's third cache: a query and the frontiers at its
     slope ask for the same owner.  A bundle owns a slope exactly when
-    ``_contains`` holds, as it does at distance 0.  After the two ends, a
-    miss walks to the first mid that owns the slope; an error is not kept,
-    so a hit repeats only an answer that the same cap has proved.  The
-    owner has rank at most m (module docstring), so a mid of larger rank
-    that does not own the slope is InternalInconsistencyError."""
-    for end in (_bundle(1, -1, 1), _bundle(1, 0, 0)):
-        if end._contains(n, m):
-            return end
+    ``_inside`` holds, as it does at distance 0.  Each bundle is steered
+    once: s = n r - c1 m, the sign of n/m - mu(mid), gives d = |s|/(m r)
+    for ``_inside`` and, when the mid does not own the slope, the side to
+    enter.  The two ends are tried first, then a miss walks to the first
+    mid that owns the slope; an error is not kept, so a hit repeats only an
+    answer that the same cap has proved.  The owner has rank at most m
+    (module docstring), so a mid of larger rank that does not own the slope
+    is InternalInconsistencyError."""
+    den_sq = m * m
 
     def steer(lo, mid, hi):
-        if mid.rank > m and not mid._contains(n, m):
+        s = n * mid.rank - mid.c1 * m
+        if _inside(abs(s), m * mid.rank, den_sq):
+            return 0
+        if mid.rank > m:
             raise InternalInconsistencyError(f"no mid up to its denominator owns {_ratio(n, m)}")
-        return 0 if mid._contains(n, m) else n * mid.rank - mid.c1 * m
+        return s
 
-    return _walk(steer, lambda: f"slope {_ratio(n, m)}", cap, -1)[1]
+    # The ends, of rank 1, are steered like a mid; at most one owns the slope.
+    ends = [f for f in (_bundle(1, -1, 1), _bundle(1, 0, 0)) if steer(None, f, None) == 0]
+    return ends[0] if ends else _walk(steer, lambda: f"slope {_ratio(n, m)}", cap, -1)[1]

@@ -30,6 +30,16 @@ which walks a slope only when its memo of 4096 owners does not hold it
 at that cap: ``delta_prime`` at the slope that ``classify`` has just
 answered walks nothing.
 
+At mu = num/den, with n = |num r - c1 den| and m = den r (so that
+|mu - mu(F)| = n/m), ``_conic_terms`` writes both frontiers from the same
+n and m:
+
+    delta       = (n(n - 3m) + (r^2 + 1) den^2) / (2m^2),
+    delta_prime = (n^2 + (r^2 - 1) den^2) / (2m^2) + (n/(2mr)) sqrt(9r^2 - 4).
+
+The first is P(-n/m) - Delta(F), with P(X) = (X + 1)(X + 2)/2; the second
+subtracts (1/r^2)(1 - (n/m)/x_F) from it, with 1/x_F = r(3r + sqrt(9r^2 - 4))/2.
+
 The region tests are integer signs on (r, c1, c2) and the owner's
 (r_F, c1_F): the prioritary bound, the side of delta and the exceptional
 point are cross-multiplied inequalities, and the side of delta_prime is
@@ -83,17 +93,17 @@ def _prioritary_bound(mu: Fraction) -> Fraction:
 
 
 def _conic_terms(num: int, den: int, f: ExceptionalBundle) -> tuple[int, int, int, int]:
-    """(N, N + 3nm - 2 den^2, n, m) at the slope num/den (den > 0, any
-    terms) owned by f, with |mu - mu(F)| = n/m, m = den r.
+    """(N, N', n, m) at the slope num/den (den > 0, any terms) owned by f,
+    with n = |num r - c1 den| and m = den r, so that |mu - mu(F)| = n/m:
+    delta = N/(2m^2) and delta_prime = N'/(2m^2) + (n/(2mr)) sqrt(9r^2 - 4)
+    (module docstring), where, as m^2 = r^2 den^2,
 
-    delta = N/(2m^2), N the numerator of ``exceptional._conic_side`` at
-    argument -|mu - mu(F)|; with 1/x_F = r (3r + sqrt(9r^2 - 4))/2, delta_prime =
-    delta - (1/r^2)(1 - (n/m)/x_F) = (N + 3nm - 2 den^2)/(2m^2) + n/(2mr) sqrt(9r^2 - 4).
+        N  = n(n - 3m) + (r^2 + 1) den^2 = n^2 + m^2 - 3nm + den^2,
+        N' = n^2 + (r^2 - 1) den^2       = n^2 + m^2 - den^2.
     """
-    gap = num * f.rank - f.c1 * den
-    n, m = abs(gap), den * f.rank
-    big_n = exceptional._conic_side(f, -1 if gap > 0 else 1, num, den)[0]
-    return big_n, big_n + 3 * n * m - 2 * den * den, n, m
+    n, m, den_sq = abs(num * f.rank - f.c1 * den), den * f.rank, den * den
+    both = n * n + m * m
+    return both - 3 * n * m + den_sq, both - den_sq, n, m
 
 
 def _delta_at(num: int, den: int, f: ExceptionalBundle) -> Fraction:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import prioritaire.exceptional as ex
 from prioritaire import chern, frontier, helix
-from prioritaire.chern import ChernData, euler_pairing
+from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
 from prioritaire.errors import (
     DepthExhaustedError,
     InternalInconsistencyError,
@@ -39,6 +39,7 @@ from prioritaire.exceptional import (
 )
 from prioritaire.frontier import RegionTag
 from prioritaire.helix import enumerate_to_level
+from prioritaire.surd import QuadSurd
 
 
 def _vector(r, c1):
@@ -535,12 +536,10 @@ def test_the_owner_of_a_slope_has_rank_below_a_third_of_its_denominator(mu):
 
 def test_an_owner_walk_past_the_denominator_is_an_inconsistency(monkeypatch):
     # Were no mid to own the slope, the walk would stop at the first mid of
-    # rank above the denominator instead of running on.
-    ends = (ex._bundle(1, -1, 1), ex._bundle(1, 0, 0))
-    original = ex.ExceptionalBundle._contains
-    monkeypatch.setattr(
-        ex.ExceptionalBundle, "_contains", lambda f, n, m: f in ends and original(f, n, m)
-    )
+    # rank above the denominator instead of running on.  The ends, of rank
+    # 1, are the bundles whose m in ``_inside`` is the denominator 20 itself.
+    original = ex._inside
+    monkeypatch.setattr(ex, "_inside", lambda n, m, den_sq: m == 20 and original(n, m, den_sq))
     ex._owner.cache_clear()
     with pytest.raises(InternalInconsistencyError, match=r"^no mid up to its denominator owns"):
         locate_exceptional(Fraction(-9, 20))
@@ -870,6 +869,72 @@ def test_contains_slope_matches_surd_reference_far_out():
         for _ in range(40):
             mu = Fraction(rng.randint(-3 * 10**5, 10**5), rng.randint(1, 10**5))
             assert f.contains_slope(mu) == _surd_contains(f, mu)
+
+
+# Deep bundles: the one-sided runs of -1/2^1500 towards O and of
+# (1 - 2^1500)/2^1500 towards O(-1), of 2 083-bit ranks, and the
+# alternating dyadics near -1/3 and -2/3 at level 18, of 8 737-bit ranks.
+_DEEP = [
+    from_dyadic(d)
+    for d in (
+        Dyadic(-1, 1500),
+        Dyadic(1 - (1 << 1500), 1500),
+        Dyadic(-(4**9 - 1) // 3, 18),
+        Dyadic(-(2 * 4**9 + 1) // 3, 18),
+    )
+]
+
+
+def _interval_end(f, k: int, upper: bool) -> Fraction:
+    """A rational bound on x_F = 2/(r(3r + sqrt(9r^2 - 4))) from the integer
+    square root of (9r^2 - 4) 4^k: below x_F, or not below it if upper."""
+    r, scale = f.rank, 1 << k
+    s = math.isqrt((9 * r * r - 4) * scale * scale) + (0 if upper else 1)
+    return Fraction(2 * scale, r * (3 * r * scale + s))
+
+
+def _reciprocal_half_width(f) -> QuadSurd:
+    """1/x_F = (3r^2 + r sqrt(9r^2 - 4))/2, checked against half_width() by
+    multiplying out: (a + b sqrt(D))(a' + b' sqrt(D)) = 1."""
+    r = f.rank
+    x, inv = f.half_width(), QuadSurd(Fraction(3 * r * r, 2), Fraction(r, 2), 9 * r * r - 4)
+    assert x.a * inv.a + x.b * inv.b * x.d == 1 and x.a * inv.b + x.b * inv.a == 0
+    return inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.integers(0, len(_DEEP) - 1),
+    k=st.integers(0, 80),
+    upper=st.booleans(),
+    far=st.booleans(),
+    nudge=st.integers(-2, 2),
+    side=st.sampled_from((1, -1)),
+    scale=st.integers(1, 7),
+)
+def test_ownership_and_conic_terms_of_deep_bundles(index, k, upper, far, nudge, side, scale):
+    # Near either root of X^2 - 3X + 1/r^2 (x_F, or 3 - x_F when far), the
+    # one ownership test agrees with the surd comparison x_F > d, and the
+    # two numerators of _conic_terms are delta and delta_prime, built here
+    # from hirzebruch_p and QuadSurd, in any terms of the slope.
+    f = _DEEP[index]
+    end = _interval_end(f, k, upper)
+    d = (3 - end if far else end) + Fraction(nudge, f.rank**3 << k)
+    mu = f.slope + side * d
+    num, den = mu.numerator * scale, mu.denominator * scale
+    r, c1 = f.rank, f.c1
+    inside = ex._inside(abs(num * r - c1 * den), den * r, den * den)
+    assert inside == _surd_contains(f, mu) == f.contains_slope(mu)
+    dist = abs(mu - f.slope)
+    big_n, rational, n, m = frontier._conic_terms(num, den, f)
+    assert Fraction(n, m) == dist
+    expected = hirzebruch_p(-dist) - f.delta
+    assert Fraction(big_n, 2 * m * m) == expected
+    inv = _reciprocal_half_width(f)
+    # delta - (1/r^2)(1 - d/x_F)
+    shift = QuadSurd(inv.a * dist / (r * r), inv.b * dist / (r * r), inv.d)
+    prime = QuadSurd.from_rational(expected - Fraction(1, r * r)) + shift
+    assert QuadSurd(Fraction(rational, 2 * m * m), Fraction(n, 2 * m * r), 9 * r * r - 4) == prime
 
 
 def _reference_locate(mu: Fraction, cap: int):

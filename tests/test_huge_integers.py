@@ -23,8 +23,15 @@ from prioritaire.decompose import (
     generic_prioritary,
     stable_presentation,
 )
-from prioritaire.errors import NoPrioritarySheafError, PrioritaireError
-from prioritaire.exceptional import from_slope
+from prioritaire.errors import NoPrioritarySheafError, ParseError, PrioritaireError
+from prioritaire.exceptional import (
+    Dyadic,
+    ExceptionalBundle,
+    compose,
+    from_dyadic,
+    from_slope,
+    parse_dyadic,
+)
 from prioritaire.frontier import Region, RegionTag
 
 BIG = 2**15000 + 1  # 4 516 digits
@@ -64,6 +71,74 @@ def test_summand_labels(default_digit_limit):
     # Under 2 000 bits the terms keep their digits.
     assert Summand(KIND_POINT_EXT, 1, twist=-3).label() == "V(-3)"
     assert Summand(KIND_GENERIC, 1, data=ChernData(2, -1, 5)).label() == "generic(2,-1,5)"
+
+
+HUGE = 10**5000 + 1  # 16 610 bits
+
+
+def test_lattice_and_dyadic_refusals(default_digit_limit):
+    for call, error, text in (
+        (
+            lambda: ExceptionalBundle(-HUGE, 1),
+            ValueError,
+            r"^rank -<16610 bits> of \(-<16610 bits>, 1\) is not positive$",
+        ),
+        (
+            lambda: from_slope(Fraction(1, HUGE)),
+            ValueError,
+            r"^1/<16610 bits> is not an exceptional slope \(c2 not integral\)$",
+        ),
+        (lambda: Dyadic(1, -HUGE), ValueError, r"^negative level -<16610 bits>$"),
+        (
+            lambda: Dyadic(HUGE, 0).neighbors(),
+            ValueError,
+            r"^<16610 bits> is an integer and has no bracketing pair$",
+        ),
+        (
+            lambda: Dyadic.from_fraction(Fraction(1, 3 * HUGE)),
+            ParseError,
+            r"^<1 bits>/<16612 bits> is not dyadic \(denominator <16612 bits>\)$",
+        ),
+    ):
+        with pytest.raises(error, match=text):
+            call()
+    # Under 2 000 bits the terms keep their digits, unreduced where given so.
+    with pytest.raises(ValueError, match=r"^2/4 is not an exceptional slope"):
+        ExceptionalBundle(4, 2)
+    with pytest.raises(ParseError, match=r"^1/6 is not dyadic \(denominator 6\)$"):
+        Dyadic.from_fraction(Fraction(1, 6))
+
+
+def test_compose_refusals(default_digit_limit):
+    # Alternating dyadics at levels 18 and 20: ranks of 8 737 and 22 876 bits.
+    a = from_dyadic(Dyadic(-(4**10 - 1) // 3, 20))
+    b = from_dyadic(Dyadic(-(4**9 - 1) // 3, 18))
+    order = r"^compose needs slope\(a\) < slope\(b\), got "
+    slopes = r"-<8736 bits>/<8737 bits>, -<22875 bits>/<22876 bits>$"
+    with pytest.raises(ValueError, match=order + slopes):
+        compose(b, a)
+    with pytest.raises(ValueError, match=r"^slope gap <31614 bits>/<31613 bits> too wide"):
+        compose(a, b.twist(3))
+    # Under 2 000 bits the slopes keep their digits.
+    o, e = from_slope(Fraction(0)), from_slope(Fraction(-1, 2))
+    with pytest.raises(ValueError, match=order + r"0, -1/2$"):
+        compose(o, e)
+    with pytest.raises(ValueError, match=r"^slope gap 7/2 too wide for composition$"):
+        compose(e, o.twist(3))
+
+
+def test_a_deep_dyadic_writes_its_level(default_digit_limit):
+    # Once 2^q passes 2 000 bits the denominator is written as 2^q: exact,
+    # and read back by parse_dyadic.
+    for d, text in (
+        (Dyadic(1, 20000), "1/2^20000"),
+        (Dyadic(-3, 2000), "-3/2^2000"),
+        (Dyadic(-3, 4), "-3/16"),
+        (Dyadic(5, 0), "5"),
+    ):
+        assert str(d) == text
+        assert parse_dyadic(text) == d
+    assert str(Dyadic(-1, 1999)) == f"-1/{1 << 1999}"
 
 
 @st.composite
