@@ -14,6 +14,10 @@ The package computes, over the rationals and quadratic surds only:
   frontier.
 
 See the command line tool ``prioritaire`` for a quick tour.
+
+``CheckResult`` and ``run_selfcheck`` are loaded on first use (PEP 562):
+the self-check uses ``fractions`` and ``decimal`` as its oracles, and
+importing the package loads neither.
 """
 
 from .chern import (
@@ -78,7 +82,6 @@ from .helix import (
     root,
 )
 from .render import tile_csv, tile_svg
-from .selfcheck import CheckResult, run_selfcheck
 from .surd import QuadSurd, compare_sqrt_sum, decimal_str
 
 __version__ = "0.1.0"
@@ -142,3 +145,15 @@ __all__ = [
     "twist",
     "__version__",
 ]
+
+
+# The names of ``selfcheck`` that the package lists, resolved by ``__getattr__``.
+_LAZY = ("CheckResult", "run_selfcheck")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from . import selfcheck
+
+        return getattr(selfcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

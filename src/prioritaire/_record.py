@@ -25,7 +25,7 @@ length (``_bits``).  It exists so that importing the package does not
 import ``dataclasses``, which costs more than the package itself.
 """
 
-from fractions import Fraction
+import sys
 from math import gcd
 from operator import attrgetter
 
@@ -54,8 +54,11 @@ def _ratio(n: int, m: int) -> str:
 
 def _field_repr(value: object) -> str:
     """repr(value), with each integer past _MAX_BITS bits, the value or a
-    term of a Fraction, named by ``_bits``."""
-    if type(value) is Fraction:  # not isinstance: Fraction's ABC check would cost every field
+    term of a Fraction, named by ``_bits``.  No value is a Fraction until
+    ``fractions`` is loaded, so it is looked up, not imported."""
+    fractions = sys.modules.get("fractions")
+    # not isinstance: Fraction's ABC check would cost every field
+    if fractions is not None and type(value) is fractions.Fraction:
         return f"Fraction({_field_repr(value.numerator)}, {_field_repr(value.denominator)})"
     if isinstance(value, int) and value.bit_length() > _MAX_BITS:
         return _bits(value)

@@ -14,12 +14,12 @@ leaves Delta unchanged.  Both chi forms are integers on integral data,
 which is asserted at runtime rather than trusted.  ``euler_char``,
 ``euler_pairing``, ``twist`` and ``normalize`` work on the integers
 (r, c1, c2) directly; the slope/discriminant form above and
-``character_pairing`` are the references they are tested against.
+``character_pairing`` are the references they are tested against.  The
+functions that return or take a ``Fraction`` import ``fractions`` when
+called, so importing the package loads no ``fractions``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ._record import Record, _ratio
 from .errors import InternalInconsistencyError
@@ -27,7 +27,9 @@ from .errors import InternalInconsistencyError
 
 def hirzebruch_p(x: Fraction | int) -> Fraction:
     """P(X) = (X+1)(X+2)/2, the Euler characteristic of O(X) for integer X."""
-    x = Fraction(x)
+    import fractions
+
+    x = fractions.Fraction(x)
     return (x + 1) * (x + 2) / 2
 
 
@@ -37,7 +39,9 @@ class ChernCharacter(Record):
     __slots__ = ("rank", "c1", "ch2")
 
     def __init__(self, rank: int, c1: int, ch2: Fraction | int) -> None:
-        ch2 = Fraction(ch2)
+        import fractions
+
+        ch2 = fractions.Fraction(ch2)
         if (2 * ch2).denominator != 1:
             raise ValueError(f"ch2 must be a half-integer, got {_ratio(*ch2.as_integer_ratio())}")
         set_rank, set_c1, set_ch2 = __class__._setters
@@ -56,18 +60,21 @@ class ChernCharacter(Record):
 
     def twist(self, k: int) -> "ChernCharacter":
         """Multiply by the character (1, k, k^2/2) of O(k) in Z[h]/h^3."""
+        import fractions
+
         return ChernCharacter(
             self.rank,
             self.c1 + self.rank * k,
-            self.ch2 + self.c1 * k + self.rank * Fraction(k * k, 2),
+            self.ch2 + self.c1 * k + self.rank * fractions.Fraction(k * k, 2),
         )
 
     def to_data(self) -> "ChernData":
-        c2 = (Fraction(self.c1 * self.c1) - 2 * self.ch2) / 2
-        if c2.denominator != 1:
-            text = _ratio(*c2.as_integer_ratio())
+        # 2 c2 = c1^2 - 2 ch2, with 2 ch2 an integer.
+        twice = self.c1 * self.c1 - int(2 * self.ch2)
+        if twice & 1:
+            text = _ratio(twice, 2)
             raise InternalInconsistencyError(f"character {self} has non-integral c2 = {text}")
-        return ChernData(self.rank, self.c1, int(c2))
+        return ChernData(self.rank, self.c1, twice >> 1)
 
 
 class ChernData(Record):
@@ -88,15 +95,21 @@ class ChernData(Record):
         set_vec(self, (rank, c1, c1 * c1 - 2 * c2))
 
     def slope(self) -> Fraction:
-        return Fraction(self.c1, self.rank)
+        import fractions
+
+        return fractions.Fraction(self.c1, self.rank)
 
     def discriminant(self) -> Fraction:
         """Delta = (2r c2 - (r-1) c1^2) / (2r^2)."""
+        import fractions
+
         r, c1 = self.rank, self.c1
-        return Fraction(2 * r * self.c2 - (r - 1) * c1 * c1, 2 * r * r)
+        return fractions.Fraction(2 * r * self.c2 - (r - 1) * c1 * c1, 2 * r * r)
 
     def character(self) -> ChernCharacter:
-        return ChernCharacter(self.rank, self.c1, Fraction(self.c1 * self.c1, 2) - self.c2)
+        import fractions
+
+        return ChernCharacter(self.rank, self.c1, fractions.Fraction(self.c1 * self.c1, 2) - self.c2)
 
 
 def euler_char(cd: ChernData) -> int:
@@ -132,11 +145,13 @@ def character_pairing(x: ChernCharacter, y: ChernCharacter) -> Fraction:
     Kept as an independent route for cross-checks; valid for virtual
     classes of any rank.
     """
+    import fractions
+
     return (
         x.rank * y.ch2
         + y.rank * x.ch2
         - x.c1 * y.c1
-        + Fraction(3, 2) * (x.rank * y.c1 - x.c1 * y.rank)
+        + fractions.Fraction(3, 2) * (x.rank * y.c1 - x.c1 * y.rank)
         + x.rank * y.rank
     )
 

@@ -6,6 +6,11 @@ sorted keys, so machine output is deterministic.  Exact values are
 printed as rational or surd strings; decimal approximations are
 display-only, rounded once from the exact value and sized by ``--digits``,
 at most ``surd.MAX_DIGITS``: their cost grows faster than their count.
+Each payload is written from the integers the command already holds,
+through ``surd``'s integer display kernel, so a query builds no
+``Fraction`` or ``QuadSurd`` and imports neither ``fractions`` nor
+``decimal``; ``selfcheck``, which uses both as oracles, is imported by its
+own command only.
 
 Exit codes: 0 when the question was answered (including "no prioritary
 sheaf exists"), 1 for usage errors, 2 when an internal consistency
@@ -27,18 +32,24 @@ and arguments left over go to the full parser (``build_parser``), which
 prints the top-level usage, help and errors.  The help formatter sizes
 itself to the terminal only when it prints, so a query that answers
 imports no ``shutil``.
+
+``entry``, the console script and ``python -m prioritaire``, freezes the
+garbage collector's view of the loaded package (``gc.freeze``) before it
+runs the query: the collection at interpreter exit then skips the objects
+of the import, and the query's own objects are collected as usual.
+``main`` leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
-from fractions import Fraction
 
 from . import chern
 from . import decompose as decompose_mod
-from . import exceptional, frontier, helix, render, selfcheck
+from . import exceptional, frontier, helix, render, surd
 from .chern import ChernData, euler_pairing
 from .errors import (
     DepthExhaustedError,
@@ -47,7 +58,7 @@ from .errors import (
     NotCoveredError,
     ParseError,
 )
-from .surd import MAX_DIGITS, QuadSurd, decimal_str, format_rational, parse_rational
+from .surd import MAX_DIGITS
 
 MAX_TILE_SAMPLES = 256
 
@@ -89,24 +100,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _exact(value, digits: int) -> dict:
-    return {"exact": str(value), "approx": decimal_str(value, digits)}
+def _rational(n: int, d: int, digits: int) -> dict:
+    """The exact value n/d, d > 0, in any terms, and its decimal."""
+    return {"exact": surd._ratio_text(n, d), "approx": surd._rational_decimal(n, d, digits)}
+
+
+def _surd(p: int, q: int, rad: int, m: int, digits: int) -> dict:
+    """The exact value (p + q sqrt(rad))/m, m > 0 and rad not a square, and
+    its decimal: a rational when q = 0, as its ``QuadSurd`` normalizes."""
+    if q == 0:
+        return _rational(p, m, digits)
+    return {"exact": surd._surd_text(p, q, rad, m), "approx": surd._surd_decimal(p, q, rad, m, digits)}
 
 
 def _exact_text(e: dict) -> str:
-    """An ``_exact`` value as text: its decimal follows unless it is an integer."""
+    """A ``_rational`` or ``_surd`` value as text: its decimal follows unless it is an integer."""
     return f"{e['exact']} (~ {e['approx']})" if "sqrt" in e["exact"] or "/" in e["exact"] else e["exact"]
 
 
-def _invariants(d: ChernData, delta: Fraction, **record) -> dict:
-    """``record`` with rank, c1, c2, slope of d and its discriminant delta:
-    the one record of the invariants of a bundle or a summand."""
-    slope, delta = format_rational(d.slope()), format_rational(delta)
-    return dict(record, rank=d.rank, c1=d.c1, c2=d.c2, slope=slope, delta=delta)
+def _invariants(d: ChernData, **record) -> dict:
+    """``record`` with rank, c1, c2, slope c1/r and discriminant D/(2r^2) of
+    d (``frontier._disc_num``): the one record of the invariants of a bundle
+    or a summand."""
+    r, c1, c2 = d.rank, d.c1, d.c2
+    slope, delta = surd._ratio_text(c1, r), surd._ratio_text(frontier._disc_num(r, c1, c2), 2 * r * r)
+    return dict(record, rank=r, c1=c1, c2=c2, slope=slope, delta=delta)
 
 
 def _bundle_record(f: exceptional.ExceptionalBundle) -> dict:
-    return _invariants(f.chern, f.delta, label=f.label())
+    """The invariants of f, whose discriminant is (r^2 - 1)/(2 r^2)."""
+    return _invariants(f.chern, label=f.label())
 
 
 def _emit_json(payload: dict) -> None:
@@ -263,19 +286,21 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 def _cmd_slope(args: argparse.Namespace) -> int:
     if args.invert:
-        slope = parse_rational(args.value)
-        f, d = exceptional._lattice(slope.denominator, slope.numerator, args.depth)
+        n, m = surd._parse_ratio(args.value)
+        f, d = exceptional._lattice(m, n, args.depth)
     else:
         d = exceptional.parse_dyadic(args.value)
         f = exceptional.from_dyadic(d)
     _lift_digit_limit()
-    hw, mu = f.half_width(), QuadSurd.from_rational(f.slope)
+    # x_f = (3r - sqrt(9r^2 - 4))/(2r), and the interval c1/r -+ x_f.
+    r, c1, digits = f.rank, f.c1, args.digits
+    rad = 9 * r * r - 4
     payload = _bundle_record(f)
     payload["dyadic"] = str(d)
-    payload["x_f"] = _exact(hw, args.digits)
+    payload["x_f"] = _surd(3 * r, -1, rad, 2 * r, digits)
     payload["interval"] = {
-        "left": _exact(mu - hw, args.digits),
-        "right": _exact(mu + hw, args.digits),
+        "left": _surd(2 * c1 - 3 * r, 1, rad, 2 * r, digits),
+        "right": _surd(2 * c1 + 3 * r, -1, rad, 2 * r, digits),
     }
     if args.json:
         _emit_json(payload)
@@ -291,15 +316,21 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
-    mu = parse_rational(args.mu)
+    num, den = surd._parse_ratio(args.mu)
     _lift_digit_limit()
-    owner, d, dp = frontier.delta_many([mu], args.depth)[0]
+    # The slope translated into (-1, 0], where delta, delta_prime and the
+    # prioritary bound -n(n + den)/(2 den^2) are read (all have period 1).
+    n, digits = -(-num % den), args.digits
+    owner = exceptional._owners([(n, den)], exceptional._cap(args.depth))[0]
+    big_n, rational, k, m = frontier._conic_terms(n, den, owner)
+    r = owner.rank
     payload = {
-        "mu": format_rational(mu),
-        "delta": _exact(d, args.digits),
-        "delta_prime": _exact(dp, args.digits),
+        "mu": surd._ratio_text(num, den),
+        "delta": _rational(big_n, 2 * m * m, digits),
+        # N'/(2m^2) + (k/(2mr)) sqrt(9r^2 - 4), over the one denominator 2m^2 r.
+        "delta_prime": _surd(rational * r, k * m, 9 * r * r - 4, 2 * m * m * r, digits),
         "owner": _bundle_record(owner),
-        "prioritary_bound": _exact(frontier._prioritary_bound(mu), args.digits),
+        "prioritary_bound": _rational(-n * (n + den), 2 * den * den, digits),
     }
     if args.json:
         _emit_json(payload)
@@ -315,11 +346,12 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 def _classify_payload(
     cd: ChernData, norm: ChernData, k: int, region: frontier.Region, digits: int
 ) -> dict:
+    r, c1, c2 = norm.rank, norm.c1, norm.c2
     payload = {
         "input": {"rank": cd.rank, "c1": cd.c1, "c2": cd.c2},
-        "normalized": {"rank": norm.rank, "c1": norm.c1, "c2": norm.c2, "twist": k},
-        "mu": _exact(norm.slope(), digits),
-        "delta": _exact(norm.discriminant(), digits),
+        "normalized": {"rank": r, "c1": c1, "c2": c2, "twist": k},
+        "mu": _rational(c1, r, digits),
+        "delta": _rational(frontier._disc_num(r, c1, c2), 2 * r * r, digits),
         "region": region.tag.value,
     }
     if region.witness is not None:
@@ -346,8 +378,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _summand_record(s: decompose_mod.Summand) -> dict:
-    d = s.chern_data()
-    return _invariants(d, d.discriminant(), kind=s.kind, label=s.label(), multiplicity=s.multiplicity)
+    return _invariants(s.chern_data(), kind=s.kind, label=s.label(), multiplicity=s.multiplicity)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -462,6 +493,8 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     if args.depth > helix.MAX_TILE_DEPTH:
         raise ParseError(f"selfcheck depth {args.depth} exceeds the maximum {helix.MAX_TILE_DEPTH}")
+    from . import selfcheck  # here, not at the top: it loads fractions and decimal
+
     results = selfcheck.run_selfcheck(args.depth)
     ok = True
     for r in results:
@@ -499,6 +532,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # The package is loaded: freeze its objects, so that the collection at
+    # exit skips them; what the query makes is collected as usual.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()

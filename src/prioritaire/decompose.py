@@ -37,7 +37,6 @@ off Euler pairings against the series of f.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 
 from . import chern, exceptional, frontier, helix
 from ._record import Record, _ratio
@@ -136,8 +135,10 @@ class Decomposition(Record):
     def total_character(self) -> ChernCharacter | None:
         if self.summands is None:
             return None
+        import fractions
+
         r, c1, x = _combine((s.multiplicity, s.chern_data()) for s in self.summands)
-        return ChernCharacter(r, c1, Fraction(x, 2))
+        return ChernCharacter(r, c1, fractions.Fraction(x, 2))
 
 
 def _combine(terms: Iterable[tuple[int, ChernData]]) -> tuple[int, int, int]:
@@ -205,8 +206,10 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
             )
         residual = ChernData(rr, rc1, rc2)
         # f owns the residual's slope (the intervals are disjoint, so no
-        # other bundle's frontier applies there), and it sits on delta.
-        if not (f._contains(rc1, rr) and frontier._frontier_gaps(rr, rc1, rc2, f)[0] == 0):
+        # other bundle's frontier applies there), and it sits on delta: both
+        # from the one n and m of its frontier gaps.
+        gap, _, n, m = frontier._frontier_gaps(rr, rc1, rc2, f)
+        if not (exceptional._inside(n, m, rr * rr) and gap == 0):
             raise InternalInconsistencyError(
                 f"residual {residual} is not on the semistability frontier"
             )
@@ -240,7 +243,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
         if zeros > 1:
             raise InternalInconsistencyError(
                 f"more than one vanishing multiplicity in {(m, n, p)} "
-                f"at ({norm.slope()}, {norm.discriminant()})"
+                f"at ({_ratio(c1, r)}, {_ratio(frontier._disc_num(r, c1, norm.c2), 2 * r * r)})"
             )
         verification["triangle"] = {"level": t.level, "index": t.index}
         verification["multiplicities"] = [m, n, p]
@@ -315,10 +318,10 @@ def stable_presentation(cd: ChernData, f: ExceptionalBundle) -> PresentationRepo
     # The messages write their terms through _ratio: no int-to-str limit applies.
     if c1 * f.rank > f.c1 * r:
         raise ValueError(f"slope {_ratio(c1, r)} right of mu(f) = {_ratio(f.c1, f.rank)}")
-    if not f._contains(c1, r):
+    gap, _, n, m = frontier._frontier_gaps(r, c1, c2, f)
+    if not exceptional._inside(n, m, r * r):
         raise ValueError(f"slope {_ratio(c1, r)} outside the interval of {f}")
-    on_frontier = frontier._frontier_gaps(r, c1, c2, f)[0] == 0
-    if not (on_frontier or frontier._at_exceptional_point(r, c1, c2, f)):
+    if not (gap == 0 or frontier._at_exceptional_point(r, c1, c2, f)):
         raise ValueError(
             f"discriminant {_ratio(frontier._disc_num(r, c1, c2), 2 * r * r)} "
             f"not on the semistability frontier at {_ratio(c1, r)}"

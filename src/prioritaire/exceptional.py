@@ -96,7 +96,6 @@ tree that is not a mutation.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
 from math import gcd
@@ -105,7 +104,8 @@ from . import chern
 from ._record import _MAX_BITS, Record, _ratio
 from .chern import ChernCharacter, ChernData
 from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
-from .surd import QuadSurd
+from .surd import QuadSurd, _ratio_of
+
 
 class Dyadic(Record):
     """Rational p / 2^q in normal form (q == 0, or p odd)."""
@@ -124,13 +124,14 @@ class Dyadic(Record):
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "Dyadic":
-        n, den = Fraction(value).as_integer_ratio()
-        if den & (den - 1):  # not a power of two
-            raise ParseError(f"{_ratio(n, den)} is not dyadic (denominator {_ratio(den, 1)})")
-        return cls(n, den.bit_length() - 1)
+        import fractions
+
+        return _dyadic(*fractions.Fraction(value).as_integer_ratio())
 
     def value(self) -> Fraction:
-        return Fraction(self.p, 1 << self.q)
+        import fractions
+
+        return fractions.Fraction(self.p, 1 << self.q)
 
     def neighbors(self) -> "tuple[Dyadic, Dyadic]":
         """The bracketing pair one level up; defined for q >= 1."""
@@ -148,22 +149,29 @@ class Dyadic(Record):
 
 def parse_dyadic(text: str) -> Dyadic:
     """Accepts "p/2^q", plain fractions with power-of-two denominator,
-    and decimal strings that are exactly dyadic ("-0.25")."""
+    and decimal strings that are exactly dyadic ("-0.25"); the first two
+    are read in integers (``surd._ratio_of``)."""
     s = text.strip()
-    if "^" in s:
-        try:
+    try:
+        if "^" not in s:
+            n, den = _ratio_of(s)
+        else:
             num, den = s.split("/")
             base, exp = den.split("^")
             if int(base) != 2:
                 raise ValueError
             return Dyadic(int(num), int(exp))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"malformed dyadic {text!r}") from exc
-    try:
-        value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed dyadic {text!r}") from exc
-    return Dyadic.from_fraction(value)
+    return _dyadic(n, den)
+
+
+def _dyadic(n: int, den: int) -> Dyadic:
+    """The dyadic n/den, in lowest terms with den > 0, or ParseError when
+    den is not a power of two."""
+    if den & (den - 1):
+        raise ParseError(f"{_ratio(n, den)} is not dyadic (denominator {_ratio(den, 1)})")
+    return Dyadic(n, den.bit_length() - 1)
 
 
 def _c2(rank: int, c1: int) -> tuple[int, int]:
@@ -208,7 +216,9 @@ class ExceptionalBundle(Record):
     @property
     def delta(self) -> Fraction:
         """(r^2 - 1)/(2 r^2), the discriminant of every exceptional bundle."""
-        return Fraction(self.rank**2 - 1, 2 * self.rank**2)
+        import fractions
+
+        return fractions.Fraction(self.rank**2 - 1, 2 * self.rank**2)
 
     def character(self) -> ChernCharacter:
         return self.chern.character()
@@ -222,8 +232,10 @@ class ExceptionalBundle(Record):
 
     def half_width(self) -> QuadSurd:
         """x_F = (3r - sqrt(9r^2 - 4))/(2r), radius of the slope interval."""
+        import fractions
+
         r = self.rank
-        return QuadSurd(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
+        return QuadSurd(fractions.Fraction(3, 2), fractions.Fraction(-1, 2 * r), 9 * r * r - 4)
 
     def contains_slope(self, mu: Fraction) -> bool:
         """Whether mu lies in the open interval around this slope.
@@ -299,7 +311,9 @@ def from_slope(slope: Fraction) -> ExceptionalBundle:
     """The exceptional bundle of a slope from outside the package, or
     ValueError (``_lattice``).  The descent needs no cap: the ranks of its
     mids rise, and it ends at the first of rank >= the denominator."""
-    slope = Fraction(slope)
+    import fractions
+
+    slope = fractions.Fraction(slope)
     return _lattice(slope.denominator, slope.numerator, None)[0]
 
 
@@ -478,7 +492,9 @@ def locate_many(
     ``max_depth``, a slope owned by none of O(-1), O and the first
     ``max_depth`` mids of its walk raises DepthExhaustedError; the error
     names the first such slope in the list."""
-    pairs = [(mu.numerator, mu.denominator) for mu in map(Fraction, slopes)]
+    import fractions
+
+    pairs = [(mu.numerator, mu.denominator) for mu in map(fractions.Fraction, slopes)]
     for n, m in pairs:
         if n < -m or n > 0:
             raise ValueError(f"slope {_ratio(n, m)} outside [-1, 0]")

@@ -45,17 +45,18 @@ The region tests are integer signs on (r, c1, c2) and the owner's
 point are cross-multiplied inequalities, and the side of delta_prime is
 the sign of A - B sqrt(9 r_F^2 - 4) with integers A and B >= 0
 (``_frontier_gaps``).  ``Fraction`` and ``QuadSurd`` values are built
-only where they are returned or printed.
+only where they are returned (``_delta_of``, ``_delta_prime_of``), and
+``fractions`` is imported there; the command line prints its answers from
+the same integers.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from fractions import Fraction
 
 from . import chern, exceptional
-from ._record import Record
+from ._record import Record, _ratio
 from .chern import ChernData
 from .errors import InternalInconsistencyError
 from .exceptional import ExceptionalBundle
@@ -82,16 +83,6 @@ class Region(Record):
         set_witness(self, witness)
 
 
-def _prioritary_bound(mu: Fraction) -> Fraction:
-    """-mu(mu+1)/2 at mu normalized into (-1, 0]: prioritary sheaves of
-    slope mu exist iff their discriminant is at least this.  A twist
-    changes neither, so the bound has period 1 in mu.  With the normalized
-    slope n/d (``_normalize_slope``) it is -n(n + d)/(2d^2), built as one
-    Fraction."""
-    n, d = _normalize_slope(mu)
-    return Fraction(-n * (n + d), 2 * d * d)
-
-
 def _conic_terms(num: int, den: int, f: ExceptionalBundle) -> tuple[int, int, int, int]:
     """(N, N', n, m) at the slope num/den (den > 0, any terms) owned by f,
     with n = |num r - c1 den| and m = den r, so that |mu - mu(F)| = n/m:
@@ -106,31 +97,43 @@ def _conic_terms(num: int, den: int, f: ExceptionalBundle) -> tuple[int, int, in
     return both - 3 * n * m + den_sq, both - den_sq, n, m
 
 
-def _delta_at(num: int, den: int, f: ExceptionalBundle) -> Fraction:
-    """delta at the normalized slope num/den (den > 0) owned by f (``_conic_terms``)."""
-    big_n, _, _, m = _conic_terms(num, den, f)
-    return Fraction(big_n, 2 * m * m)
+def _delta_of(terms: tuple[int, int, int, int]) -> Fraction:
+    """delta N/(2m^2) from the ``_conic_terms`` (N, N', n, m) of a slope."""
+    import fractions
+
+    big_n, _, _, m = terms
+    return fractions.Fraction(big_n, 2 * m * m)
 
 
-def _delta_prime_at(num: int, den: int, f: ExceptionalBundle) -> QuadSurd:
-    """delta_prime at the normalized slope num/den (den > 0) owned by f (``_conic_terms``)."""
-    _, rational, n, m = _conic_terms(num, den, f)
-    return QuadSurd(Fraction(rational, 2 * m * m), Fraction(n, 2 * m * f.rank), 9 * f.rank**2 - 4)
+def _delta_prime_of(terms: tuple[int, int, int, int], r: int) -> QuadSurd:
+    """delta_prime N'/(2m^2) + (n/(2mr)) sqrt(9r^2 - 4) from the
+    ``_conic_terms`` (N, N', n, m) of a slope owned by a bundle of rank r."""
+    import fractions
+
+    _, rational, n, m = terms
+    a, b = fractions.Fraction(rational, 2 * m * m), fractions.Fraction(n, 2 * m * r)
+    return QuadSurd(a, b, 9 * r * r - 4)
 
 
 def _normalize_slope(mu: Fraction) -> tuple[int, int]:
     """(n, d) of mu - ceil(mu), in lowest terms with d > 0: mu translated
-    by an integer into (-1, 0]."""
-    mu = Fraction(mu)
-    d = mu.denominator
-    return -(-mu.numerator % d), d
+    by an integer into (-1, 0].  An int or a Fraction already holds its
+    lowest terms; any other value is read through ``Fraction``."""
+    try:
+        n, d = mu.numerator, mu.denominator
+    except AttributeError:
+        import fractions
+
+        n, d = fractions.Fraction(mu).as_integer_ratio()
+    return -(-n % d), d
 
 
 def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
     """Semistability frontier at the rational slope mu (any rational;
     extended by integer periodicity)."""
     n, d = _normalize_slope(mu)
-    return _delta_at(n, d, exceptional._owners([(n, d)], exceptional._cap(max_depth))[0])
+    f = exceptional._owners([(n, d)], exceptional._cap(max_depth))[0]
+    return _delta_of(_conic_terms(n, d, f))
 
 
 def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
@@ -140,7 +143,8 @@ def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
     bundle; normalizes to a plain rational exactly when mu = mu(F).
     """
     n, d = _normalize_slope(mu)
-    return _delta_prime_at(n, d, exceptional._owners([(n, d)], exceptional._cap(max_depth))[0])
+    f = exceptional._owners([(n, d)], exceptional._cap(max_depth))[0]
+    return _delta_prime_of(_conic_terms(n, d, f), f.rank)
 
 
 def delta_many(
@@ -149,11 +153,16 @@ def delta_many(
     """(owner, delta, delta_prime) at each rational slope.
 
     The owner is that of the slope normalized into (-1, 0]; all owners
-    come from one ``exceptional._owners`` call.
+    come from one ``exceptional._owners`` call, and both values at a slope
+    from one ``_conic_terms``.
     """
     pairs = [_normalize_slope(mu) for mu in slopes]
     owners = exceptional._owners(pairs, exceptional._cap(max_depth))
-    return [(f, _delta_at(n, d, f), _delta_prime_at(n, d, f)) for (n, d), f in zip(pairs, owners)]
+    out = []
+    for (n, d), f in zip(pairs, owners):
+        terms = _conic_terms(n, d, f)
+        out.append((f, _delta_of(terms), _delta_prime_of(terms, f.rank)))
+    return out
 
 
 def _disc_num(r: int, c1: int, c2: int) -> int:
@@ -166,17 +175,20 @@ def _prioritary(r: int, c1: int, c2: int) -> bool:
     return _disc_num(r, c1, c2) + c1 * (c1 + r) >= 0
 
 
-def _frontier_gaps(r: int, c1: int, c2: int, f: ExceptionalBundle) -> tuple[int, int, int]:
-    """Where (r, c1, c2) sits against the frontiers of f, which owns its slope.
+def _frontier_gaps(r: int, c1: int, c2: int, f: ExceptionalBundle) -> tuple[int, int, int, int]:
+    """Where (r, c1, c2) sits against the frontiers of f at its slope.
 
     ``_conic_terms`` at c1/r gives N, A0, n and m = r r_F (not reduced; the
     tests are homogeneous), and Delta = D r_F^2/(2m^2) with D = ``_disc_num``:
     Delta - delta = (D r_F^2 - N)/(2m^2) and Delta - delta_prime =
-    (A - n r sqrt(9 r_F^2 - 4))/(2m^2), A = D r_F^2 - A0.  Returns D r_F^2 - N, A, n r.
+    (A - n r sqrt(9 r_F^2 - 4))/(2m^2), A = D r_F^2 - A0.  Returns D r_F^2 - N,
+    A, n and m: f owns the slope exactly when ``exceptional._inside(n, m,
+    r^2)`` holds, so a caller that has not yet proved it asks with the same n
+    and m.
     """
-    big_n, rational, n, _ = _conic_terms(c1, r, f)
+    big_n, rational, n, m = _conic_terms(c1, r, f)
     x = _disc_num(r, c1, c2) * f.rank * f.rank
-    return x - big_n, x - rational, n * r
+    return x - big_n, x - rational, n, m
 
 
 def _surd_sign(a: int, b: int, rf: int) -> int:
@@ -230,7 +242,7 @@ def _classify_normalized(norm: ChernData, cap: int | None) -> Region:
     if not _prioritary(r, c1, c2):
         return Region(RegionTag.NO_PRIORITARY)
     f = exceptional._owners([(c1, r)], cap)[0]
-    delta_gap, a, nr = _frontier_gaps(r, c1, c2, f)
+    delta_gap, a, n, _ = _frontier_gaps(r, c1, c2, f)
     if delta_gap >= 0:
         return Region(RegionTag.SEMISTABLE_POSITIVE_DIM, f)
     if _at_exceptional_point(r, c1, c2, f):
@@ -240,12 +252,12 @@ def _classify_normalized(norm: ChernData, cap: int | None) -> Region:
         return Region(RegionTag.SEMISTABLE_EXCEPTIONAL, f)
     if c1 == 0 and c2 == 1:
         return Region(RegionTag.SPECIAL_C0_C21, f)
-    side = _surd_sign(a, nr, f.rank)
+    side = _surd_sign(a, n * r, f.rank)
     if side > 0:
         return Region(RegionTag.ABOVE_DELTA_PRIME, f)
     if side < 0:
         return Region(RegionTag.BELOW_DELTA_PRIME, f)
     raise InternalInconsistencyError(
-        f"rational discriminant {norm.discriminant()} equals "
-        f"delta_prime({norm.slope()}) off an exceptional point"
+        f"rational discriminant {_ratio(_disc_num(r, c1, c2), 2 * r * r)} equals "
+        f"delta_prime({_ratio(c1, r)}) off an exceptional point"
     )

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 
 from . import exceptional
 from ._record import Record
@@ -166,17 +165,19 @@ class Triad(Record):
         return Dyadic(2 * self.index + 1 - (1 << (self.level + 1)), self.level + 1)
 
     def side_ef(self, mu: Fraction) -> Fraction:
-        return Fraction(*exceptional._conic_side(self.g, 1, mu.numerator, mu.denominator))
+        return _side(self.g, 1, mu)
 
     def side_fg(self, mu: Fraction) -> Fraction:
-        return Fraction(*exceptional._conic_side(self.e, -1, mu.numerator, mu.denominator))
+        return _side(self.e, -1, mu)
 
     def side_eg(self, mu: Fraction) -> Fraction:
-        return Fraction(*exceptional._conic_side(self.h, -1, mu.numerator, mu.denominator))
+        return _side(self.h, -1, mu)
 
     def contains(self, mu: Fraction, disc: Fraction, strict: bool = False) -> bool:
         """Whether (mu, disc) lies in the closed tile (its interior if strict)."""
-        mu, disc = Fraction(mu), Fraction(disc)
+        import fractions
+
+        mu, disc = fractions.Fraction(mu), fractions.Fraction(disc)
         n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
         return self._contains(n, d, a, b, strict)
 
@@ -190,6 +191,13 @@ class Triad(Record):
             if gap < 0 or (strict and gap == 0):
                 return False
         return True
+
+
+def _side(x: ExceptionalBundle, sign: int, mu: Fraction) -> Fraction:
+    """The side ``exceptional._conic_side`` of x at mu, as a Fraction."""
+    import fractions
+
+    return fractions.Fraction(*exceptional._conic_side(x, sign, mu.numerator, mu.denominator))
 
 
 def root() -> Triad:
@@ -268,7 +276,9 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
     integral (``_locate``).  After an explicit ``max_depth`` of triads it
     raises DepthExhaustedError with the ends (e, g) of the next one.
     """
-    mu, disc = Fraction(mu), Fraction(disc)
+    import fractions
+
+    mu, disc = fractions.Fraction(mu), fractions.Fraction(disc)
     n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
     if n < -d or n > 0:
         raise ValueError(f"slope {exceptional._ratio(n, d)} outside [-1, 0]")

@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 
 from . import exceptional, frontier, helix
 from .errors import InternalInconsistencyError
 from .exceptional import ExceptionalBundle
 
 # The view spans the slopes [-1, 0] across its width and the
-# discriminants [0, DELTA_MAX] up its height.
+# discriminants [0, 7/10] up its height: DELTA_MAX is that bound as
+# (numerator, denominator), and its float is their correctly rounded quotient.
 VIEW_W = 1000
 VIEW_H = 700
-DELTA_MAX = Fraction(7, 10)
-_DELTA_MAX_FLOAT = float(DELTA_MAX)
+DELTA_MAX = (7, 10)
+_DELTA_MAX_FLOAT = DELTA_MAX[0] / DELTA_MAX[1]
 
 _PALETTE = (
     "#4e79a7",

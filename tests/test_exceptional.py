@@ -6,6 +6,7 @@ then confirmed by the orthogonality conditions chi(gamma, alpha) =
 chi(beta, gamma) = 0.
 """
 
+import fractions
 import math
 import pickle
 import random
@@ -311,11 +312,12 @@ def test_no_division_off_the_boundary(monkeypatch, fresh_lattice):
 
 def test_no_fraction_on_the_lattice_path(monkeypatch, fresh_lattice):
     # A bundle holds its integers; slope and delta are Fractions only when
-    # read, so no lattice step builds one, here or in ChernData.
+    # read, so no lattice step builds one, here or in ChernData.  The
+    # package's modules build a Fraction through ``fractions.Fraction``,
+    # imported when called, so the spy stands in for it there.
     f = from_slope(Fraction(-2, 5))
     built = []
-    for module in (ex, chern):
-        monkeypatch.setattr(module, "Fraction", lambda *a: built.append(a) or Fraction(*a))
+    monkeypatch.setattr(fractions, "Fraction", lambda *a: built.append(a) or Fraction(*a))
     assert sum(1 for _ in helix.iterate_triads(6)) == (1 << 7) - 1
     assert from_dyadic(Dyadic(-349525, 20)).rank.bit_length() > 100
     assert len(helix.left_series(f, -3, 20)) == 24

@@ -177,8 +177,9 @@ def test_closed_forms_match_the_reference_formulas():
     slopes = [mu for mu in slopes if -1 <= mu <= 0]
     peaks = 0
     for mu0, f in zip(slopes, exceptional.locate_many(slopes)):
-        assert frontier._delta_at(mu0.numerator, mu0.denominator, f) == _reference_delta(mu0, f), mu0
-        dp = frontier._delta_prime_at(mu0.numerator, mu0.denominator, f)
+        terms = frontier._conic_terms(mu0.numerator, mu0.denominator, f)
+        assert frontier._delta_of(terms) == _reference_delta(mu0, f), mu0
+        dp = frontier._delta_prime_of(terms, f.rank)
         ref = _reference_delta_prime(mu0, f)
         # Same presentation, not only the same value: the renderer's
         # floats are read from (a, b, d).
@@ -219,13 +220,14 @@ def _reference_region(cd, f):
     mu, disc = norm.slope(), norm.discriminant()
     if disc < -mu * (mu + 1) / 2:
         return RegionTag.NO_PRIORITARY
-    if disc >= frontier._delta_at(norm.c1, norm.rank, f):
+    terms = frontier._conic_terms(norm.c1, norm.rank, f)
+    if disc >= frontier._delta_of(terms):
         return RegionTag.SEMISTABLE_POSITIVE_DIM
     if (mu, disc) == (f.slope, f.delta):
         return RegionTag.SEMISTABLE_EXCEPTIONAL
     if (norm.c1, norm.c2) == (0, 1):
         return RegionTag.SPECIAL_C0_C21
-    side = frontier._delta_prime_at(norm.c1, norm.rank, f).compare(disc)
+    side = frontier._delta_prime_of(terms, f.rank).compare(disc)
     assert side != 0
     return RegionTag.ABOVE_DELTA_PRIME if side < 0 else RegionTag.BELOW_DELTA_PRIME
 
@@ -278,7 +280,8 @@ def test_integer_tags_match_on_the_bound_and_on_delta():
     points = []
     found = [0, 0]
     for (r, c1), mu, f in zip(pairs, slopes, exceptional.locate_many(slopes)):
-        for i, value in enumerate((-mu * (mu + 1) / 2, frontier._delta_at(c1, r, f))):
+        delta = frontier._delta_of(frontier._conic_terms(c1, r, f))
+        for i, value in enumerate((-mu * (mu + 1) / 2, delta)):
             c2 = _c2_at(r, c1, value)
             if c2 is not None:
                 found[i] += 1

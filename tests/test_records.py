@@ -4,9 +4,12 @@ Every record is immutable, compares and hashes by value (except
 ``Decomposition``, which compares by identity), prints the same repr a
 frozen dataclass printed, and survives pickling.  Importing the package
 or its command line must not pull in ``dataclasses``, ``typing``,
-``inspect`` or ``json``.
+``inspect``, ``json``, ``fractions`` or ``decimal``, and no query but
+``selfcheck`` loads the last two.  ``entry`` freezes the collector's view
+of the loaded package; ``main`` does not.
 """
 
+import gc
 import itertools
 import os
 import pickle
@@ -281,7 +284,7 @@ def _child(probe: str) -> str:
 
 
 def test_import_leaves_heavy_modules_out():
-    heavy = ("dataclasses", "typing", "inspect", "json")
+    heavy = ("dataclasses", "typing", "inspect", "json", "fractions", "decimal")
     probe = f"import sys, prioritaire.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     assert _child(probe).strip() == ""
 
@@ -301,3 +304,61 @@ def test_a_query_that_prints_no_help_leaves_shutil_out():
     query = ["decompose", "--json", "--", "8", "-4", "11"]
     assert _child(_QUERY_PROBE.format(argv=query)) == "False\n"
     assert _child(_QUERY_PROBE.format(argv=["slope", "-h"])) == "True\n"
+
+
+# Runs a query in-process and prints, last, which of fractions and decimal it loaded.
+_NUMBERS_PROBE = """
+import contextlib, io, sys
+from prioritaire.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.suppress(SystemExit):
+        code = main({argv!r})
+print(code, *[m for m in ("fractions", "decimal") if m in sys.modules])
+"""
+
+# One query per subcommand, with its exit code: answers, a refusal and a usage error.
+_QUERIES = [
+    (["slope", "--", "-5/2^4"], 0),
+    (["slope", "--invert", "--json", "--", "-12/29"], 0),
+    (["frontier", "--json", "--", "-1/3"], 0),
+    (["classify", "--", "8", "-4", "11"], 0),
+    (["decompose", "--json", "--", "8", "-4", "11"], 0),
+    (["decompose", "--", "1", "0", "-5"], 0),  # no_prioritary
+    (["series", "--right", "--from=-1", "--", "-1/2", "3"], 0),
+    (["tile", "--depth", "2", "--format", "csv"], 0),
+    (["tile", "--depth", "1", "--samples", "2"], 0),
+    (["frontier", "--", "1/0"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", _QUERIES, ids=[" ".join(q) for q, _ in _QUERIES])
+def test_a_query_loads_no_fractions_or_decimal(argv, code):
+    # Each answer is written from integers (surd's display kernel).
+    assert _child(_NUMBERS_PROBE.format(argv=argv)).split() == [str(code)]
+
+
+def test_selfcheck_keeps_its_oracles():
+    out = _child(_NUMBERS_PROBE.format(argv=["selfcheck", "--depth", "0"])).split()
+    assert out == ["0", "fractions", "decimal"]
+
+
+def test_the_module_entry_freezes_the_loaded_package():
+    # The console script and python -m run entry(), which freezes the import's
+    # objects before the query, so the collection at exit skips them.
+    probe = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+        "sys.argv = ['prioritaire', 'classify', '--', '8', '-4', '11']; "
+        "runpy.run_module('prioritaire', run_name='__main__', alter_sys=True)"
+    )
+    last = _child(probe).splitlines()[-1].split()
+    assert last[0] == "frozen" and int(last[1]) > 0
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    from prioritaire.cli import main
+
+    before = gc.get_freeze_count()
+    assert main(["classify", "--", "8", "-4", "11"]) == 0
+    assert gc.get_freeze_count() == before
+    assert "region" in capsys.readouterr().out

@@ -2,6 +2,10 @@
 
 Sign decisions are cross-checked against a 50-digit Decimal evaluation,
 which is precise enough to separate every sample here by a wide margin.
+The integer display kernel is checked against ``decimal`` and ``fractions``
+as oracles: each decimal is the text of the Decimal that one correctly
+rounded division gives, and the integer parser reads exactly what
+``Fraction`` reads.
 """
 
 import math
@@ -9,13 +13,14 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prioritaire.errors import ParseError
 from prioritaire.surd import (
     MAX_DIGITS,
     QuadSurd,
+    _parse_ratio,
     compare_sqrt_sum,
     decimal_str,
     format_rational,
@@ -139,6 +144,18 @@ digit_counts = st.integers(min_value=1, max_value=60)
     st.integers(min_value=1, max_value=10**60),
     digit_counts,
 )
+# Exact quotients at the exponent nearest 0, trailing zeros kept or dropped.
+@example(100, 4, 12)  # 25
+@example(12300, 1, 12)  # 12300
+@example(1000, 1, 2)  # 1.0E+3
+@example(-123, 10**7, 12)  # -0.0000123
+@example(1, 10**7, 3)  # 1E-7
+@example(1, 2, 60)  # 0.5
+# Roundings that carry into a new leading digit.
+@example(199, 2, 2)  # 99.5 -> 1.0E+2
+@example(995, 1000, 2)  # 1.0
+@example(-96, 100, 1)  # -1
+@example(0, 7, 5)  # 0
 def test_decimal_str_of_a_rational_is_one_division(n, m, digits):
     with localcontext() as ctx:
         ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
@@ -149,7 +166,9 @@ def test_decimal_str_of_a_rational_is_one_division(n, m, digits):
 def _assert_within_half_a_unit(s: QuadSurd, digits: int) -> None:
     """decimal_str(s, digits) has ``digits`` digits and lies within half a
     unit of its last digit of s, decided exactly by QuadSurd.compare."""
-    x = Decimal(decimal_str(s, digits))
+    text = decimal_str(s, digits)
+    x = Decimal(text)
+    assert str(x) == text  # Decimal's own form, not only its value
     _, coefficient, exponent = x.as_tuple()
     assert len(coefficient) == digits
     half = Fraction(10) ** exponent / 2
@@ -195,3 +214,31 @@ def test_field_identities(a1, b1, a2, b2, d):
     x = QuadSurd(a1, b1, d)
     y = QuadSurd(a2, b2, d)
     assert (x + y) - y == x
+
+
+# Spellings near the edge of what Fraction reads: signs, slashes, points,
+# exponents, underscores, spaces, a zero denominator and non-ASCII digits.
+_PIECES = ["", " ", "\t", "\u00a0", "+", "-", "0", "1", "7", "12", "007", "/", "/0", ".", "_"]
+_PIECES += ["e", "E", "\u0663", "\u00b2", "x"]
+rational_texts = (
+    st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
+    | st.from_regex(r"\A\s?[+-]?\d{0,4}(/\d{0,4})?\s?\Z")
+    | st.text(max_size=10)
+)
+
+
+@given(rational_texts)
+@example("-2/6")
+@example(" +0004 ")
+@example("3/0")
+@example("0.25")
+def test_the_integer_parser_reads_what_fraction_reads(text):
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError) as refused:
+            _parse_ratio(text)
+        assert str(refused.value) == f"not a rational: {text!r}"
+    else:
+        assert _parse_ratio(text) == expected.as_integer_ratio()
+        assert parse_rational(text) == expected

@@ -6,8 +6,8 @@ byte-compiles the package in the ``src`` directory next to this one, then
 runs ROUNDS (default 20) interleaved rounds of fresh ``python -S``
 children: the bare interpreter, ``import prioritaire.cli``, and ``-m
 prioritaire`` with one query per subcommand.  It prints the median wall
-time of each in ms, and whether each query imported ``shutil``.  It
-prints; it is not a gate.
+time of each in ms, and whether each query imported ``shutil``,
+``fractions`` and ``decimal``.  It prints; it is not a gate.
 """
 
 import compileall
@@ -30,8 +30,9 @@ QUERIES = [
 ]
 CHILDREN = {"interpreter": ["-c", "pass"], "import prioritaire.cli": ["-c", "import prioritaire.cli"]}
 CHILDREN.update({" ".join(q): ["-m", "prioritaire", *q] for q in QUERIES})
-# Runs a query in-process and prints, last, whether it imported shutil.
-PROBE = "import sys; from prioritaire.cli import main; main({!r}); print('shutil' in sys.modules)"
+# Runs a query in-process and prints, last, whether it imported each of NOTED.
+NOTED = ("shutil", "fractions", "decimal")
+PROBE = "import sys; from prioritaire.cli import main; main({!r}); print(*(m in sys.modules for m in %r))" % (NOTED,)
 
 
 def _stdout(args: list[str], env: dict) -> str:
@@ -50,7 +51,10 @@ def main(argv: list[str]) -> int:
             times[name].append(time.perf_counter() - t0)
     for name, samples in times.items():
         args = CHILDREN[name]
-        note = f"  shutil {_stdout(['-c', PROBE.format(args[2:])], env).split()[-1]}" if args[0] == "-m" else ""
+        note = ""
+        if args[0] == "-m":
+            loaded = _stdout(["-c", PROBE.format(args[2:])], env).split()[-len(NOTED) :]
+            note = "".join(f"  {m} {flag}" for m, flag in zip(NOTED, loaded))
         print(f"{statistics.median(samples) * 1000:7.1f} ms  {name}{note}")
     return 0
 
