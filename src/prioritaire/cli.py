@@ -26,12 +26,17 @@ the work of converting a huge argument string.
 Negative arguments start with a dash, so insert ``--`` before the
 positionals: ``prioritaire frontier -- -1/2``.
 
-A query that names its command first is parsed by that command's parser
-alone (``_parse``); no argument, a leading option, an unknown command
-and arguments left over go to the full parser (``build_parser``), which
-prints the top-level usage, help and errors.  The help formatter sizes
-itself to the terminal only when it prints, so a query that answers
-imports no ``shutil``.
+A query in its plain form is read by ``_strict``: the command, options by
+their exact long names (``--depth 3``, ``--from=-1``), at most one ``--``
+and exactly the positionals.  It reads the declarations of the ``_*_args``
+functions through a recorder (``_Spec``) and gives the namespace argparse
+gives.  Anything else (help, an abbreviation, a separate value that starts
+with a dash, no command or an unknown one, a missing or extra argument, a value
+argparse refuses) goes to the full parser (``build_parser``), which
+prints argparse's own usage, help and errors.  argparse, with the ``re``,
+``gettext`` and ``locale`` it loads, is imported only then
+(``_parser_class``).  Its help formatter sizes itself to the terminal only
+when it prints, so a query that answers imports no ``shutil``.
 
 ``entry``, the console script and ``python -m prioritaire``, freezes the
 garbage collector's view of the loaded package (``gc.freeze``) before it
@@ -42,10 +47,11 @@ of the import, and the query's own objects are collected as usual.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from functools import cache
+from types import SimpleNamespace
 
 from . import chern
 from . import decompose as decompose_mod
@@ -66,38 +72,6 @@ _EPILOG = (
     "negative values start with a dash; insert -- before the positional "
     "arguments, e.g. %(prog)s -- -1/2"
 )
-
-
-class _Formatter(argparse.HelpFormatter):
-    """A help formatter that runs argparse's ``__init__`` only when it formats.
-
-    argparse makes a formatter for each ``add_argument`` only to check the
-    metavar, which reads no instance attribute of the formatter; the base
-    ``__init__`` imports ``shutil`` for the terminal width.  Here it runs,
-    with the same arguments, on the first attribute read, so usage, help
-    and errors still follow ``COLUMNS`` or the terminal."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        self._deferred = args, kwargs
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute not set yet: initialise once, then retry.
-        if "_deferred" not in vars(self):
-            raise AttributeError(name)
-        args, kwargs = vars(self).pop("_deferred")
-        super().__init__(*args, **kwargs)
-        return getattr(self, name)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(formatter_class=_Formatter, **kwargs)
-
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _rational(n: int, d: int, digits: int) -> dict:
@@ -144,7 +118,7 @@ def _lift_digit_limit() -> None:
         sys.set_int_max_str_digits(0)
 
 
-def _output_args(p: argparse.ArgumentParser, digits: bool = True) -> None:
+def _output_args(p, digits: bool = True) -> None:
     """--json, and --digits where the command prints decimals."""
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     if digits:
@@ -157,7 +131,7 @@ def _output_args(p: argparse.ArgumentParser, digits: bool = True) -> None:
         )
 
 
-def _depth_arg(p: argparse.ArgumentParser, what: str) -> None:
+def _depth_arg(p, what: str) -> None:
     p.add_argument(
         "--depth",
         type=int,
@@ -167,7 +141,7 @@ def _depth_arg(p: argparse.ArgumentParser, what: str) -> None:
     )
 
 
-def _invariant_args(p: argparse.ArgumentParser, digits: bool = True) -> None:
+def _invariant_args(p, digits: bool = True) -> None:
     """rank, c1, c2, --depth and the output options of classify and decompose."""
     p.add_argument("rank", type=int, help="rank, a positive integer")
     p.add_argument("c1", type=int, help="first Chern class")
@@ -176,7 +150,7 @@ def _invariant_args(p: argparse.ArgumentParser, digits: bool = True) -> None:
     _output_args(p, digits)
 
 
-def _slope_args(p: argparse.ArgumentParser) -> None:
+def _slope_args(p) -> None:
     p.add_argument("value", help='dyadic like "-1/4" or "-3/2^2"; with --invert a rational slope')
     p.add_argument("--invert", action="store_true", help="treat VALUE as an exceptional slope")
     _depth_arg(p, "descent cap for --invert")
@@ -184,24 +158,24 @@ def _slope_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_slope)
 
 
-def _frontier_args(p: argparse.ArgumentParser) -> None:
+def _frontier_args(p) -> None:
     p.add_argument("mu", help='rational slope like "-1/3"')
     _depth_arg(p, "descent cap")
     _output_args(p)
     p.set_defaults(handler=_cmd_frontier)
 
 
-def _classify_args(p: argparse.ArgumentParser) -> None:
+def _classify_args(p) -> None:
     _invariant_args(p)
     p.set_defaults(handler=_cmd_classify)
 
 
-def _decompose_args(p: argparse.ArgumentParser) -> None:
+def _decompose_args(p) -> None:
     _invariant_args(p, digits=False)
     p.set_defaults(handler=_cmd_decompose)
 
 
-def _series_args(p: argparse.ArgumentParser) -> None:
+def _series_args(p) -> None:
     p.add_argument("dyadic", help='dyadic locating the bundle, like "0" or "-1/2"')
     p.add_argument("n_max", type=int, help="largest index n; members run from --from to n")
     p.add_argument("--from", dest="n_min", type=int, default=0, metavar="N")
@@ -210,7 +184,7 @@ def _series_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_series)
 
 
-def _tile_args(p: argparse.ArgumentParser) -> None:
+def _tile_args(p) -> None:
     p.add_argument(
         "--depth",
         type=int,
@@ -230,7 +204,7 @@ def _tile_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_tile)
 
 
-def _selfcheck_args(p: argparse.ArgumentParser) -> None:
+def _selfcheck_args(p) -> None:
     p.add_argument("--depth", type=int, default=4, metavar="N")
     p.set_defaults(handler=_cmd_selfcheck)
 
@@ -248,43 +222,153 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+@cache
+def _parser_class() -> type:
+    """``_Parser``, defined with ``_Formatter`` and argparse imported on the
+    first call: only a query that ``_strict`` refuses makes it."""
+    import argparse
+
+    class _Formatter(argparse.HelpFormatter):
+        """A help formatter that runs argparse's ``__init__`` only when it formats.
+
+        argparse makes a formatter for each ``add_argument`` only to check the
+        metavar, which reads no instance attribute of the formatter; the base
+        ``__init__`` imports ``shutil`` for the terminal width.  Here it runs,
+        with the same arguments, on the first attribute read, so usage, help
+        and errors still follow ``COLUMNS`` or the terminal."""
+
+        def __init__(self, *args, **kwargs) -> None:
+            self._deferred = args, kwargs
+
+        def __getattr__(self, name: str):
+            # Reached only for an attribute not set yet: initialise once, then retry.
+            if "_deferred" not in vars(self):
+                raise AttributeError(name)
+            args, kwargs = vars(self).pop("_deferred")
+            super().__init__(*args, **kwargs)
+            return getattr(self, name)
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse with usage failures mapped to exit code 1."""
+
+        def __init__(self, **kwargs) -> None:
+            super().__init__(formatter_class=_Formatter, **kwargs)
+
+        def error(self, message: str):  # noqa: D102 - argparse hook
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    return _Parser
+
+
+def build_parser():
     """The full parser: the top level and one subparser per command."""
-    parser = _Parser(
+    parser = _parser_class()(
         prog="prioritaire",
         description="existence frontiers and generic splittings on the projective plane",
         epilog=_EPILOG,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The subcommands' prog prefix given, not formatted from the usage,
+    # which would size the formatter to the terminal (``_Formatter``).
+    sub = parser.add_subparsers(dest="command", required=True, prog="prioritaire")
     for name, (help_, epilog, add_args) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_, epilog=epilog))
     return parser
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, through the named command's parser alone.
+class _Spec:
+    """The arguments a ``_*_args`` function declares, recorded from its
+    ``add_argument`` and ``set_defaults`` calls for ``_strict``, so that
+    each argument is declared once for both readers."""
 
-    argparse hands a subparser every argument after the command name,
-    ``--`` included, and parses them with the subparser's own
-    ``parse_known_args``, whose errors print the subparser's usage: a
-    standalone parser of the same prog gives the same namespace and the
-    same output.  Anything else (no command first, or arguments left
-    over, which the top level refuses) goes to the full parser, which
-    prints the top-level usage, help and errors.
+    def __init__(self, command: str) -> None:
+        self.options: dict[str, dict] = {}  # by long name; keywords with dest and default
+        self.positionals: list[dict] = []  # in order; keywords with dest
+        self.defaults = {"command": command}
+
+    def add_argument(self, name: str, **kwargs) -> None:
+        if name.startswith("-"):
+            kwargs.setdefault("dest", name[2:].replace("-", "_"))
+            kwargs.setdefault("default", False if kwargs.get("action") == "store_true" else None)
+            self.options[name] = kwargs
+        else:
+            self.positionals.append(dict(kwargs, dest=name))
+
+    def set_defaults(self, **kwargs) -> None:
+        self.defaults.update(kwargs)
+
+
+def _value(kwargs: dict, text: str):
+    """text through the argument's type; ValueError unless one of its choices."""
+    value = kwargs.get("type", str)(text)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(text)
+    return value
+
+
+def _strict(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of ``build_parser().parse_args(argv)`` for a query in its
+    plain form, or None.
+
+    The plain form is the command, then options by their exact long names,
+    as ``--name=value`` or ``--name value`` with a value that does not start
+    with a dash, then at most one ``--`` and exactly the command's
+    positionals.  A flag takes no value, a required option is given, an
+    empty ``=`` value is refused, and every value passes its type and
+    choices.  What this refuses (help, an abbreviation, ``--depth -3``, a
+    second ``--``, a missing or extra argument, a value argparse would
+    refuse) is for argparse to read or to refuse in its own words.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    spec = _Spec(argv[0])
+    _COMMANDS[argv[0]][2](spec)
+    found, i = {}, 1
+    try:
+        while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
+            name, eq, text = argv[i].partition("=")
+            kwargs, i = spec.options[name], i + 1
+            if kwargs.get("action") == "store_true":
+                if eq:
+                    return None
+                found[kwargs["dest"]] = True
+                continue
+            if not eq:
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                text, i = argv[i], i + 1
+            elif not text:
+                return None
+            found[kwargs["dest"]] = _value(kwargs, text)
+        dashed = i < len(argv) and argv[i] == "--"
+        rest = argv[i + dashed :]
+        # After a --, a second one; without one, a dash, which argparse may
+        # read as an option or as a negative number.
+        refused = ("--" in rest or not rest) if dashed else any(t.startswith("-") for t in rest)
+        if refused or len(rest) != len(spec.positionals):
+            return None
+        for kwargs, text in zip(spec.positionals, rest):
+            found[kwargs["dest"]] = _value(kwargs, text)
+    except (KeyError, ValueError):  # an unknown option, a refused value
+        return None
+    values = spec.defaults
+    for kwargs in spec.options.values():
+        if kwargs.get("required") and kwargs["dest"] not in found:
+            return None
+        values[kwargs["dest"]] = kwargs["default"]
+    values.update(found)
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str] | None):
+    """``build_parser().parse_args(argv)``: read by ``_strict`` when it can,
+    so that a plain query imports no argparse, and by argparse otherwise."""
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        _, epilog, add_args = _COMMANDS[argv[0]]
-        parser = _Parser(prog=f"prioritaire {argv[0]}", epilog=epilog)
-        add_args(parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    args = _strict(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
-def _cmd_slope(args: argparse.Namespace) -> int:
+def _cmd_slope(args) -> int:
     if args.invert:
         n, m = surd._parse_ratio(args.value)
         f, d = exceptional._lattice(m, n, args.depth)
@@ -315,7 +399,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_frontier(args: argparse.Namespace) -> int:
+def _cmd_frontier(args) -> int:
     num, den = surd._parse_ratio(args.mu)
     _lift_digit_limit()
     # The slope translated into (-1, 0], where delta, delta_prime and the
@@ -359,7 +443,7 @@ def _classify_payload(
     return payload
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args) -> int:
     cd = ChernData(args.rank, args.c1, args.c2)
     _lift_digit_limit()
     norm, k = chern.normalize(cd)
@@ -381,7 +465,7 @@ def _summand_record(s: decompose_mod.Summand) -> dict:
     return _invariants(s.chern_data(), kind=s.kind, label=s.label(), multiplicity=s.multiplicity)
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args) -> int:
     cd = ChernData(args.rank, args.c1, args.c2)
     _lift_digit_limit()
     try:
@@ -425,7 +509,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args) -> int:
     d = exceptional.parse_dyadic(args.dyadic)
     if args.n_min > args.n_max:
         raise ParseError(f"--from {args.n_min} exceeds n_max {args.n_max}")
@@ -463,7 +547,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tile(args: argparse.Namespace) -> int:
+def _cmd_tile(args) -> int:
     if args.depth > helix.MAX_TILE_DEPTH:
         raise ParseError(f"tile depth {args.depth} exceeds the maximum {helix.MAX_TILE_DEPTH}")
     if args.samples > MAX_TILE_SAMPLES:
@@ -490,7 +574,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
+def _cmd_selfcheck(args) -> int:
     if args.depth > helix.MAX_TILE_DEPTH:
         raise ParseError(f"selfcheck depth {args.depth} exceeds the maximum {helix.MAX_TILE_DEPTH}")
     from . import selfcheck  # here, not at the top: it loads fractions and decimal

@@ -112,7 +112,9 @@ def _delta_prime_of(terms: tuple[int, int, int, int], r: int) -> QuadSurd:
 
     _, rational, n, m = terms
     a, b = fractions.Fraction(rational, 2 * m * m), fractions.Fraction(n, 2 * m * r)
-    return QuadSurd(a, b, 9 * r * r - 4)
+    # Normal form as it stands: (3r - 1)^2 < 9r^2 - 4 < (3r)^2 for r >= 1,
+    # so the radicand is never a square.
+    return QuadSurd._trusted(a, b, 9 * r * r - 4 if n else 0)
 
 
 def _normalize_slope(mu: Fraction) -> tuple[int, int]:

@@ -37,7 +37,6 @@ squaring twice, staying in exact rational arithmetic throughout.
 from __future__ import annotations
 
 import math
-import re
 
 from ._record import Record
 from .errors import ParseError
@@ -51,9 +50,9 @@ MAX_DIGITS = 10_000
 # a program set.
 _PIECE_BITS = 1600
 
-# The text of a surd, "a + b*sqrt(d)", for ``parse_surd``.  It is compiled
-# on first use (``re`` keeps it): compiling it costs about 0.5 ms, which a
-# command-line query, which parses no surd, would otherwise pay at import.
+# The text of a surd, "a + b*sqrt(d)", for ``parse_surd``, which imports
+# ``re`` and compiles it on first use (``re`` keeps it): a command-line
+# query parses no surd, and would otherwise pay about 4 ms for ``re``.
 _SURD_PATTERN = (
     r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
     r"(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>\d+)\s*\)\s*$"
@@ -97,6 +96,17 @@ class QuadSurd(Record):
         set_a(self, a)
         set_b(self, b)
         set_d(self, d)
+
+    @classmethod
+    def _trusted(cls, a: Fraction, b: Fraction, d: int) -> "QuadSurd":
+        """a + b*sqrt(d) already in normal form, unchecked: a and b are
+        Fractions, and d is not a square, or b == d == 0."""
+        s = object.__new__(cls)
+        set_a, set_b, set_d = __class__._setters
+        set_a(s, a)
+        set_b(s, b)
+        set_d(s, d)
+        return s
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "QuadSurd":
@@ -276,6 +286,7 @@ def format_surd(s: QuadSurd) -> str:
 
 def parse_surd(text: str) -> QuadSurd:
     import fractions
+    import re
 
     m = re.match(_SURD_PATTERN, text)
     if m is not None:

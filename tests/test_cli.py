@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prioritaire
 from prioritaire import cli
@@ -657,11 +659,24 @@ def test_tile_samples_cap(capsys, tmp_path):
 
 
 _TRANSCRIPT = json.loads(Path(__file__).with_name("cli_transcript.json").read_text(encoding="utf-8"))
-# The transcript's invocations that leave arguments over after the command's parse.
-_LEFTOVER = [
+# The transcript's invocations that the strict reader leaves to argparse:
+# help, usage errors, an abbreviation and separate values that start with a dash.
+_REFUSED = [
+    ["frontier", "--depth", "-3", "--", "-1/3"],
+    ["classify", "--", "1", "x", "2"],
+    ["classify", "--depth", "-3", "--", "8", "4", "11"],
+    ["classify", "--depth", "-3", "--", "2", "-1", "0"],
+    ["decompose", "--depth", "-3", "--", "2", "-1", "0"],
+    ["series", "--right", "--from", "-1", "--", "-1/4", "1"],
+    [],
+    ["-h"],
+    *([name, "-h"] for name in cli._COMMANDS),
     ["slope", "--", "-1/4", "extra"],
     ["frontier", "--", "-1/3", "-1/4"],
     ["slope", "--bogus", "--", "0"],
+    ["frontier", "-1/2"],
+    ["slope", "--jso", "--", "0"],
+    ["tile"],
 ]
 # More parser inputs; the first three are not in the transcript because
 # argparse's own text or exit code for them changed between 3.13 patch releases.
@@ -697,11 +712,20 @@ def _outcome(parse, argv: list[str]):
             return exc.code, out.getvalue(), err.getvalue()
 
 
+def _argparse_vars(argv: list[str]):
+    """vars() of argparse's namespace for argv, or its SystemExit outcome."""
+    return _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+
+
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_one_command_parser_parses_as_the_full_parser(monkeypatch, columns):
+    # _parse reads with the strict reader, which gives argparse's namespace
+    # or refuses, and leaves what it refuses to the full parser.
     monkeypatch.setenv("COLUMNS", columns)
     for argv in [e["argv"] for e in _TRANSCRIPT] + _EDGES:
-        full = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+        full = _argparse_vars(argv)
+        args = cli._strict(argv)
+        assert args is None or vars(args) == full, argv
         assert _outcome(cli._parse, argv) == full, argv
 
 
@@ -712,23 +736,59 @@ def _quietly(argv: list[str]) -> None:
             main(list(argv))
 
 
-def test_a_command_builds_only_its_own_parser(monkeypatch):
-    progs = []
-    init = cli._Parser.__init__
+def test_a_strict_query_builds_no_parser(monkeypatch):
+    built = []
+    parser_class = cli._parser_class()
+    init = parser_class.__init__
 
     def counting(self, **kwargs):
-        progs.append(kwargs.get("prog"))
+        built.append(kwargs.get("prog"))
         init(self, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    monkeypatch.setattr(parser_class, "__init__", counting)
     full = ["prioritaire", *(f"prioritaire {name}" for name in cli._COMMANDS)]
     for entry in _TRANSCRIPT:
         argv = entry["argv"]
-        progs.clear()
+        built.clear()
         _quietly(argv)
-        own = [f"prioritaire {argv[0]}"] if argv and argv[0] in cli._COMMANDS else []
-        assert progs == (own + full if not own or argv in _LEFTOVER else own), argv
-    for argv in (["-h"], [], ["bogus"]):
-        progs.clear()
+        assert built == (full if argv in _REFUSED else []), argv
+    for argv in (["bogus"], ["slope", "--dig", "5", "--", "-1/4"]):
+        built.clear()
         _quietly(argv)
-        assert progs == full
+        assert built == full
+
+
+# Words a command line may hold: values of every shape the options and
+# positionals meet, with dashes, Unicode digits and empty strings.
+_WORDS = ["0", "3", "12", "-1", "-3", "1/2", "-1/4", "x", "\u0663", "+2", " 4", "1_0", "", "svg", "csv", "-"]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command and words from its vocabulary: its options, exact, with
+    ``=`` and abbreviated, help, dashes and values, often ending with ``--``
+    and as many values as it has positionals."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    spec = cli._Spec(command)
+    cli._COMMANDS[command][2](spec)
+    names = list(spec.options)
+    option = st.sampled_from(names + [n[:-1] for n in names] + [n[:4] for n in names] + ["-h", "--help", "--"])
+    word = st.sampled_from(_WORDS)
+    chunk = st.one_of(
+        st.tuples(option),
+        st.tuples(option, word),
+        st.tuples(st.sampled_from(names), st.sampled_from(_WORDS[:3])),
+        st.tuples(st.builds("{}={}".format, st.sampled_from(names), word)),
+        st.tuples(word),
+    )
+    words = [w for c in draw(st.lists(chunk, max_size=4)) for w in c]
+    count = max(len(spec.positionals) + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
+    values = draw(st.lists(word, min_size=count, max_size=count))
+    return [command, *words, *draw(st.sampled_from([["--"], ["--"], [], ["--", "--"]])), *values]
+
+
+@settings(max_examples=400)
+@given(_command_lines())
+def test_the_strict_reader_reads_any_command_line_as_argparse_or_refuses(argv):
+    args = cli._strict(argv)
+    assert args is None or vars(args) == _argparse_vars(argv)

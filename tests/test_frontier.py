@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from prioritaire import exceptional, frontier, helix
 from prioritaire.chern import ChernData, dual, hirzebruch_p, normalize, twist
@@ -316,3 +318,20 @@ def test_integer_tags_match_on_random_invariants():
         points.append((r, c1, (r - 1) * c1 * c1 // (2 * r) + rng.randint(-r, 2 * r)))
     tags = _assert_integer_tags_match(points)
     assert sum(1 for t in tags.values() if t >= 100) == 4, tags
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
+    st.integers(1, 10**30),
+)
+@example(7, 0, 3, 1)  # n = 0: a rational, b and d both 0
+@example(-5, 1, 1, 1)  # r = 1: the radicand 5
+def test_the_trusted_delta_prime_is_the_checked_surd(rational, n, m, r):
+    # _delta_prime_of builds its surd unchecked: 9r^2 - 4 is never a square.
+    got = frontier._delta_prime_of((0, rational, n, m), r)
+    want = QuadSurd(Fraction(rational, 2 * m * m), Fraction(n, 2 * m * r), 9 * r * r - 4)
+    assert (type(got.a), type(got.b), type(got.d)) == (Fraction, Fraction, int)
+    assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+

@@ -11,6 +11,7 @@ of the loaded package; ``main`` does not.
 
 import gc
 import itertools
+import json
 import os
 import pickle
 import subprocess
@@ -283,8 +284,12 @@ def _child(probe: str) -> str:
     return proc.stdout
 
 
+# argparse and what it loads: re, and gettext, which loads locale while a parser is built.
+_PARSING = ("argparse", "re", "gettext", "locale")
+
+
 def test_import_leaves_heavy_modules_out():
-    heavy = ("dataclasses", "typing", "inspect", "json", "fractions", "decimal")
+    heavy = ("dataclasses", "typing", "inspect", "json", "fractions", "decimal", *_PARSING)
     probe = f"import sys, prioritaire.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     assert _child(probe).strip() == ""
 
@@ -301,20 +306,26 @@ print("shutil" in sys.modules)
 def test_a_query_that_prints_no_help_leaves_shutil_out():
     # argparse imports shutil to size its help to the terminal: a help
     # screen pays for it, an answer does not.
-    query = ["decompose", "--json", "--", "8", "-4", "11"]
-    assert _child(_QUERY_PROBE.format(argv=query)) == "False\n"
+    for query in (["decompose", "--json", "--", "8", "-4", "11"], ["slope", "--dig", "5", "--", "-1/4"]):
+        assert _child(_QUERY_PROBE.format(argv=query)) == "False\n"
     assert _child(_QUERY_PROBE.format(argv=["slope", "-h"])) == "True\n"
 
 
-# Runs a query in-process and prints, last, which of fractions and decimal it loaded.
-_NUMBERS_PROBE = """
+# Runs a query in-process and prints its exit code, then which of modules it loaded.
+_LOADED_PROBE = """
 import contextlib, io, sys
 from prioritaire.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     with contextlib.suppress(SystemExit):
         code = main({argv!r})
-print(code, *[m for m in ("fractions", "decimal") if m in sys.modules])
+print(code, *[m for m in {modules!r} if m in sys.modules])
 """
+
+
+def _loaded(argv: list[str], modules: tuple) -> list[str]:
+    """The exit code of ``main(argv)`` in a fresh child, then which of modules it loaded."""
+    return _child(_LOADED_PROBE.format(argv=argv, modules=modules)).split()
+
 
 # One query per subcommand, with its exit code: answers, a refusal and a usage error.
 _QUERIES = [
@@ -334,12 +345,56 @@ _QUERIES = [
 @pytest.mark.parametrize("argv, code", _QUERIES, ids=[" ".join(q) for q, _ in _QUERIES])
 def test_a_query_loads_no_fractions_or_decimal(argv, code):
     # Each answer is written from integers (surd's display kernel).
-    assert _child(_NUMBERS_PROBE.format(argv=argv)).split() == [str(code)]
+    assert _loaded(argv, ("fractions", "decimal")) == [str(code)]
 
 
 def test_selfcheck_keeps_its_oracles():
-    out = _child(_NUMBERS_PROBE.format(argv=["selfcheck", "--depth", "0"])).split()
-    assert out == ["0", "fractions", "decimal"]
+    assert _loaded(["selfcheck", "--depth", "0"], ("fractions", "decimal")) == ["0", "fractions", "decimal"]
+
+
+_TEXT_QUERIES = [(q, c) for q, c in _QUERIES if "--json" not in q]
+_JSON_QUERIES = [(q, c) for q, c in _QUERIES if "--json" in q]
+
+
+@pytest.mark.parametrize("argv, code", _TEXT_QUERIES, ids=[" ".join(q) for q, _ in _TEXT_QUERIES])
+def test_a_text_query_loads_no_argparse_or_re(argv, code):
+    # The strict reader parses it (cli._strict).
+    assert _loaded(argv, _PARSING) == [str(code)]
+
+
+@pytest.mark.parametrize("argv, code", _JSON_QUERIES, ids=[" ".join(q) for q, _ in _JSON_QUERIES])
+def test_a_json_query_loads_json_but_no_argparse(argv, code):
+    # json loads re; the parse still loads no argparse.
+    assert _loaded(argv, ("argparse", "json")) == [str(code), "json"]
+
+
+# Runs main in-process with argparse's width fixed at 80 columns, as the
+# transcript's replay does, and prints what it wrote and whether it loaded argparse.
+_BYTES_PROBE = """
+import contextlib, io, json, os, sys
+from prioritaire.cli import main
+os.environ["COLUMNS"] = "80"
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, argparse",
+    [(["slope", "-h"], True), (["frontier", "--", "1/0"], False)],
+    ids=["slope -h", "frontier -- 1/0"],
+)
+def test_help_and_refusals_print_the_transcript_bytes(argv, argparse):
+    # Help is argparse's, imported for it; a refused value needs no argparse.
+    transcript = json.loads(Path(__file__).with_name("cli_transcript.json").read_text(encoding="utf-8"))
+    entry = next(e for e in transcript if e["argv"] == argv)
+    expected = [entry["code"], entry["stdout"], entry["stderr"], argparse]
+    assert json.loads(_child(_BYTES_PROBE.format(argv=argv))) == expected
 
 
 def test_the_module_entry_freezes_the_loaded_package():

@@ -5,9 +5,11 @@
 byte-compiles the package in the ``src`` directory next to this one, then
 runs ROUNDS (default 20) interleaved rounds of fresh ``python -S``
 children: the bare interpreter, ``import prioritaire.cli``, and ``-m
-prioritaire`` with one query per subcommand.  It prints the median wall
-time of each in ms, and whether each query imported ``shutil``,
-``fractions`` and ``decimal``.  It prints; it is not a gate.
+prioritaire`` with one query per subcommand, and one abbreviated query that
+argparse parses.  It prints the median wall time of each in ms, and
+whether each query imported ``shutil``, ``fractions``, ``decimal``,
+``argparse``, ``re``, ``gettext`` and ``locale``.  It prints; it is not a
+gate.
 """
 
 import compileall
@@ -27,11 +29,12 @@ QUERIES = [
     ["series", "--from=-1", "--", "0", "4"],
     ["tile", "--depth", "2", "--format", "csv"],
     ["selfcheck", "--depth", "0"],
+    ["slope", "--dig", "5", "--", "-1/4"],
 ]
 CHILDREN = {"interpreter": ["-c", "pass"], "import prioritaire.cli": ["-c", "import prioritaire.cli"]}
 CHILDREN.update({" ".join(q): ["-m", "prioritaire", *q] for q in QUERIES})
 # Runs a query in-process and prints, last, whether it imported each of NOTED.
-NOTED = ("shutil", "fractions", "decimal")
+NOTED = ("shutil", "fractions", "decimal", "argparse", "re", "gettext", "locale")
 PROBE = "import sys; from prioritaire.cli import main; main({!r}); print(*(m in sys.modules for m in %r))" % (NOTED,)
 
 
