@@ -16,7 +16,8 @@ Exit codes: 0 when the question was answered (including "no prioritary
 sheaf exists"), 1 for usage errors, 2 when an internal consistency
 check failed or a depth cap was exhausted.  When the reader of stdout
 goes away early (``prioritaire series -- 0 3000 | head -1``) the
-command stops quietly with exit code 1.
+command stops quietly with exit code 1; any other failed write, to stdout
+or to ``tile --out``, is one error line and exit code 1.
 
 Answers print integers of any length: once its arguments are parsed, a
 command lifts Python's limit on int-to-str digits (3.10.7 and later),
@@ -26,17 +27,16 @@ the work of converting a huge argument string.
 Negative arguments start with a dash, so insert ``--`` before the
 positionals: ``prioritaire frontier -- -1/2``.
 
-A query in its plain form is read by ``_strict``: the command, options by
-their exact long names (``--depth 3``, ``--from=-1``), at most one ``--``
-and exactly the positionals.  It reads the declarations of the ``_*_args``
-functions through a recorder (``_Spec``) and gives the namespace argparse
-gives.  Anything else (help, an abbreviation, a separate value that starts
-with a dash, no command or an unknown one, a missing or extra argument, a value
-argparse refuses) goes to the full parser (``build_parser``), which
-prints argparse's own usage, help and errors.  argparse, with the ``re``,
-``gettext`` and ``locale`` it loads, is imported only then
-(``_parser_class``).  Its help formatter sizes itself to the terminal only
-when it prints, so a query that answers imports no ``shutil``.
+Each subcommand's arguments are declared once, as data, in ``_COMMANDS``,
+and two readers read them.  A query in its plain form is read by
+``_strict``: the command, options by their exact long names (``--depth 3``,
+``--from=-1``), at most one ``--`` and exactly the positionals; it gives
+the namespace argparse gives.  Anything else (help, an abbreviation, a
+separate value that starts with a dash, no command or an unknown one, a
+missing or extra argument, a value argparse refuses) goes to the full
+parser (``build_parser``), which prints argparse's own usage, help and
+errors.  argparse, with the ``re``, ``gettext``, ``locale`` and ``shutil``
+it loads, is imported only then.
 
 ``entry``, the console script and ``python -m prioritaire``, freezes the
 garbage collector's view of the loaded package (``gc.freeze``) before it
@@ -50,7 +50,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from functools import cache
 from types import SimpleNamespace
 
 from . import chern
@@ -118,184 +117,31 @@ def _lift_digit_limit() -> None:
         sys.set_int_max_str_digits(0)
 
 
-def _output_args(p, digits: bool = True) -> None:
-    """--json, and --digits where the command prints decimals."""
-    p.add_argument("--json", action="store_true", help="emit a JSON document")
-    if digits:
-        p.add_argument(
-            "--digits",
-            type=int,
-            default=12,
-            metavar="N",
-            help=f"significant digits of decimal approximations (default 12, at most {MAX_DIGITS})",
-        )
-
-
-def _depth_arg(p, what: str) -> None:
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"{what} (default: bounded by the input)",
-    )
-
-
-def _invariant_args(p, digits: bool = True) -> None:
-    """rank, c1, c2, --depth and the output options of classify and decompose."""
-    p.add_argument("rank", type=int, help="rank, a positive integer")
-    p.add_argument("c1", type=int, help="first Chern class")
-    p.add_argument("c2", type=int, help="second Chern class")
-    _depth_arg(p, "descent cap")
-    _output_args(p, digits)
-
-
-def _slope_args(p) -> None:
-    p.add_argument("value", help='dyadic like "-1/4" or "-3/2^2"; with --invert a rational slope')
-    p.add_argument("--invert", action="store_true", help="treat VALUE as an exceptional slope")
-    _depth_arg(p, "descent cap for --invert")
-    _output_args(p)
-    p.set_defaults(handler=_cmd_slope)
-
-
-def _frontier_args(p) -> None:
-    p.add_argument("mu", help='rational slope like "-1/3"')
-    _depth_arg(p, "descent cap")
-    _output_args(p)
-    p.set_defaults(handler=_cmd_frontier)
-
-
-def _classify_args(p) -> None:
-    _invariant_args(p)
-    p.set_defaults(handler=_cmd_classify)
-
-
-def _decompose_args(p) -> None:
-    _invariant_args(p, digits=False)
-    p.set_defaults(handler=_cmd_decompose)
-
-
-def _series_args(p) -> None:
-    p.add_argument("dyadic", help='dyadic locating the bundle, like "0" or "-1/2"')
-    p.add_argument("n_max", type=int, help="largest index n; members run from --from to n")
-    p.add_argument("--from", dest="n_min", type=int, default=0, metavar="N")
-    p.add_argument("--right", action="store_true", help="the twisted-by-3 mirror series")
-    _output_args(p, digits=False)
-    p.set_defaults(handler=_cmd_series)
-
-
-def _tile_args(p) -> None:
-    p.add_argument(
-        "--depth",
-        type=int,
-        required=True,
-        metavar="N",
-        help=f"deepest tile level, at most {helix.MAX_TILE_DEPTH}",
-    )
-    p.add_argument("--format", choices=("svg", "csv"), default="svg")
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=64,
-        metavar="K",
-        help=f"8K + 1 points per frontier curve (svg), at most {MAX_TILE_SAMPLES}",
-    )
-    p.add_argument("--out", default="-", metavar="PATH", help="output file, - for stdout")
-    p.set_defaults(handler=_cmd_tile)
-
-
-def _selfcheck_args(p) -> None:
-    p.add_argument("--depth", type=int, default=4, metavar="N")
-    p.set_defaults(handler=_cmd_selfcheck)
-
-
-# Each subcommand, in listing order: its help in the command list, its
-# epilog and the function that adds its arguments.
-_COMMANDS = {
-    "slope": ("dyadic to exceptional bundle, or back with --invert", _EPILOG, _slope_args),
-    "frontier": ("frontier values at a rational slope", _EPILOG, _frontier_args),
-    "classify": ("region of integral invariants", _EPILOG, _classify_args),
-    "decompose": ("splitting of the generic prioritary sheaf", _EPILOG, _decompose_args),
-    "series": ("orthogonal series attached to an exceptional bundle", _EPILOG, _series_args),
-    "tile": ("render the triangle tiling", _EPILOG, _tile_args),
-    "selfcheck": ("run the built-in consistency checks", None, _selfcheck_args),
-}
-
-
-@cache
-def _parser_class() -> type:
-    """``_Parser``, defined with ``_Formatter`` and argparse imported on the
-    first call: only a query that ``_strict`` refuses makes it."""
+def build_parser():
+    """The full parser: the top level and one subparser per command, read
+    from ``_COMMANDS``.  argparse is imported here, for a query ``_strict``
+    refuses."""
     import argparse
-
-    class _Formatter(argparse.HelpFormatter):
-        """A help formatter that runs argparse's ``__init__`` only when it formats.
-
-        argparse makes a formatter for each ``add_argument`` only to check the
-        metavar, which reads no instance attribute of the formatter; the base
-        ``__init__`` imports ``shutil`` for the terminal width.  Here it runs,
-        with the same arguments, on the first attribute read, so usage, help
-        and errors still follow ``COLUMNS`` or the terminal."""
-
-        def __init__(self, *args, **kwargs) -> None:
-            self._deferred = args, kwargs
-
-        def __getattr__(self, name: str):
-            # Reached only for an attribute not set yet: initialise once, then retry.
-            if "_deferred" not in vars(self):
-                raise AttributeError(name)
-            args, kwargs = vars(self).pop("_deferred")
-            super().__init__(*args, **kwargs)
-            return getattr(self, name)
 
     class _Parser(argparse.ArgumentParser):
         """argparse with usage failures mapped to exit code 1."""
-
-        def __init__(self, **kwargs) -> None:
-            super().__init__(formatter_class=_Formatter, **kwargs)
 
         def error(self, message: str):  # noqa: D102 - argparse hook
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 
-    return _Parser
-
-
-def build_parser():
-    """The full parser: the top level and one subparser per command."""
-    parser = _parser_class()(
+    parser = _Parser(
         prog="prioritaire",
         description="existence frontiers and generic splittings on the projective plane",
         epilog=_EPILOG,
     )
-    # The subcommands' prog prefix given, not formatted from the usage,
-    # which would size the formatter to the terminal (``_Formatter``).
-    sub = parser.add_subparsers(dest="command", required=True, prog="prioritaire")
-    for name, (help_, epilog, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_, epilog=epilog))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, epilog, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_, epilog=epilog)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
-
-
-class _Spec:
-    """The arguments a ``_*_args`` function declares, recorded from its
-    ``add_argument`` and ``set_defaults`` calls for ``_strict``, so that
-    each argument is declared once for both readers."""
-
-    def __init__(self, command: str) -> None:
-        self.options: dict[str, dict] = {}  # by long name; keywords with dest and default
-        self.positionals: list[dict] = []  # in order; keywords with dest
-        self.defaults = {"command": command}
-
-    def add_argument(self, name: str, **kwargs) -> None:
-        if name.startswith("-"):
-            kwargs.setdefault("dest", name[2:].replace("-", "_"))
-            kwargs.setdefault("default", False if kwargs.get("action") == "store_true" else None)
-            self.options[name] = kwargs
-        else:
-            self.positionals.append(dict(kwargs, dest=name))
-
-    def set_defaults(self, **kwargs) -> None:
-        self.defaults.update(kwargs)
 
 
 def _value(kwargs: dict, text: str):
@@ -321,17 +167,18 @@ def _strict(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    spec = _Spec(argv[0])
-    _COMMANDS[argv[0]][2](spec)
-    found, i = {}, 1
+    _, _, handler, arguments = _COMMANDS[argv[0]]
+    options = {name: kwargs for name, kwargs in arguments if name.startswith("-")}
+    positionals = [(name, kwargs) for name, kwargs in arguments if not name.startswith("-")]
+    found, i = {}, 1  # values by flag or name
     try:
         while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
             name, eq, text = argv[i].partition("=")
-            kwargs, i = spec.options[name], i + 1
+            kwargs, i = options[name], i + 1
             if kwargs.get("action") == "store_true":
                 if eq:
                     return None
-                found[kwargs["dest"]] = True
+                found[name] = True
                 continue
             if not eq:
                 if i == len(argv) or argv[i].startswith("-"):
@@ -339,24 +186,26 @@ def _strict(argv: list[str]) -> SimpleNamespace | None:
                 text, i = argv[i], i + 1
             elif not text:
                 return None
-            found[kwargs["dest"]] = _value(kwargs, text)
+            found[name] = _value(kwargs, text)
         dashed = i < len(argv) and argv[i] == "--"
         rest = argv[i + dashed :]
         # After a --, a second one; without one, a dash, which argparse may
         # read as an option or as a negative number.
         refused = ("--" in rest or not rest) if dashed else any(t.startswith("-") for t in rest)
-        if refused or len(rest) != len(spec.positionals):
+        if refused or len(rest) != len(positionals):
             return None
-        for kwargs, text in zip(spec.positionals, rest):
-            found[kwargs["dest"]] = _value(kwargs, text)
+        for (name, kwargs), text in zip(positionals, rest):
+            found[name] = _value(kwargs, text)
     except (KeyError, ValueError):  # an unknown option, a refused value
         return None
-    values = spec.defaults
-    for kwargs in spec.options.values():
-        if kwargs.get("required") and kwargs["dest"] not in found:
+    values = {"command": argv[0], "handler": handler}
+    for name, kwargs in arguments:
+        if kwargs.get("required") and name not in found:
             return None
-        values[kwargs["dest"]] = kwargs["default"]
-    values.update(found)
+        # argparse's dest and default: the name without its leading dashes,
+        # with - as _; False for a flag.
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        values[kwargs.get("dest", name.lstrip("-").replace("-", "_"))] = found.get(name, default)
     return SimpleNamespace(**values)
 
 
@@ -554,20 +403,12 @@ def _cmd_tile(args) -> int:
         raise ParseError(f"tile samples {args.samples} exceeds the maximum {MAX_TILE_SAMPLES}")
     svg = args.format == "svg"
     render._check(args.depth, args.samples if svg else 1)
-    if args.out == "-":
-        fh = sys.stdout
-    else:
-        try:
-            fh = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.out}: {exc.strerror}") from exc
     # Opened first, so that an unwritable path costs no rendering; each line
-    # is written as it is made, so the document is never held whole.
+    # is written as it is made, so the document is never held whole.  A
+    # failed open or write is reported by ``main``.
+    fh = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
     try:
-        if svg:
-            fh.writelines(render._svg_lines(args.depth, args.samples))
-        else:
-            fh.writelines(render._csv_lines(args.depth))
+        fh.writelines(render._svg_lines(args.depth, args.samples) if svg else render._csv_lines(args.depth))
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -588,20 +429,95 @@ def _cmd_selfcheck(args) -> int:
     return 0 if ok else 2
 
 
+# The arguments of each subcommand, as (flag or name, add_argument keywords)
+# in the order argparse lists them, and first those several share.
+_JSON = ("--json", dict(action="store_true", help="emit a JSON document"))
+_DIGITS = (
+    "--digits",
+    dict(
+        type=int,
+        default=12,
+        metavar="N",
+        help=f"significant digits of decimal approximations (default 12, at most {MAX_DIGITS})",
+    ),
+)
+_DEPTH = (
+    "--depth",
+    dict(type=int, default=None, metavar="N", help="descent cap (default: bounded by the input)"),
+)
+_INVARIANTS = (
+    ("rank", dict(type=int, help="rank, a positive integer")),
+    ("c1", dict(type=int, help="first Chern class")),
+    ("c2", dict(type=int, help="second Chern class")),
+)
+_SLOPE_ARGS = (
+    ("value", dict(help='dyadic like "-1/4" or "-3/2^2"; with --invert a rational slope')),
+    ("--invert", dict(action="store_true", help="treat VALUE as an exceptional slope")),
+    ("--depth", dict(_DEPTH[1], help="descent cap for --invert (default: bounded by the input)")),
+    _JSON,
+    _DIGITS,
+)
+_FRONTIER_ARGS = (("mu", dict(help='rational slope like "-1/3"')), _DEPTH, _JSON, _DIGITS)
+_CLASSIFY_ARGS = (*_INVARIANTS, _DEPTH, _JSON, _DIGITS)
+_DECOMPOSE_ARGS = (*_INVARIANTS, _DEPTH, _JSON)
+_SERIES_ARGS = (
+    ("dyadic", dict(help='dyadic locating the bundle, like "0" or "-1/2"')),
+    ("n_max", dict(type=int, help="largest index n; members run from --from to n")),
+    ("--from", dict(dest="n_min", type=int, default=0, metavar="N")),
+    ("--right", dict(action="store_true", help="the twisted-by-3 mirror series")),
+    _JSON,
+)
+_TILE_ARGS = (
+    (
+        "--depth",
+        dict(type=int, required=True, metavar="N", help=f"deepest tile level, at most {helix.MAX_TILE_DEPTH}"),
+    ),
+    ("--format", dict(choices=("svg", "csv"), default="svg")),
+    (
+        "--samples",
+        dict(
+            type=int,
+            default=64,
+            metavar="K",
+            help=f"8K + 1 points per frontier curve (svg), at most {MAX_TILE_SAMPLES}",
+        ),
+    ),
+    ("--out", dict(default="-", metavar="PATH", help="output file, - for stdout")),
+)
+_SELFCHECK_ARGS = (("--depth", dict(type=int, default=4, metavar="N")),)
+
+# Each subcommand, in listing order: its help in the command list, its
+# epilog, its handler and its arguments.  ``_strict`` and ``build_parser``
+# both read this table.
+_COMMANDS = {
+    "slope": ("dyadic to exceptional bundle, or back with --invert", _EPILOG, _cmd_slope, _SLOPE_ARGS),
+    "frontier": ("frontier values at a rational slope", _EPILOG, _cmd_frontier, _FRONTIER_ARGS),
+    "classify": ("region of integral invariants", _EPILOG, _cmd_classify, _CLASSIFY_ARGS),
+    "decompose": ("splitting of the generic prioritary sheaf", _EPILOG, _cmd_decompose, _DECOMPOSE_ARGS),
+    "series": ("orthogonal series attached to an exceptional bundle", _EPILOG, _cmd_series, _SERIES_ARGS),
+    "tile": ("render the triangle tiling", _EPILOG, _cmd_tile, _TILE_ARGS),
+    "selfcheck": ("run the built-in consistency checks", None, _cmd_selfcheck, _SELFCHECK_ARGS),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         # Usage errors, refused before the command walks the lattice, which
         # a deep argument makes slow, or rounds a decimal of unbounded length.
-        digits = getattr(args, "digits", 1)
-        if digits < 1:
-            raise ParseError("digits must be >= 1")
-        if digits > MAX_DIGITS:
-            raise ParseError(f"digits must be <= {MAX_DIGITS}")
-        return args.handler(args)
+        surd._check_digits(getattr(args, "digits", 1))
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a failed write to stdout is reported below
+        return code
     except ValueError as exc:  # ParseError included
         print(f"prioritaire: error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the answer could not be written, to --out or to stdout
+        if not isinstance(exc, BrokenPipeError):  # the reader went away: quietly
+            out = getattr(args, "out", "-")
+            where = "stdout" if out == "-" else out
+            print(f"prioritaire: error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
     except DepthExhaustedError as exc:
         where = "" if exc.bracket is None else " (bracket {} .. {})".format(*exc.bracket)
@@ -619,15 +535,14 @@ def entry() -> None:
     # The package is loaded: freeze its objects, so that the collection at
     # exit skips them; what the query makes is collected as usual.
     gc.freeze()
+    code = main()
     try:
-        code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so that the flush
-        # at exit does not fail again, and exit 1 without a traceback, as
-        # the Python documentation of SIGPIPE recommends.
+    except OSError:
+        # A write to stdout failed, and it still holds what it could not
+        # write.  Point it at devnull so that the flush at exit does not fail
+        # again, as the Python documentation of SIGPIPE recommends.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
     sys.exit(code)
 
 

@@ -297,6 +297,15 @@ def parse_surd(text: str) -> QuadSurd:
     return QuadSurd.from_rational(parse_rational(text))
 
 
+def _check_digits(digits: int) -> None:
+    """ValueError unless 1 <= digits <= MAX_DIGITS, the bounds of every
+    decimal a caller asks for."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be <= {MAX_DIGITS}")
+
+
 def decimal_str(value: Fraction | QuadSurd | int, digits: int = 12) -> str:
     """Decimal rendering at ``digits`` significant digits, half-even,
     rounded once from the exact value, as ``str()`` of the ``Decimal`` that
@@ -306,10 +315,7 @@ def decimal_str(value: Fraction | QuadSurd | int, digits: int = 12) -> str:
     ``_surd_decimal``.  Display only; exact computations never call this.
     ValueError unless 1 <= digits <= MAX_DIGITS.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if digits > MAX_DIGITS:
-        raise ValueError(f"digits must be <= {MAX_DIGITS}")
+    _check_digits(digits)
     if isinstance(value, QuadSurd):
         if value.b:
             return _surd_decimal(*_terms(value), digits)

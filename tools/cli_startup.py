@@ -6,10 +6,11 @@ byte-compiles the package in the ``src`` directory next to this one, then
 runs ROUNDS (default 20) interleaved rounds of fresh ``python -S``
 children: the bare interpreter, ``import prioritaire.cli``, and ``-m
 prioritaire`` with one query per subcommand, and one abbreviated query that
-argparse parses.  It prints the median wall time of each in ms, and
-whether each query imported ``shutil``, ``fractions``, ``decimal``,
-``argparse``, ``re``, ``gettext`` and ``locale``.  It prints; it is not a
-gate.
+argparse parses, which alone loads ``shutil``: argparse's help formatter
+sizes itself to the terminal.  It prints the median wall time of each in
+ms, and whether each query imported ``shutil``, ``fractions``,
+``decimal``, ``argparse``, ``re``, ``gettext`` and ``locale``.  It
+prints; it is not a gate.
 """
 
 import compileall
