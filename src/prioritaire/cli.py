@@ -124,11 +124,16 @@ def build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """argparse with usage failures mapped to exit code 1."""
+        """argparse with usage failures mapped to exit code 1, and a help
+        screen written through and flushed, so that a failed write raises
+        for ``main`` to report, where argparse itself would drop it."""
 
         def error(self, message: str):  # noqa: D102 - argparse hook
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
+
+        def print_help(self, file=None):  # noqa: D102 - argparse hook
+            print(self.format_help(), end="", file=file, flush=True)
 
     parser = _Parser(
         prog="prioritaire",
@@ -364,7 +369,7 @@ def _cmd_series(args) -> int:
         raise ParseError(f"--from {args.n_min} exceeds n_max {args.n_max}")
     f, bracket = exceptional._from_dyadic(d)
     _lift_digit_limit()
-    # From the bracket the parse composed last: one walk, which no depth cap bounds.
+    # From the bracket the parse walked to last: one walk, which no depth cap bounds.
     members = helix._series(f, bracket, args.n_min, args.n_max)
     if args.right:
         members = [g.twist(3) for g in members]
@@ -372,11 +377,8 @@ def _cmd_series(args) -> int:
     for n, g in zip(range(args.n_min, args.n_max + 1), members):
         # The defining vanishing: left members are right-orthogonal to f,
         # right members left-orthogonal.
-        chi = (
-            euler_pairing(g.chern, f.chern)
-            if args.right
-            else euler_pairing(f.chern, g.chern)
-        )
+        first, second = (g, f) if args.right else (f, g)
+        chi = euler_pairing(first.chern, second.chern)
         records.append(dict(_bundle_record(g), n=n, chi=chi))
     if args.json:
         _emit_json(
@@ -501,9 +503,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(argv)
+    args = None
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        args = _parse(argv)
         # Usage errors, refused before the command walks the lattice, which
         # a deep argument makes slow, or rounds a decimal of unbounded length.
         surd._check_digits(getattr(args, "digits", 1))
@@ -515,8 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:  # the answer could not be written, to --out or to stdout
         if not isinstance(exc, BrokenPipeError):  # the reader went away: quietly
-            out = getattr(args, "out", "-")
-            where = "stdout" if out == "-" else out
+            where = "stdout" if getattr(args, "out", "-") == "-" else args.out
             print(f"prioritaire: error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
     except DepthExhaustedError as exc:

@@ -16,8 +16,12 @@ each bounded and each filled only by answers that passed every check:
   level 11, at most 2 047 middles, never evicted: the middle of bracket
   (q, i), the image of (2i + 1)/2^(q+1) - 1, in slot 2^q - 1 + i.  Every
   descent starts from [O(-1), O] and repeats the middles near the top of
-  the tree, and ``_middle``, the fetch of each level, fills a slot with
-  the first ``compose`` of that middle that passed every check.
+  the tree, so ``_middle``, the fetch of each level, reads the slot
+  first and builds the middle only on a miss; it keeps the first one
+  built there that passed every check.  (A prototype walk that built
+  every middle, with no store, lost 7 % of ``deep``'s throughput; a
+  single store shared with the kept triad tree, which builds a whole
+  triad on a miss, lost 16 %.)
 * ``_owner``, a memo of 4096 owners keyed by the slope in lowest terms
   and the depth cap, None unless a caller gives one.  A query and the
   frontiers at its slope ask again for owners already found: one round
@@ -79,18 +83,49 @@ rank r, the owner of n/m (lowest terms, m > 0) has rank m and slope
 n/m or rank below (2m + 1)/6, and the shallowest tile holding a point
 has a middle of rank at most the rank at which the point is integral.
 Every descent raises through ``_exhausted``, the one raise site of
-DepthExhaustedError.  The descents of the lattice run through ``_walk``,
-which fetches one mid per level with ``_middle``: from its slot of
-``_mids`` for a bracket of [O(-1), O] down to level 11, composed and
-dropped past it or for a translated bracket (only the CLI walks from
-another integer, once per process).  A walk
-keeps nothing else, and ``_owner`` keeps only the answer of a whole owner
-walk that succeeded.  ``helix.enumerate_to_level`` is one loop of the
-same fetch over all levels.  Point location (``helix._locate``) is the
-one descent that does not walk: it reads each triad it enters off the
-kept tree and fetches nothing there.  ``compose`` has two callers:
-``_middle``, and ``helix.root``, whose middle is the one of the triad
-tree that is not a mutation.
+DepthExhaustedError.
+
+The descents of the lattice run through ``_walk``.  A walk carries its
+bracket and the third bundle of the triad (lo, mid, hi) that it came
+from, and each level fetches one mid with ``_middle``: from its slot of
+``_mids`` for a bracket of [O(-1), O] down to level 11, and built only
+on a miss (and dropped past that level, or for a translated bracket:
+only the CLI walks from another integer, once per process).  The middle
+of level 0 is compose(lo, hi); every middle below is one mutation
+(``_build_middle``, ``_mutation``; Gorodentsev-Rudakov) of the triad
+the walk leaves, three integer multiply-subtracts in place of compose's
+cross product and two pairings:
+
+    going left, into [lo, mid]:   x(new) = 3 r_lo x(mid) - x(hi)
+    going right, into [mid, hi]:  x(new) = 3 r_hi x(mid) - x(lo)
+
+What is checked moved.  ``_bundle`` still checks chi(F,F) = 1 on every
+new vector, and ``_mutation`` checks the Markov identity of every new
+triad in integers.  The two vanishings that compose checked at each step
+follow, by bilinearity of chi in x, from the triad identities of the
+triad the walk leaves: chi(mid, lo) = chi(hi, mid) = chi(hi, lo) = 0,
+chi(lo, mid) = 3 r_hi, chi(mid, hi) = 3 r_lo and chi(lo, hi) =
+9 r_lo r_hi - 3 r_mid.  Going left,
+
+    chi(new, lo) = 3 r_lo chi(mid, lo) - chi(hi, lo) = 0,
+    chi(mid, new) = 3 r_lo chi(mid, mid) - chi(mid, hi) = 3 r_lo - 3 r_lo = 0,
+
+and going right chi(new, mid) = 3 r_hi - chi(lo, mid) = 0 and chi(hi, new)
+= 3 r_hi chi(hi, mid) - chi(hi, lo) = 0.  The same expansion gives the
+new triad all six identities again (chi(lo, new) = 9 r_lo r_hi -
+chi(lo, hi) = 3 r_mid going left, for one), so by induction every triad
+of a walk has them once the triad of level 0, (O(s), E(s + 1/2),
+O(s + 1)), has them; there compose checks the vanishings, and the three
+pairings are 3 by Riemann-Roch.  selfcheck's lattice check
+recomposes every middle with compose, as an oracle of the whole walk.
+A walk keeps nothing but its slots, and ``_owner`` keeps only the answer
+of a whole owner walk that succeeded.  ``helix.enumerate_to_level`` is
+one loop of the same fetch over all levels.  Point location
+(``helix._locate``) is the one descent that does not walk: it reads
+each triad it enters off the kept tree and fetches nothing there.
+``compose`` builds two middles of the package: that of level 0, which
+``_build_middle`` composes for ``_walk`` and ``helix.enumerate_to_level``,
+and the middle of ``helix.root``; selfcheck recomposes the others.
 """
 
 from __future__ import annotations
@@ -340,8 +375,9 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     u x v spans their kernel and is -2 x of the result, which ``_bundle``
     builds from x.  Neighbours are exactly the pairs with chi(b, a) = 0; on
     any other pair the kernel can be another multiple of x, so compose
-    refuses it with ValueError first.  Every call runs every check: compose
-    keeps nothing, and ``_middle`` keeps only what it returns.
+    refuses it with ValueError first.  Every call runs every check and
+    keeps nothing.  The walks call it only for a middle of level 0, whose
+    bracket is no mutation (module docstring).
     """
     (ra, ca, sa), (rb, cb, sb) = a.chern._vec, b.chern._vec
     gap = cb * ra - ca * rb  # (slope(b) - slope(a)) * ra * rb
@@ -365,25 +401,56 @@ def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
     return result
 
 
+def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, c: ExceptionalBundle) -> ExceptionalBundle:
+    """The bundle of vector 3 r_a x(b) - x(c), for a, b, c the three bundles
+    of an exceptional triad: the one mutation of the lattice, the middle of
+    a walk's next bracket (``_middle``) and of ``helix``'s child triads, and
+    a triad's bundle h.  The new triad (a, b, result) must satisfy the
+    Markov identity r_a^2 + r_b^2 + r^2 = 3 r_a r_b r.  Since r = 3 r_a r_b
+    - r_c, it reads r_a^2 + r_b^2 = r r_c, which is checked in integers (and
+    is the identity of (a, b, c) as well), before ``_bundle`` checks
+    chi(F,F) = 1; a failure is InternalInconsistencyError."""
+    k, ra = 3 * a.rank, a.rank
+    (rb, cb, xb), (rc, cc, xc) = b.chern._vec, c.chern._vec
+    r = k * rb - rc
+    if ra * ra + rb * rb != r * rc:  # r^2 - 3 r_a r_b r = -r r_c
+        raise InternalInconsistencyError(f"Markov identity fails for ranks {ra},{rb},{r}")
+    return _bundle(r, k * cb - cc, k * xb - xc)
+
+
 # The middles of [-1, 0] at dyadic levels 1..11, one level past helix's kept
-# triad tree: slot 2^q - 1 + i holds the middle of bracket (q, i) once a
-# ``compose`` that passed every check has found it, else None (module
-# docstring).  At most 2 047 middles, never cleared.
+# triad tree: slot 2^q - 1 + i holds the middle of bracket (q, i) once it
+# has passed every check, else None (module docstring).  At most 2 047
+# middles, never cleared.
 _mids: list[ExceptionalBundle | None] = [None] * ((1 << 11) - 1)
 
 
-def _middle(lo: ExceptionalBundle, hi: ExceptionalBundle, p: int, q: int) -> ExceptionalBundle:
-    """compose(lo, hi) for the images lo, hi of p/2^q and (p + 1)/2^q: the
-    one fetch of each level of a walk and of ``helix.enumerate_to_level``.
-    The middle of a bracket of [-1, 0] with q <= 10 is read from its slot
-    of ``_mids``, which the first call fills; past that level, or for a
-    translated bracket, it is composed and dropped."""
+def _middle(p: int, q: int, lo: ExceptionalBundle, hi: ExceptionalBundle, far) -> ExceptionalBundle:
+    """``_build_middle(p, lo, hi, far)``, the middle of [lo, hi], the images
+    of p/2^q and (p + 1)/2^q: the one fetch of each level of a walk and of
+    ``helix.enumerate_to_level``.  The middle of a bracket of [-1, 0] with
+    q <= 10 is read from its slot of ``_mids``, and built only on a miss,
+    which fills the slot; past that level, or for a translated bracket, it
+    is built and dropped."""
     slot = (2 << q) + p - 1  # 2^q - 1 + i with i = p + 2^q
     if not (-(1 << q) <= p < 0 and slot < len(_mids)):
-        return compose(lo, hi)
+        return _build_middle(p, lo, hi, far)
     if _mids[slot] is None:
-        _mids[slot] = compose(lo, hi)
+        _mids[slot] = _build_middle(p, lo, hi, far)
     return _mids[slot]
+
+
+def _build_middle(p: int, lo: ExceptionalBundle, hi: ExceptionalBundle, far) -> ExceptionalBundle:
+    """The middle of the bracket [lo, hi] of a walk, the images of p/2^q and
+    (p + 1)/2^q: compose(lo, hi) at level 0, where far is None.  Below,
+    [lo, hi] is a side of the triad of the level above, whose third bundle
+    is far, and the middle is that triad's mutation (``_mutation``): for
+    the left side (lo, hi, far), p even, 3 r_lo x(hi) - x(far); for the
+    right side (far, lo, hi), p odd, 3 r_hi x(lo) - x(far).  ``helix._child``
+    builds each child triad's middle here too."""
+    if far is None:
+        return compose(lo, hi)
+    return _mutation(hi, lo, far) if p & 1 else _mutation(lo, hi, far)
 
 
 def _cap(max_depth: int | None) -> int | None:
@@ -397,25 +464,29 @@ def _cap(max_depth: int | None) -> int | None:
 def _walk(steer: Callable, what: Callable, cap: int | None, start: int) -> tuple:
     """Bisect the dyadic tree from [O(start), O(start + 1)].
 
-    Each level fetches mid = _middle(lo, hi, p, q) and asks steer(lo, mid, hi):
-    0 stops at mid, returning (lo, mid, hi, p, q) with mid the image of
-    p/2^q; a negative sign enters [lo, mid], a positive one [mid, hi].  Past
-    ``cap`` mids it raises DepthExhaustedError "<what()> not resolved within
-    depth N" with the pair it would have entered next; with cap None the
-    steer alone ends the walk, by stopping or raising.
+    Each level fetches mid = ``_middle`` of the bracket [lo, hi] and asks
+    steer(lo, mid, hi): 0 stops at mid, returning (lo, mid, hi, p, q) with
+    mid the image of p/2^q; a negative sign enters [lo, mid], whose middle
+    is the mutation 3 r_lo x(mid) - x(hi) of the triad (lo, mid, hi), and a
+    positive one [mid, hi], whose middle is 3 r_hi x(mid) - x(lo).  Past
+    ``cap`` mids it raises DepthExhaustedError "<what()> not resolved
+    within depth N" with the pair it would have entered next; with cap
+    None the steer alone ends the walk, by stopping or raising.
     """
     lo, hi = _bundle(1, start, start * start), _bundle(1, start + 1, (start + 1) ** 2)
-    p, q = start, 0  # [lo, hi] is the image of [p/2^q, (p+1)/2^q]
+    # [lo, hi] is the image of [p/2^q, (p+1)/2^q], a side of (lo, hi, far)
+    # or (far, lo, hi), the triad of the level above.
+    p, q, far = start, 0, None
     for _ in count() if cap is None else range(cap):
-        mid = _middle(lo, hi, p, q)
+        mid = _middle(p, q, lo, hi, far)
         side = steer(lo, mid, hi)
         p, q = 2 * p, q + 1
         if side == 0:
             return lo, mid, hi, p + 1, q
         if side < 0:
-            hi = mid
+            far, hi = hi, mid
         else:
-            lo, p = mid, p + 1
+            far, lo, p = lo, mid, p + 1
     _exhausted(what(), cap, lo, hi)
 
 
@@ -435,7 +506,7 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
 
 
 def _from_dyadic(d: Dyadic) -> tuple:
-    """``from_dyadic`` and the pair it composed last (None for an integer),
+    """``from_dyadic`` and the pair whose middle it is (None for an integer),
     by a walk that steers by the bits of d and needs no depth cap."""
     base = d.p >> d.q  # floor(d)
     if d.q == 0:

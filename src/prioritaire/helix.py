@@ -9,14 +9,18 @@ child is (f, k, g) with k the cokernel of e -> f x Hom(e,f)*.  The
 integer character vectors x = (r, c1, c1^2 - 2 c2) follow the mutation
 bookkeeping
 
-    x(h') = chi(f,g) * x(f) - x(g)
+    x(h') = chi(f,g) * x(f) - x(g) = 3 rank(e) x(f) - x(g)
 
 and each child's middle is this mutation of its parent's and nothing
 else: ``Triad``'s checks prove it the composition of its two ends, since
 the vanishings chi(f,e) = chi(g,f) = 0 leave one line of vectors, and
 chi(F,F) = 1 with rank >= 1 fixes the multiple.  Only the root composes
-its middle.  Mutations and series members are built from their vectors
-by ``exceptional._bundle``, which checks that each vector is exceptional.
+its middle.  The mutation is ``exceptional._mutation``, the one of the
+package: the walks of the lattice step by it too, and it checks the
+Markov identity of every triad it makes, ``Triad``'s own included (that
+of (g, e, h) is that of (e, f, g)).  Mutations and series members are
+built from their vectors by ``exceptional._bundle``, which checks that
+each vector is exceptional.
 
 Each triad is also its tile, a curvilinear triangle in the (mu, Delta)
 plane (``Triad.side_ef``, ``side_fg``, ``side_eg`` and ``contains``):
@@ -43,10 +47,14 @@ it.  A cap of N enters at most N triads, and ``exceptional._exhausted``
 raises past them; no cap is needed, since past a middle of rank above the
 point's no tile holds it.  The whole levels of the exceptional lattice
 (``enumerate_to_level``) build no triad: one loop fetches each level's
-middles with ``exceptional._middle``, kept in ``exceptional._mids`` down
-to level 11 and composed and dropped past it.  The package's stores are
-``exceptional._bundle``, ``exceptional._mids``, ``exceptional._owner``
-and this kept tree.
+middles with ``exceptional._middle``, as a walk does, kept in
+``exceptional._mids`` down to level 11 and built and dropped past it.
+The package's stores are ``exceptional._bundle``, ``exceptional._mids``,
+``exceptional._owner`` and this kept tree.  The middles of ``_mids`` and
+of this tree are the same objects (``_bundle``'s cache interns them), but
+the two stores stay apart: a walk that missed in a single store would
+build a whole triad (five pairings) where it now makes one mutation,
+which cost ``deep`` 16 % of its throughput.
 
 A triad also holds one ``is_prioritary_sum`` verdict, that of (e, f, g)
 (``Triad._prioritary``), which answers every splitting e^m + f^n + g^p
@@ -96,14 +104,6 @@ MAX_TILE_DEPTH = 10
 _levels: list[list[Triad | None]] = [[None] * (1 << k) for k in range(MAX_TILE_DEPTH + 1)]
 
 
-def _mutation(a: ExceptionalBundle, b: ExceptionalBundle, chi: int) -> ExceptionalBundle:
-    """The bundle of character vector chi*x(a) - x(b), where chi is the
-    Euler pairing of the mutated pair (three times a rank, by the triad
-    identities)."""
-    (ra, ca, xa), (rb, cb, xb) = a.chern._vec, b.chern._vec
-    return exceptional._bundle(chi * ra - rb, chi * ca - cb, chi * xa - xb)
-
-
 class Triad(Record):
     """Slope-ordered orthogonal triple with its tree position, and its tile.
 
@@ -135,17 +135,14 @@ class Triad(Record):
         set_index(self, index)
         if not (e.c1 * f.rank < f.c1 * e.rank and f.c1 * g.rank < g.c1 * f.rank):
             raise InternalInconsistencyError(f"triad slopes out of order: {e}, {f}, {g}")
-        for left, right in ((f, e), (g, f), (g, e)):
-            if euler_pairing(left.chern, right.chern) != 0:
-                raise InternalInconsistencyError(f"chi({left}, {right}) != 0 in triad")
-        re_, rf, rg = e.rank, f.rank, g.rank
-        if re_ * re_ + rf * rf + rg * rg != 3 * re_ * rf * rg:
-            raise InternalInconsistencyError(f"Markov identity fails for ranks {re_},{rf},{rg}")
-        if euler_pairing(e.chern, f.chern) != 3 * rg:
-            raise InternalInconsistencyError(f"chi(e,f) != 3*rank(g) in {self.label()}")
-        if euler_pairing(f.chern, g.chern) != 3 * re_:
-            raise InternalInconsistencyError(f"chi(f,g) != 3*rank(e) in {self.label()}")
-        set_h(self, _mutation(e, f, 3 * rg))
+        # The triad identities that every mutation carries to its children
+        # (``exceptional``'s module docstring).
+        for left, right, chi in ((f, e, 0), (g, f, 0), (g, e, 0), (e, f, 3 * g.rank), (f, g, 3 * e.rank)):
+            if euler_pairing(left.chern, right.chern) != chi:
+                raise InternalInconsistencyError(f"chi({left}, {right}) != {chi} in triad")
+        # The mutation checks the Markov identity of (g, e, h), which is that
+        # of (e, f, g), since r_h = 3 r_g r_e - r_f is the other root.
+        set_h(self, exceptional._mutation(g, e, f))
 
     def label(self) -> str:
         return f"({self.e}, {self.f}, {self.g})"
@@ -213,11 +210,11 @@ def children(t: Triad) -> tuple[Triad, Triad]:
 def _child(t: Triad, right: bool) -> Triad:
     """The right mutation child (f, k, g) of t if ``right``, else the left
     one (e, h', f).  Its middle is the mutation 3 rank(kept) x(f) -
-    x(dropped) of t's middle, and ``Triad``'s checks prove it the
+    x(dropped) of t's middle, built as a walk's step builds it
+    (``exceptional._build_middle``), and ``Triad``'s checks prove it the
     composition of its two ends, so nothing is composed."""
-    e, g, dropped = (t.f, t.g, t.e) if right else (t.e, t.f, t.g)
-    kept = g if right else e
-    return Triad(e, _mutation(t.f, dropped, 3 * kept.rank), g, t.level + 1, 2 * t.index + right)
+    e, g, far = (t.f, t.g, t.e) if right else (t.e, t.f, t.g)
+    return Triad(e, exceptional._build_middle(right, e, g, far), g, t.level + 1, 2 * t.index + right)
 
 
 def _kept(level: int, index: int) -> Triad:
@@ -252,16 +249,19 @@ def iterate_triads(max_level: int) -> Iterator[Triad]:
 def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
     """All bundles at dyadic slopes p/2^q in [-1, 0] with q <= level_max,
     sorted by slope: O(-1) and O, then each level q inserts between each
-    pair of neighbours (a, b), the images of p/2^q and (p + 1)/2^q, their
-    middle ``exceptional._middle(a, b, p, q)``, kept in its slot of
-    ``exceptional._mids`` down to level 11 and composed and dropped past
-    it.  It builds no triad."""
+    pair of neighbours, the images of p/2^q and (p + 1)/2^q, their middle
+    ``exceptional._middle``, kept in its slot of ``exceptional._mids``
+    down to level 11 and built and dropped past it: compose of the pair at
+    level 0, and below, as in a walk, the mutation of the triad of the
+    level above whose side the pair is.  It builds no triad."""
     if level_max < 0:
         raise ValueError("level_max must be >= 0")
     bundles = [exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)]
     for q in range(level_max):
-        pairs = enumerate(zip(bundles, bundles[1:]), -1 << q)
-        mids = [exceptional._middle(a, b, p, q) for p, (a, b) in pairs]
+        # Pair j is a side of the triad bundles[j : j + 3] (j even) or
+        # bundles[j - 1 : j + 2] (j odd) of the level above: its third bundle.
+        far = [(bundles[j - 1] if j & 1 else bundles[j + 2]) if q else None for j in range(1 << q)]
+        mids = [exceptional._middle(j - (1 << q), q, *bundles[j : j + 2], far[j]) for j in range(1 << q)]
         bundles = [x for pair in zip(bundles, mids) for x in pair] + bundles[-1:]
     return bundles
 

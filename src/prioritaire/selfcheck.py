@@ -95,6 +95,9 @@ def _check_lattice(depth: int) -> str:
     for f in bundles:
         _require(exceptional._c2(f.rank, f.c1) == (f.c2, 0), f"c2 of {f.label()}")
     for left, m, right in zip(bundles, finer[1::2], bundles[1:]):
+        # compose, which the walks call at level 0 only, is the oracle of
+        # their mutations: it recomposes each middle from its neighbours.
+        _require(exceptional.compose(left, right) == m, f"middle of {left.label()}, {right.label()}")
         # Intervals (slope - x, slope + x) of consecutive bundles must not
         # overlap.  The middle m between them lies in neither open interval,
         # so mu(left) + x_left <= mu(m) <= mu(right) - x_right: in integers.

@@ -138,10 +138,12 @@ def test_constructor_failure_exits_two(capsys, monkeypatch, fresh_lattice):
     # A bad mutation (the second term dropped) gives the vector 3 x(O(-1))
     # = (3, -3, 3), whose chi(F,F) is 9: the trusted builder raises an
     # inconsistency, not a usage error.
-    from prioritaire import exceptional, helix
+    from prioritaire import exceptional
 
     monkeypatch.setattr(
-        helix, "_mutation", lambda a, b, chi: exceptional._bundle(*(chi * x for x in a.chern._vec))
+        exceptional,
+        "_mutation",
+        lambda a, b, c: exceptional._bundle(*(3 * a.rank * x for x in b.chern._vec)),
     )
     # The fixture empties the kept tree, as in a fresh process: the render
     # builds level 1.
@@ -505,25 +507,31 @@ def test_closed_output_pipe_is_quiet():
         (["tile", "--depth", "3", "--out", "/dev/full"], "/dev/full"),
         # Within the buffer: the write fails when the file is closed.
         (["tile", "--depth", "3", "--format", "csv", "--out", "/dev/full"], "/dev/full"),
+        # argparse's help screens, which argparse alone would lose quietly.
+        (["slope", "-h"], "stdout"),
+        (["-h"], "stdout"),
     ],
 )
 def test_a_failed_write_is_one_error_line(argv, where):
     # A full device: one error line and exit 1, with no traceback, and no
-    # failed flush reported at interpreter exit.
+    # failed flush reported at interpreter exit, whether stdout is buffered
+    # (the write fails at a flush) or not (-u: it fails at once).
     src = str(Path(prioritaire.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "prioritaire", *argv],
-            stdout=full if where == "stdout" else subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-    assert proc.returncode == 1
-    message = f"prioritaire: error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
-    assert (proc.stdout or "", proc.stderr) == ("", message)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    for flags in ([], ["-u"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "prioritaire", *argv],
+                stdout=full if where == "stdout" else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        assert proc.returncode == 1, flags
+        message = f"prioritaire: error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
+        assert (proc.stdout or "", proc.stderr) == ("", message), flags
 
 
 FRONTIER_TEXT = """\

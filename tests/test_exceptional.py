@@ -197,17 +197,106 @@ def _neighbour_pairs(level):
     return list(zip(bundles, bundles[1:]))
 
 
+def _fars(level):
+    """The third bundle of the triad of the level above, of which each
+    bracket of a level >= 1 is a side: as a walk carries it."""
+    b = enumerate_to_level(level)
+    return [b[i - 1] if i % 2 else b[i + 2] for i in range(1 << level)]
+
+
 def test_a_middle_slot_returns_the_checked_bundle(monkeypatch):
-    pairs = _neighbour_pairs(8)
+    pairs, fars = _neighbour_pairs(8), _fars(8)
     monkeypatch.setattr(ex, "_mids", [None] * len(ex._mids))
-    first = [ex._middle(a, b, i - 256, 8) for i, (a, b) in enumerate(pairs)]
+    mutated = _counting(monkeypatch, ex, "_mutation")
+    first = [ex._middle(i - 256, 8, *pair, far) for i, (pair, far) in enumerate(zip(pairs, fars))]
     assert first == [compose(a, b) for a, b in pairs]
-    # Only level 9's slots, 2^8 - 1 + i for bracket (8, i), are filled, each
-    # with the very object it returned.
+    # One mutation a miss.  Only level 9's slots, 2^8 - 1 + i for bracket
+    # (8, i), are filled, each with the very object it returned, and a hit
+    # reads its slot without building anything.
+    assert len(mutated) == 1 << 8
     assert sum(m is not None for m in ex._mids) == 1 << 8
     assert all(ex._mids[255 + i] is mid for i, mid in enumerate(first))
-    assert all(ex._middle(a, b, i - 256, 8) is first[i] for i, (a, b) in enumerate(pairs))
+    assert all(ex._middle(i - 256, 8, None, None, None) is mid for i, mid in enumerate(first))
+    assert len(mutated) == 1 << 8
     assert all(x is y for x, y in zip(enumerate_to_level(9)[1::2], first))
+
+
+def _counting(monkeypatch, module, name):
+    """The arguments of every call of module.name from now on."""
+    calls, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def _triad_pairs(lo, mid, hi):
+    return (mid, lo), (hi, mid), (hi, lo), (lo, mid), (mid, hi), (lo, hi)
+
+
+def _oracle_walk(start, cap, side, fetched):
+    """A walk of ``cap`` levels from [O(start), O(start + 1)] steered by
+    side(), each middle checked against compose of its bracket's ends; the
+    middles in the order met."""
+    mids = []
+
+    def steer(lo, mid, hi):
+        assert mid == compose(lo, hi), (lo, hi)
+        # The six triad identities that carry the vanishings from one level
+        # to the next (exceptional's module docstring).
+        pairings = [euler_pairing(a.chern, b.chern) for a, b in _triad_pairs(lo, mid, hi)]
+        assert pairings == [0, 0, 0, 3 * hi.rank, 3 * lo.rank, 9 * lo.rank * hi.rank - 3 * mid.rank]
+        mids.append(mid)
+        return side()
+
+    with pytest.raises(DepthExhaustedError):
+        ex._walk(steer, lambda: "oracle", cap, start)
+    assert len(fetched) == len(mids) == cap
+    fetched.clear()
+    return mids
+
+
+def test_every_walk_step_is_the_composition_of_its_bracket(monkeypatch, fresh_lattice):
+    # The oracle of the mutation step: at every level of 300 seeded random
+    # walks to depth 16, both ways, from [O(-1), O] and from translated
+    # brackets, the middle that the walk fetched is compose(lo, hi).  Past
+    # level 0, a walk composes nothing.
+    rng = random.Random(36)
+    fetched = _counting(monkeypatch, ex, "_middle")
+    composed = _counting(monkeypatch, ex, "compose")
+    walks = {}
+    for _ in range(300):
+        start = rng.choice((-1, -1, rng.randint(-5, 4)))
+        path = [rng.choice((-1, 1)) for _ in range(16)]
+        composed.clear()
+        level0 = start != -1 or ex._mids[0] is None  # no kept middle of level 0
+        walks[start, tuple(path)] = _oracle_walk(start, 16, iter(path).__next__, fetched)
+        assert len(composed) == level0
+    # A second pass reads the kept middles of [-1, 0] and mutates the others:
+    # the same middles.
+    for (start, path), mids in walks.items():
+        assert _oracle_walk(start, 16, iter(path).__next__, fetched) == mids
+    assert sum(m is not None for m in ex._mids) > 300
+    # A one-sided chain of 1 000 steps each way, past every kept slot.
+    for side in (-1, 1):
+        mids = _oracle_walk(-1, 1000, lambda: side, fetched)
+        assert mids[-1].rank.bit_length() > 1000
+
+
+def test_the_markov_check_refuses_a_corrupted_rank():
+    # The one mutation checks the Markov identity of the triad it makes, in
+    # integers, before it builds a bundle: a rank off by one in any of the
+    # three inputs is refused.
+    from types import SimpleNamespace
+
+    lo, mid, hi = enumerate_to_level(1)
+    assert ex._mutation(lo, mid, hi) == compose(lo, mid) == from_slope(Fraction(-3, 5))
+
+    def corrupted(f):
+        r, c1, x2 = f.chern._vec
+        return SimpleNamespace(rank=r + 1, chern=SimpleNamespace(_vec=(r + 1, c1, x2)))
+
+    for args in ((corrupted(lo), mid, hi), (lo, corrupted(mid), hi), (lo, mid, corrupted(hi))):
+        with pytest.raises(InternalInconsistencyError, match=r"^Markov identity fails for ranks "):
+            ex._mutation(*args)
 
 
 def test_a_refused_pair_leaves_every_slot_empty(monkeypatch):
@@ -225,7 +314,7 @@ def test_a_refused_pair_leaves_every_slot_empty(monkeypatch):
     for a, b in refused:
         for _ in range(2):
             with pytest.raises(ValueError):
-                ex._middle(a, b, -1, 0)
+                ex._middle(-1, 0, a, b, None)
     assert len(refused) > 3000
     assert ex._mids == [None] * 2047
 
@@ -475,15 +564,20 @@ def test_dyadic_of_refuses_every_slope_off_the_lattice():
 
 
 def test_dyadic_of_refuses_at_once(monkeypatch):
-    # The descent stops at the first mid of rank >= 10: 2, 5, 13.
-    calls = []
-    original = ex._middle
-    monkeypatch.setattr(ex, "_middle", lambda *args: calls.append(args) or original(*args))
-    for slope in (Fraction(-3, 10), Fraction(13, 10)):
-        calls.clear()
+    # The descent stops at the first mid of rank >= 10: 2, 5, 13.  It reads
+    # them from their slots in [-1, 0], kept since enumerate_to_level(3); in
+    # [1, 2], kept in no slot, level 0 composes and each level below is one
+    # mutation.
+    enumerate_to_level(3)
+    calls = _counting(monkeypatch, ex, "_middle")
+    composed = _counting(monkeypatch, ex, "compose")
+    mutated = _counting(monkeypatch, ex, "_mutation")
+    for slope, built in ((Fraction(-3, 10), (0, 0)), (Fraction(13, 10), (1, 2))):
+        for counted in (calls, composed, mutated):
+            counted.clear()
         with pytest.raises(ValueError, match=f"{slope} is not an exceptional slope"):
             dyadic_of(ex._bundle(*_vector(slope.denominator, slope.numerator)), max_depth=3000)
-        assert len(calls) == 3
+        assert (len(calls), (len(composed), len(mutated))) == (3, built)
 
 
 def test_dyadic_of_translates_its_bracket():
@@ -788,25 +882,25 @@ def test_no_assert_statement_in_the_package():
 
 def test_compose_is_called_only_by_the_walker_and_the_tree():
     # Paths go through exceptional._walk, which fetches each level's middle
-    # with _middle, as helix.enumerate_to_level does; _middle composes a
-    # middle that no slot keeps.  The triad tree composes only its root's
-    # middle (helix.root), each child's middle being a mutation.
+    # with _middle, as helix.enumerate_to_level does; _middle builds it with
+    # _build_middle, which composes a middle of level 0 only and mutates
+    # below it.  The triad tree composes only its root's middle
+    # (helix.root), each child's middle being a mutation.  selfcheck
+    # recomposes every middle, as the oracle of the mutations.
     import ast
 
     package = Path(ex.__file__).parent
-    callers = {"compose": set(), "_middle": set()}
+    users = {"compose": set(), "_middle": set()}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, ast.FunctionDef):
                 continue
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call):
-                    func = call.func
-                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                    if name in callers:
-                        callers[name].add((path.stem, node.name))
-    assert callers == {
-        "compose": {("exceptional", "_middle"), ("helix", "root")},
+            for ref in ast.walk(node):
+                name = getattr(ref, "attr", None) or getattr(ref, "id", None)
+                if isinstance(ref, (ast.Attribute, ast.Name)) and name in users:
+                    users[name].add((path.stem, node.name))
+    assert users == {
+        "compose": {("exceptional", "_build_middle"), ("helix", "root"), ("selfcheck", "_check_lattice")},
         "_middle": {("exceptional", "_walk"), ("helix", "enumerate_to_level")},
     }
 

@@ -37,9 +37,11 @@ from prioritaire.helix import (
 def test_a_wrong_mutation_is_refused_by_the_triad_checks(monkeypatch, fresh_lattice):
     # A child's middle is its parent's mutation and nothing else; Triad's own
     # checks refuse a wrong one, and the kept tree keeps no child.
+    from prioritaire import exceptional
+
     t = helix._kept(0, 0)
     qstar = from_slope(Fraction(-1, 2))
-    monkeypatch.setattr(helix, "_mutation", lambda a, b, chi: qstar)
+    monkeypatch.setattr(exceptional, "_mutation", lambda a, b, c: qstar)
     with pytest.raises(InternalInconsistencyError, match="^triad slopes out of order: "):
         children(t)
     with pytest.raises(InternalInconsistencyError, match="^triad slopes out of order: "):
@@ -553,25 +555,17 @@ def test_levels_past_the_kept_tree_are_built_and_dropped():
     assert len(helix._levels) == helix.MAX_TILE_DEPTH + 1
 
 
-def test_levels_past_the_kept_tree_compose_only_their_middles(monkeypatch):
+def test_levels_past_the_kept_tree_mutate_only_their_middles(monkeypatch):
     from prioritaire import exceptional
 
     enumerate_to_level(helix.MAX_TILE_DEPTH + 1)
-    composed, made = [], []
-    original_compose, original_child = exceptional.compose, helix._child
-
-    def counted_compose(a, b):
-        composed.append((a, b))
-        return original_compose(a, b)
-
-    def counted_child(*args):
-        made.append(args)
-        return original_child(*args)
-
-    monkeypatch.setattr(exceptional, "compose", counted_compose)
-    monkeypatch.setattr(helix, "_child", counted_child)
+    calls = {"compose": [], "_mutation": [], "_child": []}
+    for module, name in ((exceptional, "compose"), (exceptional, "_mutation"), (helix, "_child")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, c=calls[name], f=original: c.append(a) or f(*a))
     level12 = enumerate_to_level(12)
-    assert (len(made), len(composed)) == (0, 2048)
+    composed, mutated, made = calls.values()
+    assert (len(made), len(composed), len(mutated)) == (0, 0, 2048)
     monkeypatch.undo()
     assert enumerate_to_level(13)[::2] == level12
     rng = random.Random(12)

@@ -32,9 +32,9 @@ from prioritaire.decompose import (
     Summand,
     generic_prioritary,
 )
-from prioritaire.exceptional import Dyadic, ExceptionalBundle, from_slope
+from prioritaire.exceptional import Dyadic, ExceptionalBundle, _mutation, from_slope
 from prioritaire.frontier import Region, RegionTag
-from prioritaire.helix import ExtDims, Triad, _kept, _mutation, ext_dims, root
+from prioritaire.helix import ExtDims, Triad, _kept, ext_dims, root
 from prioritaire.selfcheck import CheckResult
 from prioritaire.surd import QuadSurd
 
@@ -164,7 +164,7 @@ def test_each_field_reads_back_its_own_argument():
     for f in (ExceptionalBundle(5, -2), from_slope(Fraction(-2, 5))):
         assert (f.rank, f.c1, f.chern) == (5, -2, ChernData(5, -2, 4))
     t = Triad(*_built_from_distinct_arguments()[6][1])
-    assert t.h == _mutation(t.e, t.f, 3 * t.g.rank) and t.h not in (t.e, t.f, t.g)
+    assert t.h == _mutation(t.g, t.e, t.f) and t.h not in (t.e, t.f, t.g)
 
 
 class _Plain(ChernData):

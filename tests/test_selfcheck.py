@@ -35,3 +35,18 @@ def test_lattice_check_finds_an_interval_that_reaches_the_middle(monkeypatch, si
     )
     with pytest.raises(InternalInconsistencyError, match=r"^intervals of O\(-1\) and "):
         dict(CHECKS)["exceptional lattice"](3)
+
+
+def test_lattice_check_recomposes_every_middle(monkeypatch):
+    # compose is the lattice check's oracle of the walks' mutations: a
+    # middle that is not the composition of its neighbours fails it.
+    enumerate_to_level = helix.enumerate_to_level
+
+    def swapped(level):
+        bundles = enumerate_to_level(level)
+        bundles[1], bundles[3] = bundles[3], bundles[1]
+        return bundles
+
+    monkeypatch.setattr(helix, "enumerate_to_level", swapped)
+    with pytest.raises(InternalInconsistencyError, match=r"^middle of O\(-1\), "):
+        dict(CHECKS)["exceptional lattice"](2)
