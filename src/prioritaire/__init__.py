@@ -39,7 +39,6 @@ from .decompose import (
     stable_presentation,
 )
 from .errors import (
-    DepthExhaustedError,
     InternalInconsistencyError,
     NoPrioritarySheafError,
     NotCoveredError,
@@ -91,7 +90,6 @@ __all__ = [
     "ChernData",
     "CheckResult",
     "Decomposition",
-    "DepthExhaustedError",
     "Dyadic",
     "ExceptionalBundle",
     "ExtDims",

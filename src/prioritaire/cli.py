@@ -14,15 +14,16 @@ own command only.
 
 Exit codes: 0 when the question was answered (including "no prioritary
 sheaf exists"), 1 for usage errors, 2 when an internal consistency
-check failed or a depth cap was exhausted.  When the reader of stdout
-goes away early (``prioritaire series -- 0 3000 | head -1``) the
-command stops quietly with exit code 1; any other failed write, to stdout
-or to ``tile --out``, is one error line and exit code 1.
+check failed.  When the reader of stdout goes away early (``prioritaire
+series -- 0 3000 | head -1``) the command stops quietly with exit code 1;
+any other failed write, to stdout or to ``tile --out``, is one error line
+and exit code 1.
 
 Answers print integers of any length: once its arguments are parsed, a
 command lifts Python's limit on int-to-str digits (3.10.7 and later),
 and ``main`` puts the limit back.  Parsing keeps the limit, which bounds
-the work of converting a huge argument string.
+the work of converting a huge argument string, and with it the depth of
+every descent a point query walks: no command takes a depth cap.
 
 Negative arguments start with a dash, so insert ``--`` before the
 positionals: ``prioritaire frontier -- -1/2``.
@@ -57,7 +58,6 @@ from . import decompose as decompose_mod
 from . import exceptional, frontier, helix, render, surd
 from .chern import ChernData, euler_pairing
 from .errors import (
-    DepthExhaustedError,
     InternalInconsistencyError,
     NoPrioritarySheafError,
     NotCoveredError,
@@ -225,7 +225,7 @@ def _parse(argv: list[str] | None):
 def _cmd_slope(args) -> int:
     if args.invert:
         n, m = surd._parse_ratio(args.value)
-        f, d = exceptional._lattice(m, n, args.depth)
+        f, d = exceptional._lattice(m, n)
     else:
         d = exceptional.parse_dyadic(args.value)
         f = exceptional.from_dyadic(d)
@@ -259,7 +259,7 @@ def _cmd_frontier(args) -> int:
     # The slope translated into (-1, 0], where delta, delta_prime and the
     # prioritary bound -n(n + den)/(2 den^2) are read (all have period 1).
     n, digits = -(-num % den), args.digits
-    owner = exceptional._owners([(n, den)], exceptional._cap(args.depth))[0]
+    owner = exceptional._owners([(n, den)])[0]
     big_n, rational, k, m = frontier._conic_terms(n, den, owner)
     r = owner.rank
     payload = {
@@ -301,7 +301,7 @@ def _cmd_classify(args) -> int:
     cd = ChernData(args.rank, args.c1, args.c2)
     _lift_digit_limit()
     norm, k = chern.normalize(cd)
-    region = frontier._classify_normalized(norm, exceptional._cap(args.depth))
+    region = frontier._classify_normalized(norm)
     payload = _classify_payload(cd, norm, k, region, args.digits)
     if args.json:
         _emit_json(payload)
@@ -323,7 +323,7 @@ def _cmd_decompose(args) -> int:
     cd = ChernData(args.rank, args.c1, args.c2)
     _lift_digit_limit()
     try:
-        result = decompose_mod.generic_prioritary(cd, args.depth)
+        result = decompose_mod.generic_prioritary(cd)
     except NoPrioritarySheafError as exc:
         if args.json:
             _emit_json(
@@ -369,7 +369,7 @@ def _cmd_series(args) -> int:
         raise ParseError(f"--from {args.n_min} exceeds n_max {args.n_max}")
     f, bracket = exceptional._from_dyadic(d)
     _lift_digit_limit()
-    # From the bracket the parse walked to last: one walk, which no depth cap bounds.
+    # From the bracket the parse walked to last: one walk, bounded by the dyadic's level.
     members = helix._series(f, bracket, args.n_min, args.n_max)
     if args.right:
         members = [g.twist(3) for g in members]
@@ -443,10 +443,6 @@ _DIGITS = (
         help=f"significant digits of decimal approximations (default 12, at most {MAX_DIGITS})",
     ),
 )
-_DEPTH = (
-    "--depth",
-    dict(type=int, default=None, metavar="N", help="descent cap (default: bounded by the input)"),
-)
 _INVARIANTS = (
     ("rank", dict(type=int, help="rank, a positive integer")),
     ("c1", dict(type=int, help="first Chern class")),
@@ -455,13 +451,12 @@ _INVARIANTS = (
 _SLOPE_ARGS = (
     ("value", dict(help='dyadic like "-1/4" or "-3/2^2"; with --invert a rational slope')),
     ("--invert", dict(action="store_true", help="treat VALUE as an exceptional slope")),
-    ("--depth", dict(_DEPTH[1], help="descent cap for --invert (default: bounded by the input)")),
     _JSON,
     _DIGITS,
 )
-_FRONTIER_ARGS = (("mu", dict(help='rational slope like "-1/3"')), _DEPTH, _JSON, _DIGITS)
-_CLASSIFY_ARGS = (*_INVARIANTS, _DEPTH, _JSON, _DIGITS)
-_DECOMPOSE_ARGS = (*_INVARIANTS, _DEPTH, _JSON)
+_FRONTIER_ARGS = (("mu", dict(help='rational slope like "-1/3"')), _JSON, _DIGITS)
+_CLASSIFY_ARGS = (*_INVARIANTS, _JSON, _DIGITS)
+_DECOMPOSE_ARGS = (*_INVARIANTS, _JSON)
 _SERIES_ARGS = (
     ("dyadic", dict(help='dyadic locating the bundle, like "0" or "-1/2"')),
     ("n_max", dict(type=int, help="largest index n; members run from --from to n")),
@@ -521,10 +516,6 @@ def main(argv: list[str] | None = None) -> int:
             where = "stdout" if getattr(args, "out", "-") == "-" else args.out
             print(f"prioritaire: error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
-    except DepthExhaustedError as exc:
-        where = "" if exc.bracket is None else " (bracket {} .. {})".format(*exc.bracket)
-        print(f"prioritaire: depth exhausted: {exc}{where}", file=sys.stderr)
-        return 2
     except (InternalInconsistencyError, NotCoveredError) as exc:
         print(f"prioritaire: inconsistency: {exc}", file=sys.stderr)
         return 2

@@ -150,12 +150,10 @@ def _combine(terms: Iterable[tuple[int, ChernData]]) -> tuple[int, int, int]:
     return r, c1, x
 
 
-def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposition:
+def generic_prioritary(cd: ChernData) -> Decomposition:
     """Region and explicit splitting of the generic prioritary sheaf."""
     norm, k = chern.normalize(cd)
-    # The owner walk and the triangle walk share one cap, checked before any answer.
-    cap = exceptional._cap(max_depth)
-    region = frontier._classify_normalized(norm, cap)
+    region = frontier._classify_normalized(norm)
     if region.tag is RegionTag.NO_PRIORITARY:
         # The error writes its message only when it is read.
         raise NoPrioritarySheafError(cd, (norm.rank, norm.c1, norm.c2), region)
@@ -229,7 +227,7 @@ def generic_prioritary(cd: ChernData, max_depth: int | None = None) -> Decomposi
 
     else:  # BELOW_DELTA_PRIME
         r, c1 = norm.rank, norm.c1
-        t = helix._locate(c1, r, frontier._disc_num(r, c1, norm.c2), 2 * r * r, cap, r)
+        t = helix._locate(c1, r, frontier._disc_num(r, c1, norm.c2), 2 * r * r, r)
         m = euler_pairing(norm, t.e.chern)
         n = -euler_pairing(norm, t.h.chern)
         p = euler_pairing(t.g.chern, norm)

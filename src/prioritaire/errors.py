@@ -18,18 +18,6 @@ class InternalInconsistencyError(PrioritaireError):
     """
 
 
-class DepthExhaustedError(PrioritaireError):
-    """A tree descent hit its depth cap before resolving.
-
-    Carries the pair of bundles the descent would have entered next, so
-    callers can report how far the search got.
-    """
-
-    def __init__(self, message: str, bracket: tuple | None = None) -> None:
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class NotCoveredError(PrioritaireError):
     """The queried point is not covered by any tile reachable in the descent."""
 

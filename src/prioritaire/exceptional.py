@@ -22,8 +22,8 @@ each bounded and each filled only by answers that passed every check:
   every middle, with no store, lost 7 % of ``deep``'s throughput; a
   single store shared with the kept triad tree, which builds a whole
   triad on a miss, lost 16 %.)
-* ``_owner``, a memo of 4096 owners keyed by the slope in lowest terms
-  and the depth cap, None unless a caller gives one.  A query and the
+* ``_owner``, a memo of 4096 owners keyed by the slope in lowest terms.
+  A query and the
   frontiers at its slope ask again for owners already found: one round
   of ``sweep`` (seed 3) asks for 3 000 owners of 180 distinct slopes,
   ``tile`` for 1 617 of 145, and ``deep`` for 792 of 386 (from a fresh
@@ -71,19 +71,16 @@ delta_F(mu) > 1/2, since 2 m^2 (delta_F(mu) - 1/2) = n(n - 3m) + den^2
 (``frontier._conic_terms``).  den^2 is the same at every level of an
 owner walk, which squares it once.
 
-Each public entry point checks its depth cap once with ``_cap`` (its
-``max_depth`` argument, refused below 0), after refusing a slope outside
-[-1, 0] where it takes one, and hands it to the descents (``_walk``,
-``_descend``, ``_owners``, ``frontier._classify_normalized`` and
-``helix._locate``), which neither check it again nor check the range.
-An int caps a descent; None, the default, leaves it bounded by its
-input, since every target lies at a depth its input fixes: the mids'
-ranks rise, a slope c1/r is proved on or off the lattice by a mid of
-rank r, the owner of n/m (lowest terms, m > 0) has rank m and slope
-n/m or rank below (2m + 1)/6, and the shallowest tile holding a point
-has a middle of rank at most the rank at which the point is integral.
-Every descent raises through ``_exhausted``, the one raise site of
-DepthExhaustedError.
+No descent takes a depth: each ends at a depth its input fixes.  The
+ranks of the mids rise, by at least 1 a level, and a slope c1/r is
+proved on or off the lattice by a mid of rank r; the owner of n/m
+(lowest terms, m > 0) has rank m and slope n/m or rank below
+(2m + 1)/6; a dyadic p/2^q is reached in q levels; and the shallowest
+tile holding a point has a middle of rank at most the rank at which the
+point is integral.  Each public entry point refuses a slope outside
+[-1, 0] where it takes one, and hands the input to the descents
+(``_walk``, ``_descend``, ``_owners``, ``frontier._classify_normalized``
+and ``helix._locate``), which do not check the range again.
 
 The descents of the lattice run through ``_walk``.  A walk carries its
 bracket and the third bundle of the triad (lo, mid, hi) that it came
@@ -132,13 +129,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain
 from math import gcd
 
 from . import chern
 from ._record import _MAX_BITS, Record, _ratio
 from .chern import ChernCharacter, ChernData
-from .errors import DepthExhaustedError, InternalInconsistencyError, ParseError
+from .errors import InternalInconsistencyError, ParseError
 from .surd import QuadSurd, _ratio_of
 
 
@@ -234,7 +231,7 @@ class ExceptionalBundle(Record):
     _fields = __slots__[:2]
 
     def __init__(self, rank: int, c1: int) -> None:
-        found = _lattice(rank, c1, None)[0]
+        found = _lattice(rank, c1)[0]
         set_rank, set_c1, set_chern = __class__._setters
         set_rank(self, found.rank)
         set_c1(self, found.c1)
@@ -344,27 +341,27 @@ def _bundle(rank: int, c1: int, x2: int) -> ExceptionalBundle:
 
 def from_slope(slope: Fraction) -> ExceptionalBundle:
     """The exceptional bundle of a slope from outside the package, or
-    ValueError (``_lattice``).  The descent needs no cap: the ranks of its
-    mids rise, and it ends at the first of rank >= the denominator."""
+    ValueError (``_lattice``).  The descent ends at the first mid of rank
+    >= the denominator, since the ranks of its mids rise."""
     import fractions
 
     slope = fractions.Fraction(slope)
-    return _lattice(slope.denominator, slope.numerator, None)[0]
+    return _lattice(slope.denominator, slope.numerator)[0]
 
 
-def _lattice(rank: int, c1: int, max_depth: int | None) -> tuple:
+def _lattice(rank: int, c1: int) -> tuple:
     """The bundle (rank, c1) from outside the package and its dyadic: the
     package's one boundary, behind ``ExceptionalBundle``, ``from_slope`` and
     the CLI's ``slope --invert``.  ValueError for a rank below 1 or a
-    non-integral c2, and when the descent, capped at max_depth, proves the
-    slope off the lattice; the bundle is the one the descent found."""
+    non-integral c2, and when the descent proves the slope off the
+    lattice; the bundle is the one the descent found."""
     if rank < 1:
         r = _ratio(rank, 1)
         raise ValueError(f"rank {r} of ({r}, {_ratio(c1, 1)}) is not positive")
     if _c2(rank, c1)[1]:
         slope = f"{_ratio(c1, 1)}/{_ratio(rank, 1)}"  # term by term: it need not be reduced
         raise ValueError(f"{slope} is not an exceptional slope (c2 not integral)")
-    return _descend(rank, c1, _cap(max_depth))[:2]
+    return _descend(rank, c1)[:2]
 
 
 def compose(a: ExceptionalBundle, b: ExceptionalBundle) -> ExceptionalBundle:
@@ -453,31 +450,22 @@ def _build_middle(p: int, lo: ExceptionalBundle, hi: ExceptionalBundle, far) -> 
     return _mutation(hi, lo, far) if p & 1 else _mutation(lo, hi, far)
 
 
-def _cap(max_depth: int | None) -> int | None:
-    """The cap of a walk: max_depth, None for a walk that its input
-    bounds (module docstring); ValueError if < 0."""
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"depth must be >= 0, got {max_depth}")
-    return max_depth
-
-
-def _walk(steer: Callable, what: Callable, cap: int | None, start: int) -> tuple:
+def _walk(steer: Callable, start: int) -> tuple:
     """Bisect the dyadic tree from [O(start), O(start + 1)].
 
     Each level fetches mid = ``_middle`` of the bracket [lo, hi] and asks
     steer(lo, mid, hi): 0 stops at mid, returning (lo, mid, hi, p, q) with
     mid the image of p/2^q; a negative sign enters [lo, mid], whose middle
     is the mutation 3 r_lo x(mid) - x(hi) of the triad (lo, mid, hi), and a
-    positive one [mid, hi], whose middle is 3 r_hi x(mid) - x(lo).  Past
-    ``cap`` mids it raises DepthExhaustedError "<what()> not resolved
-    within depth N" with the pair it would have entered next; with cap
-    None the steer alone ends the walk, by stopping or raising.
+    positive one [mid, hi], whose middle is 3 r_hi x(mid) - x(lo).  The
+    steer alone ends the walk, by stopping or raising, at a depth its input
+    fixes (module docstring).
     """
     lo, hi = _bundle(1, start, start * start), _bundle(1, start + 1, (start + 1) ** 2)
     # [lo, hi] is the image of [p/2^q, (p+1)/2^q], a side of (lo, hi, far)
     # or (far, lo, hi), the triad of the level above.
     p, q, far = start, 0, None
-    for _ in count() if cap is None else range(cap):
+    while True:
         mid = _middle(p, q, lo, hi, far)
         side = steer(lo, mid, hi)
         p, q = 2 * p, q + 1
@@ -487,14 +475,6 @@ def _walk(steer: Callable, what: Callable, cap: int | None, start: int) -> tuple
             far, hi = hi, mid
         else:
             far, lo, p = lo, mid, p + 1
-    _exhausted(what(), cap, lo, hi)
-
-
-def _exhausted(what: str, cap: int, lo: ExceptionalBundle, hi: ExceptionalBundle) -> None:
-    """Raise DepthExhaustedError "<what> not resolved within depth <cap>"
-    with the pair (lo, hi) that a descent would have entered next: the one
-    raise site of every descent, ``_walk`` and ``helix._locate``."""
-    raise DepthExhaustedError(f"{what} not resolved within depth {cap}", bracket=(lo, hi))
 
 
 def from_dyadic(d: Dyadic) -> ExceptionalBundle:
@@ -507,7 +487,7 @@ def from_dyadic(d: Dyadic) -> ExceptionalBundle:
 
 def _from_dyadic(d: Dyadic) -> tuple:
     """``from_dyadic`` and the pair whose middle it is (None for an integer),
-    by a walk that steers by the bits of d and needs no depth cap."""
+    by a walk that steers by the bits of d and stops at its last."""
     base = d.p >> d.q  # floor(d)
     if d.q == 0:
         return _bundle(1, base, base * base), None
@@ -515,25 +495,24 @@ def _from_dyadic(d: Dyadic) -> tuple:
     # One sign per bit of offset below the top, then stop at the last bit;
     # drawn as the walk goes, so memory stays flat however deep d lies.
     signs = chain((1 if (offset >> k) & 1 else -1 for k in range(d.q - 1, 0, -1)), (0,))
-    lo, mid, hi, _, _ = _walk(lambda lo, mid, hi: next(signs), lambda: f"dyadic {d}", d.q, base)
+    lo, mid, hi, _, _ = _walk(lambda lo, mid, hi: next(signs), base)
     return mid, (lo, hi)
 
 
-def dyadic_of(bundle: ExceptionalBundle, max_depth: int | None = None) -> Dyadic:
+def dyadic_of(bundle: ExceptionalBundle) -> Dyadic:
     """Invert ``from_dyadic`` by monotone descent from the integer bracket of
     the slope.  Raises ValueError as soon as the descent proves the slope is
-    not on the lattice, and DepthExhaustedError if it lies deeper than an
-    explicit cap.
+    not on the lattice.
     """
-    return _descend(bundle.rank, bundle.c1, _cap(max_depth))[1]
+    return _descend(bundle.rank, bundle.c1)[1]
 
 
-def _descend(r: int, c1: int, cap: int | None) -> tuple:
+def _descend(r: int, c1: int) -> tuple:
     """The bundle of slope c1/r, gcd(r, c1) = 1, its dyadic (``dyadic_of``)
-    and the images of the dyadic's neighbours (None, None for a line bundle),
-    within the cap.  The ranks of the mids increase (each is the largest of
-    its Markov triple), so a mid of rank >= r that is not the target proves
-    the slope off the lattice: with cap None, that ends the walk."""
+    and the images of the dyadic's neighbours (None, None for a line bundle).
+    The ranks of the mids increase (each is the largest of its Markov
+    triple), so a mid of rank >= r that is not the target proves the slope
+    off the lattice, which ends the walk."""
     shift = -(-c1 // r)  # ceil(slope)
     if c1 == shift * r:
         return _bundle(1, c1, c1 * c1), Dyadic(shift, 0), None, None
@@ -545,57 +524,50 @@ def _descend(r: int, c1: int, cap: int | None) -> tuple:
             raise ValueError(f"{_ratio(c1, r)} is not an exceptional slope")
         return c1 * mid.rank - mid.c1 * r  # sign of slope - mu(mid)
 
-    lo, mid, hi, p, q = _walk(steer, lambda: f"slope {_ratio(c1, r)}", cap, shift - 1)
+    lo, mid, hi, p, q = _walk(steer, shift - 1)
     return mid, Dyadic(p, q), lo, hi
 
 
-def locate_exceptional(mu: Fraction, max_depth: int | None = None) -> ExceptionalBundle:
+def locate_exceptional(mu: Fraction) -> ExceptionalBundle:
     """Owner of the rational slope mu in [-1, 0]: the unique exceptional
     bundle F with mu == mu(F) or |mu - mu(F)| < x_F (``locate_many``)."""
-    return locate_many([mu], max_depth)[0]
+    return locate_many([mu])[0]
 
 
-def locate_many(
-    slopes: Iterable[Fraction], max_depth: int | None = None
-) -> list[ExceptionalBundle]:
+def locate_many(slopes: Iterable[Fraction]) -> list[ExceptionalBundle]:
     """Owners of rational slopes in [-1, 0] (``_owners``: a walk for each
-    slope and cap that its memo does not hold).  With an explicit
-    ``max_depth``, a slope owned by none of O(-1), O and the first
-    ``max_depth`` mids of its walk raises DepthExhaustedError; the error
-    names the first such slope in the list."""
+    slope that its memo does not hold)."""
     import fractions
 
     pairs = [(mu.numerator, mu.denominator) for mu in map(fractions.Fraction, slopes)]
     for n, m in pairs:
         if n < -m or n > 0:
             raise ValueError(f"slope {_ratio(n, m)} outside [-1, 0]")
-    return _owners(pairs, _cap(max_depth))
+    return _owners(pairs)
 
 
-def _owners(pairs: list[tuple[int, int]], cap: int | None) -> list[ExceptionalBundle]:
+def _owners(pairs: list[tuple[int, int]]) -> list[ExceptionalBundle]:
     """``locate_many`` of the slopes n/m in [-1, 0] given as pairs (n, m),
-    m > 0, in any terms: each is read, in lowest terms, from ``_owner`` at
-    the cap."""
+    m > 0, in any terms: each is read, in lowest terms, from ``_owner``."""
     out = []
     for n, m in pairs:
         g = gcd(n, m)
-        out.append(_owner(n // g, m // g, cap))
+        out.append(_owner(n // g, m // g))
     return out
 
 
 @lru_cache(maxsize=4096)
-def _owner(n: int, m: int, cap: int | None) -> ExceptionalBundle:
-    """Owner of the slope n/m in [-1, 0], in lowest terms, within ``cap``
-    mids, behind the lattice's third cache: a query and the frontiers at its
-    slope ask for the same owner.  A bundle owns a slope exactly when
-    ``_inside`` holds, as it does at distance 0.  Each bundle is steered
-    once: s = n r - c1 m, the sign of n/m - mu(mid), gives d = |s|/(m r)
-    for ``_inside`` and, when the mid does not own the slope, the side to
-    enter.  The two ends are tried first, then a miss walks to the first
-    mid that owns the slope; an error is not kept, so a hit repeats only an
-    answer that the same cap has proved.  The owner has rank at most m
-    (module docstring), so a mid of larger rank that does not own the slope
-    is InternalInconsistencyError."""
+def _owner(n: int, m: int) -> ExceptionalBundle:
+    """Owner of the slope n/m in [-1, 0], in lowest terms, behind the
+    lattice's third cache: a query and the frontiers at its slope ask for
+    the same owner.  A bundle owns a slope exactly when ``_inside`` holds,
+    as it does at distance 0.  Each bundle is steered once: s = n r - c1 m,
+    the sign of n/m - mu(mid), gives d = |s|/(m r) for ``_inside`` and,
+    when the mid does not own the slope, the side to enter.  The two ends
+    are tried first, then a miss walks to the first mid that owns the
+    slope; an error is not kept, so a hit repeats only a proved answer.
+    The owner has rank at most m (module docstring), so a mid of larger
+    rank that does not own the slope is InternalInconsistencyError."""
     den_sq = m * m
 
     def steer(lo, mid, hi):
@@ -608,4 +580,4 @@ def _owner(n: int, m: int, cap: int | None) -> ExceptionalBundle:
 
     # The ends, of rank 1, are steered like a mid; at most one owns the slope.
     ends = [f for f in (_bundle(1, -1, 1), _bundle(1, 0, 0)) if steer(None, f, None) == 0]
-    return ends[0] if ends else _walk(steer, lambda: f"slope {_ratio(n, m)}", cap, -1)[1]
+    return ends[0] if ends else _walk(steer, -1)[1]

@@ -26,8 +26,8 @@ the lattice (``classify`` walks it on the integers (c1, r)), and
 evaluates the formulas above at (mu, F) in closed-form integers.
 ``delta``, ``delta_prime`` and ``delta_many`` normalize the slope in
 integers and hand the pairs (n, d) to one ``exceptional._owners`` call,
-which walks a slope only when its memo of 4096 owners does not hold it
-at that cap: ``delta_prime`` at the slope that ``classify`` has just
+which walks a slope only when its memo of 4096 owners does not hold it:
+``delta_prime`` at the slope that ``classify`` has just
 answered walks nothing.
 
 At mu = num/den, with n = |num r - c1 den| and m = den r (so that
@@ -130,28 +130,26 @@ def _normalize_slope(mu: Fraction) -> tuple[int, int]:
     return -(-n % d), d
 
 
-def delta(mu: Fraction, max_depth: int | None = None) -> Fraction:
+def delta(mu: Fraction) -> Fraction:
     """Semistability frontier at the rational slope mu (any rational;
     extended by integer periodicity)."""
     n, d = _normalize_slope(mu)
-    f = exceptional._owners([(n, d)], exceptional._cap(max_depth))[0]
+    f = exceptional._owners([(n, d)])[0]
     return _delta_of(_conic_terms(n, d, f))
 
 
-def delta_prime(mu: Fraction, max_depth: int | None = None) -> QuadSurd:
+def delta_prime(mu: Fraction) -> QuadSurd:
     """Rigidity frontier at the rational slope mu.
 
     Returned as an exact surd over the radicand 9r^2 - 4 of the owning
     bundle; normalizes to a plain rational exactly when mu = mu(F).
     """
     n, d = _normalize_slope(mu)
-    f = exceptional._owners([(n, d)], exceptional._cap(max_depth))[0]
+    f = exceptional._owners([(n, d)])[0]
     return _delta_prime_of(_conic_terms(n, d, f), f.rank)
 
 
-def delta_many(
-    slopes: Iterable[Fraction], max_depth: int | None = None
-) -> list[tuple[ExceptionalBundle, Fraction, QuadSurd]]:
+def delta_many(slopes: Iterable[Fraction]) -> list[tuple[ExceptionalBundle, Fraction, QuadSurd]]:
     """(owner, delta, delta_prime) at each rational slope.
 
     The owner is that of the slope normalized into (-1, 0]; all owners
@@ -159,7 +157,7 @@ def delta_many(
     from one ``_conic_terms``.
     """
     pairs = [_normalize_slope(mu) for mu in slopes]
-    owners = exceptional._owners(pairs, exceptional._cap(max_depth))
+    owners = exceptional._owners(pairs)
     out = []
     for (n, d), f in zip(pairs, owners):
         terms = _conic_terms(n, d, f)
@@ -215,17 +213,17 @@ def prioritary_exists(cd: ChernData) -> bool:
     return _prioritary(norm.rank, norm.c1, norm.c2)
 
 
-def semistable_exists(cd: ChernData, max_depth: int | None = None) -> RegionTag | None:
+def semistable_exists(cd: ChernData) -> RegionTag | None:
     """Whether semistable sheaves with these invariants exist, and how:
     RegionTag.SEMISTABLE_POSITIVE_DIM, RegionTag.SEMISTABLE_EXCEPTIONAL,
     or None when there are none: ``classify``'s tag when it is one of those
     two (semistable sheaves are prioritary, so none lie below the bound)."""
-    tag = classify(cd, max_depth).tag
+    tag = classify(cd).tag
     semistable = (RegionTag.SEMISTABLE_POSITIVE_DIM, RegionTag.SEMISTABLE_EXCEPTIONAL)
     return tag if tag in semistable else None
 
 
-def classify(cd: ChernData, max_depth: int | None = None) -> Region:
+def classify(cd: ChernData) -> Region:
     """Exactly one region tag for any integral invariants.
 
     Precedence: prioritary existence bound, then the semistable cases,
@@ -233,17 +231,15 @@ def classify(cd: ChernData, max_depth: int | None = None) -> Region:
     delta_prime.  Equality with an irrational delta_prime is impossible
     for rational input and treated as an internal inconsistency.
     """
-    # The cap is checked before any answer, so a bad one raises below the bound too.
-    return _classify_normalized(chern.normalize(cd)[0], exceptional._cap(max_depth))
+    return _classify_normalized(chern.normalize(cd)[0])
 
 
-def _classify_normalized(norm: ChernData, cap: int | None) -> Region:
-    """``classify`` of invariants already twisted into -1 < mu <= 0, within
-    the checked cap."""
+def _classify_normalized(norm: ChernData) -> Region:
+    """``classify`` of invariants already twisted into -1 < mu <= 0."""
     r, c1, c2 = norm.rank, norm.c1, norm.c2
     if not _prioritary(r, c1, c2):
         return Region(RegionTag.NO_PRIORITARY)
-    f = exceptional._owners([(c1, r)], cap)[0]
+    f = exceptional._owners([(c1, r)])[0]
     delta_gap, a, n, _ = _frontier_gaps(r, c1, c2, f)
     if delta_gap >= 0:
         return Region(RegionTag.SEMISTABLE_POSITIVE_DIM, f)

@@ -43,9 +43,8 @@ location (``_locate``) share each triad, whichever gets there first.
 Point location reads the triad of each level off the kept tree by its
 (level, index), steering by the sign of mu - mu(f), and composes nothing
 there; past the kept tree it builds each triad with ``_child`` and drops
-it.  A cap of N enters at most N triads, and ``exceptional._exhausted``
-raises past them; no cap is needed, since past a middle of rank above the
-point's no tile holds it.  The whole levels of the exceptional lattice
+it.  Its input bounds it: past a middle of rank above the point's no tile
+holds it.  The whole levels of the exceptional lattice
 (``enumerate_to_level``) build no triad: one loop fetches each level's
 middles with ``exceptional._middle``, as a walk does, kept in
 ``exceptional._mids`` down to level 11 and built and dropped past it.
@@ -86,6 +85,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Sequence
+from itertools import count
 
 from . import exceptional
 from ._record import Record
@@ -229,12 +229,21 @@ def _kept(level: int, index: int) -> Triad:
 
 
 def iterate_triads(max_level: int) -> Iterator[Triad]:
-    """All triads with level <= max_level, in breadth-first order.
+    """All triads with level <= max_level, in breadth-first order; a
+    negative level raises ValueError at the call, as ``enumerate_to_level``
+    and ``render``'s entry points do.
 
     Levels up to MAX_TILE_DEPTH are read off the kept tree, whose missing
     slots ``_kept`` fills on the way; deeper ones are built from the kept
     level MAX_TILE_DEPTH on each call and dropped.
     """
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    return _triads(max_level)
+
+
+def _triads(max_level: int) -> Iterator[Triad]:
+    """``iterate_triads`` of a level that it passed."""
     triads: list[Triad] = []
     for level in range(max_level + 1):
         if level <= MAX_TILE_DEPTH:
@@ -266,15 +275,14 @@ def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
     return bundles
 
 
-def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) -> Triad:
+def locate_triangle(mu: Fraction, disc: Fraction) -> Triad:
     """Shallowest tile containing (mu, disc), by root-first descent.
 
     Descends toward the child whose slope bracket contains mu; a point
     straight above a tile's top vertex is in no tile at all and raises
     NotCoveredError, and so does one in no tile whose middle has rank at
     most 2 b d^2, for (n/d, a/b) in lowest terms: at that rank the point is
-    integral (``_locate``).  After an explicit ``max_depth`` of triads it
-    raises DepthExhaustedError with the ends (e, g) of the next one.
+    integral (``_locate``).
     """
     import fractions
 
@@ -282,22 +290,21 @@ def locate_triangle(mu: Fraction, disc: Fraction, max_depth: int | None = None) 
     n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
     if n < -d or n > 0:
         raise ValueError(f"slope {exceptional._ratio(n, d)} outside [-1, 0]")
-    return _locate(n, d, a, b, exceptional._cap(max_depth), 2 * b * d * d)
+    return _locate(n, d, a, b, 2 * b * d * d)
 
 
-def _locate(n: int, d: int, a: int, b: int, cap: int | None, bound: int) -> Triad:
+def _locate(n: int, d: int, a: int, b: int, bound: int) -> Triad:
     """``locate_triangle`` at mu = n/d in [-1, 0], disc = a/b with d, b > 0,
-    in any terms, within the cap, for a point integral at rank ``bound``.
-    The shallowest tile holding such a point has a middle of rank <= bound
-    (the middle's multiplicity in its splitting is at least 1), and the
-    middles' ranks rise, by at least 1 a level from 2 at the root, so a
-    triad of larger middle raises NotCoveredError untested, by level
-    ``bound`` - 1 at the latest.  Each level reads the triad it enters off the kept tree
-    (``_kept``) and composes nothing; past it, each level builds its triad
-    with ``_child`` and drops it.  A cap of N enters at most N triads."""
-    lo, hi = exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)
+    in any terms, for a point integral at rank ``bound``.  The shallowest
+    tile holding such a point has a middle of rank <= bound (the middle's
+    multiplicity in its splitting is at least 1), and the middles' ranks
+    rise, by at least 1 a level from 2 at the root, so a triad of larger
+    middle raises NotCoveredError untested, by level ``bound`` - 1 at the
+    latest: that rank test ends the descent.  Each level reads the triad it
+    enters off the kept tree (``_kept``) and composes nothing; past it, each
+    level builds its triad with ``_child`` and drops it."""
     t, index = None, 0
-    for level in range(bound if cap is None else cap):
+    for level in count():
         t = _kept(level, index) if level <= MAX_TILE_DEPTH else _child(t, index & 1)
         if t.f.rank > bound:
             raise NotCoveredError(f"({_point(n, d, a, b)}) is in no tile up to its rank")
@@ -309,8 +316,6 @@ def _locate(n: int, d: int, a: int, b: int, cap: int | None, bound: int) -> Tria
                 f"({_point(n, d, a, b)}) sits above the vertex of {t.label()} and is not covered"
             )
         index = 2 * index + (side > 0)
-        lo, hi = (t.f, t.g) if side > 0 else (t.e, t.f)
-    exceptional._exhausted(f"point ({_point(n, d, a, b)})", cap, lo, hi)
 
 
 def _point(n: int, d: int, a: int, b: int) -> str:
@@ -337,14 +342,14 @@ def left_series(
 def _series(f: ExceptionalBundle, bracket, n_min: int, n_max: int) -> list[ExceptionalBundle]:
     """``left_series`` of f; ``bracket`` is the images of the neighbours of its
     dyadic (``exceptional._from_dyadic``), or None to descend for them.  That
-    descent needs no cap: it ends at the mid of rank f.rank, since the
-    ranks of its mids rise."""
+    descent ends at the mid of rank f.rank, since the ranks of its mids
+    rise."""
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     if f.rank == 1:
         g0, g1 = f.twist(-2), f.twist(-1)
     else:
-        lo, hi = bracket or exceptional._descend(f.rank, f.c1, None)[2:]
+        lo, hi = bracket or exceptional._descend(f.rank, f.c1)[2:]
         g0, g1 = hi.twist(-3), lo
     c = euler_pairing(g0.chern, g1.chern)
     if c != 3 * f.rank:

@@ -150,7 +150,7 @@ def _frontier_polylines(samples: int) -> tuple[str, str]:
     pairs = [(i - n, n) for i in range(n + 1)]
     upper = []
     lower = []
-    for i, f in enumerate(exceptional._owners(pairs, None)):
+    for i, f in enumerate(exceptional._owners(pairs)):
         big_n, rational, k, m = frontier._conic_terms(i - n, n, f)
         r, den = f.rank, 2 * m * m
         x = f"{i / n * VIEW_W:.3f}"

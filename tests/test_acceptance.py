@@ -120,7 +120,7 @@ def test_acceptance_03_location_and_interval_disjointness():
         for _ in range(500):
             den = rng.randint(1, 200)
             mu = Fraction(rng.randint(-den, 0), den)
-            f = locate_exceptional(mu, 40)
+            f = locate_exceptional(mu)
             margin = f.half_width() - abs(mu - f.slope)
             assert margin.compare(0) > 0
 

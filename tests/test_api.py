@@ -5,7 +5,8 @@ import importlib
 import prioritaire
 
 REMOVED = {
-    "exceptional": ("max_depth_default", "_ENV_MAX_DEPTH", "DEFAULT_MAX_DEPTH"),
+    "exceptional": ("max_depth_default", "_ENV_MAX_DEPTH", "DEFAULT_MAX_DEPTH", "_cap", "_exhausted"),
+    "errors": ("DepthExhaustedError",),
     "surd": ("surd_sign", "surd_cmp", "Rational"),
     "helix": ("triangle_contains", "Triangle"),
     "frontier": ("SemistableKind",),

@@ -84,43 +84,17 @@ def test_slope_invert_far_from_the_band():
     assert proc.stdout.splitlines()[1] == "dyadic   10000000"
 
 
-def test_depth_exhausted_names_its_bracket(capsys):
-    code, out, err = run(capsys, "frontier", "--depth", "2", "--", "-5/13")
-    assert (code, out) == (2, "")
-    assert err == (
-        "prioritaire: depth exhausted: slope -5/13 not resolved within depth 2"
-        " (bracket E(-2/5) .. O(0))\n"
-    )
-    code, out, err = run(capsys, "slope", "--invert", "--depth", "1", "--", "-12/29")
-    assert (code, out) == (2, "")
-    assert err == (
-        "prioritaire: depth exhausted: slope -12/29 not resolved within depth 1"
-        " (bracket E(-1/2) .. O(0))\n"
-    )
-
-    code, out, err = run(capsys, "decompose", "--depth", "1", "--", "14", "-5", "18")
-    assert (code, out) == (2, "")
-    assert err == (
-        "prioritaire: depth exhausted: point (-5/14, 179/392) not resolved within depth 1"
-        " (bracket E(-1/2) .. O(0))\n"
-    )
-
-
 def test_a_deep_slope_inverts_without_a_cap(capsys):
     # The image of 1/2^70, at level 70: its 97-bit rank bounds the descent.
     slope = "50095301248058391139327916261/131151201344081895336534324866"
     code, out, err = run(capsys, "slope", "--invert", "--", slope)
     assert (code, err) == (0, "")
     assert out.splitlines()[1:3] == ["dyadic   1/1180591620717411303424", f"slope    {slope}"]
-    code, out, err = run(capsys, "slope", "--invert", "--depth", "64", "--", slope)
-    assert (code, out) == (2, "")
-    assert err.startswith("prioritaire: depth exhausted: slope ")
-    assert f"{slope} not resolved within depth 64 (bracket " in err
 
 
 def test_a_stale_depth_variable_changes_nothing():
-    # The cap is --depth or none: a PRIORITAIRE_MAX_DEPTH left in a shell
-    # changes no byte, whatever its value.
+    # No option or variable caps a descent: a PRIORITAIRE_MAX_DEPTH left in
+    # a shell changes no byte, whatever its value.
     src = str(Path(prioritaire.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PRIORITAIRE_MAX_DEPTH"}
     env["PYTHONPATH"] = src
@@ -630,15 +604,14 @@ def test_frontier_prints_the_bound_of_the_normalized_slope(capsys):
 
 def test_series_walks_the_lattice_once(capsys, monkeypatch):
     # The series starts from the bracket that parsing the dyadic fetched
-    # last, one middle per level, so it resolves no depth cap.
+    # last, one middle per level, so it walks no second time.
     from prioritaire import exceptional
 
     fetched = _counting(monkeypatch, exceptional, "_middle")
-    caps = _counting(monkeypatch, exceptional, "_cap")
     code, out, err = run(capsys, "series", "--", "-5/16", "3")
     assert (code, err) == (0, "")
     assert out.startswith("source E(-179/433)  side left\n")
-    assert (len(fetched), caps) == (4, [])
+    assert len(fetched) == 4
 
 
 def test_classify_normalizes_once(capsys, monkeypatch):
@@ -701,13 +674,14 @@ def test_tile_samples_cap(capsys, tmp_path):
 
 _TRANSCRIPT = json.loads(Path(__file__).with_name("cli_transcript.json").read_text(encoding="utf-8"))
 # The transcript's invocations that the strict reader leaves to argparse:
-# help, usage errors, an abbreviation and separate values that start with a dash.
+# help, usage errors, an abbreviation, an unknown option and separate values
+# that start with a dash.
 _REFUSED = [
-    ["frontier", "--depth", "-3", "--", "-1/3"],
+    ["slope", "--invert", "--depth", "1", "--", "-12/29"],
+    ["frontier", "--depth", "2", "--", "-5/13"],
     ["classify", "--", "1", "x", "2"],
-    ["classify", "--depth", "-3", "--", "8", "4", "11"],
-    ["classify", "--depth", "-3", "--", "2", "-1", "0"],
-    ["decompose", "--depth", "-3", "--", "2", "-1", "0"],
+    ["classify", "--depth", "1", "--", "8", "4", "11"],
+    ["decompose", "--depth", "1", "--", "14", "-5", "18"],
     ["series", "--right", "--from", "-1", "--", "-1/4", "1"],
     [],
     ["-h"],

@@ -308,9 +308,9 @@ def test_above_delta_prime_finds_its_owner_once(monkeypatch):
     calls = []
     original = ex._owners
 
-    def counted(pairs, max_depth):
+    def counted(pairs):
         calls.append(pairs)
-        return original(pairs, max_depth)
+        return original(pairs)
 
     monkeypatch.setattr(ex, "_owners", counted)
     above = 0
@@ -320,27 +320,6 @@ def test_above_delta_prime_finds_its_owner_once(monkeypatch):
             assert len(calls) == 1, cd
             above += 1
     assert above > 20
-
-
-def test_below_delta_prime_resolves_the_cap_once(monkeypatch):
-    # The owner walk and the triangle walk share one resolved cap: the query
-    # resolves it, and the private walks take it as an int.
-    import prioritaire.exceptional as ex
-
-    caps = []
-    original_cap = ex._cap
-
-    def counted_cap(max_depth):
-        caps.append(max_depth)
-        return original_cap(max_depth)
-
-    monkeypatch.setattr(ex, "_cap", counted_cap)
-    cd = ChernData(14, -5, 18)
-    assert generic_prioritary(cd).region.tag is RegionTag.BELOW_DELTA_PRIME
-    assert caps == [None]
-    caps.clear()
-    assert generic_prioritary(cd, 7).region.tag is RegionTag.BELOW_DELTA_PRIME
-    assert caps == [7]
 
 
 @pytest.mark.parametrize("shift", [-1, 1])

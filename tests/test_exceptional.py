@@ -22,7 +22,6 @@ import prioritaire.exceptional as ex
 from prioritaire import chern, frontier, helix
 from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
 from prioritaire.errors import (
-    DepthExhaustedError,
     InternalInconsistencyError,
     NoPrioritarySheafError,
     NotCoveredError,
@@ -234,8 +233,8 @@ def _triad_pairs(lo, mid, hi):
 
 def _oracle_walk(start, cap, side, fetched):
     """A walk of ``cap`` levels from [O(start), O(start + 1)] steered by
-    side(), each middle checked against compose of its bracket's ends; the
-    middles in the order met."""
+    side() and stopped at its last, each middle checked against compose of
+    its bracket's ends; the middles in the order met."""
     mids = []
 
     def steer(lo, mid, hi):
@@ -245,10 +244,9 @@ def _oracle_walk(start, cap, side, fetched):
         pairings = [euler_pairing(a.chern, b.chern) for a, b in _triad_pairs(lo, mid, hi)]
         assert pairings == [0, 0, 0, 3 * hi.rank, 3 * lo.rank, 9 * lo.rank * hi.rank - 3 * mid.rank]
         mids.append(mid)
-        return side()
+        return 0 if len(mids) == cap else side()
 
-    with pytest.raises(DepthExhaustedError):
-        ex._walk(steer, lambda: "oracle", cap, start)
+    ex._walk(steer, start)
     assert len(fetched) == len(mids) == cap
     fetched.clear()
     return mids
@@ -447,7 +445,7 @@ def test_delta_closed_form_matches_the_general_discriminant():
 def test_from_dyadic_draws_its_steering_bits_lazily(monkeypatch):
     import tracemalloc
 
-    def one_level(steer, what, max_depth, start):
+    def one_level(steer, start):
         lo, hi = ex._bundle(1, start, start * start), ex._bundle(1, start + 1, (start + 1) ** 2)
         mid = compose(lo, hi)
         steer(lo, mid, hi)
@@ -576,23 +574,8 @@ def test_dyadic_of_refuses_at_once(monkeypatch):
         for counted in (calls, composed, mutated):
             counted.clear()
         with pytest.raises(ValueError, match=f"{slope} is not an exceptional slope"):
-            dyadic_of(ex._bundle(*_vector(slope.denominator, slope.numerator)), max_depth=3000)
+            dyadic_of(ex._bundle(*_vector(slope.denominator, slope.numerator)))
         assert (len(calls), (len(composed), len(mutated))) == (3, built)
-
-
-def test_dyadic_of_translates_its_bracket():
-    # Out of depth, the bracket is translated like the answer.
-    with pytest.raises(DepthExhaustedError) as err:
-        dyadic_of(from_slope(Fraction(46, 29)), max_depth=1)
-    assert err.value.bracket == (from_dyadic(Dyadic(3, 1)), from_dyadic(Dyadic(2, 0)))
-    for f in enumerate_to_level(4)[1:-1]:
-        for cap in range(1, dyadic_of(f).q):
-            with pytest.raises(DepthExhaustedError) as base:
-                dyadic_of(f, max_depth=cap)
-            for shift in (-3, 2):
-                with pytest.raises(DepthExhaustedError) as moved:
-                    dyadic_of(f.twist(shift), max_depth=cap)
-                assert moved.value.bracket == tuple(b.twist(shift) for b in base.value.bracket)
 
 
 # The bundle of -1/2^70: a 97-bit rank at dyadic level 70.
@@ -605,7 +588,7 @@ DEEP = ChernData(
 
 def test_a_deep_bundle_is_answered_without_a_cap():
     # Its rank bounds the owner walk and the inverse descent, which go past
-    # level 64 by default; an explicit cap of 64 still runs out first.
+    # level 64.
     f = from_dyadic(Dyadic(-1, 70))
     assert (f.rank, f.c1, f.c2) == (DEEP.rank, DEEP.c1, DEEP.c2)
     region = frontier.classify(DEEP)
@@ -613,10 +596,6 @@ def test_a_deep_bundle_is_answered_without_a_cap():
     assert dyadic_of(f.dual()) == Dyadic(1, 70)
     assert str(dyadic_of(from_dyadic(Dyadic(1, 70)))) == "1/1180591620717411303424"
     assert from_slope(f.slope) == f == ex.ExceptionalBundle(f.rank, f.c1)
-    with pytest.raises(DepthExhaustedError, match=r"not resolved within depth 64$"):
-        frontier.classify(DEEP, 64)
-    with pytest.raises(DepthExhaustedError, match=r"not resolved within depth 64$"):
-        dyadic_of(f.dual(), 64)
 
 
 @settings(max_examples=200, deadline=None)
@@ -651,29 +630,16 @@ def test_locate_exceptional():
         locate_exceptional(Fraction(1, 2))
 
 
-def test_locate_depth_cap():
-    with pytest.raises(DepthExhaustedError) as err:
-        locate_exceptional(Fraction(-9, 20), max_depth=0)
-    assert err.value.bracket is not None
-
-
 def test_walk_errors_do_not_depend_on_the_int_to_str_limit(default_digit_limit):
     # A bundle of rank 22 876 bits, about 6 900 digits: each walk message
     # names its slope by sign and bit lengths, and keeps its typed error.
     f = from_dyadic(Dyadic(-349525, 20))
     assert (f.rank.bit_length(), (-f.c1).bit_length()) == (22876, 22875)
-    big = "-<22875 bits>/<22876 bits>"
-    with pytest.raises(DepthExhaustedError) as err:
-        dyadic_of(f, 3)
-    assert str(err.value) == f"slope {big} not resolved within depth 3"
-    assert err.value.bracket is not None
-    with pytest.raises(DepthExhaustedError, match=rf"^slope {re.escape(big)} not resolved "):
-        ex._owners([(f.c1, f.rank)], 3)
-    point = re.escape(f"point ({big}, <45750 bits>/<45751 bits>)")
-    with pytest.raises(DepthExhaustedError, match=rf"^{point} not resolved within depth 3$"):
-        helix._locate(f.c1, f.rank, f.rank**2 - 1, 2 * f.rank**2, 3, f.rank)
+    point = re.escape("(-<22875 bits>/<22876 bits>, <45750 bits>/<45751 bits>)")
+    with pytest.raises(NotCoveredError, match=rf"^{point} is in no tile up to its rank$"):
+        helix._locate(f.c1, f.rank, f.rank**2 - 1, 2 * f.rank**2, 3)
     with pytest.raises(ValueError, match=r"^-<\d+ bits>/<\d+ bits> is not an exceptional slope$"):
-        ex._descend(f.rank + 1, f.c1, None)
+        ex._descend(f.rank + 1, f.c1)
     with pytest.raises(ValueError, match=r"^slope <22876 bits> outside \[-1, 0\]$"):
         locate_many([Fraction(f.rank)])
     # Short terms are written as str(Fraction) writes them.
@@ -764,61 +730,13 @@ def _point_in(t):
     return mu, (t.side_eg(mu) + t.side_ef(mu)) / 2
 
 
-def test_every_descent_exhausts_alike(monkeypatch):
-    # dyadic_of, locate_many and locate_triangle exhaust a cap alike: a walk
-    # with cap N fetches N mids, and point location enters N triads, read
-    # off the kept tree with no fetch.  Past them the error names what was
-    # sought and the pair of neighbours the descent would have entered next.
-    list(helix.iterate_triads(7))
-    rng = random.Random(9709)
-    queries = []
-    for _ in range(12):
-        f = from_dyadic(Dyadic(rng.randrange(1, 1 << 7, 2), 7)).twist(rng.randint(-3, 2))
-        queries.append((f"slope {f.slope}", lambda cap, f=f: dyadic_of(f, cap), None))
-        mu = Fraction(-rng.randint(1, 10**4 - 1), 10**4)
-        queries.append((f"slope {mu}", lambda cap, mu=mu: locate_many([mu], cap), None))
-        path = [helix.root()]
-        for _ in range(rng.randint(2, 7)):
-            path.append(helix.children(path[-1])[rng.random() < 0.5])
-        mu, disc = _point_in(path[-1])
-        point = lambda cap, mu=mu, disc=disc: helix.locate_triangle(mu, disc, cap)  # noqa: E731
-        queries.append((f"point ({mu}, {disc})", point, path))
-    fetched, entered = [], []
-    middle, contains = ex._middle, helix.Triad._contains
-    monkeypatch.setattr(ex, "_middle", lambda *args: fetched.append(args) or middle(*args))
-    monkeypatch.setattr(
-        helix.Triad, "_contains", lambda t, *args: entered.append(t) or contains(t, *args)
-    )
-    exhausted = 0
-    for what, query, path in queries:
-        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
-            query(-1)
-        for cap in range(7):
-            fetched.clear()
-            entered.clear()
-            try:
-                query(cap)
-            except DepthExhaustedError as err:
-                assert str(err) == f"{what} not resolved within depth {cap}"
-                if path is None:
-                    assert (len(fetched), entered) == (cap, [])
-                else:
-                    assert (fetched, entered) == ([], path[:cap])
-                    assert err.bracket == (path[cap].e, path[cap].g)
-                compose(*err.bracket)  # neighbours, or compose raises ValueError
-                exhausted += 1
-    assert exhausted > 3 * len(queries)
-
-
 def test_point_location_past_the_kept_tree_builds_and_drops(monkeypatch):
     # Past MAX_TILE_DEPTH each level builds its triad with one _child, by
-    # mutation with no compose, and keeps none; the cap still counts triads
-    # entered.
+    # mutation with no compose, and keeps none; each level enters one triad.
     path = [helix.root()]
     for right in (0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1):
         path.append(helix.children(path[-1])[right])
     mu, disc = _point_in(path[-1])
-    what = "point ({}, {})".format(*(ex._ratio(x.numerator, x.denominator) for x in (mu, disc)))
     kept = helix.MAX_TILE_DEPTH + 1
     list(helix.iterate_triads(kept - 1))
     composed, built, entered = [], [], []
@@ -828,33 +746,10 @@ def test_point_location_past_the_kept_tree_builds_and_drops(monkeypatch):
     monkeypatch.setattr(
         helix.Triad, "_contains", lambda t, *args: entered.append(t) or contains(t, *args)
     )
-    for cap in (kept, kept + 1, kept + 2):
-        composed.clear()
-        built.clear()
-        entered.clear()
-        with pytest.raises(DepthExhaustedError) as err:
-            helix.locate_triangle(mu, disc, cap)
-        assert str(err.value) == f"{what} not resolved within depth {cap}"
-        assert err.value.bracket == (path[cap].e, path[cap].g)
-        assert (composed, len(built), entered) == ([], cap - kept, path[:cap])
-    found = helix.locate_triangle(mu, disc, len(path))
+    found = helix.locate_triangle(mu, disc)
     assert found == path[-1] and found.level == len(path) - 1
+    assert (composed, len(built), entered) == ([], len(path) - kept, path)
     assert sum(t is not None for slots in helix._levels for t in slots) <= (1 << kept) - 1
-
-
-def test_one_raise_site_and_one_cap_resolution():
-    # Every descent raises DepthExhaustedError through exceptional._exhausted.
-    # A query's cap is its max_depth argument, which _cap only checks: no
-    # module names a default depth, and None leaves each walk bounded by
-    # its input.
-    package = Path(ex.__file__).parent
-    text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
-    assert text.count("raise DepthExhaustedError") == 1
-    assert "_cap(None)" not in text
-    assert "DEFAULT_MAX_DEPTH" not in text
-    assert ex._cap(None) is None and ex._cap(0) == 0
-    with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
-        ex._cap(-1)
 
 
 def test_no_module_reads_the_environment():
@@ -1033,15 +928,15 @@ def test_ownership_and_conic_terms_of_deep_bundles(index, k, upper, far, nudge, 
     assert QuadSurd(Fraction(rational, 2 * m * m), Fraction(n, 2 * m * r), 9 * r * r - 4) == prime
 
 
-def _reference_locate(mu: Fraction, cap: int):
-    """The descent testing the two ends, then each of at most ``cap`` mids,
-    by equality or surd containment; returns the owner, or the bracket it
-    would have entered next when the cap runs out."""
+def _reference_locate(mu: Fraction):
+    """The descent testing the two ends, then each mid, by equality or surd
+    containment: the owner, which has rank at most the denominator m of mu,
+    so it is among the first m mids, whose ranks rise."""
     lo, hi = from_slope(Fraction(-1)), from_slope(Fraction(0))
     for end in (lo, hi):
         if mu == end.slope or _surd_contains(end, mu):
             return end
-    for _ in range(cap):
+    for _ in range(mu.denominator):
         mid = compose(lo, hi)
         if mu == mid.slope or _surd_contains(mid, mu):
             return mid
@@ -1049,22 +944,21 @@ def _reference_locate(mu: Fraction, cap: int):
             hi = mid
         else:
             lo = mid
-    return (lo, hi)
+    raise AssertionError(f"no owner of {mu} among its first {mu.denominator} mids")
 
 
 def test_locate_matches_reference_at_every_depth():
     rng = random.Random(1997)
     slopes = [Fraction(0), Fraction(-1), Fraction(-9, 20), Fraction(-2, 5), Fraction(-12, 29)]
     slopes += [Fraction(-rng.randint(0, 10**4), 10**4) for _ in range(60)]
+    # Owners at every depth from 1 to 8: a bundle's slope, and a slope
+    # inside its interval, whose radius exceeds 1/(3 r^2).
+    for q in range(1, 9):
+        f = from_dyadic(Dyadic(-rng.randrange(1, 1 << q, 2), q))
+        slopes += [f.slope, f.slope + Fraction(1, 4 * f.rank**2)]
+        assert locate_exceptional(slopes[-1]) == locate_exceptional(slopes[-2]) == f
     for mu in slopes:
-        for cap in range(0, 9):
-            expected = _reference_locate(mu, cap)
-            if isinstance(expected, tuple):
-                with pytest.raises(DepthExhaustedError) as err:
-                    locate_exceptional(mu, max_depth=cap)
-                assert err.value.bracket == expected
-            else:
-                assert locate_exceptional(mu, max_depth=cap) == expected
+        assert locate_exceptional(mu) == _reference_locate(mu)
 
 
 _SLOPES = st.one_of(
@@ -1080,24 +974,13 @@ _SLOPES = st.one_of(
     seed=st.integers(0, 2**32),
 )
 def test_locate_many_matches_one_slope_descents(slopes, repeats, seed):
-    # Shuffled, with duplicates: each owner (or the first failure's
-    # bracket) is what the one-slope descent gives.
+    # Shuffled, with duplicates: each owner is what the one-slope descent
+    # gives.
     slopes = slopes + [slopes[i % len(slopes)] for i in repeats if slopes]
     random.Random(seed).shuffle(slopes)
-    for cap in range(1, 10):
-        expected = [_reference_locate(mu, cap) for mu in slopes]
-        failed = [e for e in expected if isinstance(e, tuple)]
-        if failed:
-            with pytest.raises(DepthExhaustedError) as err:
-                locate_many(slopes, max_depth=cap)
-            first = next(i for i, e in enumerate(expected) if isinstance(e, tuple))
-            assert err.value.bracket == failed[0]
-            with pytest.raises(DepthExhaustedError) as single:
-                locate_exceptional(slopes[first], max_depth=cap)
-            assert str(err.value) == str(single.value)
-        else:
-            assert locate_many(slopes, max_depth=cap) == expected
-            assert [locate_exceptional(mu, max_depth=cap) for mu in slopes] == expected
+    expected = [_reference_locate(mu) for mu in slopes]
+    assert locate_many(slopes) == expected
+    assert [locate_exceptional(mu) for mu in slopes] == expected
 
 
 def test_locate_many_edges():

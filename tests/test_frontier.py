@@ -125,9 +125,9 @@ def test_one_owner_descent_per_query(monkeypatch):
     calls = []
     original = exceptional._owners
 
-    def counted(pairs, max_depth):
+    def counted(pairs):
         calls.append(pairs)
-        return original(pairs, max_depth)
+        return original(pairs)
 
     monkeypatch.setattr(exceptional, "_owners", counted)
     seen = set()

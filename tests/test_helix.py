@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from prioritaire import helix
 from prioritaire.chern import ChernData, euler_pairing, hirzebruch_p
-from prioritaire.errors import DepthExhaustedError, InternalInconsistencyError, NotCoveredError
+from prioritaire.errors import InternalInconsistencyError, NotCoveredError
 from prioritaire.exceptional import Dyadic, from_dyadic, from_slope
 from prioritaire.helix import (
     ExtDims,
@@ -57,6 +57,18 @@ def test_every_kept_middle_is_the_composition_of_its_ends(fresh_lattice):
     triads = list(iterate_triads(helix.MAX_TILE_DEPTH))
     assert len(triads) == 2047
     assert [t for t in triads if t.f != exceptional.compose(t.e, t.g)] == []
+
+
+def test_a_negative_level_is_refused_at_the_call():
+    # Level counts are the package's only depth arguments, and each refuses
+    # a negative level as render's entry points do, before anything is built.
+    from prioritaire import render
+
+    for levels in (iterate_triads, enumerate_to_level, render.tile_csv, render.tile_svg):
+        with pytest.raises(ValueError, match=r"^(max_level|level_max) must be >= 0"):
+            levels(-1)
+    with pytest.raises(ValueError, match=r"^max_level must be >= 0, got -1$"):
+        iterate_triads(-1)
 
 
 def test_root_triad():
@@ -130,36 +142,29 @@ def test_locate_triangle():
 def test_locate_triangle_in_any_terms():
     # The descent decides on integers (n, d, a, b) in any terms; messages
     # print the reduced fractions.
-    # The private descent takes a checked cap, a rank at which the point is
-    # integral (2 b d^2 in lowest terms) and a slope in [-1, 0];
-    # locate_triangle refuses any other slope.
+    # The private descent takes a rank at which the point is integral
+    # (2 b d^2 in lowest terms) and a slope in [-1, 0]; locate_triangle
+    # refuses any other slope.
     for k in (1, 2, 7):
         for j in (1, 3, 10):
-            for cap in (None, 64):
-                t = helix._locate(-3 * k, 7 * k, 37 * j, 98 * j, cap, 2 * 98 * 7**2)
-                assert (t.level, t.index) == (1, 1)
-                with pytest.raises(NotCoveredError) as info:
-                    helix._locate(-1 * k, 2 * k, 2 * j, 5 * j, cap, 2 * 5 * 2**2)
-                assert str(info.value).startswith("(-1/2, 2/5) sits above")
+            t = helix._locate(-3 * k, 7 * k, 37 * j, 98 * j, 2 * 98 * 7**2)
+            assert (t.level, t.index) == (1, 1)
+            with pytest.raises(NotCoveredError) as info:
+                helix._locate(-1 * k, 2 * k, 2 * j, 5 * j, 2 * 5 * 2**2)
+            assert str(info.value).startswith("(-1/2, 2/5) sits above")
     with pytest.raises(NotCoveredError, match=r"^\(-1/2, 2/5\) sits above"):
-        helix._locate(-2, 4, 4, 10, None, 40)
+        helix._locate(-2, 4, 4, 10, 40)
     for n, d in ((2, 6), (-14, 12)):
         slope = Fraction(n, d)
         with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
             locate_triangle(slope, Fraction(0))
-        # The range is checked before the cap.
-        with pytest.raises(ValueError, match=rf"^slope {slope} outside \[-1, 0\]$"):
-            locate_triangle(slope, Fraction(0), -1)
 
 
 def test_a_point_in_no_tile_up_to_its_rank_is_not_covered():
     # (-1/7, 29/100) is integral at rank 2 * 100 * 7^2: no tile whose middle
-    # has at most that rank holds it, so none does.  An explicit cap that
-    # runs out first keeps its DepthExhaustedError.
+    # has at most that rank holds it, so none does.
     with pytest.raises(NotCoveredError, match=r"^\(-1/7, 29/100\) is in no tile up to its rank$"):
         locate_triangle(Fraction(-1, 7), Fraction(29, 100))
-    with pytest.raises(DepthExhaustedError, match=r"within depth 3$"):
-        locate_triangle(Fraction(-1, 7), Fraction(29, 100), 3)
 
 
 _POINTS = st.tuples(
@@ -189,9 +194,13 @@ def test_locate_triangle_enters_no_middle_above_the_rank_of_the_point(point):
     if found is not None:
         assert found is tested[-1] and found.contains(mu, disc)
         return
-    n, d, a, b = mu.numerator, mu.denominator, disc.numerator, disc.denominator
-    with pytest.raises((NotCoveredError, DepthExhaustedError)):
-        helix._locate(n, d, a, b, 12, 1 << 4096)
+    # No deeper tile lies above the vertex at mu, if there is one.
+    t = root()
+    for _ in range(12):
+        assert not t.contains(mu, disc)
+        if mu == t.f.slope:
+            break
+        t = children(t)[mu > t.f.slope]
 
 
 def test_triad_refuses_slopes_out_of_order():

@@ -4,7 +4,7 @@ The package keeps four stores between calls: ``_bundle``'s cache, the
 kept middles ``_mids``, the ``_owner`` memo, and the kept triad tree,
 whose triads hold the data of the splittings on them.  A query answers, or raises,
 the same from an empty lattice as from a warm one visited in another
-order, at every cap.
+order.
 """
 
 import hashlib
@@ -15,10 +15,8 @@ import pytest
 
 from prioritaire import decompose, exceptional, frontier, helix, render
 from prioritaire.chern import ChernData
-from prioritaire.errors import DepthExhaustedError, NoPrioritarySheafError
+from prioritaire.errors import NoPrioritarySheafError
 from prioritaire.exceptional import locate_exceptional, locate_many
-
-CAPS = (None, 0, 1, 3)
 
 
 def _band(seed: int = 2110) -> list[tuple]:
@@ -46,24 +44,26 @@ def _band(seed: int = 2110) -> list[tuple]:
     return queries
 
 
-def _ask(name: str, args: tuple, cap) -> str:
-    """The answer's repr, or the error's type, text and bracket."""
+def _ask(name: str, args: tuple) -> str:
+    """The answer's repr, or the error's type and text."""
     calls = {
-        "classify": lambda: frontier.classify(ChernData(*args), cap),
-        "generic_prioritary": lambda: decompose.generic_prioritary(ChernData(*args), cap),
-        "delta": lambda: frontier.delta(*args, cap),
-        "delta_prime": lambda: frontier.delta_prime(*args, cap),
-        "locate_many": lambda: locate_many(args, cap),
-        "locate_triangle": lambda: helix.locate_triangle(*args, cap),
+        "classify": lambda: frontier.classify(ChernData(*args)),
+        "generic_prioritary": lambda: decompose.generic_prioritary(ChernData(*args)),
+        "delta": lambda: frontier.delta(*args),
+        "delta_prime": lambda: frontier.delta_prime(*args),
+        "locate_many": lambda: locate_many(args),
+        "locate_triangle": lambda: helix.locate_triangle(*args),
     }
     try:
         return repr(calls[name]())
     except Exception as exc:  # every error is part of the answer
-        return f"{type(exc).__name__}: {exc} {getattr(exc, 'bracket', None)!r}"
+        # The trailing " None" keeps the bytes over which the digest below was
+        # first taken, when an error could carry the bracket of its descent.
+        return f"{type(exc).__name__}: {exc} None"
 
 
 def answers(queries) -> dict:
-    return {(name, args, cap): _ask(name, args, cap) for name, args in queries for cap in CAPS}
+    return {(name, args): _ask(name, args) for name, args in queries}
 
 
 def digest(found: dict) -> str:
@@ -80,38 +80,14 @@ def test_answers_do_not_depend_on_the_stores(fresh_lattice):
     warm = answers(warm_order)
     assert warm == cold
     kinds = {value.split(":")[0] for value in cold.values() if "Error" in value.split(" ")[0]}
-    assert kinds >= {"DepthExhaustedError", "NoPrioritarySheafError", "NotCoveredError"}
-    # Without a cap, 87 points are refused as in no tile up to their rank;
-    # each explicit cap runs out first and keeps its DepthExhaustedError.
+    assert kinds >= {"NoPrioritarySheafError", "NotCoveredError"}
+    # 87 points are refused as in no tile up to their rank.
     beyond = [key[1] for key, value in cold.items() if value.endswith("up to its rank None")]
     assert len(beyond) == 87
-    for cap in (0, 1, 3):
-        assert all(cold["locate_triangle", point, cap].startswith("Depth") for point in beyond)
-    # The digest of the answers with no default cap: against the one of a
-    # default cap of 64, exactly those 87 answers differ, each of which was
-    # DepthExhaustedError at depth 64.
-    assert digest(cold) == "5539d2ae92fcbc12aea4678d312f0d834286332f44a678054ee110559c68639d"
-
-
-def test_a_proved_owner_does_not_lift_a_lower_cap(fresh_lattice):
-    # E(-15571/37666), the image of -11/32, is the fifth mid of the walk to
-    # its own slope: at cap 4 the walk runs out, before and after the owner
-    # is proved at cap 64, with the same error and bracket.
-    f = exceptional.from_dyadic(exceptional.Dyadic(-11, 5))
-    exceptional._owner.cache_clear()
-    errors = []
-    for _ in range(2):
-        with pytest.raises(DepthExhaustedError) as err:
-            locate_exceptional(f.slope, 4)
-        errors.append((str(err.value), err.value.bracket))
-        assert locate_exceptional(f.slope, 64) is f
-        assert locate_exceptional(f.slope, 5) is f
-    assert errors[0] == errors[1]
-    assert errors[0][0] == "slope -15571/37666 not resolved within depth 4"
-    assert exceptional.compose(*errors[0][1]) == f
-    with pytest.raises(DepthExhaustedError) as err:
-        frontier.classify(ChernData(f.rank, f.c1, f.c2), 4)
-    assert (str(err.value), err.value.bracket) == errors[0]
+    # The digest of the answers: that of the answers with no depth cap
+    # when a query could take one, so no answer, error text or error type
+    # moved when the cap went.
+    assert digest(cold) == "3f78888d1df7c44ef97251b85891139305d369a7644ae3a804813a25d27000a7"
 
 
 def test_frontiers_after_classify_walk_nothing(monkeypatch, fresh_lattice):
@@ -120,7 +96,7 @@ def test_frontiers_after_classify_walk_nothing(monkeypatch, fresh_lattice):
     walks = []
     original = exceptional._walk
     monkeypatch.setattr(
-        exceptional, "_walk", lambda *args: walks.append(args[3]) or original(*args)
+        exceptional, "_walk", lambda *args: walks.append(args[1]) or original(*args)
     )
     for r, c1, c2 in ((20, -9, 60), (12, 5, 40), (7, -3, 20), (44, -17, 200), (4, -2, 5)):
         walks.clear()
@@ -168,7 +144,7 @@ def test_only_the_triads_of_the_answers_hold_splitting_data(fresh_lattice):
     named = set()
     for name, args in _band():
         if name != "generic_prioritary":
-            _ask(name, args, None)
+            _ask(name, args)
             continue
         try:
             triangle = decompose.generic_prioritary(ChernData(*args)).verification.get("triangle")
