@@ -27,8 +27,8 @@ evaluates the formulas above at (mu, F) in closed-form integers.
 ``delta``, ``delta_prime`` and ``delta_many`` normalize the slope in
 integers and hand the pairs (n, d) to one ``exceptional._owners`` call,
 which walks a slope only when its memo of 4096 owners does not hold it:
-``delta_prime`` at the slope that ``classify`` has just
-answered walks nothing.
+``delta_prime`` at the slope that ``classify`` has just answered walks
+nothing.
 
 At mu = num/den, with n = |num r - c1 den| and m = den r (so that
 |mu - mu(F)| = n/m), ``_conic_terms`` writes both frontiers from the same

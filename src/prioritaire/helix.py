@@ -43,8 +43,8 @@ location (``_locate``) share each triad, whichever gets there first.
 Point location reads the triad of each level off the kept tree by its
 (level, index), steering by the sign of mu - mu(f), and composes nothing
 there; past the kept tree it builds each triad with ``_child`` and drops
-it.  Its input bounds it: past a middle of rank above the point's no tile
-holds it.  The whole levels of the exceptional lattice
+it.  Its input bounds it: past a middle of rank above the point's, no
+tile holds the point.  The whole levels of the exceptional lattice
 (``enumerate_to_level``) build no triad: one loop fetches each level's
 middles with ``exceptional._middle``, as a walk does, kept in
 ``exceptional._mids`` down to level 11 and built and dropped past it.

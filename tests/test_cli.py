@@ -678,10 +678,18 @@ _TRANSCRIPT = json.loads(Path(__file__).with_name("cli_transcript.json").read_te
 # that start with a dash.
 _REFUSED = [
     ["slope", "--invert", "--depth", "1", "--", "-12/29"],
+    ["slope", "--invert", "--depth", "1", "--", "46/29"],
+    ["slope", "--invert", "--depth", "0", "--", "-1/2"],
     ["frontier", "--depth", "2", "--", "-5/13"],
+    ["frontier", "--depth", "1", "--", "-1/2"],
+    ["frontier", "--depth", "0", "--", "-1/3"],
+    ["frontier", "--depth", "-3", "--", "-1/3"],
     ["classify", "--", "1", "x", "2"],
     ["classify", "--depth", "1", "--", "8", "4", "11"],
+    ["classify", "--depth", "-3", "--", "8", "4", "11"],
+    ["classify", "--depth", "-3", "--", "2", "-1", "0"],
     ["decompose", "--depth", "1", "--", "14", "-5", "18"],
+    ["decompose", "--depth", "-3", "--", "2", "-1", "0"],
     ["series", "--right", "--from", "-1", "--", "-1/4", "1"],
     [],
     ["-h"],

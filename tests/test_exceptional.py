@@ -231,8 +231,8 @@ def _triad_pairs(lo, mid, hi):
     return (mid, lo), (hi, mid), (hi, lo), (lo, mid), (mid, hi), (lo, hi)
 
 
-def _oracle_walk(start, cap, side, fetched):
-    """A walk of ``cap`` levels from [O(start), O(start + 1)] steered by
+def _oracle_walk(start, levels, side, fetched):
+    """A walk of ``levels`` levels from [O(start), O(start + 1)] steered by
     side() and stopped at its last, each middle checked against compose of
     its bracket's ends; the middles in the order met."""
     mids = []
@@ -244,10 +244,10 @@ def _oracle_walk(start, cap, side, fetched):
         pairings = [euler_pairing(a.chern, b.chern) for a, b in _triad_pairs(lo, mid, hi)]
         assert pairings == [0, 0, 0, 3 * hi.rank, 3 * lo.rank, 9 * lo.rank * hi.rank - 3 * mid.rank]
         mids.append(mid)
-        return 0 if len(mids) == cap else side()
+        return 0 if len(mids) == levels else side()
 
     ex._walk(steer, start)
-    assert len(fetched) == len(mids) == cap
+    assert len(fetched) == len(mids) == levels
     fetched.clear()
     return mids
 
@@ -576,6 +576,19 @@ def test_dyadic_of_refuses_at_once(monkeypatch):
         with pytest.raises(ValueError, match=f"{slope} is not an exceptional slope"):
             dyadic_of(ex._bundle(*_vector(slope.denominator, slope.numerator)))
         assert (len(calls), (len(composed), len(mutated))) == (3, built)
+
+
+def test_dyadic_of_translates_its_bracket():
+    # The pair a descent ends between, the images of the neighbours of the
+    # dyadic it finds (the start of a series), is translated like the answer.
+    f = from_slope(Fraction(46, 29))
+    d = Dyadic(13, 3)
+    assert ex._descend(f.rank, f.c1)[1:] == (d, *map(from_dyadic, d.neighbors()))
+    for f in enumerate_to_level(4)[1:-1]:
+        _, d, lo, hi = ex._descend(f.rank, f.c1)
+        for shift in (-3, 2):
+            moved = ex._descend(f.rank, f.c1 + shift * f.rank)
+            assert moved[1:] == (Dyadic(d.p + (shift << d.q), d.q), lo.twist(shift), hi.twist(shift))
 
 
 # The bundle of -1/2^70: a 97-bit rank at dyadic level 70.

@@ -303,8 +303,8 @@ def test_series_stays_on_the_orthogonal_conic():
 
 
 def test_series_below_the_default_depth():
-    # The descent to f's neighbours is capped by f's rank, which it never
-    # reaches, and not by the default depth: 1/2^70 lies 70 levels down.
+    # The descent to f's neighbours ends by f's rank, and no depth bounds
+    # it: 1/2^70 lies 70 levels down, past the 64 levels of an old default.
     d = Dyadic(1, 70)
     f = from_dyadic(d)
     assert f.rank.bit_length() == 97
