@@ -63,9 +63,8 @@ from .errors import (
     NotCoveredError,
     ParseError,
 )
+from .render import MAX_TILE_SAMPLES
 from .surd import MAX_DIGITS
-
-MAX_TILE_SAMPLES = 256
 
 _EPILOG = (
     "negative values start with a dash; insert -- before the positional "
@@ -406,8 +405,9 @@ def _cmd_tile(args) -> int:
     svg = args.format == "svg"
     render._check(args.depth, args.samples if svg else 1)
     # Opened first, so that an unwritable path costs no rendering; each line
-    # is written as it is made, so the document is never held whole.  A
-    # failed open or write is reported by ``main``.
+    # is written as it is made, so the document is never held whole: only
+    # the kept tile text of ``render``, at most 420 kB, and the slots of its
+    # deepest level.  A failed open or write is reported by ``main``.
     fh = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
     try:
         fh.writelines(render._svg_lines(args.depth, args.samples) if svg else render._csv_lines(args.depth))

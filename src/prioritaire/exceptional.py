@@ -9,7 +9,7 @@ bundle from it with ``_bundle``, the one exceptional-vector check (rank
 >= 1, c2 = (c1^2 - x_2)/2 integral, chi(F,F) = 1) behind a cache of 4096
 bundles.  A bundle holds r, c1 and its ``ChernData``, the one home of the
 formulas for slope, c2 and discriminant, which it reads on demand: no
-lattice step builds a Fraction.  The package keeps three other stores,
+lattice step builds a Fraction.  The package keeps five other stores,
 each bounded and each filled only by answers that passed every check:
 
 * ``_mids``, one slot per dyadic middle of [O(-1), O] down to dyadic
@@ -30,6 +30,9 @@ each bounded and each filled only by answers that passed every check:
   import).
 * ``helix``'s kept triad tree: one slot per triad down to
   ``helix.MAX_TILE_DEPTH``, at most 2 047 triads.
+* ``render``'s kept tile text, the SVG paths of each level of that tree
+  (at most 420 kB, and 406 kB of child slots), and its memo of the frontier polylines of 16 sample
+  counts (at most 1.05 MB).
 
 ``ExceptionalBundle(r, c1)``, ``from_slope`` and the CLI take bundles
 from outside through one boundary, ``_lattice``: it refuses a rank below

@@ -49,7 +49,8 @@ tile holds the point.  The whole levels of the exceptional lattice
 middles with ``exceptional._middle``, as a walk does, kept in
 ``exceptional._mids`` down to level 11 and built and dropped past it.
 The package's stores are ``exceptional._bundle``, ``exceptional._mids``,
-``exceptional._owner`` and this kept tree.  The middles of ``_mids`` and
+``exceptional._owner``, this kept tree, and ``render``'s kept tile text
+of its levels and frontier memo.  The middles of ``_mids`` and
 of this tree are the same objects (``_bundle``'s cache interns them), but
 the two stores stay apart: a walk that missed in a single store would
 build a whole triad (five pairings) where it now makes one mutation,
@@ -264,7 +265,7 @@ def enumerate_to_level(level_max: int) -> list[ExceptionalBundle]:
     level 0, and below, as in a walk, the mutation of the triad of the
     level above whose side the pair is.  It builds no triad."""
     if level_max < 0:
-        raise ValueError("level_max must be >= 0")
+        raise ValueError(f"level_max must be >= 0, got {level_max}")
     bundles = [exceptional._bundle(1, -1, 1), exceptional._bundle(1, 0, 0)]
     for q in range(level_max):
         # Pair j is a side of the triad bundles[j : j + 3] (j even) or

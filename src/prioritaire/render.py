@@ -8,21 +8,42 @@ output is a pure function of the arguments, so repeated runs are
 byte-identical.  ``tile_csv`` lists the tile vertices with exact
 rational coordinates, one row per tile, RFC 4180 line endings.
 
-Each side and each vertex is formatted once per document.  A tile's
-bottom side is its parent's top side through the same two vertices (the
-parent's side ef for a left child, whose h is the parent's g(-3), as
-P(-3 - x) = P(x); the side fg for a right child, whose h is the
-parent's e), so a tile computes only the control points of its two top
-sides and formats only its middle vertex.  The shared identity is
-checked at each reuse.  Both documents are made line by line
-(``_svg_lines``, ``_csv_lines``), which the CLI writes as they come and
-the two functions join.
+Each side and each vertex is formatted once per process for the kept
+levels.  A tile's bottom side is its parent's top side through the same
+two vertices (the parent's side ef for a left child, whose h is the
+parent's g(-3), as P(-3 - x) = P(x); the side fg for a right child,
+whose h is the parent's e), so a tile computes only the control points
+of its two top sides and formats only its middle vertex.  The shared
+identity is checked where a tile is drawn (``_draw_path``).  Two stores
+keep the SVG text between calls, each bounded by a constant and filled
+only by checked text:
+
+* ``_kept``, the joined ``<path .../>`` lines of each level of
+  ``helix``'s kept triad tree, levels 0 to ``helix.MAX_TILE_DEPTH``:
+  at most 2 047 paths, 420 kB through level 10, with the child slots of
+  the deepest level kept (at most 2 048, 406 kB), from which the next
+  level continues; a call deeper than MAX_TILE_DEPTH draws its
+  extra levels from them and drops them, as ``helix`` builds and drops
+  the triads past its tree.  A level is kept only once every tile in it
+  has passed the shared-side check, so that check runs once per tile per
+  process; a failure keeps nothing of the level, and the next call
+  raises again.
+* ``_frontier_polylines``, a memo of the two frontier polylines of 16
+  sample counts up to MAX_TILE_SAMPLES: a pair is 65 kB at 256 samples,
+  so at most 1.05 MB.  A larger count is drawn and dropped.
+
+The CSV rows are not kept: they grow with the digits of the ranks (871
+kB at level 10), and most of their cost is the conversion of big
+integers to decimal.  Both documents are made line by line
+(``_svg_lines``, ``_csv_lines``), a kept level as one piece, which the
+CLI writes as they come and the two functions join.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
+from functools import lru_cache
 
 from . import exceptional, frontier, helix
 from .errors import InternalInconsistencyError
@@ -35,6 +56,18 @@ VIEW_W = 1000
 VIEW_H = 700
 DELTA_MAX = (7, 10)
 _DELTA_MAX_FLOAT = DELTA_MAX[0] / DELTA_MAX[1]
+
+# The most frontier samples the CLI draws, and the most whose polylines
+# ``_frontier_polylines`` keeps.
+MAX_TILE_SAMPLES = 256
+
+# The kept tile text: [paths, below], where paths[k] is the joined path
+# lines of level k, kept once every tile of it has been drawn and checked,
+# for the levels 0, 1, ... up to helix.MAX_TILE_DEPTH, and below is the
+# child slots of the last of them (the root's slot at first).  A call
+# replaces the pair whole, never in place, so a reader's pair always
+# matches, whatever other calls do meanwhile.
+_kept: list = [[], [None]]
 
 _PALETTE = (
     "#4e79a7",
@@ -86,26 +119,18 @@ def _control_at(
     return f"{(a.c1 * rb + b.c1 * ra + d) / d * VIEW_W:.3f},{_py(delta):.3f}"
 
 
-def _tiles(triads: list[helix.Triad], draw: Callable) -> Iterator[tuple[helix.Triad, str]]:
-    """Each triad t of the breadth-first list ``triads`` with its text.
+def _tiles(triads: list[helix.Triad], slots: list, draw: Callable, below: list) -> Iterator[str]:
+    """The text of each triad t of one level, ``triads``, in index order.
 
-    ``draw(t, slot)`` returns the text and the slots of t's left and right
-    children: what a child shares with its parent, its two ends and its
-    bottom side among them, is made once, in the parent.  The root gets
-    the slot None.  A slot is dropped once its child has used it, and none
-    is kept at the last level.
+    ``draw(t, slots[t.index])`` returns the text and the slots of t's left
+    and right children, which go to ``below`` in order: what a child shares
+    with its parent, its two ends and its bottom side among them, is made
+    once, in the parent.  The root's slot is None.
     """
-    last = triads[-1].level
-    slots: list = [None]
-    below: list = []
     for t in triads:
-        if t.index == 0 and t.level > 0:
-            slots, below = below, []
         text, left, right = draw(t, slots[t.index])
-        slots[t.index] = None
-        if t.level < last:
-            below += (left, right)
-        yield t, text
+        below += (left, right)
+        yield text
 
 
 def _draw_path(t: helix.Triad, slot: tuple | None) -> tuple:
@@ -135,6 +160,7 @@ def _draw_path(t: helix.Triad, slot: tuple | None) -> tuple:
     return path, (g.rank, g.c1 - 3 * g.rank, e_at, f_at, ef), (e.rank, e.c1, f_at, g_at, fg)
 
 
+@lru_cache(maxsize=16)
 def _frontier_polylines(samples: int) -> tuple[str, str]:
     """Point lists for the semistability and rigidity frontier curves at
     the slopes (i - n)/n, i = 0..n, n = 8 samples.
@@ -145,6 +171,10 @@ def _frontier_polylines(samples: int) -> tuple[str, str]:
     Each division is one int/int true division, correctly rounded like
     ``float()`` of the reduced Fraction, and 9r^2 - 4 is never a square,
     so the text is ``float(a) + float(b) * sqrt(d)`` of the exact values.
+
+    The memo keeps 16 pairs, each at most 65 kB (the pair of 256 samples),
+    so at most 1.05 MB: ``_svg_lines`` reads it only up to that count.  An
+    error is not kept.
     """
     n = 8 * samples
     pairs = [(i - n, n) for i in range(n + 1)]
@@ -169,9 +199,12 @@ def _check(max_level: int, samples: int) -> None:
 
 
 def _svg_lines(max_level: int, samples: int) -> Iterator[str]:
-    """The lines of ``tile_svg``, each with its newline, as they are made;
-    the arguments are those ``_check`` passed.  Every triad is built and
-    checked before the first line."""
+    """The lines of ``tile_svg``, each with its newline, as they are made,
+    and each kept level of tiles as one piece; the arguments are those
+    ``_check`` passed.  Every triad is built and checked before the first
+    line.  A level of the kept tree is kept once its last tile is drawn;
+    deeper ones are dropped."""
+    global _kept
     triads = list(helix.iterate_triads(max_level))
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield (
@@ -183,13 +216,26 @@ def _svg_lines(max_level: int, samples: int) -> Iterator[str]:
         f"frontiers through {8 * samples + 1} points</title>\n"
     )
     yield f'<rect x="0" y="0" width="{VIEW_W}" height="{VIEW_H}" fill="#ffffff"/>\n'
-    for t, path in _tiles(triads, _draw_path):
-        fill = _PALETTE[t.level % len(_PALETTE)]
-        yield (
-            f'<path d="{path}" fill="{fill}" fill-opacity="0.55" '
-            f'stroke="#000000" stroke-width="0.6"/>\n'
-        )
-    upper, lower = _frontier_polylines(samples)
+    paths, slots = _kept
+    yield from paths[: max_level + 1]
+    for level in range(len(paths), max_level + 1):
+        fill = _PALETTE[level % len(_PALETTE)]
+        lines: list[str] = []
+        below: list = []
+        for path in _tiles(triads[(1 << level) - 1 : (2 << level) - 1], slots, _draw_path, below):
+            lines.append(
+                f'<path d="{path}" fill="{fill}" fill-opacity="0.55" '
+                f'stroke="#000000" stroke-width="0.6"/>\n'
+            )
+            yield lines[-1]
+        if level <= helix.MAX_TILE_DEPTH:
+            paths = paths + ["".join(lines)]
+            _kept = [paths, below]
+        slots = below
+    # The memo is read up to MAX_TILE_SAMPLES, so that it stays within its
+    # bytes; more samples are drawn and dropped.
+    polylines = _frontier_polylines if samples <= MAX_TILE_SAMPLES else _frontier_polylines.__wrapped__
+    upper, lower = polylines(samples)
     yield f'<polyline points="{upper}" fill="none" stroke="#1f1f1f" stroke-width="1.5"/>\n'
     yield (
         f'<polyline points="{lower}" fill="none" stroke="#7a1fa2" stroke-width="1.2" '
@@ -234,8 +280,11 @@ def _csv_lines(max_level: int) -> Iterator[str]:
     checked before the first line."""
     triads = list(helix.iterate_triads(max_level))
     yield "level,index,mu_e,delta_e,mu_f,delta_f,mu_g,delta_g\r\n"
-    for _, row in _tiles(triads, _csv_row):
-        yield row
+    slots: list = [None]
+    for level in range(max_level + 1):
+        below: list = []
+        yield from _tiles(triads[(1 << level) - 1 : (2 << level) - 1], slots, _csv_row, below)
+        slots = below
 
 
 def tile_csv(max_level: int) -> str:

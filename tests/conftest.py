@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from prioritaire import exceptional, helix
+from prioritaire import exceptional, helix, render
 
 # The one Hypothesis profile of every run, on every Python version and in
 # every module order: the same examples each time, no example database
@@ -23,14 +23,17 @@ def empty_tree() -> list[list]:
 
 @pytest.fixture
 def fresh_lattice(monkeypatch):
-    """The lattice's four stores empty, as in a fresh process: the kept
-    triad tree and the kept middles ``_mids`` (the test gets its own empty
-    slots, and the kept ones come back afterwards), ``_bundle``'s cache
-    and ``_owner``'s memo."""
+    """The package's six stores empty, as in a fresh process: the kept
+    triad tree, the kept middles ``_mids`` and the kept tile text of
+    ``render`` (the test gets its own empty slots, and the kept ones come
+    back afterwards), ``_bundle``'s cache, ``_owner``'s memo and the
+    frontier memo of ``render``."""
     monkeypatch.setattr(helix, "_levels", empty_tree())
     monkeypatch.setattr(exceptional, "_mids", [None] * len(exceptional._mids))
+    monkeypatch.setattr(render, "_kept", [[], [None]])
     exceptional._bundle.cache_clear()
     exceptional._owner.cache_clear()
+    render._frontier_polylines.cache_clear()
 
 
 @pytest.fixture

@@ -11,12 +11,17 @@ int/int true division is correctly rounded, as ``Fraction.__float__`` is.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from prioritaire import helix, render
+from prioritaire import exceptional, helix, render
 from prioritaire.chern import hirzebruch_p
 from prioritaire.errors import InternalInconsistencyError
 from prioritaire.surd import format_rational
@@ -146,9 +151,10 @@ def test_bezier_sides_are_the_fraction_sides():
                 assert d == conic(mu) == side(mu), (t.label(), i)
                 points += 1
     assert points == 3 * 127 * 9
-    drawn = list(render._tiles(triads, render._draw_path))
-    assert [t for t, _ in drawn] == triads
-    for t, path in drawn:
+    svg = render.tile_svg(6, 1).splitlines()
+    paths = [line.split('"')[1] for line in svg if line.startswith("<path ")]
+    assert len(paths) == len(triads)
+    for t, path in zip(triads, paths):
         assert path == _reference_path(t), t.label()
 
 
@@ -178,13 +184,82 @@ def test_the_tiling_is_mirror_symmetric():
         assert [_mirror(fg), _mirror(ef), _mirror(ge)] == controls[k, (1 << k) - 1 - i], (k, i)
 
 
-def test_a_child_that_does_not_share_its_parents_side_raises():
-    # The children of the root, with their indices swapped: each takes the
-    # slot of the other, whose side its h does not carry.
+def test_a_child_that_does_not_share_its_parents_side_raises(monkeypatch):
+    # The children of the root, with their indices swapped, in a kept tree
+    # of their own: each takes the slot of the other, whose side its h does
+    # not carry.  The tile store starts empty, so the check is reached where
+    # the store's levels are drawn; the failed level is not kept, and the
+    # next call raises again.
     root, left, right = helix.iterate_triads(1)
-    swapped = [root, *(helix.Triad(c.e, c.f, c.g, 1, 1 - c.index) for c in (right, left))]
-    with pytest.raises(InternalInconsistencyError, match="does not carry its parent's side"):
-        list(render._tiles(swapped, render._draw_path))
+    swapped = [helix.Triad(c.e, c.f, c.g, 1, 1 - c.index) for c in (right, left)]
+    tree = [[root], swapped] + [[None] * (1 << k) for k in range(2, helix.MAX_TILE_DEPTH + 1)]
+    monkeypatch.setattr(helix, "_levels", tree)
+    monkeypatch.setattr(render, "_kept", [[], [None]])
+    for _ in range(2):
+        with pytest.raises(InternalInconsistencyError, match="does not carry its parent's side"):
+            render.tile_svg(1, 1)
+        paths, below = render._kept
+        assert len(paths) == 1 and len(below) == 2
+    assert render.tile_svg(0, 1).count("<path ") == 1
+
+
+def test_a_warm_render_draws_only_what_is_new(monkeypatch, fresh_lattice):
+    # Each tile is drawn once per process, with two control points (the
+    # root a third), and the frontiers of each sample count come from one
+    # owner walk; past the kept tree, the extra levels are drawn each time.
+    calls = dict.fromkeys(("_control_at", "_owners"), 0)
+    for module, name in ((render, "_control_at"), (exceptional, "_owners")):
+        original = getattr(module, name)
+
+        def counted(*args, f=original, n=name):
+            calls[n] += 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def drawn(depth, k):
+        """The control points and owner walks of one render."""
+        calls.update(dict.fromkeys(calls, 0))
+        render.tile_svg(depth, k)
+        return calls["_control_at"], calls["_owners"]
+
+    level, samples, top = 4, 3, helix.MAX_TILE_DEPTH
+    assert drawn(level, samples) == (2 * ((2 << level) - 1) + 1, 1)
+    assert drawn(level, samples) == (0, 0)
+    assert drawn(level, samples + 4) == (0, 1)
+    assert drawn(level + 1, samples) == (2 * (2 << level), 0)
+    assert drawn(top, samples) == (2 * ((2 << top) - (4 << level)), 0)
+    assert drawn(top + 1, samples) == drawn(top + 1, samples) == (2 * (2 << top), 0)
+    paths, below = render._kept
+    assert len(paths) == top + 1 and len(below) == 2 << top
+
+
+def test_pinned_renders_do_not_depend_on_their_order():
+    # In a fresh process, every pinned render twice, in a seeded shuffled
+    # order: each is met from an empty, a partly filled and a full store,
+    # and every digest holds its pin.
+    probe = (
+        "import hashlib, json, random\n"
+        "from prioritaire import render\n"
+        f"grid = {sorted(SVG_SHA256)!r} * 2\n"
+        "random.Random(39).shuffle(grid)\n"
+        "print(json.dumps([(level, samples, hashlib.sha256(render.tile_svg(level, samples)"
+        ".encode()).hexdigest()) for level, samples in grid]))\n"
+    )
+    src = str(Path(render.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = json.loads(proc.stdout)
+    assert len(digests) == 2 * len(SVG_SHA256)
+    assert [(level, samples) for level, samples, _ in digests] != sorted(SVG_SHA256) * 2
+    for level, samples, digest in digests:
+        assert digest == SVG_SHA256[level, samples], (level, samples)
 
 
 def test_frontier_polylines_match_the_fraction_frontiers():

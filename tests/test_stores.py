@@ -1,8 +1,9 @@
 """Answers do not depend on what the lattice's stores hold.
 
-The package keeps four stores between calls: ``_bundle``'s cache, the
-kept middles ``_mids``, the ``_owner`` memo, and the kept triad tree,
-whose triads hold the data of the splittings on them.  A query answers, or raises,
+The package keeps six stores between calls: ``_bundle``'s cache, the
+kept middles ``_mids``, the ``_owner`` memo, the kept triad tree, whose
+triads hold the data of the splittings on them, and ``render``'s kept
+tile text and frontier memo.  A query answers, or raises,
 the same from an empty lattice as from a warm one visited in another
 order.
 """
@@ -179,13 +180,16 @@ def test_fresh_lattice_empties_every_store(request):
     helix.enumerate_to_level(11)
     list(helix.iterate_triads(3))
     locate_exceptional(Fraction(-2, 5))
-    modules = (exceptional, helix)
+    render.tile_svg(2, 1)
+    modules = (exceptional, helix, render)
     names = {(m.__name__, name) for m in modules for name in _stores(m)}
     assert names >= {
         ("prioritaire.exceptional", "_bundle"),
         ("prioritaire.exceptional", "_mids"),
         ("prioritaire.exceptional", "_owner"),
         ("prioritaire.helix", "_levels"),
+        ("prioritaire.render", "_kept"),
+        ("prioritaire.render", "_frontier_polylines"),
     }
     assert all(_held(store) for m in modules for store in _stores(m).values())
     request.getfixturevalue("fresh_lattice")
