@@ -31,8 +31,8 @@ each bounded and each filled only by answers that passed every check:
 * ``helix``'s kept triad tree: one slot per triad down to
   ``helix.MAX_TILE_DEPTH``, at most 2 047 triads.
 * ``render``'s kept tile text, the SVG paths of each level of that tree
-  (at most 420 kB, and 406 kB of child slots), and its memo of the frontier polylines of 16 sample
-  counts (at most 1.05 MB).
+  (at most 420 kB, and 406 kB of child slots), and its memo of the
+  frontier polylines of 16 sample counts (at most 1.05 MB).
 
 ``ExceptionalBundle(r, c1)``, ``from_slope`` and the CLI take bundles
 from outside through one boundary, ``_lattice``: it refuses a rank below

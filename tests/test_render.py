@@ -14,8 +14,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,6 +262,37 @@ def test_pinned_renders_do_not_depend_on_their_order():
     assert [(level, samples) for level, samples, _ in digests] != sorted(SVG_SHA256) * 2
     for level, samples, digest in digests:
         assert digest == SVG_SHA256[level, samples], (level, samples)
+
+
+def test_threads_that_share_the_stores_render_the_pinned_bytes(fresh_lattice):
+    # Each call replaces the kept pair of tile text and slots whole, so
+    # calls that interleave, here with a thread switch every few
+    # microseconds, never mix the levels or slots of two calls.
+    grid = [key for key in sorted(SVG_SHA256) if key[0] <= 5]
+    found, errors = [], []
+
+    def work(seed):
+        order = grid[:]
+        random.Random(seed).shuffle(order)
+        try:
+            found.extend((key, _sha256(render.tile_svg(*key))) for key in order)
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(found) == 4 * len(grid)
+    for key, digest in found:
+        assert digest == SVG_SHA256[key], key
 
 
 def test_frontier_polylines_match_the_fraction_frontiers():
